@@ -16,8 +16,8 @@ import numpy as np
 from . import ring as ringmod
 from .gbh import dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft
-from .matrix import GMatrix, MatrixError, from_blocks, scalar_mul, tensor
-from .ring import RingContext, RingElement, RingError
+from .matrix import GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
+from .ring import RingContext, RingElement, RingError, _prime_factors
 
 FAMILY_TAGS = (
     "WHT",
@@ -205,7 +205,7 @@ def complex_rjt(n: int, omega: RingElement) -> GMatrix:
     one = ring.one()
     w = 2 * n
     if omega ** w != one or any(
-        omega ** (w // q) == one for q in {f for f in _prime_factors(w)}
+        omega ** (w // q) == one for q in _prime_factors(w)
     ):
         raise RingError(f"omega must have multiplicative order exactly {w}")
     exps = []
@@ -217,20 +217,6 @@ def complex_rjt(n: int, omega: RingElement) -> GMatrix:
         powers.append(powers[-1] * omega)
     rows = [[powers[exps[j] * exps[k]] for k in range(w)] for j in range(w)]
     return GMatrix.from_rows(ring, rows)
-
-
-def _prime_factors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _classify(l, eps, delta, n, r, ring) -> str:
@@ -357,15 +343,9 @@ def enumerate_jackets_2x2(ring: RingContext, group_order: int):
             continue  # not normalised
         M = GMatrix.from_rows(ring, [[a, b], [c, d]])
         if is_jacket_form(M) and verify_gbh(M).is_gbh:
-            if not any(matrix_equal_2x2(M, F) for F in found):
+            if not any(equal(M, F) for F in found):
                 found.append(M)
     return found
-
-
-def matrix_equal_2x2(A, B):
-    from .matrix import equal
-
-    return equal(A, B)
 
 
 CATALOG_TOKENS = "walsh:t cbt:t dft:v k1 k2:r k3 k4 k6:r family:l,e,d,n,r"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
+from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode, equal
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -62,21 +62,39 @@ def _tree_to_json(tree):
     raise MatrixError(f"unknown tree node {tree!r}")
 
 
+def _field(data, key):
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise MatrixError(f"malformed file: no {key!r} field") from None
+
+
+def _permutation(data, key):
+    image = _field(data, key)
+    if not isinstance(image, list) or not all(isinstance(i, int) for i in image):
+        raise MatrixError(f"malformed file: {key!r} is not a list of indices")
+    return Permutation(tuple(image))
+
+
 def _tree_from_json(data, ring):
     if data is None:
         return None
-    kind = data["kind"]
+    kind = _field(data, "kind")
     if kind == "leaf":
-        return Leaf(matrix_from_json(data["matrix"]))
+        leaf = matrix_from_json(_field(data, "matrix"))
+        if leaf.ring.spec != ring.spec:
+            raise MatrixError("a tree leaf is not over the matrix ring")
+        return Leaf(leaf)
     if kind == "tensor":
         return TensorNode(
-            _tree_from_json(data["left"], ring), _tree_from_json(data["right"], ring)
+            _tree_from_json(_field(data, "left"), ring),
+            _tree_from_json(_field(data, "right"), ring),
         )
     if kind == "permuted":
         return PermutedNode(
-            _tree_from_json(data["child"], ring),
-            Permutation(tuple(data["row"])),
-            Permutation(tuple(data["col"])),
+            _tree_from_json(_field(data, "child"), ring),
+            _permutation(data, "row"),
+            _permutation(data, "col"),
         )
     raise MatrixError(f"unknown tree node kind {kind!r}")
 
@@ -95,14 +113,18 @@ def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
 
 
 def matrix_from_json(data: dict) -> GMatrix:
-    ring = make_ring(ring_spec_from_json(data["ring"]))
-    v = data["order"]
-    entries = data["entries"]
+    """Decode a matrix; a factor tree must expand to exactly its entries."""
+    ring = make_ring(ring_spec_from_json(_field(data, "ring")))
+    v = _field(data, "order")
+    entries = _field(data, "entries")
     if len(entries) != v or any(len(r) != v for r in entries):
         raise MatrixError("entry grid does not match the declared order")
     rows = [[ring.decode(e) for e in row] for row in entries]
     tree = _tree_from_json(data.get("tree"), ring)
-    return GMatrix.from_rows(ring, rows, tree=tree)
+    M = GMatrix.from_rows(ring, rows, tree=tree)
+    if tree is not None and not equal(tree.expand(), M):
+        raise MatrixError("the factor tree does not expand to the matrix entries")
+    return M
 
 
 def save_matrix(M: GMatrix, path):
@@ -129,9 +151,9 @@ def signal_to_json(x: Signal) -> dict:
 
 
 def signal_from_json(data: dict) -> Signal:
-    ring = make_ring(ring_spec_from_json(data["ring"]))
-    elems = data["elements"]
-    if len(elems) != data["length"]:
+    ring = make_ring(ring_spec_from_json(_field(data, "ring")))
+    elems = _field(data, "elements")
+    if len(elems) != _field(data, "length"):
         raise MatrixError("element list does not match the declared length")
     return Signal(ring, tuple(ring.decode(e) for e in elems))
 

@@ -1,13 +1,16 @@
 """Generalised Butson Hadamard verification and the basic constructors.
 
 A square matrix M of unit entries over R is GBH when M M* = M* M = v I_v and
-char R does not divide v. Verification is exact on exact backends; +1/-1
-rational matrices take a numpy integer path so Sylvester orders around 1000
-stay fast.
+char R does not divide v. Verification is exact on exact backends. It works
+on the unit table of the matrix (see ght.matrix): the products M M* and M* M
+come from counts of unit products, each distinct value of a product is
+compared with v or 0 once and mapped back to positions through its index
+array, and the entry-group order is taken over the distinct units only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,35 +58,23 @@ def _element_order(el: RingElement, bound):
 
 
 def _entry_group_order(M: GMatrix, bound):
-    if M._int:
-        return 2 if (M._a == -1).any() else 1
-    orders = {}
-    for i in range(M.order):
-        for j in range(M.order):
-            e = M.entry(i, j)
-            k = e.key()
-            if k not in orders:
-                o = _element_order(e, bound)
-                if o is None:
-                    return None
-                orders[k] = o
     w = 1
-    for o in orders.values():
-        w = w * o // np.gcd(w, o)
-    return int(w)
+    for u in M.units:
+        o = _element_order(u, bound)
+        if o is None:
+            return None
+        w = w * o // math.gcd(w, o)
+    return w
 
 
 def _product_failures(P: GMatrix, v):
+    """Positions where P differs from v I, in row-major order."""
     ring = P.ring
-    target_diag = ring.from_int(v)
-    zero = ring.zero()
-    fails = []
-    for i in range(v):
-        for j in range(v):
-            want = target_diag if i == j else zero
-            if P.entry(i, j) != want:
-                fails.append((i, j))
-    return fails
+    is_v = np.array([u == ring.from_int(v) for u in P.units])
+    is_zero = np.array([u == ring.zero() for u in P.units])
+    bad = ~is_zero[P.idx]
+    np.fill_diagonal(bad, ~is_v[np.diag(P.idx)])
+    return [(int(i), int(j)) for i, j in np.argwhere(bad)]
 
 
 def verify_gbh(M: GMatrix, order_bound=None) -> GbhReport:
@@ -98,16 +89,9 @@ def verify_gbh(M: GMatrix, order_bound=None) -> GbhReport:
     ring = M.ring
     ch = ring.characteristic()
     char_check = ch == 0 or v % ch != 0
-    if M._int:
-        a = M._a.astype(np.int64)
-        failures = []
-        for prod in (a @ a.T, a.T @ a):
-            bad = np.argwhere(prod != v * np.eye(v, dtype=np.int64))
-            failures.extend((int(i), int(j)) for i, j in bad)
-    else:
-        ms = star(M)
-        failures = _product_failures(mat_mul(M, ms), v)
-        failures += _product_failures(mat_mul(ms, M), v)
+    ms = star(M)
+    failures = _product_failures(mat_mul(M, ms), v)
+    failures += _product_failures(mat_mul(ms, M), v)
     seen = set()
     failures = [f for f in failures if not (f in seen or seen.add(f))]
     if order_bound is None:
@@ -127,21 +111,8 @@ def row_sums(M: GMatrix):
 
     For a normalised GBH all sums except the first are zero.
     """
-    v = M.order
-    ring = M.ring
-    sums = []
-    for i in range(v):
-        acc = ring.zero()
-        for j in range(v):
-            acc = acc + M.entry(i, j)
-        sums.append(acc)
-    inv_col_sums = []
-    for j in range(v):
-        acc = ring.zero()
-        for i in range(v):
-            acc = acc + M.entry(i, j).inverse()
-        inv_col_sums.append(acc)
-    return sums, inv_col_sums
+    zero = M.ring.zero()
+    return [sum(r, zero) for r in M.rows()], [sum(r, zero) for r in star(M).rows()]
 
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:

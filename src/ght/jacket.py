@@ -14,6 +14,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .matrix import GMatrix, MatrixError, Permutation, equal, permute, tensor
 from .ring import RingContext
 
@@ -49,19 +51,12 @@ class JacketReport:
         )
 
 
-def _row_kind(M: GMatrix, i, axis):
-    """2 if the line is all 1s, 1 if all +1/-1, else 0."""
-    one = M.ring.one()
-    minus = M.ring.from_int(-1)
-    all_one = True
-    for k in range(M.order):
-        e = M.entry(i, k) if axis == 0 else M.entry(k, i)
-        if e == one:
-            continue
-        all_one = False
-        if e != minus:
-            return 0
-    return 2 if all_one else 1
+def _line_kinds(M: GMatrix, axis):
+    """Per row (axis 0) or column (axis 1): 2 if the line is all 1s, 1 if it
+    is all +1/-1, else 0. Each distinct unit is compared once."""
+    one, minus = M.ring.one(), M.ring.from_int(-1)
+    kind = np.array([2 if u == one else 1 if u == minus else 0 for u in M.units])
+    return kind[M.idx].min(axis=1 - axis).tolist()
 
 
 def is_jacket_form(M: GMatrix) -> bool:
@@ -72,12 +67,8 @@ def is_jacket_form(M: GMatrix) -> bool:
     v = M.order
     if v % 2 != 0 or v < 2:
         raise MatrixError("jacket matrices have even order >= 2")
-    return (
-        _row_kind(M, 0, 0) == 2
-        and _row_kind(M, 0, 1) == 2
-        and _row_kind(M, v - 1, 0) >= 1
-        and _row_kind(M, v - 1, 1) >= 1
-    )
+    rows, cols = _line_kinds(M, 0), _line_kinds(M, 1)
+    return rows[0] == 2 and cols[0] == 2 and rows[-1] >= 1 and cols[-1] >= 1
 
 
 def _border_witness(v, pm1, ones, m):
@@ -106,8 +97,8 @@ def jacket_width(M: GMatrix) -> JacketReport:
     v = M.order
     if v % 2 != 0 or v < 2:
         raise MatrixError("jacket matrices have even order >= 2")
-    row_kinds = [_row_kind(M, i, 0) for i in range(v)]
-    col_kinds = [_row_kind(M, j, 1) for j in range(v)]
+    row_kinds = _line_kinds(M, 0)
+    col_kinds = _line_kinds(M, 1)
     pm1_rows = [i for i, k in enumerate(row_kinds) if k >= 1]
     pm1_cols = [j for j, k in enumerate(col_kinds) if k >= 1]
     one_rows = [i for i, k in enumerate(row_kinds) if k == 2]
@@ -289,10 +280,9 @@ def brute_width(M: GMatrix) -> int:
     n = v // 2
 
     def check(P: GMatrix, m, axis):
-        if _row_kind(P, 0, axis) != 2:
-            return False
+        kinds = _line_kinds(P, axis)
         border = list(range(1, m)) + list(range(v - m, v))
-        return all(_row_kind(P, i, axis) >= 1 for i in border)
+        return kinds[0] == 2 and all(kinds[i] >= 1 for i in border)
 
     def max_border(axis):
         ident = Permutation.identity(v)

@@ -1,9 +1,13 @@
-"""Dense square matrices over a ring context.
+"""Dense square matrices over a ring context, stored as unit tables.
 
 Entries are ring units (every exact backend here is a field, so unit ==
-nonzero). Matrices built from +1/-1 rationals are stored as small integer
-numpy arrays, which keeps Sylvester-type constructions of order ~4096 cheap;
-everything else lives in object arrays of RingElement.
+nonzero). The matrices of interest are Butson-type: their entries come from
+a small set of units. A GMatrix therefore stores the tuple `units` of its
+distinct entries, deduplicated by exact payload, and a read-only index array
+`idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
+table: star inverts the units and transposes idx, permute indexes idx,
+tensor and mat_mul form each unit product once and fill idx with numpy, and
+equal compares only the distinct unit pairs that occur.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -13,7 +17,6 @@ fast application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -117,90 +120,101 @@ class PermutedNode(FactorTree):
         return permute(self.child.expand(), self.rowp, self.colp)
 
 
+def _unit_table(entries):
+    """(units, codes): the distinct entries by exact payload and ring object,
+    in order of first occurrence, and each entry's position in `units`."""
+    first = {}
+    try:
+        codes = [first.setdefault((id(e.ring), e.payload), (len(first), e))[0] for e in entries]
+    except AttributeError:
+        raise MatrixError("matrix entries must be ring elements") from None
+    return [e for _, e in first.values()], np.array(codes, dtype=np.intp)
+
+
 class GMatrix:
-    """Immutable square matrix of ring units."""
+    """Immutable square matrix of ring units: entry(i, j) == units[idx[i, j]].
 
-    __slots__ = ("ring", "order", "tree", "_a", "_int")
+    `array` is a square object array of RingElements, or an integer array
+    whose values are embedded through the ring (a +1/-1 Sylvester array over
+    the rationals, say). Each distinct unit is validated once.
+    """
 
-    def __init__(self, ring: RingContext, array, tree=None, validate=True, _int=None):
+    __slots__ = ("ring", "order", "tree", "units", "idx")
+
+    def __init__(self, ring: RingContext, array, tree=None, validate=True):
         a = np.asarray(array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise MatrixError("matrix must be square")
-        is_int = a.dtype != object if _int is None else _int
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order", a.shape[0])
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_int", is_int)
+        if a.dtype == object:
+            units, codes = _unit_table(a.ravel())
+        elif a.dtype.kind in "iu":
+            values, codes = np.unique(a, return_inverse=True)
+            units = [ring.from_int(int(n)) for n in values]
+        else:
+            raise MatrixError("entries must be ring elements or integers")
+        self._fill(ring, units, codes.reshape(a.shape), tree)
         if validate:
             self._validate_units()
+
+    @classmethod
+    def _table(cls, ring, units, idx, tree=None):
+        """Unchecked matrix from a unit list and an index array."""
+        M = object.__new__(cls)
+        M._fill(ring, units, idx, tree)
+        return M
+
+    def _fill(self, ring, units, idx, tree):
+        idx = idx.astype(np.min_scalar_type(len(units) - 1), copy=False)
+        idx.flags.writeable = False
+        for name, value in zip(self.__slots__, (ring, len(idx), tree, tuple(units), idx)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GMatrix is immutable")
 
     def _validate_units(self):
-        if self._int:
-            if self.ring.spec.kind != "rationals":
-                raise MatrixError("integer storage is only for the rationals")
-            if not np.isin(self._a, (-1, 1)).all():
-                raise MatrixError("integer-lane entries must be +1/-1")
-            return
         zero = self.ring.zero()
-        for i in range(self.order):
-            for j in range(self.order):
-                e = self._a[i, j]
-                if not isinstance(e, RingElement) or e.ring.spec != self.ring.spec:
-                    raise MatrixError(f"entry ({i},{j}) is not in the matrix ring")
-                if e == zero:
-                    raise MatrixError(f"entry ({i},{j}) is not a unit")
+        for k, u in enumerate(self.units):
+            if not isinstance(u, RingElement) or u.ring.spec != self.ring.spec:
+                problem = "is not in the matrix ring"
+            elif u == zero:
+                problem = "is not a unit"
+            else:
+                continue
+            i, j = np.argwhere(self.idx == k)[0]
+            raise MatrixError(f"entry ({i},{j}) {problem}")
 
     @classmethod
     def from_rows(cls, ring, rows, tree=None, validate=True):
-        """Build from nested lists of RingElements (plain ints are embedded).
-
-        Rational matrices whose entries are all +1/-1 drop into the integer
-        fast lane automatically.
-        """
+        """Build from nested lists of RingElements (plain ints are embedded)."""
         v = len(rows)
-        out = np.empty((v, v), dtype=object)
-        for i, row in enumerate(rows):
-            if len(row) != v:
-                raise MatrixError("matrix must be square")
-            for j, e in enumerate(row):
-                out[i, j] = ring.from_int(e) if isinstance(e, int) else e
-        if ring.spec.kind == "rationals":
-            vals = [[e.payload for e in row] for row in rows_as_elems(out)]
-            if all(f.denominator == 1 and abs(f) == 1 for r in vals for f in r):
-                arr = np.array([[int(f) for f in r] for r in vals], dtype=np.int8)
-                return cls(ring, arr, tree=tree, validate=False, _int=True)
-        return cls(ring, out, tree=tree, validate=validate)
+        if any(len(row) != v for row in rows):
+            raise MatrixError("matrix must be square")
+        flat = (ring.from_int(e) if isinstance(e, int) else e for row in rows for e in row)
+        flat = np.fromiter(flat, dtype=object, count=v * v)
+        return cls(ring, flat.reshape(v, v), tree=tree, validate=validate)
 
     def entry(self, i, j) -> RingElement:
-        if self._int:
-            return self.ring.element(Fraction(int(self._a[i, j])))
-        return self._a[i, j]
+        return self.units[self.idx[i, j]]
 
     def row(self, i):
-        return [self.entry(i, j) for j in range(self.order)]
+        units = self.units
+        return [units[k] for k in self.idx[i].tolist()]
 
     def rows(self):
-        return [self.row(i) for i in range(self.order)]
+        units = self.units
+        return [[units[k] for k in r] for r in self.idx.tolist()]
 
     def as_tree(self) -> FactorTree:
         return self.tree if self.tree is not None else Leaf(self)
 
     def is_normalised(self):
         one = self.ring.one()
-        return all(self.entry(0, j) == one for j in range(self.order)) and all(
-            self.entry(i, 0) == one for i in range(self.order)
-        )
+        border = set(self.idx[0].tolist()) | set(self.idx[:, 0].tolist())
+        return all(self.units[k] == one for k in border)
 
     def __repr__(self):
         return f"GMatrix(order={self.order}, ring={self.ring!r})"
-
-
-def rows_as_elems(a):
-    return [list(r) for r in a]
 
 
 def _check_same_ring(A: GMatrix, B: GMatrix):
@@ -208,37 +222,32 @@ def _check_same_ring(A: GMatrix, B: GMatrix):
         raise MatrixError("ring mismatch")
 
 
+def _unit_products(A: GMatrix, B: GMatrix):
+    """(products, table): the distinct products of a unit of A and a unit of
+    B, and table[a, b] = position of units_A[a] * units_B[b] in products."""
+    products, codes = _unit_table([a * b for a in A.units for b in B.units])
+    return products, codes.reshape(len(A.units), len(B.units))
+
+
 def star(M: GMatrix) -> GMatrix:
     """M* : transpose of the entrywise inverses; an involution."""
-    if M._int:
-        # +1/-1 entries are self-inverse
-        return GMatrix(M.ring, M._a.T.copy(), validate=False, _int=True)
-    v = M.order
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        for j in range(v):
-            out[j, i] = M._a[i, j].inverse()
-    return GMatrix(M.ring, out, validate=False)
+    inverses = [u.inverse() for u in M.units]
+    return GMatrix._table(M.ring, inverses, M.idx.T)
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
     """Kronecker product; the result records both factors in its tree."""
     _check_same_ring(A, B)
-    tree = TensorNode(A.as_tree(), B.as_tree())
-    if A._int and B._int:
-        return GMatrix(
-            A.ring, np.kron(A._a, B._a).astype(np.int8), tree=tree,
-            validate=False, _int=True,
-        )
+    products, table = _unit_products(A, B)
     va, vb = A.order, B.order
-    out = np.empty((va * vb, va * vb), dtype=object)
-    for i in range(va):
-        for j in range(va):
-            aij = A.entry(i, j)
-            for k in range(vb):
-                for l in range(vb):
-                    out[i * vb + k, j * vb + l] = aij * B.entry(k, l)
-    return GMatrix(A.ring, out, tree=tree, validate=False)
+    table = table.astype(np.min_scalar_type(len(products) - 1))
+    idx = np.empty((va * vb, va * vb), dtype=table.dtype)
+    # entry (i*vb + k, j*vb + l) is A[i, j] * B[k, l]
+    for k in range(vb):
+        for l in range(vb):
+            idx[k::vb, l::vb] = table[:, B.idx[k, l]][A.idx]
+    tree = TensorNode(A.as_tree(), B.as_tree())
+    return GMatrix._table(A.ring, products, idx, tree=tree)
 
 
 def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:
@@ -247,9 +256,8 @@ def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:
         raise MatrixError("permutation size mismatch")
     rinv = rowp.inverse().image
     cinv = colp.inverse().image
-    a = M._a[np.ix_(rinv, cinv)]
     tree = PermutedNode(M.as_tree(), rowp, colp)
-    return GMatrix(M.ring, a.copy(), tree=tree, validate=False, _int=M._int)
+    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree=tree)
 
 
 def normalize(M: GMatrix):
@@ -258,78 +266,100 @@ def normalize(M: GMatrix):
     Returns (N, row_scalars, col_scalars) with
     M[i][j] == row_scalars[i] * N[i][j] * col_scalars[j].
     """
-    v = M.order
-    row_scalars = [M.entry(i, 0) for i in range(v)]
+    rows = M.rows()
+    row_scalars = [r[0] for r in rows]
     row_inv = [r.inverse() for r in row_scalars]
-    col_scalars = [row_inv[0] * M.entry(0, j) for j in range(v)]
+    col_scalars = [row_inv[0] * e for e in rows[0]]
     col_inv = [c.inverse() for c in col_scalars]
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        ri = row_inv[i]
-        for j in range(v):
-            out[i, j] = ri * M.entry(i, j) * col_inv[j]
-    N = GMatrix.from_rows(M.ring, rows_as_elems(out), validate=False)
+    out = [
+        [ri * e * cj for e, cj in zip(r, col_inv)] for r, ri in zip(rows, row_inv)
+    ]
+    N = GMatrix.from_rows(M.ring, out, validate=False)
     return N, row_scalars, col_scalars
+
+
+# bound on the counts held at once (positions x unit pairs or products)
+_BLOCK_COUNTS = 1 << 16
 
 
 def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     """Plain matrix product. The result is not unit-checked (products of GBH
-    matrices legitimately contain zeros)."""
+    matrices legitimately contain zeros).
+
+    C[i, j] is the sum over the distinct unit products p of p times the
+    number of k with units_A[A.idx[i, k]] * units_B[B.idx[k, j]] == p. The
+    counts come from float32 products of 0/1 masks, exact while v < 2^24,
+    in blocks of rows; each distinct vector of counts is evaluated once with
+    ring.dot. With more unit pairs than entries the mask products would cost
+    more than the entries themselves, and the per-entry dot loop runs.
+    """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
-    v = A.order
-    if A._int and B._int:
-        prod = A._a.astype(np.int64) @ B._a.astype(np.int64)
-        out = np.empty((v, v), dtype=object)
-        ring = A.ring
-        for i in range(v):
-            for j in range(v):
-                out[i, j] = ring.element(Fraction(int(prod[i, j])))
-        return GMatrix(A.ring, out, validate=False)
-    ring = A.ring
-    bcols = [[B.entry(k, j) for k in range(v)] for j in range(v)]
-    arows = [A.row(i) for i in range(v)]
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        ai = arows[i]
-        for j in range(v):
-            out[i, j] = ring.dot(zip(ai, bcols[j]))
-    return GMatrix(ring, out, validate=False)
+    ring, v = A.ring, A.order
+    na, nb = len(A.units), len(B.units)
+    if na * nb > v * v:
+        bcols = [list(col) for col in zip(*B.rows())]
+        units, codes = _unit_table(ring.dot(zip(ai, bj)) for ai in A.rows() for bj in bcols)
+        return GMatrix._table(ring, units, codes.reshape(v, v))
+
+    products, table = _unit_products(A, B)
+    # bmask[k, b*v + j] = 1 where B[k, j] is units_B[b]
+    b_units = np.arange(nb, dtype=B.idx.dtype)[:, None]
+    bmask = (B.idx[:, None, :] == b_units).reshape(v, nb * v).astype(np.float32)
+    block = max(1, _BLOCK_COUNTS // (v * max(nb, len(products))))
+    found = {}  # distinct count vector -> its position in order of discovery
+    idx = np.empty((v, v), dtype=np.intp)
+    for r0 in range(0, v, block):
+        a_rows = A.idx[r0 : r0 + block]
+        h = len(a_rows)
+        counts = np.zeros((len(products), h, v), dtype=np.float32)
+        for a in range(na):
+            pair_counts = ((a_rows == a).astype(np.float32) @ bmask).reshape(h, nb, v)
+            for b in range(nb):
+                counts[table[a, b]] += pair_counts[:, b]
+        counts = counts.reshape(len(products), h * v).astype(np.int64)
+        # codes equal exactly where the count vectors are; the last product
+        # is left out, its count being v minus the others
+        code, first = np.zeros(h * v, dtype=np.int64), [0]
+        for col in counts[:-1]:
+            _, first, code = np.unique(
+                code * (v + 1) + col, return_index=True, return_inverse=True
+            )
+        vecs = counts[:, first].T.tolist()
+        lut = np.array([found.setdefault(tuple(vec), len(found)) for vec in vecs])
+        idx[r0 : r0 + h] = lut[code].reshape(h, v)
+    values = [
+        ring.dot((products[p], ring.from_int(c)) for p, c in enumerate(vec) if c)
+        for vec in found
+    ]
+    units, codes = _unit_table(values)
+    return GMatrix._table(ring, units, codes[idx])
 
 
 def scalar_mul(c, M: GMatrix) -> GMatrix:
     if isinstance(c, int):
         c = M.ring.from_int(c)
-    v = M.order
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        for j in range(v):
-            out[i, j] = c * M.entry(i, j)
-    return GMatrix.from_rows(M.ring, rows_as_elems(out), validate=False)
+    return GMatrix._table(M.ring, [c * u for u in M.units], M.idx)
 
 
 def equal(A: GMatrix, B: GMatrix) -> bool:
+    """Entrywise equality. Each distinct (A-unit, B-unit) pair that occurs is
+    compared once, or each entry when there are more unit pairs than entries."""
     if A.ring.spec != B.ring.spec or A.order != B.order:
         return False
-    if A._int and B._int:
-        return bool(np.array_equal(A._a, B._a))
-    return all(
-        A.entry(i, j) == B.entry(i, j)
-        for i in range(A.order)
-        for j in range(A.order)
-    )
+    na, nb = len(A.units), len(B.units)
+    if na * nb > A.order**2:
+        return all(a == b for ra, rb in zip(A.rows(), B.rows()) for a, b in zip(ra, rb))
+    seen = np.zeros((na, nb), dtype=bool)
+    seen[A.idx, B.idx] = True
+    return all(A.units[a] == B.units[b] for a, b in zip(*np.nonzero(seen)))
 
 
 def identity_gmatrix(ring, v, scale=1) -> GMatrix:
     """scale * I_v, unchecked (off-diagonal zeros)."""
     s = ring.from_int(scale) if isinstance(scale, int) else scale
-    zero = ring.zero()
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        for j in range(v):
-            out[i, j] = s if i == j else zero
-    return GMatrix(ring, out, validate=False)
+    return GMatrix._table(ring, (s, ring.zero()), 1 - np.eye(v, dtype=np.uint8))
 
 
 def from_blocks(ring, blocks) -> GMatrix:

@@ -1,10 +1,31 @@
 """Exit-code contract and round-trips through the command-line entry point."""
 
+import copy
+import json
+
 import pytest
 
-from ght import Signal, cyclotomic, equal, k4, rationals, walsh
+from ght import (
+    MatrixError,
+    Permutation,
+    Signal,
+    cyclotomic,
+    equal,
+    k4,
+    permute,
+    rationals,
+    walsh,
+)
 from ght.cli import main, parse_ring_spec
-from ght.fileio import load_matrix, load_signal, save_matrix, save_signal
+from ght.fileio import (
+    load_matrix,
+    load_signal,
+    matrix_from_json,
+    matrix_to_json,
+    save_matrix,
+    save_signal,
+    signal_to_json,
+)
 from ght.ring import RingError
 
 
@@ -128,3 +149,65 @@ def test_usage_errors_are_two(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
     assert main(["gen", "nope", "-o", str(tmp_path / "x.json")]) == 2
     capsys.readouterr()
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _drop(data, *keys):
+    """A copy of the JSON object with the field at the key path removed."""
+    data = copy.deepcopy(data)
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    del node[keys[-1]]
+    return data
+
+
+def test_malformed_files_exit_two(tmp_path):
+    x = tmp_path / "x.json"
+    save_signal(Signal.from_ints(rationals(), [1] * 8), x)
+    W3 = matrix_to_json(walsh(3))
+    leaf = ("tree", "left", "left")
+    bad_matrices = [_drop(W3, k) for k in ("ring", "order", "entries")]
+    bad_matrices += [_drop(W3, *leaf, "kind"), _drop(W3, *leaf, "matrix")]
+    bad_matrices += [_drop(W3, "tree", k) for k in ("left", "right")]
+    P = matrix_to_json(permute(walsh(2), Permutation((1, 0, 3, 2)), Permutation((0, 1, 2, 3))))
+    bad_matrices += [_drop(P, "tree", k) for k in ("child", "row", "col")]
+    for perm in ("1032", {"0": 1}, [1, 0, "3", 2]):
+        data = copy.deepcopy(P)
+        data["tree"]["row"] = perm
+        bad_matrices.append(data)
+    for n, data in enumerate(bad_matrices):
+        path = _write(tmp_path / f"m{n}.json", data)
+        assert main(["verify", path]) == 2, n
+        assert main(["apply", path, str(x), "-o", str(tmp_path / "y.json")]) == 2, n
+    sig = signal_to_json(Signal.from_ints(rationals(), [1, 2]))
+    m = tmp_path / "w1.json"
+    save_matrix(walsh(1), m)
+    for k in ("ring", "length", "elements"):
+        path = _write(tmp_path / f"x-{k}.json", _drop(sig, k))
+        assert main(["apply", str(m), path, "-o", str(tmp_path / "y.json")]) == 2
+
+
+def test_tampered_tree_exits_two(tmp_path):
+    data = matrix_to_json(walsh(3))
+    data["tree"]["left"]["left"]["matrix"]["entries"][1][1] = "1/1"  # was -1
+    m = _write(tmp_path / "tampered.json", data)
+    x = tmp_path / "x.json"
+    save_signal(Signal.from_ints(rationals(), [3, -1, 4, 1, -5, 9, 2, -6]), x)
+    y = str(tmp_path / "y.json")
+    assert main(["verify", m]) == 2
+    assert main(["apply", m, str(x), "-o", y]) == 2
+    assert main(["apply", "--fast", m, str(x), "-o", y]) == 2
+    with pytest.raises(MatrixError):
+        matrix_from_json(data)
+
+
+def test_tree_leaf_ring_must_match_header(tmp_path):
+    data = matrix_to_json(walsh(2))
+    leaf = matrix_to_json(walsh(1, cyclotomic(4)), with_tree=False)
+    data["tree"]["right"]["matrix"] = leaf
+    assert main(["verify", _write(tmp_path / "m.json", data)]) == 2
