@@ -85,8 +85,8 @@ def _cmd_apply(args, inverse=False):
     x = fileio.load_signal(args.signal)
     if inverse:
         y = transform.ight(M, x)
-    elif args.fast and M.tree is not None:
-        y, count = transform.fast_apply(M.tree, x)
+    elif args.fast:
+        y, count = transform.fast_apply(M.as_tree(), x)
         print(f"multiplications: {count.mul}")
         print(f"additions: {count.add}")
     else:

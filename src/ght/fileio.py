@@ -69,6 +69,16 @@ def _field(data, key):
         raise MatrixError(f"malformed file: no {key!r} field") from None
 
 
+def _decoded(ring, items, what, length):
+    """The ring elements that items, a list of `length` encodings, holds."""
+    if not isinstance(items, list) or len(items) != length:
+        raise MatrixError(f"malformed file: {what} is not a list of {length} items")
+    try:
+        return [ring.decode(e) for e in items]
+    except (TypeError, LookupError):
+        raise MatrixError(f"malformed file: {what} holds a non-element of {ring!r}") from None
+
+
 def _permutation(data, key):
     image = _field(data, key)
     if not isinstance(image, list) or not all(isinstance(i, int) for i in image):
@@ -117,9 +127,9 @@ def matrix_from_json(data: dict) -> GMatrix:
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
     entries = _field(data, "entries")
-    if len(entries) != v or any(len(r) != v for r in entries):
+    if not isinstance(entries, list) or len(entries) != v:
         raise MatrixError("entry grid does not match the declared order")
-    rows = [[ring.decode(e) for e in row] for row in entries]
+    rows = [_decoded(ring, row, "an entry row", v) for row in entries]
     tree = _tree_from_json(data.get("tree"), ring)
     M = GMatrix.from_rows(ring, rows, tree=tree)
     if tree is not None and not equal(tree.expand(), M):
@@ -152,10 +162,8 @@ def signal_to_json(x: Signal) -> dict:
 
 def signal_from_json(data: dict) -> Signal:
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
-    elems = _field(data, "elements")
-    if len(elems) != _field(data, "length"):
-        raise MatrixError("element list does not match the declared length")
-    return Signal(ring, tuple(ring.decode(e) for e in elems))
+    elems = _decoded(ring, _field(data, "elements"), "the element list", _field(data, "length"))
+    return Signal(ring, tuple(elems))
 
 
 def save_signal(x: Signal, path):

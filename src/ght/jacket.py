@@ -201,8 +201,11 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     if A.ring.spec != B.ring.spec:
         raise MatrixError("ring mismatch")
     v = A.order
-    akeys = [[A.entry(i, j).key() for j in range(v)] for i in range(v)]
-    bkeys = [[B.entry(i, j).key() for j in range(v)] for i in range(v)]
+    # a unit's code: the first unit of A, else of B, that it == (key() rounds)
+    units = A.units + B.units
+    codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
+    akeys = codes[: len(A.units)][A.idx].tolist()
+    bkeys = codes[len(A.units) :][B.idx].tolist()
     acol_sig = [tuple(sorted(akeys[i][j] for i in range(v))) for j in range(v)]
     bcol_sig = [tuple(sorted(bkeys[i][j] for i in range(v))) for j in range(v)]
     if Counter(acol_sig) != Counter(bcol_sig):

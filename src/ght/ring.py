@@ -240,7 +240,7 @@ def cyclotomic_polynomial(w):
 
 
 def is_prime(n):
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         return False
     if n < 4:
         return True
@@ -413,8 +413,8 @@ class CyclotomicContext(RingContext):
     """
 
     def __init__(self, w):
-        if w < 1:
-            raise RingError("w must be >= 1")
+        if not isinstance(w, int) or w < 1:
+            raise RingError("w must be an integer >= 1")
         self.w = w
         self.phi = cyclotomic_polynomial(w)
         self.deg = len(self.phi) - 1
@@ -600,7 +600,7 @@ class PrimeFieldContext(RingContext):
 
     def __init__(self, p):
         if not is_prime(p):
-            raise RingError(f"{p} is not prime")
+            raise RingError(f"{p!r} is not prime")
         self.p = p
         self.spec = RingSpec(kind="prime-field", p=p)
 
@@ -654,8 +654,10 @@ class QuadraticFieldContext(RingContext):
 
     def __init__(self, p, ext_poly):
         if not is_prime(p):
-            raise RingError(f"{p} is not prime")
+            raise RingError(f"{p!r} is not prime")
         c0, c1, c2 = ext_poly
+        if not all(isinstance(c, int) for c in ext_poly):
+            raise RingError("extension polynomial coefficients must be integers")
         if c2 != 1:
             raise RingError("extension polynomial must be monic")
         c0 %= p
@@ -736,8 +738,8 @@ class ComplexContext(RingContext):
     is_exact = False
 
     def __init__(self, tol=1e-9):
-        if tol < 0:
-            raise RingError("tol must be non-negative")
+        if not isinstance(tol, (int, float)) or tol < 0:
+            raise RingError("tol must be a non-negative number")
         self.tol = tol
         self.spec = RingSpec(kind="complex-float", tol=tol)
 

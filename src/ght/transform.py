@@ -1,9 +1,11 @@
 """The transform pair and fast evaluation through recorded factor trees.
 
 Forward: xhat = B x. Inverse: x = v^(-1) B* xhat, which needs the order v to
-be invertible in the ring (char R must not divide v). A matrix whose tree is
-a chain of tensor factors of orders v_1..v_k applies in v*(v_1+...+v_k)
-multiplications instead of v^2, by the usual mixed-radix schedule.
+be invertible in the ring (char R must not divide v). ght is one kernel, a
+matrix times a batch of columns, on one column. fast_apply runs the same
+kernel axis-wise over the factor tree (Van Loan, "The ubiquitous Kronecker
+product", 2000), so tensor factors of orders v_1..v_k cost v*(v_1+...+v_k)
+multiplications instead of v^2, as tree_cost counts.
 """
 
 from __future__ import annotations
@@ -61,41 +63,72 @@ class OpCount:
 
 
 def _integers(elements):
-    """The elements as ints when every one is an integer rational, else None."""
+    """The elements as an int64 array when every one is an integer rational
+    smaller than 2^53 in size, else None."""
     out = []
     for e in elements:
         p = e.payload
-        if not isinstance(p, Fraction) or p.denominator != 1:
+        if not isinstance(p, Fraction) or p.denominator != 1 or abs(p) >= 2**53:
             return None
         out.append(int(p))
-    return out
+    return np.array(out, dtype=np.int64)
+
+
+def _product(M: GMatrix, X, ring):
+    """M times each column of the (v, n) batch X, whose entries lie in ring.
+    An int64 batch against integer units runs in float64 blocks of 256 rows,
+    exact while v * max|unit| * max|X| < 2^53, and stays int64; any other
+    batch is taken as ring elements, one ring.dot per result entry."""
+    if M.ring.spec != ring.spec:
+        raise MatrixError("ring mismatch")
+    v = M.order
+    if X.dtype != object:
+        units = _integers(M.units)
+        if units is not None and v * int(abs(units).max()) * int(abs(X).max()) < 2**53:
+            u = units.astype(np.float64)
+            blocks = [u[M.idx[r : r + 256]] @ X for r in range(0, v, 256)]
+            return np.concatenate(blocks).astype(np.int64)
+        elements = [ring.from_int(n) for n in X.ravel().tolist()]
+        X = np.array(elements, dtype=object).reshape(X.shape)
+    cols = X.T.tolist()
+    out = [[ring.dot(zip(row, col)) for col in cols] for row in M.rows()]
+    return np.array(out, dtype=object)
+
+
+def _walk(node: FactorTree, X, ring):
+    """The matrix of node times each column of the batch X. A tensor node of
+    orders (a, b) views a column as an a x b array and applies its right
+    factor along the length-b axis, then its left factor along the other."""
+    if isinstance(node, Leaf):
+        return _product(node.matrix, X, ring)
+    if isinstance(node, TensorNode):
+        a, b, n = node.left.order, node.right.order, X.shape[1]
+        Y = X.reshape(a, b, n).transpose(1, 0, 2).reshape(b, a * n)
+        Y = _walk(node.right, Y, ring).reshape(b, a, n).transpose(1, 0, 2)
+        return _walk(node.left, Y.reshape(a, b * n), ring).reshape(a * b, n)
+    if isinstance(node, PermutedNode):
+        Z = _walk(node.child, X[list(node.colp.image)], ring)
+        out = np.empty_like(Z)
+        out[list(node.rowp.image)] = Z
+        return out
+    raise MatrixError(f"unknown tree node {node!r}")
+
+
+def _apply(tree: FactorTree, x: Signal) -> Signal:
+    """The matrix of tree times x, with x as a one-column batch."""
+    if tree.order != x.length:
+        raise MatrixError("signal length does not match the matrix order")
+    ints = _integers(x.elements)
+    column = np.array(x.elements, dtype=object) if ints is None else ints
+    y = _walk(tree, column[:, None], x.ring)[:, 0]
+    if y.dtype == object:
+        return Signal(x.ring, tuple(y))
+    return Signal(x.ring, tuple(map(x.ring.from_int, y.tolist())))
 
 
 def ght(B: GMatrix, x: Signal) -> Signal:
-    """Forward transform xhat = B x, in exact ring arithmetic.
-
-    When every unit of B and every signal entry is an integer, the product
-    runs in float64 blocks of 256 rows, which is exact while v * max|unit| *
-    max|x| < 2^53.
-    """
-    if x.length != B.order:
-        raise MatrixError("signal length does not match matrix order")
-    if x.ring.spec != B.ring.spec:
-        raise MatrixError("ring mismatch")
-    v = B.order
-    ring = B.ring
-    units = _integers(B.units)
-    xs = _integers(x.elements) if units is not None else None
-    if xs and v * max(map(abs, units)) * max(map(abs, xs)) < 2**53:
-        u = np.array(units, dtype=np.float64)
-        xv = np.array(xs, dtype=np.float64)
-        out = np.concatenate(
-            [u[B.idx[r : r + 256]] @ xv for r in range(0, v, 256)]
-        )
-        return Signal(ring, tuple(ring.from_int(int(c)) for c in out))
-    return Signal(
-        ring, tuple(ring.dot(zip(row, x.elements)) for row in B.rows())
-    )
+    """Forward transform xhat = B x, in exact ring arithmetic."""
+    return _apply(Leaf(B), x)
 
 
 def ight(B: GMatrix, xhat: Signal) -> Signal:
@@ -106,63 +139,28 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
     return Signal(B.ring, tuple(v_inv * e for e in y.elements))
 
 
+def tree_cost(tree: FactorTree) -> OpCount:
+    """Ring multiplications and additions that fast_apply spends on one
+    signal; a leaf of order a costs a^2 and a(a-1)."""
+    if isinstance(tree, Leaf):
+        a = tree.order
+        return OpCount(a * a, a * (a - 1))
+    if isinstance(tree, TensorNode):
+        a, b = tree.left.order, tree.right.order
+        left, right = tree_cost(tree.left), tree_cost(tree.right)
+        return OpCount(a * right.mul + b * left.mul, a * right.add + b * left.add)
+    if isinstance(tree, PermutedNode):
+        return tree_cost(tree.child)
+    raise MatrixError(f"unknown tree node {tree!r}")
+
+
 def fast_apply(tree: FactorTree, x: Signal):
-    """Apply the matrix described by a factor tree, stage by stage.
+    """Apply the matrix described by a factor tree, node by node.
 
-    Tensor nodes of orders (a, b) over a length-ab segment run b-point
-    transforms along the rows and a-point transforms down the columns;
-    permuted nodes are pure index movement. Returns (Signal, OpCount); the
-    output equals the naive product with the expanded matrix.
+    Returns (Signal, OpCount): the output equals the naive product with the
+    expanded matrix, and the count is tree_cost(tree).
     """
-    if tree.order != x.length:
-        raise MatrixError("tree order does not match signal length")
-    leaf_rows = {}
-
-    def leaf_apply(M: GMatrix, vec):
-        rows = leaf_rows.get(id(M))
-        if rows is None:
-            rows = M.rows()
-            leaf_rows[id(M)] = rows
-        a = M.order
-        out = []
-        for i in range(a):
-            ri = rows[i]
-            acc = ri[0] * vec[0]
-            for j in range(1, a):
-                acc = acc + ri[j] * vec[j]
-            out.append(acc)
-        return out, OpCount(a * a, a * (a - 1))
-
-    def walk(node, vec):
-        if isinstance(node, Leaf):
-            return leaf_apply(node.matrix, vec)
-        if isinstance(node, TensorNode):
-            a = node.left.order
-            b = node.right.order
-            count = OpCount()
-            tmp = [None] * (a * b)
-            for i in range(a):
-                seg, c = walk(node.right, vec[i * b : (i + 1) * b])
-                tmp[i * b : (i + 1) * b] = seg
-                count = count + c
-            out = [None] * (a * b)
-            for j in range(b):
-                col, c = walk(node.left, tmp[j :: b])
-                out[j :: b] = col
-                count = count + c
-            return out, count
-        if isinstance(node, PermutedNode):
-            gathered = [vec[node.colp.image[k]] for k in range(len(vec))]
-            z, count = walk(node.child, gathered)
-            out = [None] * len(vec)
-            for k, zk in enumerate(z):
-                out[node.rowp.image[k]] = zk
-            return out, count
-        raise MatrixError(f"unknown tree node {node!r}")
-
-    out, count = walk(tree, list(x.elements))
-    ring = out[0].ring
-    return Signal(ring, tuple(out)), count
+    return _apply(tree, x), tree_cost(tree)
 
 
 @dataclass
@@ -184,10 +182,9 @@ def bench(trees, repetitions: int = 0):
     for tree in trees:
         M = tree.expand()
         v = M.order
-        ones = Signal.from_ints(M.ring, [1] * v)
-        _, count = fast_apply(tree, ones)
         naive_time = fast_time = None
         if repetitions > 0:
+            ones = Signal.from_ints(M.ring, [1] * v)
             nt, ft = [], []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
@@ -204,7 +201,7 @@ def bench(trees, repetitions: int = 0):
                 naive_time=naive_time,
                 fast_time=fast_time,
                 naive_mul=v * v,
-                fast_mul=count.mul,
+                fast_mul=tree_cost(tree).mul,
             )
         )
     return out

@@ -9,6 +9,7 @@ from ght import (
     MatrixError,
     Permutation,
     Signal,
+    cbt,
     cyclotomic,
     equal,
     k4,
@@ -123,6 +124,21 @@ def test_apply_fast_prints_counts(tmp_path, capsys):
     assert "multiplications: 128" in text
 
 
+def test_apply_fast_without_tree_runs_a_leaf(tmp_path, capsys):
+    m, x, y, z = (str(tmp_path / f"{n}.json") for n in "mxyz")
+    assert main(["gen", "cbt:3", "-o", m]) == 0
+    M = load_matrix(m)
+    assert M.tree is None
+    save_signal(Signal.from_ints(M.ring, [3, -1, 4, 1, -5, 9, 2, -6]), x)
+    capsys.readouterr()
+    assert main(["apply", "--fast", m, x, "-o", y]) == 0
+    text = capsys.readouterr().out
+    assert "multiplications: 64" in text
+    assert "additions: 56" in text
+    assert main(["apply", m, x, "-o", z]) == 0
+    assert load_signal(y) == load_signal(z)
+
+
 def test_seqsearch_exit_codes(capsys):
     assert main(["seqsearch", "4"]) == 0
     text = capsys.readouterr().out
@@ -180,6 +196,14 @@ def test_malformed_files_exit_two(tmp_path):
         data = copy.deepcopy(P)
         data["tree"]["row"] = perm
         bad_matrices.append(data)
+    bad_matrices += [dict(W3, entries=5), dict(W3, entries=list(range(8)))]
+    C2 = matrix_to_json(cbt(2))
+    bad_matrices.append(dict(C2, ring=dict(C2["ring"], w="4")))
+    # a list where Q wants "p/q", an int where Q(zeta_4) wants a coefficient list
+    for data, entry in ((W3, [1, 2]), (C2, 1)):
+        data = copy.deepcopy(data)
+        data["entries"][0][0] = entry
+        bad_matrices.append(data)
     for n, data in enumerate(bad_matrices):
         path = _write(tmp_path / f"m{n}.json", data)
         assert main(["verify", path]) == 2, n
@@ -187,9 +211,11 @@ def test_malformed_files_exit_two(tmp_path):
     sig = signal_to_json(Signal.from_ints(rationals(), [1, 2]))
     m = tmp_path / "w1.json"
     save_matrix(walsh(1), m)
-    for k in ("ring", "length", "elements"):
-        path = _write(tmp_path / f"x-{k}.json", _drop(sig, k))
-        assert main(["apply", str(m), path, "-o", str(tmp_path / "y.json")]) == 2
+    bad_signals = [_drop(sig, k) for k in ("ring", "length", "elements")]
+    bad_signals += [dict(sig, elements=5), dict(sig, elements=[[1], [2]])]
+    for n, data in enumerate(bad_signals):
+        path = _write(tmp_path / f"x{n}.json", data)
+        assert main(["apply", str(m), path, "-o", str(tmp_path / "y.json")]) == 2, n
 
 
 def test_tampered_tree_exits_two(tmp_path):

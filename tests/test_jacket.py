@@ -11,6 +11,7 @@ from ght import (
     b3,
     brute_width,
     cbt,
+    complex_ring,
     complex_rjt,
     cyclotomic,
     dagger,
@@ -254,6 +255,17 @@ def test_perm_equivalent_reflexive():
     M = k4()
     rowp, colp = perm_equivalent(M, M)
     assert rowp.is_identity() and colp.is_identity()
+
+
+def test_perm_equivalent_compares_by_ring_equality():
+    ring = complex_ring()
+    z = 0.1234565  # z and z + 4e-10 are equal within tol but key() rounds them apart
+    A, B = (
+        GMatrix.from_rows(ring, [[1, 1], [1, ring.element(complex(w))]]) for w in (z, z + 4e-10)
+    )
+    assert equal(A, B)
+    rowp, colp = perm_equivalent(A, B)
+    assert equal(permute(A, rowp, colp), B)
 
 
 def test_perm_equivalent_recovers_cbt_rotation():

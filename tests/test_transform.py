@@ -1,14 +1,23 @@
 """Forward/inverse transform pair and the tensor-factored fast apply."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ght import (
+    GMatrix,
+    Leaf,
     MatrixError,
+    Permutation,
+    PermutedNode,
     Signal,
+    TensorNode,
     b3,
     cbt,
+    complex_ring,
     cyclotomic,
     dft_matrix,
     fast_apply,
@@ -17,13 +26,14 @@ from ght import (
     jacketize_cbt,
     k3,
     k4,
+    prime_field,
     quadratic_field,
     rationals,
     tensor,
     walsh,
 )
 from ght.ring import RingError
-from ght.transform import OpCount, bench, bench_table
+from ght.transform import OpCount, bench, bench_table, tree_cost
 
 
 def test_s1_on_ones():
@@ -177,3 +187,86 @@ def test_bench_with_repetitions():
     lines = table.splitlines()
     assert lines[0].startswith("order\t")
     assert lines[1].split("\t")[0] == "8"
+
+
+def test_fast_apply_ring_mismatch():
+    with pytest.raises(MatrixError):
+        fast_apply(walsh(2).tree, Signal.from_ints(cyclotomic(4), [1, 2, 3, 4]))
+
+
+def test_tree_cost_counts_nodes():
+    J, _ = jacketize_cbt(3)
+    assert tree_cost(J.tree) == OpCount(64, 56)  # a leaf under a permuted node
+    assert tree_cost(walsh(3).tree) == OpCount(48, 24)
+    T = tensor(k3(quadratic_field(5)), walsh(1, quadratic_field(5)))
+    assert tree_cost(T.tree) == OpCount(6 * 4 + 2 * 36, 6 * 2 + 2 * 30)
+
+
+# --- fast_apply == ght over random factor trees, on every backend ---
+
+RINGS = [rationals(), cyclotomic(4), prime_field(7), quadratic_field(5), complex_ring()]
+
+
+def _units(ring):
+    """Leaf entries: a few units, exact on the complex backend too; the
+    second is outside the integers where the ring allows. Over the rationals
+    non-integer units make a walk switch lanes at their leaf."""
+    kind = ring.spec.kind
+    if kind == "rationals":
+        return [ring.element(Fraction(n)) for n in (1, Fraction(1, 2), -1, 2, -3)]
+    if kind == "complex-float":
+        return [ring.element(c) for c in (1, 1j, -1, -1j, 2)]
+    if kind == "prime-field":
+        return [ring.from_int(n) for n in range(1, 7)]
+    z = ring.root_of_unity(4 if kind == "cyclotomic-rationals" else 8)
+    return [z**k for k in range(4)] + [ring.from_int(2)]
+
+
+@st.composite
+def trees(draw, ring, depth, cap):
+    """A factor tree of at most `depth` levels of nodes above its leaves and
+    of order at most `cap`."""
+    node = draw(st.sampled_from(("leaf", "tensor", "tensor", "permuted"))) if depth else "leaf"
+    if node == "leaf":
+        a = draw(st.integers(1, min(4, cap)))
+        entries = draw(st.lists(st.sampled_from(_units(ring)), min_size=a * a, max_size=a * a))
+        return Leaf(GMatrix.from_rows(ring, [entries[i * a : (i + 1) * a] for i in range(a)]))
+    if node == "permuted":
+        child = draw(trees(ring, depth - 1, cap))
+        rowp, colp = (draw(st.permutations(range(child.order))) for _ in range(2))
+        return PermutedNode(child, Permutation(tuple(rowp)), Permutation(tuple(colp)))
+    left = draw(trees(ring, depth - 1, cap))
+    right = draw(trees(ring, depth - 1, cap // left.order))
+    return TensorNode(left, right)
+
+
+def _element(ring, kind, draw):
+    """A signal entry: a small integer, an integer near 2^52 (exact
+    backends), or a non-integer element."""
+    if kind == "small" or (kind == "big" and not ring.is_exact):
+        return ring.from_int(draw(st.integers(-9, 9)))
+    if kind == "big":
+        big = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(46, 52))
+        return ring.from_int(big + draw(st.integers(-9, 9)))
+    a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    d = draw(st.sampled_from((2, 4)))
+    return (ring.from_int(a) + ring.from_int(b) * _units(ring)[1]) * ring.int_inverse(d)
+
+
+@st.composite
+def walks(draw):
+    ring = draw(st.sampled_from(RINGS))
+    tree = draw(trees(ring, 3, 64))
+    kind = draw(st.sampled_from(("small", "big", "fraction")))
+    x = Signal(ring, tuple(_element(ring, kind, draw) for _ in range(tree.order)))
+    return tree, x
+
+
+@settings(max_examples=300)
+@given(walks())
+@example((walsh(3).tree, Signal.from_ints(rationals(), [2**51 + 1] + [2**51] * 7)))
+def test_fast_apply_matches_ght_on_random_trees(case):
+    tree, x = case
+    y, count = fast_apply(tree, x)
+    assert y == ght(tree.expand(), x)
+    assert count == tree_cost(tree)
