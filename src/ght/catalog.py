@@ -17,7 +17,7 @@ from . import ring as ringmod
 from .gbh import dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft
 from .matrix import GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
-from .ring import RingContext, RingElement, RingError, _prime_factors
+from .ring import RingContext, RingElement, RingError, _order_exact
 
 FAMILY_TAGS = (
     "WHT",
@@ -129,7 +129,7 @@ def k3(ring: RingContext, alpha: RingElement | None = None) -> GMatrix:
     """The 6x6 primary jacket matrix on a primitive 6th root of unity."""
     a = alpha if alpha is not None else ring.root_of_unity(6)
     one = ring.one()
-    if a ** 6 != one or any(a ** k == one for k in (1, 2, 3)):
+    if not _order_exact(a, 6, one):
         raise RingError("alpha must have multiplicative order exactly 6")
     m1 = ring.from_int(-1)
     a2, a4, a5 = a ** 2, a ** 4, a ** 5
@@ -202,11 +202,8 @@ def complex_rjt(n: int, omega: RingElement) -> GMatrix:
     """The order-2n reverse-jacket matrix on a given primitive 2n-th root,
     via the exponent formula of the jacketized DFT."""
     ring = omega.ring
-    one = ring.one()
     w = 2 * n
-    if omega ** w != one or any(
-        omega ** (w // q) == one for q in _prime_factors(w)
-    ):
+    if not _order_exact(omega, w, ring.one()):
         raise RingError(f"omega must have multiplicative order exactly {w}")
     exps = []
     for j in range(w):

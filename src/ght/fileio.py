@@ -73,10 +73,7 @@ def _decoded(ring, items, what, length):
     """The ring elements that items, a list of `length` encodings, holds."""
     if not isinstance(items, list) or len(items) != length:
         raise MatrixError(f"malformed file: {what} is not a list of {length} items")
-    try:
-        return [ring.decode(e) for e in items]
-    except (TypeError, LookupError):
-        raise MatrixError(f"malformed file: {what} holds a non-element of {ring!r}") from None
+    return [ring.decode(e) for e in items]
 
 
 def _permutation(data, key):

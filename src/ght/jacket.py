@@ -79,11 +79,12 @@ def _border_witness(v, pm1, ones, m):
     top = [first] + rest[: m - 1]
     bottom = rest[m - 1 : 2 * m - 1]
     middle = [i for i in range(v) if i not in top and i not in bottom]
-    arrangement = top + middle + bottom
-    img = [0] * v
-    for pos, src in enumerate(arrangement):
-        img[src] = pos
-    return Permutation(tuple(img))
+    return Permutation(tuple(top + middle + bottom)).inverse()
+
+
+def _to_end(v, i):
+    """Permutation sending index i to v-1; each later index moves up by one."""
+    return Permutation(tuple(range(i)) + tuple(range(i + 1, v)) + (i,)).inverse()
 
 
 def jacket_width(M: GMatrix) -> JacketReport:
@@ -138,19 +139,8 @@ def jacketize_cbt(t: int, ring: RingContext | None = None):
     if t < 2:
         raise MatrixError("CBT jacketization needs t >= 2")
     C = cbt(t, ring)
-    v = C.order
-    rimg = [0] * v
-    rimg[0] = 0
-    rimg[1] = v - 1
-    for k in range(2, v):
-        rimg[k] = k - 1
-    c = 2 ** (t - 1)  # 0-based index of column 2^(t-1)+1
-    cimg = list(range(v))
-    cimg[c] = v - 1
-    for k in range(c + 1, v):
-        cimg[k] = k - 1
-    rowp = Permutation(tuple(rimg))
-    colp = Permutation(tuple(cimg))
+    rowp = _to_end(C.order, 1)
+    colp = _to_end(C.order, 2 ** (t - 1))  # 0-based index of column 2^(t-1)+1
     return permute(C, rowp, colp), (rowp, colp)
 
 
@@ -178,13 +168,7 @@ def dagger(B: GMatrix, K: GMatrix) -> GMatrix:
     if not is_jacket_form(K):
         raise MatrixError("right factor must be in jacket form")
     T = tensor(B, K)
-    v = T.order
-    k = K.order
-    img = list(range(v))
-    img[k - 1] = v - 1
-    for j in range(k, v):
-        img[j] = j - 1
-    p = Permutation(tuple(img))
+    p = _to_end(T.order, K.order - 1)
     return permute(T, p, p)
 
 
@@ -201,7 +185,8 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     if A.ring.spec != B.ring.spec:
         raise MatrixError("ring mismatch")
     v = A.order
-    # a unit's code: the first unit of A, else of B, that it == (key() rounds)
+    # a unit's code: the first unit of A, else of B, that it ==; complex units
+    # are unhashable, because == within a tolerance is not transitive
     units = A.units + B.units
     codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
     akeys = codes[: len(A.units)][A.idx].tolist()
@@ -299,10 +284,7 @@ def brute_width(M: GMatrix) -> int:
                         + [i for i in range(v) if i not in subset]
                         + rest[m - 1 :]
                     )
-                    img = [0] * v
-                    for pos, src in enumerate(arrangement):
-                        img[src] = pos
-                    p = Permutation(tuple(img))
+                    p = Permutation(tuple(arrangement)).inverse()
                     P = permute(M, p, ident) if axis == 0 else permute(M, ident, p)
                     if check(P, m, axis):
                         return m

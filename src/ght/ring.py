@@ -52,7 +52,9 @@ class RingElement:
 
     Supports +, -, *, unary -, ** with integer exponents, and == (exact on
     exact backends, tolerance-based on complex-float). Integers mix in freely
-    and are embedded through the ring.
+    and are embedded through the ring. Exact elements hash by their canonical
+    payload; complex-float ones are unhashable, as no hash can agree with an
+    equality within a tolerance, which is not transitive.
     """
 
     __slots__ = ("ring", "payload")
@@ -135,18 +137,16 @@ class RingElement:
     def is_zero(self):
         return self == self.ring.zero()
 
-    def key(self):
-        """Hashable canonical key, usable for sorting/multiset comparisons."""
-        return self.ring._key(self.payload)
-
     def __hash__(self):
-        return hash(self.key())
+        if not self.ring.is_exact:
+            raise TypeError(f"elements of {self.ring!r} are unhashable")
+        return hash(self.payload)
 
     def __repr__(self):
         return self.ring._repr(self.payload)
 
 
-# --- integer polynomial helpers (ascending coefficient lists) ---
+# --- polynomial helpers: ascending coefficient lists over Z or Q ---
 
 
 def _poly_trim(c):
@@ -164,64 +164,30 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_divmod_monic(num, den):
-    """Division of integer polynomials by a monic divisor."""
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _poly_trim([x - y for x, y in zip(a, b)])
+
+
+def _poly_divmod(num, den):
+    """Division with remainder by a trimmed divisor. A monic divisor keeps
+    integer coefficients integers; any other makes the quotient Fractions."""
     rem = list(num)
     dd = len(den) - 1
+    lead = den[-1]
     if len(rem) - 1 < dd:
         return [0], _poly_trim(rem)
     q = [0] * (len(rem) - dd)
     for shift in range(len(rem) - 1 - dd, -1, -1):
         c = rem[shift + dd]
         if c:
+            if lead != 1:
+                c = Fraction(c) / lead
             q[shift] = c
             for i, d in enumerate(den):
                 rem[shift + i] -= c * d
     return _poly_trim(q), _poly_trim(rem)
-
-
-def _fpoly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fpoly_divmod(num, den):
-    """Division with remainder over Q[x] (Fraction coefficients)."""
-    rem = [Fraction(c) for c in num]
-    den = _fpoly_trim([Fraction(c) for c in den])
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(rem) - 1 < dd:
-        return [Fraction(0)], _fpoly_trim(rem)
-    q = [Fraction(0)] * (len(rem) - dd)
-    for shift in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[shift + dd] / lead
-        if c:
-            q[shift] = c
-            for i, d in enumerate(den):
-                rem[shift + i] -= c * d
-    return _fpoly_trim(q), _fpoly_trim(rem)
-
-
-def _fpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _fpoly_sub(a, b):
-    n = max(len(a), len(b))
-    return _fpoly_trim(
-        [
-            (a[i] if i < len(a) else Fraction(0))
-            - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +199,7 @@ def cyclotomic_polynomial(w):
     num = [-1] + [0] * (w - 1) + [1]
     for d in range(1, w):
         if w % d == 0:
-            q, r = _poly_divmod_monic(num, cyclotomic_polynomial(d))
+            q, r = _poly_divmod(num, cyclotomic_polynomial(d))
             assert r == [0], "cyclotomic division must be exact"
             num = q
     return tuple(num)
@@ -309,10 +275,10 @@ class RingContext:
 
     def dot(self, pairs):
         """Sum of a*b over (a, b) pairs; subclasses may batch the reduction."""
-        acc = self.zero()
+        acc = None
         for a, b in pairs:
-            acc = acc + a * b
-        return acc
+            acc = a * b if acc is None else acc + a * b
+        return self.zero() if acc is None else acc
 
     # payload hooks
     def _add(self, a, b):
@@ -332,9 +298,6 @@ class RingContext:
 
     def _from_int(self, n):
         raise NotImplementedError
-
-    def _key(self, a):
-        return a
 
     def _repr(self, a):
         return repr(a)
@@ -358,7 +321,24 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _parse_fraction(s) -> Fraction:
-    return Fraction(s)
+    """The rational that a "p/q" string or an int names."""
+    if isinstance(s, str) or isinstance(s, int) and not isinstance(s, bool):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise RingError(f"{s!r} is not a rational")
+
+
+def _decoded_list(ring, data, n, kinds):
+    """data, when it is a list of n values of the given kinds (not bools)."""
+    if isinstance(data, list) and len(data) == n:
+        for x in data:
+            if isinstance(x, bool) or not isinstance(x, kinds):
+                break
+        else:
+            return data
+    raise RingError(f"{data!r} does not encode an element of {ring!r}")
 
 
 class RationalsContext(RingContext):
@@ -471,17 +451,15 @@ class CyclotomicContext(RingContext):
         if not any(ca):
             raise RingError("inverse of zero")
         # extended Euclid in Q[x]: s*ca + t*Phi_w = gcd = const
-        r0 = [Fraction(c) for c in ca]
-        r1 = [Fraction(c) for c in self.phi]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
+        r0, r1 = list(ca), list(self.phi)
+        s0, s1 = [1], [0]
         while any(r1):
-            q, r = _fpoly_divmod(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _fpoly_sub(s0, _fpoly_mul(q, s1))
-        r0 = _fpoly_trim(r0)
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if len(r0) != 1 or r0[0] == 0:
             raise RingError("element is not invertible")
-        inv_fracs = [s / r0[0] * da for s in s0]
+        inv_fracs = [Fraction(s) / r0[0] * da for s in s0]
         return self._from_fractions(inv_fracs)
 
     def _from_fractions(self, fracs):
@@ -500,9 +478,6 @@ class CyclotomicContext(RingContext):
         coeffs = [0] * self.deg
         coeffs[0] = n
         return self._normalize(coeffs, 1)
-
-    def characteristic(self):
-        return 0
 
     def root_of_unity(self, w):
         # the unit roots of unity in Q(zeta_w) form a cyclic group of order
@@ -563,10 +538,8 @@ class CyclotomicContext(RingContext):
         return [_fraction_str(Fraction(c, den)) for c in coeffs]
 
     def decode(self, data):
-        fracs = [_parse_fraction(s) for s in data]
-        if len(fracs) != self.deg:
-            raise RingError("cyclotomic payload has wrong length")
-        return self.element(self._from_fractions(fracs))
+        data = _decoded_list(self, data, self.deg, (int, str))
+        return self.element(self._from_fractions([_parse_fraction(s) for s in data]))
 
     def _repr(self, a):
         (coeffs, den) = a
@@ -593,6 +566,18 @@ def _order_exact(el: RingElement, w, one) -> bool:
     if el ** w != one:
         return False
     return all(el ** (w // q) != one for q in _prime_factors(w))
+
+
+def _first_of_order(ring, w, payloads):
+    """The first candidate payload whose element has order exactly w, in a
+    finite field, whose unit group is cyclic of order unit_order_hint()."""
+    if w >= 1 and ring.unit_order_hint() % w == 0:
+        one = ring.one()
+        for a in payloads:
+            el = ring.element(a)
+            if _order_exact(el, w, one):
+                return el
+    raise RingError(f"{ring!r} has no element of order {w}")
 
 
 class PrimeFieldContext(RingContext):
@@ -628,13 +613,7 @@ class PrimeFieldContext(RingContext):
         return self.p
 
     def root_of_unity(self, w):
-        if w >= 1 and (self.p - 1) % w == 0:
-            one = self.one()
-            for a in range(1, self.p):
-                el = self.element(a)
-                if _order_exact(el, w, one):
-                    return el
-        raise RingError(f"GF({self.p}) has no element of order {w}")
+        return _first_of_order(self, w, range(1, self.p))
 
     def unit_order_hint(self):
         return self.p - 1
@@ -643,7 +622,8 @@ class PrimeFieldContext(RingContext):
         return [el.payload]
 
     def decode(self, data):
-        return self.element(int(data[0]) % self.p)
+        (a,) = _decoded_list(self, data, 1, int)
+        return self.element(a % self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -705,16 +685,8 @@ class QuadraticFieldContext(RingContext):
         return self.p
 
     def root_of_unity(self, w):
-        q = self.p * self.p
-        if w >= 1 and (q - 1) % w == 0:
-            one = self.one()
-            for idx in range(1, q):
-                el = self.element((idx % self.p, idx // self.p))
-                if el.payload == (0, 0):
-                    continue
-                if _order_exact(el, w, one):
-                    return el
-        raise RingError(f"GF({self.p}^2) has no element of order {w}")
+        p = self.p
+        return _first_of_order(self, w, ((i % p, i // p) for i in range(1, p * p)))
 
     def unit_order_hint(self):
         return self.p * self.p - 1
@@ -723,7 +695,8 @@ class QuadraticFieldContext(RingContext):
         return [el.payload[0], el.payload[1]]
 
     def decode(self, data):
-        return self.element((int(data[0]) % self.p, int(data[1]) % self.p))
+        a, b = _decoded_list(self, data, 2, int)
+        return self.element((a % self.p, b % self.p))
 
     def _repr(self, a):
         return f"({a[0]} + {a[1]}y)"
@@ -768,14 +741,12 @@ class ComplexContext(RingContext):
             raise RingError("w must be >= 1")
         return self.element(cmath.exp(-2j * cmath.pi / w))
 
-    def _key(self, a):
-        return (round(a.real, 6), round(a.imag, 6))
-
     def encode(self, el):
         return [el.payload.real, el.payload.imag]
 
     def decode(self, data):
-        return self.element(complex(float(data[0]), float(data[1])))
+        re, im = _decoded_list(self, data, 2, (int, float))
+        return self.element(complex(re, im))
 
     def __repr__(self):
         return "C(float)"

@@ -10,10 +10,12 @@ from ght import (
     Permutation,
     Signal,
     cbt,
+    complex_ring,
     cyclotomic,
     equal,
     k4,
     permute,
+    prime_field,
     rationals,
     walsh,
 )
@@ -213,9 +215,31 @@ def test_malformed_files_exit_two(tmp_path):
     save_matrix(walsh(1), m)
     bad_signals = [_drop(sig, k) for k in ("ring", "length", "elements")]
     bad_signals += [dict(sig, elements=5), dict(sig, elements=[[1], [2]])]
+    bad_signals.append(dict(sig, elements=["1/0", "1/1"]))
     for n, data in enumerate(bad_signals):
         path = _write(tmp_path / f"x{n}.json", data)
         assert main(["apply", str(m), path, "-o", str(tmp_path / "y.json")]) == 2, n
+    # elements of the wrong JSON kind or with a zero denominator, each read as
+    # some element before; the files carry no tree, so only decoding rejects
+    wrong_kind = [
+        (prime_field(7), [[2.5], "5", [True], [1, 2]]),
+        (rationals(), [0.1, "1/0", True]),
+        (cyclotomic(4), [[1, 0.5], ["1/0", "0/1"]]),
+        (complex_ring(), [["1", "2"], [1, 2, 3]]),
+    ]
+    for n, (ring, elements) in enumerate(wrong_kind):
+        m = _write(tmp_path / f"r{n}.json", matrix_to_json(walsh(1, ring), with_tree=False))
+        x = _write(tmp_path / f"s{n}.json", signal_to_json(Signal.from_ints(ring, [1, 1])))
+        for k, e in enumerate(elements):
+            data = matrix_to_json(walsh(1, ring), with_tree=False)
+            data["entries"][0][0] = e
+            bad_m = _write(tmp_path / f"r{n}-{k}.json", data)
+            assert main(["verify", bad_m]) == 2, (n, k)
+            assert main(["apply", bad_m, x, "-o", str(tmp_path / "y.json")]) == 2, (n, k)
+            data = signal_to_json(Signal.from_ints(ring, [1, 1]))
+            data["elements"][0] = e
+            bad_x = _write(tmp_path / f"s{n}-{k}.json", data)
+            assert main(["apply", m, bad_x, "-o", str(tmp_path / "y.json")]) == 2, (n, k)
 
 
 def test_tampered_tree_exits_two(tmp_path):

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from test_transform import walks
 
 from ght import (
+    GMatrix,
     MatrixError,
     Signal,
     b3,
@@ -135,3 +138,19 @@ def test_file_is_plain_json(tmp_path):
     data = json.loads(path.read_text())
     assert data["order"] == 8
     assert data["ring"]["kind"] == "cyclotomic-rationals"
+
+
+@settings(max_examples=100)
+@given(walks())
+def test_json_round_trip_on_random_trees(case):
+    """What the encoders write, the decoders read back unchanged, on all five
+    backends; a strict decoder must not reject an encoder's output."""
+    tree, x = case
+    E = tree.expand()
+    M = GMatrix.from_rows(E.ring, E.rows(), tree=tree)
+    N = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
+    v = M.order
+    assert N.ring.spec == M.ring.spec
+    assert all(N.entry(i, j) == M.entry(i, j) for i in range(v) for j in range(v))
+    assert N.tree is not None and equal(N.tree.expand(), M)
+    assert signal_from_json(json.loads(json.dumps(signal_to_json(x)))) == x

@@ -149,6 +149,10 @@ def cyclo_elems(w):
     )
 
 
+def gf7_elems():
+    return st.integers(min_value=0, max_value=6).map(prime_field(7).element)
+
+
 def gf25_elems():
     f = quadratic_field(5)
     return st.tuples(
@@ -174,8 +178,15 @@ def test_axioms_gf25(a, b, c):
     _check_axioms(a, b, c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(gf7_elems(), gf7_elems(), gf7_elems())
+def test_axioms_gf7(a, b, c):
+    _check_axioms(a, b, c)
+
+
 def _check_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
+    assert hash((a + b) + c) == hash(a + (b + c))
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
@@ -189,6 +200,27 @@ def test_cyclotomic_reduction_idempotent():
     e = z ** 7 + z ** 3 - 2
     coeffs, den = e.payload
     assert r._normalize(r._reduce(list(coeffs)), den) == e.payload
+
+
+def test_equal_exact_elements_hash_alike():
+    r = cyclotomic(12)
+    z = r.root_of_unity(12)
+    assert z**12 == r.one() and hash(z**12) == hash(r.one())
+    q = rationals()
+    assert hash(q.element(Fraction(2, 4))) == hash(q.element(Fraction(1, 2)))
+    assert hash(q.from_int(2) * q.int_inverse(4)) == hash(q.element(Fraction(1, 2)))
+    assert len({z**12, r.one(), z**24}) == 1
+
+
+def test_complex_elements_are_unhashable():
+    # equality within a tolerance is not transitive, so no hash agrees with it
+    with pytest.raises(TypeError):
+        hash(complex_ring().one())
+
+
+def test_dot_of_no_pairs_is_zero():
+    for ring in (rationals(), cyclotomic(4), prime_field(7), quadratic_field(5), complex_ring()):
+        assert ring.dot([]) == ring.zero()
 
 
 def test_complex_tolerance_eq():

@@ -32,7 +32,7 @@ from ght import (
     tensor,
     walsh,
 )
-from ght.ring import RingError
+from ght.ring import RationalsContext, RingError
 from ght.transform import OpCount, bench, bench_table, tree_cost
 
 
@@ -192,6 +192,19 @@ def test_bench_with_repetitions():
 def test_fast_apply_ring_mismatch():
     with pytest.raises(MatrixError):
         fast_apply(walsh(2).tree, Signal.from_ints(cyclotomic(4), [1, 2, 3, 4]))
+
+
+def test_fast_apply_fraction_signal_makes_tree_cost_additions(monkeypatch):
+    added = []
+    add = RationalsContext._add
+    monkeypatch.setattr(
+        RationalsContext, "_add", lambda ring, a, b: added.append(1) or add(ring, a, b)
+    )
+    q = rationals()
+    x = Signal(q, tuple(q.element(Fraction(k, 3)) for k in range(8)))
+    tree = walsh(3).tree
+    fast_apply(tree, x)
+    assert len(added) == tree_cost(tree).add == 24
 
 
 def test_tree_cost_counts_nodes():
