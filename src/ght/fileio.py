@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode, equal
+from .matrix import _unit_table
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -69,11 +72,11 @@ def _field(data, key):
         raise MatrixError(f"malformed file: no {key!r} field") from None
 
 
-def _decoded(ring, items, what, length):
-    """The ring elements that items, a list of `length` encodings, holds."""
+def _listed(items, what, length):
+    """items, when it is a list of `length` values."""
     if not isinstance(items, list) or len(items) != length:
         raise MatrixError(f"malformed file: {what} is not a list of {length} items")
-    return [ring.decode(e) for e in items]
+    return items
 
 
 def _permutation(data, key):
@@ -107,28 +110,36 @@ def _tree_from_json(data, ring):
 
 
 def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
-    ring = M.ring
+    encoded = [M.ring.encode(u) for u in M.units]
     return {
-        "ring": ring_spec_to_json(ring.spec),
+        "ring": ring_spec_to_json(M.ring.spec),
         "order": M.order,
-        "entries": [
-            [ring.encode(M.entry(i, j)) for j in range(M.order)]
-            for i in range(M.order)
-        ],
+        "entries": [[encoded[k] for k in row] for row in M.idx.tolist()],
         "tree": _tree_to_json(M.tree) if with_tree else None,
     }
 
 
 def matrix_from_json(data: dict) -> GMatrix:
-    """Decode a matrix; a factor tree must expand to exactly its entries."""
+    """Decode a matrix; a factor tree must expand to exactly its entries.
+    Each distinct encoding is decoded once, keyed by its repr so that 1, 1.0,
+    true and "1" stay apart, and the decoded elements make the units."""
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
     entries = _field(data, "entries")
     if not isinstance(entries, list) or len(entries) != v:
         raise MatrixError("entry grid does not match the declared order")
-    rows = [_decoded(ring, row, "an entry row", v) for row in entries]
+    first = {}  # repr of an encoding -> (its code, the encoding)
+    codes = [
+        first.setdefault(repr(e), (len(first), e))[0]
+        for row in entries
+        for e in _listed(row, "an entry row", v)
+    ]
+    units, unit_codes = _unit_table([ring.decode(e) for _, e in first.values()])
+    n = len(entries)  # equals v, which JSON may give as 2.0 for 2
+    idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
     tree = _tree_from_json(data.get("tree"), ring)
-    M = GMatrix.from_rows(ring, rows, tree=tree)
+    M = GMatrix._table(ring, units, idx, tree=tree)
+    M._validate_units()
     if tree is not None and not equal(tree.expand(), M):
         raise MatrixError("the factor tree does not expand to the matrix entries")
     return M
@@ -159,8 +170,8 @@ def signal_to_json(x: Signal) -> dict:
 
 def signal_from_json(data: dict) -> Signal:
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
-    elems = _decoded(ring, _field(data, "elements"), "the element list", _field(data, "length"))
-    return Signal(ring, tuple(elems))
+    elems = _listed(_field(data, "elements"), "the element list", _field(data, "length"))
+    return Signal(ring, tuple(ring.decode(e) for e in elems))
 
 
 def save_signal(x: Signal, path):

@@ -77,7 +77,7 @@ def _product_failures(P: GMatrix, v):
     return [(int(i), int(j)) for i, j in np.argwhere(bad)]
 
 
-def verify_gbh(M: GMatrix, order_bound=None) -> GbhReport:
+def verify_gbh(M: GMatrix) -> GbhReport:
     """Check M M* = M* M = v I and char R does not divide v.
 
     Both products are computed; all provided backends are commutative, so the
@@ -94,9 +94,7 @@ def verify_gbh(M: GMatrix, order_bound=None) -> GbhReport:
     failures += _product_failures(mat_mul(ms, M), v)
     seen = set()
     failures = [f for f in failures if not (f in seen or seen.add(f))]
-    if order_bound is None:
-        order_bound = 2 * v * ring.unit_order_hint()
-    w = _entry_group_order(M, order_bound)
+    w = _entry_group_order(M, 2 * v * ring.unit_order_hint())
     return GbhReport(
         is_gbh=not failures and char_check,
         v=v,

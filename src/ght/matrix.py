@@ -141,7 +141,7 @@ class GMatrix:
 
     __slots__ = ("ring", "order", "tree", "units", "idx")
 
-    def __init__(self, ring: RingContext, array, tree=None, validate=True):
+    def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise MatrixError("matrix must be square")
@@ -153,8 +153,7 @@ class GMatrix:
         else:
             raise MatrixError("entries must be ring elements or integers")
         self._fill(ring, units, codes.reshape(a.shape), tree)
-        if validate:
-            self._validate_units()
+        self._validate_units()
 
     @classmethod
     def _table(cls, ring, units, idx, tree=None):
@@ -185,14 +184,14 @@ class GMatrix:
             raise MatrixError(f"entry ({i},{j}) {problem}")
 
     @classmethod
-    def from_rows(cls, ring, rows, tree=None, validate=True):
+    def from_rows(cls, ring, rows, tree=None):
         """Build from nested lists of RingElements (plain ints are embedded)."""
         v = len(rows)
         if any(len(row) != v for row in rows):
             raise MatrixError("matrix must be square")
         flat = (ring.from_int(e) if isinstance(e, int) else e for row in rows for e in row)
         flat = np.fromiter(flat, dtype=object, count=v * v)
-        return cls(ring, flat.reshape(v, v), tree=tree, validate=validate)
+        return cls(ring, flat.reshape(v, v), tree=tree)
 
     def entry(self, i, j) -> RingElement:
         return self.units[self.idx[i, j]]
@@ -274,7 +273,7 @@ def normalize(M: GMatrix):
     out = [
         [ri * e * cj for e, cj in zip(r, col_inv)] for r, ri in zip(rows, row_inv)
     ]
-    N = GMatrix.from_rows(M.ring, out, validate=False)
+    N = GMatrix.from_rows(M.ring, out)
     return N, row_scalars, col_scalars
 
 
@@ -371,4 +370,4 @@ def from_blocks(ring, blocks) -> GMatrix:
         height = brow[0].order
         for i in range(height):
             rows.append([e for b in brow for e in b.row(i)])
-    return GMatrix.from_rows(ring, rows, validate=False)
+    return GMatrix.from_rows(ring, rows)

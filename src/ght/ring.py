@@ -4,13 +4,16 @@ Every matrix and signal in this package carries its arithmetic with it: an
 exact cyclotomic field Q(zeta_w), the plain rationals, a prime field GF(p), a
 quadratic extension GF(p^2), or floating complex numbers used as a numerical
 cross-check. All exact backends are fields, so an entry is a unit exactly when
-it is nonzero.
+it is nonzero. A backend defines only the payload rules in which it differs
+from Python's operators (see RingContext).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -130,10 +133,6 @@ class RingElement:
             return NotImplemented
         return self.ring._eq(self.payload, o.payload)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def is_zero(self):
         return self == self.ring.zero()
 
@@ -235,8 +234,11 @@ def _prime_factors(n):
 
 
 class RingContext:
-    """Arithmetic backend behind RingElement; subclasses fill in the payload
-    operations. Contexts compare equal when their specs do."""
+    """Arithmetic backend behind RingElement; contexts compare equal when
+    their specs do. The payload hooks _add, _mul, _neg and _eq default to
+    Python's operators: the arithmetic of the Fraction and complex payloads of
+    Q and C, and the equality of every exact payload. Q(zeta_w) reduces modulo
+    Phi_w, GF(p) and GF(p^2) modulo p, and C compares within its tolerance."""
 
     spec: RingSpec
     is_exact = True
@@ -262,7 +264,7 @@ class RingContext:
         return self.from_int(n).inverse()
 
     def characteristic(self) -> int:
-        return 0
+        return self.spec.p or 0
 
     def root_of_unity(self, w) -> RingElement:
         """Deterministic element of multiplicative order exactly w."""
@@ -282,19 +284,19 @@ class RingContext:
 
     # payload hooks
     def _add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def _neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def _inv(self, a):
         raise NotImplementedError
 
     def _eq(self, a, b):
-        raise NotImplementedError
+        return a == b
 
     def _from_int(self, n):
         raise NotImplementedError
@@ -321,8 +323,9 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _parse_fraction(s) -> Fraction:
-    """The rational that a "p/q" string or an int names."""
-    if isinstance(s, str) or isinstance(s, int) and not isinstance(s, bool):
+    """The rational that an int or a "p/q" or "n" string names. Fraction reads
+    more, such as exponents, with which a short string builds a huge integer."""
+    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s) or type(s) is int:
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -347,32 +350,16 @@ class RationalsContext(RingContext):
     def __init__(self):
         self.spec = RingSpec(kind="rationals")
 
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
     def _inv(self, a):
         if a == 0:
             raise RingError("inverse of zero")
         return 1 / a
 
-    def _eq(self, a, b):
-        return a == b
-
     def _from_int(self, n):
         return Fraction(n)
 
     def root_of_unity(self, w):
-        if w == 1:
-            return self.one()
-        if w == 2:
-            return self.from_int(-1)
-        raise RingError(f"Q has no element of multiplicative order {w}")
+        return _first_of_order(self, w, (Fraction(1), Fraction(-1)))
 
     def encode(self, el):
         return _fraction_str(el.payload)
@@ -471,9 +458,6 @@ class CyclotomicContext(RingContext):
         coeffs = [int(f * den) for f in fracs]
         return self._normalize(coeffs, den)
 
-    def _eq(self, a, b):
-        return a == b
-
     def _from_int(self, n):
         coeffs = [0] * self.deg
         coeffs[0] = n
@@ -570,7 +554,8 @@ def _order_exact(el: RingElement, w, one) -> bool:
 
 def _first_of_order(ring, w, payloads):
     """The first candidate payload whose element has order exactly w, in a
-    finite field, whose unit group is cyclic of order unit_order_hint()."""
+    ring whose roots of unity form a cyclic group of order unit_order_hint()
+    (the units of a finite field, or +-1 in Q)."""
     if w >= 1 and ring.unit_order_hint() % w == 0:
         one = ring.one()
         for a in payloads:
@@ -603,14 +588,8 @@ class PrimeFieldContext(RingContext):
             raise RingError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def _eq(self, a, b):
-        return a == b
-
     def _from_int(self, n):
         return n % self.p
-
-    def characteristic(self):
-        return self.p
 
     def root_of_unity(self, w):
         return _first_of_order(self, w, range(1, self.p))
@@ -675,14 +654,8 @@ class QuadraticFieldContext(RingContext):
         el = self.element(a)
         return (el ** (self.p * self.p - 2)).payload
 
-    def _eq(self, a, b):
-        return a == b
-
     def _from_int(self, n):
         return (n % self.p, 0)
-
-    def characteristic(self):
-        return self.p
 
     def root_of_unity(self, w):
         p = self.p
@@ -716,15 +689,6 @@ class ComplexContext(RingContext):
         self.tol = tol
         self.spec = RingSpec(kind="complex-float", tol=tol)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
     def _inv(self, a):
         if abs(a) <= self.tol:
             raise RingError("inverse of (numerical) zero")
@@ -745,8 +709,10 @@ class ComplexContext(RingContext):
         return [el.payload.real, el.payload.imag]
 
     def decode(self, data):
-        re, im = _decoded_list(self, data, 2, (int, float))
-        return self.element(complex(re, im))
+        parts = _decoded_list(self, data, 2, (int, float))
+        if not all(abs(x) <= sys.float_info.max for x in parts):
+            raise RingError(f"{data!r} has a part that is not a finite float")
+        return self.element(complex(*parts))
 
     def __repr__(self):
         return "C(float)"
@@ -757,16 +723,12 @@ def make_ring(spec: RingSpec) -> RingContext:
     if spec.kind == "rationals":
         return RationalsContext()
     if spec.kind == "cyclotomic-rationals":
-        if spec.w is None:
-            raise RingError("cyclotomic backend needs w")
         return CyclotomicContext(spec.w)
     if spec.kind == "prime-field":
-        if spec.p is None:
-            raise RingError("prime-field backend needs p")
         return PrimeFieldContext(spec.p)
     if spec.kind == "quadratic-extension-field":
-        if spec.p is None or spec.ext_poly is None:
-            raise RingError("quadratic extension needs p and ext_poly")
+        if spec.ext_poly is None:
+            raise RingError("quadratic extension needs ext_poly")
         return QuadraticFieldContext(spec.p, spec.ext_poly)
     if spec.kind == "complex-float":
         return ComplexContext(spec.tol if spec.tol is not None else 1e-9)

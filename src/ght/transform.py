@@ -43,15 +43,6 @@ class Signal:
     def length(self):
         return len(self.elements)
 
-    def __eq__(self, other):
-        if not isinstance(other, Signal):
-            return NotImplemented
-        return (
-            self.ring.spec == other.ring.spec
-            and self.length == other.length
-            and all(a == b for a, b in zip(self.elements, other.elements))
-        )
-
 
 @dataclass(frozen=True)
 class OpCount:

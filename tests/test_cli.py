@@ -219,13 +219,17 @@ def test_malformed_files_exit_two(tmp_path):
     for n, data in enumerate(bad_signals):
         path = _write(tmp_path / f"x{n}.json", data)
         assert main(["apply", str(m), path, "-o", str(tmp_path / "y.json")]) == 2, n
-    # elements of the wrong JSON kind or with a zero denominator, each read as
-    # some element before; the files carry no tree, so only decoding rejects
+    # elements of the wrong JSON kind, with a zero denominator, in exponent
+    # notation or with a part that is not a finite float, each once read as
+    # some element or raised; the files carry no tree, so only decoding rejects
     wrong_kind = [
         (prime_field(7), [[2.5], "5", [True], [1, 2]]),
-        (rationals(), [0.1, "1/0", True]),
-        (cyclotomic(4), [[1, 0.5], ["1/0", "0/1"]]),
-        (complex_ring(), [["1", "2"], [1, 2, 3]]),
+        (rationals(), [0.1, "1/0", True, "1e1000000", "1.5e3"]),
+        (cyclotomic(4), [[1, 0.5], ["1/0", "0/1"], ["1e1000000", "0/1"], ["0/1", "1.5e3"]]),
+        (
+            complex_ring(),
+            [["1", "2"], [1, 2, 3], [10**400, 0], [float("nan"), 0], [float("inf"), 0]],
+        ),
     ]
     for n, (ring, elements) in enumerate(wrong_kind):
         m = _write(tmp_path / f"r{n}.json", matrix_to_json(walsh(1, ring), with_tree=False))

@@ -35,7 +35,7 @@ from ght.fileio import (
     signal_from_json,
     signal_to_json,
 )
-from ght.ring import RingError
+from ght.ring import RationalsContext, RingError
 
 
 @pytest.mark.parametrize(
@@ -101,6 +101,23 @@ def test_ring_spec_json_identity():
     for ring in (rationals(), cyclotomic(12), quadratic_field(5), complex_ring()):
         spec = ring.spec
         assert ring_spec_from_json(ring_spec_to_json(spec)) == spec
+
+
+def test_matrix_entries_decode_once_per_distinct_encoding(monkeypatch):
+    decoded = []
+    decode = RationalsContext.decode
+    monkeypatch.setattr(
+        RationalsContext, "decode", lambda ring, e: decoded.append(e) or decode(ring, e)
+    )
+    data = matrix_to_json(walsh(8), with_tree=False)
+    M = matrix_from_json(data)
+    assert sorted(decoded) == ["-1/1", "1/1"] and equal(M, walsh(8))
+    # "2/4" and "1/2" are one unit; 1 and "1" are decoded apart
+    data = {"ring": {"kind": "rationals"}, "order": 2, "entries": [[1, "1"], ["2/4", "1/2"]]}
+    decoded.clear()
+    M = matrix_from_json(data)
+    assert sorted(map(str, decoded)) == ["1", "1", "1/2", "2/4"]
+    assert len(M.units) == 2 and M.idx.tolist() == [[0, 0], [1, 1]]
 
 
 def test_malformed_json(tmp_path):

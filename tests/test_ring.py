@@ -63,6 +63,15 @@ def test_make_ring_errors():
         cyclotomic(0)
     with pytest.raises(RingError):
         quadratic_field(5, (1, 1, 2))  # not monic
+    # specs without the numbers their kind needs
+    for spec in (
+        RingSpec(kind="cyclotomic-rationals"),
+        RingSpec(kind="prime-field"),
+        RingSpec(kind="quadratic-extension-field", ext_poly=(1, 1, 1)),
+        RingSpec(kind="quadratic-extension-field", p=5),
+    ):
+        with pytest.raises(RingError):
+            make_ring(spec)
 
 
 def test_root_of_unity_cyclotomic():
@@ -184,9 +193,25 @@ def test_axioms_gf7(a, b, c):
     _check_axioms(a, b, c)
 
 
+complex_elems = st.complex_numbers(
+    max_magnitude=10, allow_nan=False, allow_infinity=False
+).map(lambda z: complex_ring().element(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_elems, complex_elems, complex_elems)
+def test_axioms_complex(a, b, c):
+    _check_axioms(a, b, c)
+
+
 def _check_axioms(a, b, c):
+    ring = a.ring
+    assert ring.characteristic() == (ring.spec.p or 0)
+    assert (a != b) == (not a == b)
+    assert (a != a) is False
     assert (a + b) + c == a + (b + c)
-    assert hash((a + b) + c) == hash(a + (b + c))
+    if ring.is_exact:
+        assert hash((a + b) + c) == hash(a + (b + c))
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c

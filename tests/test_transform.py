@@ -59,6 +59,19 @@ def test_dft3_on_root_powers():
     assert y == Signal(ring, (ring.zero(), ring.zero(), ring.from_int(3)))
 
 
+def test_signal_equality():
+    x = Signal.from_ints(rationals(), [1, -2, 3])
+    assert x == Signal.from_ints(rationals(), [1, -2, 3])
+    assert x != Signal.from_ints(rationals(), [1, -2])
+    assert x != Signal.from_ints(rationals(), [1, -2, 4])
+    assert x != Signal.from_ints(cyclotomic(4), [1, -2, 3])
+    c = complex_ring(1e-9)
+    y = Signal(c, (c.one(), c.element(2j)))
+    assert y == Signal(complex_ring(1e-9), (c.element(1 + 1e-12j), c.element(2j - 1e-12)))
+    assert y != Signal(c, (c.one(), c.element(2j + 1e-6)))
+    assert y != Signal(complex_ring(1e-6), y.elements)
+
+
 def test_length_and_ring_mismatch():
     with pytest.raises(MatrixError):
         ght(walsh(2), Signal.from_ints(rationals(), [1, 2]))
