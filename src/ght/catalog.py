@@ -52,9 +52,6 @@ class QuadriphaseSequence:
     def length(self):
         return len(self.phases)
 
-    def is_canonical(self):
-        return self.phases and self.phases[0] == 0
-
 
 def _coerce_unit(ring, r):
     if isinstance(r, int):

@@ -204,19 +204,28 @@ def cyclotomic_polynomial(w):
     return tuple(num)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin; RingError for n >= _PRIME_LIMIT."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= _PRIME_LIMIT:
+        raise RingError(f"primality is not decided for p >= {_PRIME_LIMIT}")
+    if any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    # n is a strong probable prime to base a when a^d = 1 or a^(d 2^r) = -1
+    # for some 0 <= r < s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+        for a in _PRIME_BASES
+    )
 
 
 def _prime_factors(n):
@@ -621,11 +630,13 @@ class QuadraticFieldContext(RingContext):
             raise RingError("extension polynomial must be monic")
         c0 %= p
         c1 %= p
-        for t in range(p):
-            if (t * t + c1 * t + c0) % p == 0:
-                raise RingError(
-                    f"y^2 + {c1}y + {c0} is reducible over GF({p})"
-                )
+        # Euler's criterion: irreducible iff the discriminant is a non-residue
+        if p == 2:
+            irreducible = (c0, c1) == (1, 1)
+        else:
+            irreducible = pow(c1 * c1 - 4 * c0, (p - 1) // 2, p) == p - 1
+        if not irreducible:
+            raise RingError(f"y^2 + {c1}y + {c0} is reducible over GF({p})")
         self.p = p
         self.c0 = c0
         self.c1 = c1

@@ -49,9 +49,6 @@ class OpCount:
     mul: int = 0
     add: int = 0
 
-    def __add__(self, other):
-        return OpCount(self.mul + other.mul, self.add + other.add)
-
 
 def _integers(elements):
     """The elements as an int64 array when every one is an integer rational

@@ -16,6 +16,7 @@ from ght import (
     k4,
     permute,
     prime_field,
+    quadratic_field,
     rationals,
     walsh,
 )
@@ -201,6 +202,10 @@ def test_malformed_files_exit_two(tmp_path):
     bad_matrices += [dict(W3, entries=5), dict(W3, entries=list(range(8)))]
     C2 = matrix_to_json(cbt(2))
     bad_matrices.append(dict(C2, ring=dict(C2["ring"], w="4")))
+    # a p beyond what the Miller-Rabin bases decide
+    for ring in (prime_field(7), quadratic_field(5)):
+        data = matrix_to_json(walsh(1, ring), with_tree=False)
+        bad_matrices.append(dict(data, ring=dict(data["ring"], p=3317044064679887385961981)))
     # a list where Q wants "p/q", an int where Q(zeta_4) wants a coefficient list
     for data, entry in ((W3, [1, 2]), (C2, 1)):
         data = copy.deepcopy(data)

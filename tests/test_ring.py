@@ -1,6 +1,7 @@
 """Ring backend tests: construction, canonical roots, axioms, encodings."""
 
 import cmath
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ght.ring import (
     complex_ring,
     cyclotomic,
     cyclotomic_polynomial,
+    is_prime,
     make_ring,
     prime_field,
     quadratic_field,
@@ -72,6 +74,44 @@ def test_make_ring_errors():
     ):
         with pytest.raises(RingError):
             make_ring(spec)
+
+
+def test_is_prime_matches_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [is_prime(k) for k in range(n)] == sieve
+    # a strong pseudoprime to the first 12 prime bases, which base 41 exposes
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # the first strong pseudoprime to all 13 bases: beyond what they decide
+    for p in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(RingError):
+            prime_field(p)
+        with pytest.raises(RingError):
+            quadratic_field(p, (1, 0, 1))
+
+
+def test_quadratic_irreducibility_matches_root_search():
+    for p in (2, 3, 5, 7, 11, 13):
+        for c0 in range(p):
+            for c1 in range(p):
+                if any((t * t + c1 * t + c0) % p == 0 for t in range(p)):
+                    with pytest.raises(RingError):
+                        quadratic_field(p, (c0, c1, 1))
+                else:
+                    assert quadratic_field(p, (c0, c1, 1)).spec.ext_poly == (c0, c1, 1)
+
+
+def test_large_prime_rings_build_quickly():
+    # trial division up to sqrt(p) and a loop over all p residues would each
+    # take minutes at p = 2^61 - 1; y^2 + 1 is irreducible as p = 3 mod 4
+    start = time.perf_counter()
+    assert prime_field(2**61 - 1).characteristic() == 2**61 - 1
+    assert quadratic_field(2**61 - 1, (1, 0, 1)).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
 
 
 def test_root_of_unity_cyclotomic():

@@ -181,10 +181,6 @@ def test_fast_apply_permuted_node():
     assert y == ght(J, x)
 
 
-def test_opcount_addition():
-    assert OpCount(2, 3) + OpCount(5, 7) == OpCount(7, 10)
-
-
 def test_bench_counts_only():
     rows = bench([walsh(2).tree, walsh(3).tree], repetitions=0)
     assert [r.order for r in rows] == [4, 8]

@@ -18,6 +18,7 @@ from ght import (
     Permutation,
     complex_ring,
     cyclotomic,
+    dft_matrix,
     equal,
     mat_mul,
     permute,
@@ -27,6 +28,7 @@ from ght import (
     star,
     tensor,
     verify_gbh,
+    walsh,
 )
 
 
@@ -100,16 +102,20 @@ def _product(a, b):
 
 
 def _failures(a):
+    """Positions, row by row, where the per-entry M M* differs from v I.
+
+    When there are none and char R does not divide v, the product verify_gbh
+    leaves out, M* M, must equal v I too.
+    """
     ring = a[0][0].ring
     v = len(a)
     s = [[a[j][i].inverse() for j in range(v)] for i in range(v)]
-    out = []
-    for p in (_product(a, s), _product(s, a)):
-        for i in range(v):
-            for j in range(v):
-                want = ring.from_int(v) if i == j else ring.zero()
-                if p[i][j] != want and (i, j) not in out:
-                    out.append((i, j))
+    vi = [[ring.from_int(v) if i == j else ring.zero() for j in range(v)] for i in range(v)]
+    mm = _product(a, s)
+    out = [(i, j) for i in range(v) for j in range(v) if mm[i][j] != vi[i][j]]
+    ch = ring.characteristic()
+    if not out and (ch == 0 or v % ch):
+        assert _product(s, a) == vi
     return out
 
 
@@ -125,6 +131,19 @@ def _failures(a):
         ([0], [0]),
         [1, 0],
         [0, 1],
+    )
+)
+# A = the order-3 DFT over Q(zeta_6) (units 1, zeta_6^2, zeta_6^4), a GBH
+@example(
+    case=(
+        "cyclotomic",
+        3,
+        ([0, 2, 4], [0, 0, 0, 0, 1, 2, 0, 2, 1]),
+        ([0], [0] * 9),
+        1,
+        ([0], [0]),
+        [0, 1, 2],
+        [0, 1, 2],
     )
 )
 @given(case=cases())
@@ -150,6 +169,23 @@ def test_operations_match_per_entry_reference(case):
     assert equal(A, GMatrix.from_rows(ring, a))
     if v >= 2:
         assert verify_gbh(A).failures == _failures(a)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [walsh(3), dft_matrix(6, cyclotomic(6)), dft_matrix(8, complex_ring())],
+    ids=["walsh3", "dft6-cyclotomic", "dft8-complex"],
+)
+def test_planted_entry_fails_its_row_and_column(M):
+    # negating entry (2, 5) leaves (M M*)[2][2] = v and spoils every other
+    # entry of row and column 2 of M M*, and nothing else
+    v = M.order
+    grid = _grid(M)
+    grid[2][5] = -grid[2][5]
+    rep = verify_gbh(GMatrix.from_rows(M.ring, grid))
+    assert not rep.is_gbh
+    assert rep.failures == [(i, j) for i in range(v) for j in range(v) if (i == 2) != (j == 2)]
+    assert len(rep.failures) == 2 * (v - 1)
 
 
 def test_integer_array_is_embedded():
