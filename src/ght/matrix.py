@@ -80,6 +80,11 @@ class FactorTree:
     def expand(self) -> "GMatrix":
         raise NotImplementedError
 
+    def star(self) -> "FactorTree":
+        """A tree of the starred matrix: (A (x) B)* = A* (x) B*, and starring
+        a permuted matrix swaps its row and column permutations."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Leaf(FactorTree):
@@ -91,6 +96,9 @@ class Leaf(FactorTree):
 
     def expand(self):
         return self.matrix
+
+    def star(self):
+        return Leaf(star(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,9 @@ class TensorNode(FactorTree):
     def expand(self):
         return tensor(self.left.expand(), self.right.expand())
 
+    def star(self):
+        return TensorNode(self.left.star(), self.right.star())
+
 
 @dataclass(frozen=True)
 class PermutedNode(FactorTree):
@@ -118,6 +129,9 @@ class PermutedNode(FactorTree):
 
     def expand(self):
         return permute(self.child.expand(), self.rowp, self.colp)
+
+    def star(self):
+        return PermutedNode(self.child.star(), self.colp, self.rowp)
 
 
 def _unit_table(entries):

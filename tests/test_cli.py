@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,21 @@ def test_apply_invert_roundtrip(tmp_path):
     assert main(["apply", str(m), str(x), "-o", str(y)]) == 0
     assert main(["invert", str(m), str(y), "-o", str(z)]) == 0
     assert load_signal(z) == sig
+
+
+def test_invert_walks_the_tree_and_matches_the_treeless_file(tmp_path):
+    m, bare, x, y, z1, z2 = (tmp_path / f"{n}.json" for n in ("m", "bare", "x", "y", "z1", "z2"))
+    M = walsh(6)
+    save_matrix(M, m)
+    _write(bare, matrix_to_json(M, with_tree=False))
+    q = rationals()
+    sig = Signal(q, tuple(q.element(Fraction(k - 30, k % 7 + 1)) for k in range(64)))
+    save_signal(sig, x)
+    assert main(["apply", str(m), str(x), "-o", str(y)]) == 0
+    assert main(["invert", str(m), str(y), "-o", str(z1)]) == 0
+    assert main(["invert", str(bare), str(y), "-o", str(z2)]) == 0
+    assert z1.read_text() == z2.read_text()
+    assert load_signal(z1) == sig
 
 
 def test_apply_fast_prints_counts(tmp_path, capsys):

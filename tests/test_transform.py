@@ -1,10 +1,11 @@
 """Forward/inverse transform pair and the tensor-factored fast apply."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ght import (
@@ -29,10 +30,11 @@ from ght import (
     prime_field,
     quadratic_field,
     rationals,
+    star,
     tensor,
     walsh,
 )
-from ght.ring import RationalsContext, RingError
+from ght.ring import PrimeFieldContext, RationalsContext, RingError
 from ght.transform import OpCount, bench, bench_table, tree_cost
 
 
@@ -203,17 +205,40 @@ def test_fast_apply_ring_mismatch():
         fast_apply(walsh(2).tree, Signal.from_ints(cyclotomic(4), [1, 2, 3, 4]))
 
 
-def test_fast_apply_fraction_signal_makes_tree_cost_additions(monkeypatch):
+def _count_adds(monkeypatch, context):
     added = []
-    add = RationalsContext._add
-    monkeypatch.setattr(
-        RationalsContext, "_add", lambda ring, a, b: added.append(1) or add(ring, a, b)
-    )
+    add = context._add
+    monkeypatch.setattr(context, "_add", lambda ring, a, b: added.append(1) or add(ring, a, b))
+    return added
+
+
+def test_fast_apply_object_lane_makes_tree_cost_additions(monkeypatch):
+    added = _count_adds(monkeypatch, PrimeFieldContext)
+    tree = walsh(3, prime_field(7)).tree
+    fast_apply(tree, Signal.from_ints(prime_field(7), range(8)))
+    assert len(added) == tree_cost(tree).add == 24
+
+
+def test_fraction_signal_makes_no_ring_additions(monkeypatch):
+    added = _count_adds(monkeypatch, RationalsContext)
     q = rationals()
     x = Signal(q, tuple(q.element(Fraction(k, 3)) for k in range(8)))
-    tree = walsh(3).tree
-    fast_apply(tree, x)
-    assert len(added) == tree_cost(tree).add == 24
+    M = walsh(3)
+    y, _ = fast_apply(M.tree, x)
+    assert ight(M, y) == x
+    assert added == []
+
+
+def test_fraction_signal_transforms_are_fast():
+    q = rationals()
+    rng = random.Random(29)
+    M = walsh(10)
+    values = [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5, 7))) for _ in range(M.order)]
+    x = Signal(q, tuple(map(q.element, values)))
+    for transform in (ght, ight):
+        t0 = time.perf_counter()
+        transform(M, x)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_tree_cost_counts_nodes():
@@ -284,11 +309,37 @@ def walks(draw):
     return tree, x
 
 
+def _q_signal(values):
+    q = rationals()
+    return Signal(q, tuple(q.element(Fraction(n)) for n in values))
+
+
 @settings(max_examples=300)
 @given(walks())
 @example((walsh(3).tree, Signal.from_ints(rationals(), [2**51 + 1] + [2**51] * 7)))
+# over the lcm 2^40 the integer entries scale to about 2^53: the first
+# 2-point stage crosses the bound with a carried denominator
+@example((walsh(3).tree, _q_signal([Fraction(8191, 2**40)] + [8191 - k for k in range(7)])))
+# the entry 8192 scales to 2^53 itself: the signal starts on the object lane
+@example((walsh(3).tree, _q_signal([Fraction(-8191, 2**40 + 1)] + [8192 - 3 * k for k in range(7)])))
 def test_fast_apply_matches_ght_on_random_trees(case):
     tree, x = case
     y, count = fast_apply(tree, x)
-    assert y == ght(tree.expand(), x)
+    M = tree.expand()
+    assert y == ght(M, x)
     assert count == tree_cost(tree)
+    ring = x.ring
+    if ring.spec.kind == "rationals":
+        assert y == Signal(ring, tuple(ring.dot(zip(row, x.elements)) for row in M.rows()))
+
+
+@settings(max_examples=300)
+@given(walks())
+def test_ight_matches_reference_on_random_trees(case):
+    tree, y = case
+    ring, M = y.ring, tree.expand()
+    ch = ring.characteristic()
+    assume(not ch or M.order % ch)
+    v_inv = ring.int_inverse(M.order)
+    want = [v_inv * ring.dot(zip(row, y.elements)) for row in star(M).rows()]
+    assert ight(M, y) == Signal(ring, tuple(want))
