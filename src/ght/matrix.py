@@ -6,8 +6,12 @@ a small set of units. A GMatrix therefore stores the tuple `units` of its
 distinct entries, deduplicated by exact payload, and a read-only index array
 `idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
 table: star inverts the units and transposes idx, permute indexes idx,
-tensor and mat_mul form each unit product once and fill idx with numpy, and
-equal compares only the distinct unit pairs that occur.
+tensor forms each unit product once and fills idx with numpy, and equal
+compares only the distinct unit pairs that occur. mat_mul takes the numeric
+lane: each backend writes a unit table as integer coefficient planes over a
+common denominator (one complex plane on the complex backend), the planes
+of both factors meet in one BLAS product, and the backend reduces the
+result; where the lane's exactness bound fails, each entry is one ring.dot.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -291,63 +295,78 @@ def normalize(M: GMatrix):
     return N, row_scalars, col_scalars
 
 
-# bound on the counts held at once (positions x unit pairs or products)
-_BLOCK_COUNTS = 1 << 16
+def _lane_product(A: GMatrix, B: GMatrix):
+    """(planes, den): the d reduced coefficient planes of A B over the common
+    denominator den, so that entry (i, j) of A B has coefficients
+    planes[:, i, j] / den (see RingContext._lane_planes); None when a bound
+    fails.
+
+    Each unit table is written as coefficient planes, and the nonzero planes
+    of A, stacked as rows, and of B, stacked as columns, meet in one BLAS
+    product, whose blocks A_m B_n add up to the unreduced plane m + n. On an
+    exact backend every value is an integer smaller than the bound
+    top = min(#planes of A, #planes of B) * v * max|a| * max|b|: the product
+    is float32 for one-plane backends while top < 2^24, float64 while
+    top < 2^53, and otherwise there is no lane. The backend then reduces the
+    planes (modulo Phi_w, modulo p), or declines when that would leave the
+    exact range. The complex backend multiplies its complex128 plane as is.
+    """
+    ring, v = A.ring, A.order
+    (pa, den_a), (pb, den_b) = ring._lane_planes(A.units), ring._lane_planes(B.units)
+    d = len(pa)
+    ma = [m for m, plane in enumerate(pa) if any(plane)] or [0]
+    mb = [m for m, plane in enumerate(pb) if any(plane)] or [0]
+    top = None
+    dtype = np.complex128
+    if ring.is_exact:
+        big_a = max(abs(c) for m in ma for c in pa[m])
+        big_b = max(abs(c) for m in mb for c in pb[m])
+        top = min(len(ma), len(mb)) * v * big_a * big_b
+        if top >= 2**53:
+            return None
+        dtype = np.float32 if d == 1 and top < 2**24 else np.float64
+    ua = np.array([pa[m] for m in ma], dtype=dtype)
+    ub = np.array([pb[m] for m in mb], dtype=dtype)
+    # rows (m, i) hold plane m of A's row i; columns (j, n) plane n of B's column j
+    prod = ua[:, A.idx].reshape(len(ma) * v, v) @ ub.T[B.idx].reshape(v, v * len(mb))
+    if d == 1:
+        planes = prod.reshape(1, v, v)
+    else:
+        prod = prod.reshape(len(ma), v, v, len(mb))
+        planes = np.zeros((2 * d - 1, v, v), dtype=dtype)
+        for i, m in enumerate(ma):
+            for j, n in enumerate(mb):
+                planes[m + n] += prod[i, :, :, j]
+    planes = ring._lane_reduce(planes, top)
+    return None if planes is None else (planes, den_a * den_b)
 
 
 def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     """Plain matrix product. The result is not unit-checked (products of GBH
     matrices legitimately contain zeros).
 
-    C[i, j] is the sum over the distinct unit products p of p times the
-    number of k with units_A[A.idx[i, k]] * units_B[B.idx[k, j]] == p. The
-    counts come from float32 products of 0/1 masks, exact while v < 2^24,
-    in blocks of rows; each distinct vector of counts is evaluated once with
-    ring.dot. With more unit pairs than entries the mask products would cost
-    more than the entries themselves, and the per-entry dot loop runs.
+    The product takes the numeric lane: one BLAS product of coefficient
+    planes (see _lane_product), exact on the exact backends, whose distinct
+    coefficient vectors become the result's units. Where the lane's bound
+    fails (see _lane_product: v times the largest coefficients of A and of B
+    reaches 2^53, or so would the reduction) each entry is one ring.dot.
     """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    na, nb = len(A.units), len(B.units)
-    if na * nb > v * v:
+    lane = _lane_product(A, B)
+    if lane is None:
         bcols = [list(col) for col in zip(*B.rows())]
         units, codes = _unit_table(ring.dot(zip(ai, bj)) for ai in A.rows() for bj in bcols)
         return GMatrix._table(ring, units, codes.reshape(v, v))
-
-    products, table = _unit_products(A, B)
-    # bmask[k, b*v + j] = 1 where B[k, j] is units_B[b]
-    b_units = np.arange(nb, dtype=B.idx.dtype)[:, None]
-    bmask = (B.idx[:, None, :] == b_units).reshape(v, nb * v).astype(np.float32)
-    block = max(1, _BLOCK_COUNTS // (v * max(nb, len(products))))
-    found = {}  # distinct count vector -> its position in order of discovery
-    idx = np.empty((v, v), dtype=np.intp)
-    for r0 in range(0, v, block):
-        a_rows = A.idx[r0 : r0 + block]
-        h = len(a_rows)
-        counts = np.zeros((len(products), h, v), dtype=np.float32)
-        for a in range(na):
-            pair_counts = ((a_rows == a).astype(np.float32) @ bmask).reshape(h, nb, v)
-            for b in range(nb):
-                counts[table[a, b]] += pair_counts[:, b]
-        counts = counts.reshape(len(products), h * v).astype(np.int64)
-        # codes equal exactly where the count vectors are; the last product
-        # is left out, its count being v minus the others
-        code, first = np.zeros(h * v, dtype=np.int64), [0]
-        for col in counts[:-1]:
-            _, first, code = np.unique(
-                code * (v + 1) + col, return_index=True, return_inverse=True
-            )
-        vecs = counts[:, first].T.tolist()
-        lut = np.array([found.setdefault(tuple(vec), len(found)) for vec in vecs])
-        idx[r0 : r0 + h] = lut[code].reshape(h, v)
-    values = [
-        ring.dot((products[p], ring.from_int(c)) for p, c in enumerate(vec) if c)
-        for vec in found
-    ]
-    units, codes = _unit_table(values)
-    return GMatrix._table(ring, units, codes[idx])
+    planes, den = lane
+    vecs = planes.reshape(len(planes), v * v).T
+    if ring.is_exact:
+        vecs = vecs.astype(np.int64)
+    vecs, codes = np.unique(vecs, axis=0, return_inverse=True)
+    units = [ring.element(ring._lane_payload(vec, den)) for vec in vecs.tolist()]
+    return GMatrix._table(ring, units, codes.reshape(v, v))
 
 
 def scalar_mul(c, M: GMatrix) -> GMatrix:

@@ -5,7 +5,8 @@ exact cyclotomic field Q(zeta_w), the plain rationals, a prime field GF(p), a
 quadratic extension GF(p^2), or floating complex numbers used as a numerical
 cross-check. All exact backends are fields, so an entry is a unit exactly when
 it is nonzero. A backend defines only the payload rules in which it differs
-from Python's operators (see RingContext).
+from Python's operators (see RingContext), and how its values are written as
+integer coefficient planes for the numeric lane of ght.matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 
 class RingError(ValueError):
@@ -280,8 +283,10 @@ class RingContext:
         raise NotImplementedError
 
     def unit_order_hint(self) -> int:
-        """Typical exponent of the finite unit group; used to bound entry
-        order searches."""
+        """Order of the cyclic group of roots of unity of an exact backend:
+        2 for Q, lcm(2, w) for Q(zeta_w), p - 1 for GF(p), p^2 - 1 for
+        GF(p^2); an exact unit of finite order has an order dividing it. On
+        the complex backend, 2 is only a scale for bounding order searches."""
         return 2
 
     def dot(self, pairs):
@@ -290,6 +295,24 @@ class RingContext:
         for a, b in pairs:
             acc = a * b if acc is None else acc + a * b
         return self.zero() if acc is None else acc
+
+    # numeric lane hooks (see ght.matrix._lane_product)
+    def _lane_planes(self, units):
+        """(planes, den): d lists of numbers, where planes[m][k] * x_m / den
+        summed over m is units[k] for the backend's basis x_0..x_{d-1}.
+        Exact backends write integers over one common denominator den."""
+        raise NotImplementedError
+
+    def _lane_reduce(self, planes, top):
+        """The d reduced planes of the 2d-1 unreduced coefficient planes of a
+        product, given as a float array of integers smaller than top in
+        size; None when reducing would leave the range where float64 is
+        exact. Backends with nothing to reduce return planes as they are."""
+        return planes
+
+    def _lane_payload(self, coeffs, den):
+        """The payload of the value with reduced coefficients coeffs over den."""
+        raise NotImplementedError
 
     # payload hooks
     def _add(self, a, b):
@@ -369,6 +392,12 @@ class RationalsContext(RingContext):
 
     def root_of_unity(self, w):
         return _first_of_order(self, w, (Fraction(1), Fraction(-1)))
+
+    def _lane_planes(self, units):
+        return _over_lcm([((u.payload.numerator,), u.payload.denominator) for u in units])
+
+    def _lane_payload(self, coeffs, den):
+        return Fraction(coeffs[0], den)
 
     def encode(self, el):
         return _fraction_str(el.payload)
@@ -517,6 +546,24 @@ class CyclotomicContext(RingContext):
                 acc[i] += c
         return self.element(self._normalize(self._reduce(acc), den_acc))
 
+    @cached_property
+    def _fold(self):
+        """Row m holds the coefficients of x^m mod Phi_w, for m < 2 deg - 1."""
+        rows = [self._reduce([0] * m + [1]) for m in range(2 * self.deg - 1)]
+        return np.array(rows, dtype=np.float64)
+
+    def _lane_planes(self, units):
+        return _over_lcm([u.payload for u in units])
+
+    def _lane_reduce(self, planes, top):
+        fold = self._fold[: len(planes)]
+        if top * np.abs(fold).sum(axis=0).max() >= 2**53:
+            return None
+        return np.tensordot(fold, planes, axes=(0, 0))
+
+    def _lane_payload(self, coeffs, den):
+        return self._normalize(list(coeffs), den)
+
     def evaluate_complex(self, el: RingElement) -> complex:
         """Evaluate at the canonical embedding zeta_w -> exp(-2*pi*i/w)."""
         z = cmath.exp(-2j * cmath.pi / self.w)
@@ -553,6 +600,14 @@ class CyclotomicContext(RingContext):
 
     def __repr__(self):
         return f"Q(zeta_{self.w})"
+
+
+def _over_lcm(fractions):
+    """Lane planes of (coefficients, denominator) pairs: the coefficients,
+    plane by plane, over the lcm of the denominators."""
+    den = math.lcm(*(d for _, d in fractions))
+    cols = [[c * (den // d) for c in coeffs] for coeffs, d in fractions]
+    return [list(plane) for plane in zip(*cols)], den
 
 
 def _order_exact(el: RingElement, w, one) -> bool:
@@ -605,6 +660,15 @@ class PrimeFieldContext(RingContext):
 
     def unit_order_hint(self):
         return self.p - 1
+
+    def _lane_planes(self, units):
+        return [[u.payload for u in units]], 1
+
+    def _lane_reduce(self, planes, top):
+        return planes % self.p
+
+    def _lane_payload(self, coeffs, den):
+        return coeffs[0] % self.p
 
     def encode(self, el):
         return [el.payload]
@@ -675,6 +739,19 @@ class QuadraticFieldContext(RingContext):
     def unit_order_hint(self):
         return self.p * self.p - 1
 
+    def _lane_planes(self, units):
+        return [list(plane) for plane in zip(*(u.payload for u in units))], 1
+
+    def _lane_reduce(self, planes, top):
+        # y^2 = -c1*y - c0 folds plane 2 into planes 0 and 1
+        if self.p * self.p >= 2**53:
+            return None
+        lo, mid, hi = planes % self.p
+        return np.stack([lo - self.c0 * hi, mid - self.c1 * hi]) % self.p
+
+    def _lane_payload(self, coeffs, den):
+        return (coeffs[0] % self.p, coeffs[1] % self.p)
+
     def encode(self, el):
         return [el.payload[0], el.payload[1]]
 
@@ -710,6 +787,12 @@ class ComplexContext(RingContext):
 
     def _from_int(self, n):
         return complex(n)
+
+    def _lane_planes(self, units):
+        return [[u.payload for u in units]], 1
+
+    def _lane_payload(self, coeffs, den):
+        return complex(coeffs[0])
 
     def root_of_unity(self, w):
         if w < 1:

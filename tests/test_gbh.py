@@ -5,11 +5,16 @@ import pytest
 from ght import (
     GMatrix,
     b3,
+    cbt,
+    complex_ring,
     cyclotomic,
     dft_matrix,
     equal,
+    family,
     k1,
+    k3,
     normalize,
+    prime_field,
     quadratic_field,
     rationals,
     row_sums,
@@ -19,6 +24,7 @@ from ght import (
     k2,
     k4,
 )
+from ght import gbh
 from ght.ring import RingError
 
 
@@ -146,5 +152,53 @@ def test_entry_order_bound_reports_unknown():
 
 def test_report_text_stable_keys():
     text = verify_gbh(walsh(2)).to_text()
+    keys = [line.split(":")[0] for line in text.splitlines()]
+    assert keys == ["is-gbh", "order", "entry-group-order", "char-check", "failure-count", "method"]
     assert text.splitlines()[0] == "is-gbh: true"
     assert "entry-group-order: 2" in text
+    assert text.splitlines()[-1] == "method: numeric-lane"
+
+
+def _family():
+    return family(1, 1, 1, 3, 2, cyclotomic(6))[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: walsh(9),
+        lambda: cbt(6, cyclotomic(4)),
+        lambda: dft_matrix(24, cyclotomic(24)),
+        lambda: dft_matrix(32, prime_field(97)),
+        lambda: tensor(k3(quadratic_field(5)), k3(quadratic_field(5))),
+        lambda: dft_matrix(16, complex_ring()),
+        _family,
+    ],
+    ids=["walsh9", "cbt6", "dft24", "dft32-gf97", "k3k3-gf25", "dft16-complex", "family-11132"],
+)
+def test_catalog_matrices_take_the_numeric_lane(build):
+    rep = verify_gbh(build())
+    assert rep.is_gbh and rep.method == "numeric-lane"
+
+
+def test_bound_failing_matrix_takes_the_per_entry_route():
+    # K2(2^30) has units +-2^30, M* has +-2^-30: v * 2^30 * 2^30 > 2^53
+    rep = verify_gbh(k2(2**30))
+    assert rep.is_gbh and rep.w is None and rep.method == "per-entry"
+    assert rep.to_text().splitlines()[-1] == "method: per-entry"
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [(_family, 6), (lambda: dft_matrix(32, prime_field(97)), 96), (lambda: dft_matrix(8, complex_ring()), 32)],
+    ids=["family-11132", "dft32-gf97", "dft8-complex"],
+)
+def test_order_walk_bound(monkeypatch, build, bound):
+    # exact backends walk at most unit_order_hint() powers, the order of their
+    # group of roots of unity; only the complex one walks 2 * v * hint
+    M, bounds = build(), set()
+    walk = gbh._power_walk
+    monkeypatch.setattr(gbh, "_power_walk", lambda u, b: bounds.add(b) or walk(u, b))
+    rep = verify_gbh(M)
+    assert bounds == {bound}
+    assert rep.w == (None if build is _family else M.order)

@@ -16,6 +16,7 @@ from ght import (
     GMatrix,
     MatrixError,
     Permutation,
+    cbt,
     complex_ring,
     cyclotomic,
     dft_matrix,
@@ -30,6 +31,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
+from ght.matrix import _lane_product
 
 
 def _candidates(ring):
@@ -119,8 +121,9 @@ def _failures(a):
     return out
 
 
-# four units on each side of an order-2 product: 16 unit pairs > 2^2
-# entries, so mat_mul takes its per-entry route
+# four units on each side of an order-2 product, B's including the unit 2
+# of Q(zeta_6), which is no root of unity: the numeric lane writes it as
+# coefficient planes like any other unit
 @example(
     case=(
         "cyclotomic",
@@ -171,21 +174,81 @@ def test_operations_match_per_entry_reference(case):
         assert verify_gbh(A).failures == _failures(a)
 
 
+# GBH matrices of order 64-256 on all five backends, for the numeric lane at
+# scale; each has -1 in its entry group
+AT_SCALE = {
+    "walsh8": lambda: walsh(8),
+    "cbt6-cyclotomic": lambda: cbt(6, cyclotomic(4)),
+    "dft64-gf193": lambda: dft_matrix(64, prime_field(193)),
+    "dft8xdft8-gf25": lambda: tensor(dft_matrix(8, quadratic_field(5)), dft_matrix(8, quadratic_field(5))),
+    "dft64-complex": lambda: dft_matrix(64, complex_ring()),
+}
+
+
 @pytest.mark.parametrize(
-    "M",
-    [walsh(3), dft_matrix(6, cyclotomic(6)), dft_matrix(8, complex_ring())],
-    ids=["walsh3", "dft6-cyclotomic", "dft8-complex"],
+    "build",
+    [lambda: walsh(3), lambda: dft_matrix(6, cyclotomic(6)), lambda: dft_matrix(8, complex_ring())]
+    + list(AT_SCALE.values()),
+    ids=["walsh3", "dft6-cyclotomic", "dft8-complex"] + list(AT_SCALE),
 )
-def test_planted_entry_fails_its_row_and_column(M):
+def test_planted_entry_fails_its_row_and_column(build):
     # negating entry (2, 5) leaves (M M*)[2][2] = v and spoils every other
-    # entry of row and column 2 of M M*, and nothing else
+    # entry of row and column 2 of M M*, and nothing else; -1 lies in the
+    # entry group, so w is unchanged
+    M = build()
     v = M.order
+    plain = verify_gbh(M)
+    assert plain.is_gbh and not plain.failures
     grid = _grid(M)
     grid[2][5] = -grid[2][5]
     rep = verify_gbh(GMatrix.from_rows(M.ring, grid))
     assert not rep.is_gbh
     assert rep.failures == [(i, j) for i in range(v) for j in range(v) if (i == 2) != (j == 2)]
     assert len(rep.failures) == 2 * (v - 1)
+    assert rep.w == plain.w
+    if v <= 64:
+        assert rep.failures == _failures(grid)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    list(RINGS.values()) + [prime_field(1000003), quadratic_field(5, (2, 1, 1))],
+    ids=list(RINGS) + ["prime-1000003", "quadratic-y2+y+2"],
+)
+def test_mat_mul_matches_per_entry_product_at_order_16(ring):
+    # entries drawn from all six candidates, non-roots such as 2 and 1/2
+    # included; over GF(1000003) the inverses of 2..6 are residues near p,
+    # so star(A) star(B) needs the float64 product, and y^2 + y + 2 over
+    # GF(5) has c0 != c1
+    rng = np.random.default_rng(16)
+    pool = _candidates(ring)
+    a, b = ([[pool[k] for k in row] for row in rng.integers(0, 6, (16, 16))] for _ in range(2))
+    A, B = GMatrix.from_rows(ring, a), GMatrix.from_rows(ring, b)
+    _same(mat_mul(A, B), _product(a, b))
+    _same(mat_mul(star(A), star(B)), _product(_grid(star(A)), _grid(star(B))))
+
+
+def test_bound_failing_units_take_the_per_entry_route():
+    # Q units 2^30 and 2^-30 over the common denominator 2^30 have
+    # numerators up to 2^60, and GF(2^61 - 1) residues reach 2^61: the lane
+    # declines, and mat_mul and verify_gbh run one ring.dot per entry
+    q = rationals()
+    big = [q.element(Fraction(2) ** e) for e in (30, -30)] + [q.one(), q.from_int(-1)]
+    gf = prime_field(2**61 - 1)
+    rng = np.random.default_rng(61)
+    for ring, pool in [(q, big), (gf, [gf.from_int(int(n)) for n in rng.integers(1, 2**62, 4)])]:
+        a, b = ([[pool[k] for k in row] for row in rng.integers(0, 4, (4, 4))] for _ in range(2))
+        A, B = GMatrix.from_rows(ring, a), GMatrix.from_rows(ring, b)
+        assert _lane_product(A, B) is None
+        _same(mat_mul(A, B), _product(a, b))
+    for M in (GMatrix.from_rows(q, [[big[i ^ j] for j in range(4)] for i in range(4)]), walsh(2, gf)):
+        grid = _grid(M)
+        planted = [row[:] for row in grid]
+        planted[3][1] = -planted[3][1]
+        for g in (grid, planted):
+            rep = verify_gbh(GMatrix.from_rows(M.ring, g))
+            assert rep.method == "per-entry"
+            assert rep.failures == _failures(g)
 
 
 def test_integer_array_is_embedded():
