@@ -16,7 +16,7 @@ import numpy as np
 from . import ring as ringmod
 from .gbh import dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft
-from .matrix import GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
+from .matrix import ORDER_LIMIT, GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
 from .ring import RingContext, RingElement, RingError, _order_exact
 
 FAMILY_TAGS = (
@@ -345,10 +345,38 @@ def enumerate_jackets_2x2(ring: RingContext, group_order: int):
 CATALOG_TOKENS = "walsh:t cbt:t dft:v k1 k2:r k3 k4 k6:r family:l,e,d,n,r"
 
 
+def _family_args(arg):
+    parts = arg.split(",")
+    if len(parts) != 5:
+        raise MatrixError("family token needs l,eps,delta,n,r")
+    return [int(p) for p in parts]
+
+
+def _token_order(name, arg):
+    """The order that a token's argument sets (1 for fixed-order tokens).
+    Exponents are clipped to 0..13, since 2^13 already exceeds ORDER_LIMIT,
+    so that walsh:10000000 costs nothing; family() rejects what was clipped."""
+
+    def power(base, e):
+        return base ** max(0, min(e, ORDER_LIMIT.bit_length()))
+
+    if name in ("walsh", "cbt"):
+        return power(2, int(arg))
+    if name == "dft":
+        return int(arg)
+    if name == "family":
+        l, eps, delta, n, _ = _family_args(arg)
+        return power(2, l) * power(4, eps) * power(2 * n, delta)
+    return 1
+
+
 def from_token(token: str, ring: RingContext | None = None) -> GMatrix:
     """Build a catalog matrix from its CLI token; the ring defaults to the
-    smallest natural one for the token."""
+    smallest natural one for the token. A token that sets an order above
+    ORDER_LIMIT is rejected before anything is built."""
     name, _, arg = token.partition(":")
+    if _token_order(name, arg) > ORDER_LIMIT:
+        raise MatrixError(f"catalog token {token!r} sets an order above the limit {ORDER_LIMIT}")
     if name == "walsh":
         return walsh(int(arg), ring)
     if name == "cbt":
@@ -367,10 +395,7 @@ def from_token(token: str, ring: RingContext | None = None) -> GMatrix:
     if name == "k6":
         return k6(ring if ring is not None else ringmod.cyclotomic(3), int(arg))
     if name == "family":
-        parts = arg.split(",")
-        if len(parts) != 5:
-            raise MatrixError("family token needs l,eps,delta,n,r")
-        l, eps, delta, n, r = (int(p) for p in parts)
+        l, eps, delta, n, r = _family_args(arg)
         if ring is None:
             w = 1
             if l or eps:

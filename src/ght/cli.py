@@ -8,6 +8,7 @@ search budget. Reports are stable key: value text for downstream diffing.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog, fileio, gbh, jacket, ring as ringmod, transform
@@ -129,7 +130,9 @@ def _cmd_enumerate2x2(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="ght",
         description="Generalised Hadamard transforms and jacket matrix tools",

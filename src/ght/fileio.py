@@ -4,6 +4,16 @@ Both formats are JSON with a ring-spec header and per-backend element
 encodings: rationals as "p/q" strings, cyclotomic elements as coefficient
 lists of such strings, field elements as integer coefficient lists, complex
 as [re, im] float pairs. Exact backends round-trip bit-exactly.
+
+A matrix file takes one of two forms:
+- tree-only, {"ring", "order", "tree"}: save_matrix writes this for a matrix
+  that carries a factor tree. Entries appear only in the leaves, so walsh(12)
+  takes about 2 KB. The loader expands the tree, so nothing can contradict it.
+- with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
+  for a matrix without a tree, and matrix_to_json always does. A tree given
+  here must expand to exactly the entries.
+The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
+before it decodes an entry or builds a tree.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import json
 import numpy as np
 
 from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode, equal
-from .matrix import _unit_table
+from .matrix import ORDER_LIMIT, _unit_table
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -109,22 +119,42 @@ def _tree_from_json(data, ring):
     raise MatrixError(f"unknown tree node kind {kind!r}")
 
 
+def _header(M: GMatrix) -> dict:
+    return {"ring": ring_spec_to_json(M.ring.spec), "order": M.order}
+
+
 def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
+    """The form with entries, which also lists the tree unless with_tree is
+    false."""
     encoded = [M.ring.encode(u) for u in M.units]
-    return {
-        "ring": ring_spec_to_json(M.ring.spec),
-        "order": M.order,
-        "entries": [[encoded[k] for k in row] for row in M.idx.tolist()],
-        "tree": _tree_to_json(M.tree) if with_tree else None,
-    }
+    return dict(
+        _header(M),
+        entries=[[encoded[k] for k in row] for row in M.idx.tolist()],
+        tree=_tree_to_json(M.tree) if with_tree else None,
+    )
 
 
 def matrix_from_json(data: dict) -> GMatrix:
-    """Decode a matrix; a factor tree must expand to exactly its entries.
-    Each distinct encoding is decoded once, keyed by its repr so that 1, 1.0,
-    true and "1" stay apart, and the decoded elements make the units."""
+    """Decode a matrix from either file form; a declared order above
+    ORDER_LIMIT is rejected first.
+
+    A tree-only file (a tree and no "entries") is the expansion of its tree,
+    whose order must be the declared one. Otherwise the factor tree, if any,
+    must expand to exactly the entries. Each distinct entry encoding is
+    decoded once, keyed by its repr so that 1, 1.0, true and "1" stay apart,
+    and the decoded elements make the units."""
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
+    if isinstance(v, (int, float)) and v > ORDER_LIMIT:
+        raise MatrixError(f"declared order {v} is above the limit {ORDER_LIMIT}")
+    if "entries" not in data and data.get("tree") is not None:
+        tree = _tree_from_json(data["tree"], ring)
+        if tree.order != v:
+            raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
+        E = tree.expand()
+        M = GMatrix._table(ring, E.units, E.idx, tree=tree)
+        M._validate_units()
+        return M
     entries = _field(data, "entries")
     if not isinstance(entries, list) or len(entries) != v:
         raise MatrixError("entry grid does not match the declared order")
@@ -146,18 +176,27 @@ def matrix_from_json(data: dict) -> GMatrix:
 
 
 def save_matrix(M: GMatrix, path):
+    """Write M tree-only when it carries a factor tree, else with entries."""
+    data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=_tree_to_json(M.tree))
     with open(path, "w") as fh:
-        json.dump(matrix_to_json(M), fh)
+        json.dump(data, fh)
         fh.write("\n")
 
 
-def load_matrix(path) -> GMatrix:
+def _load(path, what, from_json):
+    """from_json of the file's JSON; JSON or a factor tree nested deeper than
+    the interpreter's recursion limit is malformed input."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return from_json(json.load(fh))
         except json.JSONDecodeError as ex:
-            raise MatrixError(f"{path}: invalid matrix file at {ex.pos}: {ex.msg}")
-    return matrix_from_json(data)
+            raise MatrixError(f"{path}: invalid {what} file at {ex.pos}: {ex.msg}")
+        except RecursionError:
+            raise MatrixError(f"{path}: {what} file nested too deeply") from None
+
+
+def load_matrix(path) -> GMatrix:
+    return _load(path, "matrix", matrix_from_json)
 
 
 def signal_to_json(x: Signal) -> dict:
@@ -181,9 +220,4 @@ def save_signal(x: Signal, path):
 
 
 def load_signal(path) -> Signal:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise MatrixError(f"{path}: invalid signal file at {ex.pos}: {ex.msg}")
-    return signal_from_json(data)
+    return _load(path, "signal", signal_from_json)

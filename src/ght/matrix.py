@@ -31,6 +31,12 @@ class MatrixError(ValueError):
     """Shape, ring, or entry violations."""
 
 
+# The largest order a matrix file or a catalog token may ask for: that of
+# walsh(12). A tree-only file of a few KB, or a token such as walsh:20, could
+# otherwise ask for 2^40 index bytes. The constructors themselves are unbounded.
+ORDER_LIMIT = 4096
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on 0..v-1; image[i] is where index i is sent."""

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ght import (
     complex_ring,
     cyclotomic,
     equal,
+    k2,
     k4,
     permute,
     prime_field,
@@ -21,6 +23,7 @@ from ght import (
     rationals,
     walsh,
 )
+from ght.catalog import from_token
 from ght.cli import main, parse_ring_spec
 from ght.fileio import (
     load_matrix,
@@ -206,7 +209,9 @@ def test_malformed_files_exit_two(tmp_path):
     save_signal(Signal.from_ints(rationals(), [1] * 8), x)
     W3 = matrix_to_json(walsh(3))
     leaf = ("tree", "left", "left")
-    bad_matrices = [_drop(W3, k) for k in ("ring", "order", "entries")]
+    bad_matrices = [_drop(W3, k) for k in ("ring", "order")]
+    # without a tree, "entries" is the only description of the matrix
+    bad_matrices.append(_drop(matrix_to_json(walsh(3), with_tree=False), "entries"))
     bad_matrices += [_drop(W3, *leaf, "kind"), _drop(W3, *leaf, "matrix")]
     bad_matrices += [_drop(W3, "tree", k) for k in ("left", "right")]
     P = matrix_to_json(permute(walsh(2), Permutation((1, 0, 3, 2)), Permutation((0, 1, 2, 3))))
@@ -231,6 +236,10 @@ def test_malformed_files_exit_two(tmp_path):
         path = _write(tmp_path / f"m{n}.json", data)
         assert main(["verify", path]) == 2, n
         assert main(["apply", path, str(x), "-o", str(tmp_path / "y.json")]) == 2, n
+    # with its tree, a file without "entries" is the valid tree-only form
+    tree_only = _write(tmp_path / "tree-only.json", _drop(W3, "entries"))
+    assert main(["verify", tree_only]) == 0
+    assert equal(load_matrix(tree_only), walsh(3))
     sig = signal_to_json(Signal.from_ints(rationals(), [1, 2]))
     m = tmp_path / "w1.json"
     save_matrix(walsh(1), m)
@@ -286,3 +295,73 @@ def test_tree_leaf_ring_must_match_header(tmp_path):
     leaf = matrix_to_json(walsh(1, cyclotomic(4)), with_tree=False)
     data["tree"]["right"]["matrix"] = leaf
     assert main(["verify", _write(tmp_path / "m.json", data)]) == 2
+
+
+def test_roundtrip_walsh10(tmp_path):
+    """gen -> verify -> apply -> apply --fast -> invert on a seeded signal."""
+    m, x, y, yf, z = (str(tmp_path / f"{n}.json") for n in ("m", "x", "y", "yf", "z"))
+    assert main(["gen", "walsh:10", "-o", m]) == 0
+    sig = Signal.from_ints(rationals(), [(7 * k) % 19 - 9 for k in range(1024)])
+    save_signal(sig, x)
+    assert main(["verify", m]) == 0
+    assert main(["apply", m, x, "-o", y]) == 0
+    assert main(["apply", "--fast", m, x, "-o", yf]) == 0
+    assert main(["invert", m, y, "-o", z]) == 0
+    assert load_signal(y) == load_signal(yf)
+    assert load_signal(z) == sig
+
+
+@pytest.mark.parametrize("token", ["walsh:5", "family:1,1,1,3,2"])
+def test_gen_writes_tree_only_files(tmp_path, token):
+    m = tmp_path / "m.json"
+    assert main(["gen", token, "-o", str(m)]) == 0
+    assert m.stat().st_size < 4096
+    assert "entries" not in json.loads(m.read_text())
+    M, want = load_matrix(m), from_token(token)
+    assert equal(M, want)
+    assert M.tree is not None and equal(M.tree.expand(), want)
+
+
+def test_tree_only_order_must_match_the_tree(tmp_path):
+    data = _drop(matrix_to_json(walsh(3)), "entries")
+    for order in (4, 16):
+        m = _write(tmp_path / f"m{order}.json", dict(data, order=order))
+        assert main(["verify", m]) == 2
+
+
+def test_tree_only_file_means_its_tree(tmp_path):
+    """An edited leaf is not a contradiction in a tree-only file: the file
+    describes another matrix, which is not GBH."""
+    data = _drop(matrix_to_json(walsh(3)), "entries")
+    data["tree"]["left"]["left"]["matrix"]["entries"][1][1] = "1/1"  # was -1
+    m = _write(tmp_path / "m.json", data)
+    x, y, yf = (str(tmp_path / f"{n}.json") for n in ("x", "y", "yf"))
+    save_signal(Signal.from_ints(rationals(), [3, -1, 4, 1, -5, 9, 2, -6]), x)
+    assert main(["verify", m]) == 1
+    assert main(["apply", m, x, "-o", y]) == 0
+    assert main(["apply", "--fast", m, x, "-o", yf]) == 0
+    assert load_signal(y) == load_signal(yf)
+
+
+def test_order_limit_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    for token in ("walsh:13", "walsh:40", "cbt:13", "dft:100000", "family:11,1,0,1,2"):
+        start = time.perf_counter()
+        assert main(["gen", token, "-o", out]) == 2, token
+        assert time.perf_counter() - start < 1, token
+    # 13 K2 leaves make order 4^13: rejected whether the header declares it or not
+    leaf = {"kind": "leaf", "matrix": matrix_to_json(k2(2), with_tree=False)}
+    tree = leaf
+    for _ in range(12):
+        tree = {"kind": "tensor", "left": tree, "right": leaf}
+    for order in (4**13, 16):
+        data = {"ring": leaf["matrix"]["ring"], "order": order, "tree": tree}
+        m = _write(tmp_path / f"k2-{order}.json", data)
+        start = time.perf_counter()
+        assert main(["verify", m]) == 2, order
+        assert time.perf_counter() - start < 1, order
+    # walsh:12 is at the limit, and its file holds only the tree
+    assert main(["gen", "walsh:12", "-o", out]) == 0
+    assert (tmp_path / "m.json").stat().st_size < 4096
+    assert "above the limit 4096" in capsys.readouterr().err
+

@@ -129,6 +129,15 @@ def test_malformed_json(tmp_path):
         load_signal(path)
 
 
+def test_deeply_nested_json_is_malformed(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(MatrixError, match="nested too deeply"):
+        load_matrix(path)
+    with pytest.raises(MatrixError, match="nested too deeply"):
+        load_signal(path)
+
+
 def test_wrong_shape_rejected(tmp_path):
     data = matrix_to_json(walsh(1))
     data["order"] = 3
@@ -159,15 +168,18 @@ def test_file_is_plain_json(tmp_path):
 
 @settings(max_examples=100)
 @given(walks())
-def test_json_round_trip_on_random_trees(case):
+def test_json_round_trip_on_random_trees(tmp_path_factory, case):
     """What the encoders write, the decoders read back unchanged, on all five
-    backends; a strict decoder must not reject an encoder's output."""
+    backends, in the form with entries and in the tree-only file form; a
+    strict decoder must not reject an encoder's output."""
     tree, x = case
     E = tree.expand()
     M = GMatrix.from_rows(E.ring, E.rows(), tree=tree)
-    N = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
+    path = tmp_path_factory.getbasetemp() / "random-tree.json"
+    save_matrix(M, path)
     v = M.order
-    assert N.ring.spec == M.ring.spec
-    assert all(N.entry(i, j) == M.entry(i, j) for i in range(v) for j in range(v))
-    assert N.tree is not None and equal(N.tree.expand(), M)
+    for N in (matrix_from_json(json.loads(json.dumps(matrix_to_json(M)))), load_matrix(path)):
+        assert N.ring.spec == M.ring.spec
+        assert all(N.entry(i, j) == M.entry(i, j) for i in range(v) for j in range(v))
+        assert N.tree is not None and equal(N.tree.expand(), M)
     assert signal_from_json(json.loads(json.dumps(signal_to_json(x)))) == x
