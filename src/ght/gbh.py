@@ -102,8 +102,12 @@ def verify_gbh(M: GMatrix) -> GbhReport:
         # diagonal, 0 elsewhere
         v_planes, _ = ring._lane_planes([ring.from_int(v)])
         diag = np.arange(v)
-        planes[:, diag, diag] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)[:, None]
-        bad = (planes != 0 if ring.is_exact else np.abs(planes) > ring.spec.tol).any(axis=0)
+        planes[diag, diag] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)
+        # an entry is bad when the sum of its |coefficients| exceeds tol (0 on
+        # exact backends), summed plane by plane: numpy reduces along a short
+        # last axis up to 40 times slower
+        sizes = sum(np.abs(planes[:, :, m]) for m in range(planes.shape[2]))
+        bad = sizes > (0 if ring.is_exact else ring.spec.tol)
     failures = [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
     w = None if None in orders else math.lcm(*orders)
     return GbhReport(
@@ -126,15 +130,18 @@ def row_sums(M: GMatrix):
 
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:
-    """[omega^(j*k)] for the canonical order-v root omega of the ring."""
+    """[omega^(j*k)] for the canonical order-v root omega of the ring: the
+    unit table of the v powers of omega, indexed by j*k mod v."""
     if v < 1:
         raise RingError("order must be positive")
     omega = ring.root_of_unity(v)
     powers = [ring.one()]
     for _ in range(v - 1):
         powers.append(powers[-1] * omega)
-    rows = [[powers[(j * k) % v] for k in range(v)] for j in range(v)]
-    return GMatrix.from_rows(ring, rows)
+    j = np.arange(v)
+    M = GMatrix._table(ring, powers, np.outer(j, j) % v)
+    M._validate_units()
+    return M
 
 
 def b3(ring: RingContext) -> GMatrix:

@@ -7,11 +7,13 @@ distinct entries, deduplicated by exact payload, and a read-only index array
 `idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
 table: star inverts the units and transposes idx, permute indexes idx,
 tensor forms each unit product once and fills idx with numpy, and equal
-compares only the distinct unit pairs that occur. mat_mul takes the numeric
-lane: each backend writes a unit table as integer coefficient planes over a
-common denominator (one complex plane on the complex backend), the planes
-of both factors meet in one BLAS product, and the backend reduces the
-result; where the lane's exactness bound fails, each entry is one ring.dot.
+compares only the distinct unit pairs that occur. mat_mul, verification and
+the transforms take the numeric lane: each backend writes a unit table as
+integer coefficient planes over a common denominator (one complex plane on
+the complex backend), the planes meet those of the other factor (or of a
+signal batch) in one BLAS product per block of rows, and the backend
+reduces the result; where the lane's exactness bound fails, each entry is
+one ring.dot.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -21,6 +23,7 @@ fast application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -301,50 +304,89 @@ def normalize(M: GMatrix):
     return N, row_scalars, col_scalars
 
 
-def _lane_product(A: GMatrix, B: GMatrix):
-    """(planes, den): the d reduced coefficient planes of A B over the common
-    denominator den, so that entry (i, j) of A B has coefficients
-    planes[:, i, j] / den (see RingContext._lane_planes); None when a bound
-    fails.
+# values of A's stacked planes gathered per BLAS call in _lane_apply, per
+# column of the batch: a thin batch (a signal) meets A 256-512 KB at a time,
+# as a fresh large temporary costs more than the product it feeds (ght of
+# walsh(10) took twice as long with one 4 MB block), while a product with v
+# columns (verify) runs as one call
+_BLOCK_VALUES = 2**16
 
-    Each unit table is written as coefficient planes, and the nonzero planes
-    of A, stacked as rows, and of B, stacked as columns, meet in one BLAS
-    product, whose blocks A_m B_n add up to the unreduced plane m + n. On an
-    exact backend every value is an integer smaller than the bound
-    top = min(#planes of A, #planes of B) * v * max|a| * max|b|: the product
-    is float32 for one-plane backends while top < 2^24, float64 while
-    top < 2^53, and otherwise there is no lane. The backend then reduces the
-    planes (modulo Phi_w, modulo p), or declines when that would leave the
-    exact range. The complex backend multiplies its complex128 plane as is.
+
+@lru_cache(maxsize=64)
+def _scatter(ma, mx, d):
+    """Row (i, j) holds a 1 in column ma[i] + mx[j]: the product of plane
+    ma[i] of A and plane mx[j] of X adds to that unreduced plane."""
+    out = (np.add.outer(ma, mx).reshape(-1, 1) == np.arange(2 * d - 1)).astype(np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def _lane_apply(A: GMatrix, batch, mx, big_x):
+    """(planes, den): A times a batch of n vectors given by the coefficient
+    planes mx of each (see RingContext._lane_planes), side by side:
+    batch(dtype) is X, a (v, n * len(mx)) array in that dtype whose column
+    k * len(mx) + j holds plane mx[j] of vector k, and on an exact backend
+    big_x bounds its values in size. The product is a (v, n, d) array of
+    reduced coefficients over A's plane denominator den; None when a bound
+    fails. X is built only once the dtype is known, as a large copy costs
+    as much as a small product.
+
+    A's unit table is written as coefficient planes, and its nonzero planes,
+    stacked as rows, meet X in one BLAS product per block of rows, whose
+    blocks A_m X_k add up to the unreduced plane m + k. On an exact backend
+    every value is an integer smaller than the bound top = min(#planes of A,
+    len(mx)) * v * max|a| * big_x: the product is float32 for one-plane
+    backends while top < 2^24, float64 while top < 2^53, and otherwise there
+    is no lane. The backend then reduces the planes (modulo Phi_w, modulo p),
+    or declines when that would leave the exact range. The complex backend
+    multiplies its complex128 plane as is.
     """
-    ring, v = A.ring, A.order
-    (pa, den_a), (pb, den_b) = ring._lane_planes(A.units), ring._lane_planes(B.units)
-    d = len(pa)
-    ma = [m for m, plane in enumerate(pa) if any(plane)] or [0]
-    mb = [m for m, plane in enumerate(pb) if any(plane)] or [0]
+    ring, v, d = A.ring, A.order, A.ring._lane_dim
+    pa, den = ring._lane_planes(A.units)
+    ma = tuple(m for m, plane in enumerate(pa) if any(plane)) or (0,)
     top = None
     dtype = np.complex128
     if ring.is_exact:
         big_a = max(abs(c) for m in ma for c in pa[m])
-        big_b = max(abs(c) for m in mb for c in pb[m])
-        top = min(len(ma), len(mb)) * v * big_a * big_b
+        top = min(len(ma), len(mx)) * v * big_a * max(big_x, 1)
         if top >= 2**53:
             return None
         dtype = np.float32 if d == 1 and top < 2**24 else np.float64
     ua = np.array([pa[m] for m in ma], dtype=dtype)
-    ub = np.array([pb[m] for m in mb], dtype=dtype)
-    # rows (m, i) hold plane m of A's row i; columns (j, n) plane n of B's column j
-    prod = ua[:, A.idx].reshape(len(ma) * v, v) @ ub.T[B.idx].reshape(v, v * len(mb))
-    if d == 1:
-        planes = prod.reshape(1, v, v)
-    else:
-        prod = prod.reshape(len(ma), v, v, len(mb))
-        planes = np.zeros((2 * d - 1, v, v), dtype=dtype)
-        for i, m in enumerate(ma):
-            for j, n in enumerate(mb):
-                planes[m + n] += prod[i, :, :, j]
-    planes = ring._lane_reduce(planes, top)
-    return None if planes is None else (planes, den_a * den_b)
+    X = batch(dtype)
+    n = X.shape[1] // len(mx)
+    blocks = []
+    rows = max(1, _BLOCK_VALUES * X.shape[1] // (len(ma) * v))
+    for r in range(0, v, rows):
+        idx = A.idx[r : r + rows]
+        prod = ua[:, idx].reshape(len(ma) * len(idx), v) @ X
+        if d == 1:
+            planes = prod.reshape(-1, 1)
+        else:
+            prod = prod.reshape(len(ma), len(idx), n, len(mx)).transpose(1, 2, 0, 3)
+            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx), d)
+        planes = ring._lane_reduce(planes, top)
+        if planes is None:
+            return None
+        blocks.append(planes.reshape(len(idx), n, d))
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), den
+
+
+def _lane_product(A: GMatrix, B: GMatrix):
+    """(planes, den): the reduced coefficients of A B over the common
+    denominator den, a (v, v, d) array with entry (i, j) of A B equal to
+    planes[i, j] / den; None when a bound fails (see _lane_apply, with the
+    columns of B as the batch)."""
+    ring, v = A.ring, A.order
+    pb, den_b = ring._lane_planes(B.units)
+    mb = [m for m, plane in enumerate(pb) if any(plane)] or [0]
+    big_b = max(abs(c) for m in mb for c in pb[m]) if ring.is_exact else None
+    if ring.is_exact and big_b >= 2**53:
+        return None
+    # column (j, k) holds plane mb[k] of B's column j
+    batch = lambda dtype: np.array([pb[m] for m in mb], dtype=dtype).T[B.idx].reshape(v, -1)
+    lane = _lane_apply(A, batch, mb, big_b)
+    return None if lane is None else (lane[0], lane[1] * den_b)
 
 
 def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
@@ -352,9 +394,9 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     matrices legitimately contain zeros).
 
     The product takes the numeric lane: one BLAS product of coefficient
-    planes (see _lane_product), exact on the exact backends, whose distinct
-    coefficient vectors become the result's units. Where the lane's bound
-    fails (see _lane_product: v times the largest coefficients of A and of B
+    planes per block of rows (see _lane_apply), exact on the exact backends,
+    whose distinct coefficient vectors become the result's units. Where the
+    lane's bound fails (v times the largest coefficients of A and of B
     reaches 2^53, or so would the reduction) each entry is one ring.dot.
     """
     _check_same_ring(A, B)
@@ -367,7 +409,7 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
         units, codes = _unit_table(ring.dot(zip(ai, bj)) for ai in A.rows() for bj in bcols)
         return GMatrix._table(ring, units, codes.reshape(v, v))
     planes, den = lane
-    vecs = planes.reshape(len(planes), v * v).T
+    vecs = planes.reshape(v * v, -1)
     if ring.is_exact:
         vecs = vecs.astype(np.int64)
     vecs, codes = np.unique(vecs, axis=0, return_inverse=True)

@@ -296,7 +296,9 @@ class RingContext:
             acc = a * b if acc is None else acc + a * b
         return self.zero() if acc is None else acc
 
-    # numeric lane hooks (see ght.matrix._lane_product)
+    # numeric lane hooks (see ght.matrix._lane_apply)
+    _lane_dim = 1  # d, the number of coefficient planes
+
     def _lane_planes(self, units):
         """(planes, den): d lists of numbers, where planes[m][k] * x_m / den
         summed over m is units[k] for the backend's basis x_0..x_{d-1}.
@@ -304,10 +306,11 @@ class RingContext:
         raise NotImplementedError
 
     def _lane_reduce(self, planes, top):
-        """The d reduced planes of the 2d-1 unreduced coefficient planes of a
-        product, given as a float array of integers smaller than top in
-        size; None when reducing would leave the range where float64 is
-        exact. Backends with nothing to reduce return planes as they are."""
+        """The (k, d) reduced coefficients of k values of a product, given
+        as their (k, 2d-1) unreduced coefficients, a float array of integers
+        smaller than top in size; None when reducing would leave the range
+        where float64 is exact. Backends with nothing to reduce return
+        planes as they are."""
         return planes
 
     def _lane_payload(self, coeffs, den):
@@ -394,7 +397,9 @@ class RationalsContext(RingContext):
         return _first_of_order(self, w, (Fraction(1), Fraction(-1)))
 
     def _lane_planes(self, units):
-        return _over_lcm([((u.payload.numerator,), u.payload.denominator) for u in units])
+        fracs = [u.payload for u in units]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return [[f.numerator * (den // f.denominator) for f in fracs]], den
 
     def _lane_payload(self, coeffs, den):
         return Fraction(coeffs[0], den)
@@ -423,6 +428,7 @@ class CyclotomicContext(RingContext):
         self.w = w
         self.phi = cyclotomic_polynomial(w)
         self.deg = len(self.phi) - 1
+        self._lane_dim = self.deg
         self.spec = RingSpec(kind="cyclotomic-rationals", w=w)
 
     def _normalize(self, coeffs, den):
@@ -471,7 +477,25 @@ class CyclotomicContext(RingContext):
         (ca, da) = a
         return (tuple(-c for c in ca), da)
 
+    @cached_property
+    def _root_inverses(self):
+        """{g^k: g^(h-k)} over the h = unit_order_hint() roots of unity, for a
+        generator g of their cyclic group: x for even w, -x for odd w, each
+        power one shift and one fold of the last."""
+        x = self.root_of_unity(self.w).payload
+        g = x if self.w % 2 == 0 else self._neg(x)
+        powers = [self._from_int(1)]
+        for _ in range(self.unit_order_hint() - 1):
+            powers.append(self._mul(g, powers[-1]))
+        return {u: powers[-k] for k, u in enumerate(powers)}
+
     def _inv(self, a):
+        """A root of unity inverts by table lookup, any other unit by
+        extended Euclid."""
+        inverse = self._root_inverses.get(a)
+        return self._euclid_inverse(a) if inverse is None else inverse
+
+    def _euclid_inverse(self, a):
         (ca, da) = a
         if not any(ca):
             raise RingError("inverse of zero")
@@ -548,18 +572,24 @@ class CyclotomicContext(RingContext):
 
     @cached_property
     def _fold(self):
-        """Row m holds the coefficients of x^m mod Phi_w, for m < 2 deg - 1."""
+        """(fold, growth): row m of fold holds the coefficients of x^m mod
+        Phi_w, for m < 2 deg - 1, and folding multiplies a bound on the
+        coefficients by at most growth, its largest column sum in size."""
         rows = [self._reduce([0] * m + [1]) for m in range(2 * self.deg - 1)]
-        return np.array(rows, dtype=np.float64)
+        fold = np.array(rows, dtype=np.float64)
+        return fold, np.abs(fold).sum(axis=0).max()
 
     def _lane_planes(self, units):
-        return _over_lcm([u.payload for u in units])
+        payloads = [u.payload for u in units]
+        den = math.lcm(*(d for _, d in payloads))
+        cols = [[c * (den // d) for c in coeffs] for coeffs, d in payloads]
+        return [list(plane) for plane in zip(*cols)], den
 
     def _lane_reduce(self, planes, top):
-        fold = self._fold[: len(planes)]
-        if top * np.abs(fold).sum(axis=0).max() >= 2**53:
+        fold, growth = self._fold
+        if top * growth >= 2**53:
             return None
-        return np.tensordot(fold, planes, axes=(0, 0))
+        return planes @ fold
 
     def _lane_payload(self, coeffs, den):
         return self._normalize(list(coeffs), den)
@@ -600,14 +630,6 @@ class CyclotomicContext(RingContext):
 
     def __repr__(self):
         return f"Q(zeta_{self.w})"
-
-
-def _over_lcm(fractions):
-    """Lane planes of (coefficients, denominator) pairs: the coefficients,
-    plane by plane, over the lcm of the denominators."""
-    den = math.lcm(*(d for _, d in fractions))
-    cols = [[c * (den // d) for c in coeffs] for coeffs, d in fractions]
-    return [list(plane) for plane in zip(*cols)], den
 
 
 def _order_exact(el: RingElement, w, one) -> bool:
@@ -739,6 +761,8 @@ class QuadraticFieldContext(RingContext):
     def unit_order_hint(self):
         return self.p * self.p - 1
 
+    _lane_dim = 2
+
     def _lane_planes(self, units):
         return [list(plane) for plane in zip(*(u.payload for u in units))], 1
 
@@ -746,8 +770,8 @@ class QuadraticFieldContext(RingContext):
         # y^2 = -c1*y - c0 folds plane 2 into planes 0 and 1
         if self.p * self.p >= 2**53:
             return None
-        lo, mid, hi = planes % self.p
-        return np.stack([lo - self.c0 * hi, mid - self.c1 * hi]) % self.p
+        fold = np.array([[1, 0], [0, 1], [-self.c0, -self.c1]], dtype=planes.dtype)
+        return (planes % self.p) @ fold % self.p
 
     def _lane_payload(self, coeffs, den):
         return (coeffs[0] % self.p, coeffs[1] % self.p)

@@ -8,12 +8,16 @@ one-leaf tree of B, fast_apply over a given tree, and ight over the starred
 tree of B, as (A (x) B)* = A* (x) B*. Tensor factors of orders v_1..v_k cost
 v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost counts.
 
-The kernel has two lanes. A signal of Q elements takes the rational lane: it
-is scaled once by the lcm of its denominators, each leaf runs as an exact
-float64 product of integers, the denominators of the leaf units (and ight's
-1/v) join one carried denominator, and the result is divided by it once at
-the end. Any other signal, and a rational one whose values would reach 2^53,
-takes the object lane: one ring.dot per result entry.
+The kernel runs on the numeric lane of ght.matrix, on every backend. A
+signal is written once as the backend's d coefficient planes over one
+carried denominator (integers on the exact backends, one complex128 plane
+on C), carried as d columns per vector. Each leaf is one BLAS product of its
+unit planes per block of rows (matrix._lane_apply) and one reduction by the
+backend; the denominators of the leaf units (and ight's 1/v) join the
+carried one, and the result is decoded once per distinct coefficient vector
+at the end. Where a leaf's bound fails (coefficients reaching 2^53, or a
+large p) the batch becomes ring elements there and the walk goes on in the
+object lane: one ring.dot per result entry.
 
 fast_apply and ight trust the tree. Trees built by tensor, permute and the
 catalog are correct by construction, and fileio checks a loaded tree against
@@ -22,10 +26,8 @@ the entries; a tree passed to GMatrix(..., tree=) is not checked.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .matrix import (
     MatrixError,
     PermutedNode,
     TensorNode,
+    _lane_apply,
 )
 from .ring import RingContext
 
@@ -62,64 +65,65 @@ class OpCount:
     add: int = 0
 
 
-def _rationals(elements):
-    """(numerators, denominator): the elements as an int64 array over the
-    lcm of their denominators, when every one is a Q element and every
-    numerator is smaller than 2^53 in size, else None."""
-    payloads = [e.payload for e in elements]
-    if not all(isinstance(p, Fraction) for p in payloads):
-        return None
-    den = math.lcm(*(p.denominator for p in payloads))
-    nums = [p.numerator * (den // p.denominator) for p in payloads]
-    if max(map(abs, nums)) >= 2**53:
-        return None
-    return np.array(nums, dtype=np.int64), den
-
-
-def _elements(ring, X, den):
-    """The Q elements X / den of an int64 batch, as an object array."""
-    out = [ring.element(Fraction(n, den)) for n in X.ravel().tolist()]
-    return np.array(out, dtype=object).reshape(X.shape)
+def _decode(ring, X, den):
+    """The ring elements of a lane batch X / den, whose d columns per vector
+    are its coefficient planes, as an object array with a column per vector.
+    Each distinct coefficient vector is decoded once, found by a dict: at
+    signal sizes that costs less than a sort."""
+    d = ring._lane_dim
+    if ring.is_exact:
+        X = X.astype(np.int64)
+    if d == 1:
+        keys = X.ravel().tolist()
+        decode = lambda c: ring.element(ring._lane_payload((c,), den))
+    else:
+        keys = list(map(tuple, X.reshape(-1, d).tolist()))
+        decode = lambda vec: ring.element(ring._lane_payload(vec, den))
+    decoded = {key: decode(key) for key in dict.fromkeys(keys)}
+    return np.array([decoded[key] for key in keys], dtype=object).reshape(len(X), -1)
 
 
 def _product(M: GMatrix, X, den, ring):
-    """M times each column of the (v, n) batch X / den, whose entries lie in
-    ring, as a pair (Y, den') with the product equal to Y / den'.
+    """M times each vector of the batch X / den, whose entries lie in ring,
+    as a pair (Y, den') with the product equal to Y / den'.
 
-    The rational lane takes an int64 batch against Q units, written as
-    integers over their common denominator d: float64 blocks of 256 rows,
-    exact while v * max|unit| * max|X| < 2^53, give int64 over den * d.
-    Otherwise the object lane takes the batch as the ring elements X / den,
-    one ring.dot per result entry, over 1."""
+    A numeric batch is the lane: d columns per vector, its coefficient
+    planes, and M's unit planes over their denominator d_M meet it in
+    matrix._lane_apply, giving the planes of the product over den * d_M.
+    When that declines, the batch becomes the ring elements X / den, one
+    column per vector. An object batch takes one ring.dot per result entry,
+    over 1."""
     if M.ring.spec != ring.spec:
         raise MatrixError("ring mismatch")
     v = M.order
     if X.dtype != object:
-        units = _rationals(M.units)
-        if units is not None and v * int(abs(units[0]).max()) * int(abs(X).max()) < 2**53:
-            u = units[0].astype(np.float64)
-            blocks = [u[M.idx[r : r + 256]] @ X for r in range(0, v, 256)]
-            return np.concatenate(blocks).astype(np.int64), den * units[1]
-        X = _elements(ring, X, den)
+        big = float(np.abs(X).max()) if ring.is_exact else None
+        batch = lambda dtype: X.astype(dtype, copy=False)
+        lane = _lane_apply(M, batch, range(ring._lane_dim), big)
+        if lane is not None:
+            planes, den_m = lane
+            return planes.reshape(v, -1), den * den_m
+        X = _decode(ring, X, den)
     cols = X.T.tolist()
     out = [[ring.dot(zip(row, col)) for col in cols] for row in M.rows()]
     return np.array(out, dtype=object), 1
 
 
 def _walk(node: FactorTree, X, den, ring):
-    """The matrix of node times each column of the batch X / den, as a pair
+    """The matrix of node times each vector of the batch X / den, as a pair
     like _product's. A tensor node of orders (a, b) views a column as an
     a x b array and applies its right factor along the length-b axis, then
-    its left factor along the other."""
+    its left factor along the other. A batch may leave the lane at any leaf,
+    with fewer columns, so the column count is read after each walk."""
     if isinstance(node, Leaf):
         return _product(node.matrix, X, den, ring)
     if isinstance(node, TensorNode):
-        a, b, n = node.left.order, node.right.order, X.shape[1]
-        Y = X.reshape(a, b, n).transpose(1, 0, 2).reshape(b, a * n)
+        a, b = node.left.order, node.right.order
+        Y = X.reshape(a, b, -1).transpose(1, 0, 2).reshape(b, -1)
         Y, den = _walk(node.right, Y, den, ring)
-        Y = Y.reshape(b, a, n).transpose(1, 0, 2).reshape(a, b * n)
+        Y = Y.reshape(b, a, -1).transpose(1, 0, 2).reshape(a, -1)
         Y, den = _walk(node.left, Y, den, ring)
-        return Y.reshape(a * b, n), den
+        return Y.reshape(a * b, -1), den
     if isinstance(node, PermutedNode):
         Z, den = _walk(node.child, X[list(node.colp.image)], den, ring)
         out = np.empty_like(Z)
@@ -129,21 +133,22 @@ def _walk(node: FactorTree, X, den, ring):
 
 
 def _apply(tree: FactorTree, x: Signal) -> Signal:
-    """The matrix of tree times x, with x as a one-column batch. A signal of
-    Q elements is scaled once by the lcm of its denominators and enters the
-    rational lane; the carried denominator divides the result once at the
-    end. Any other signal walks the object lane."""
+    """The matrix of tree times x, with x as a batch of one vector. The
+    signal enters the lane as its coefficient planes over their common
+    denominator, unless a coefficient reaches 2^53; the carried denominator
+    divides the result once at the end."""
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
-    scaled = _rationals(x.elements)
-    if scaled is None:
-        X, den = np.array(x.elements, dtype=object), 1
+    ring = x.ring
+    planes, den = ring._lane_planes(x.elements)
+    if ring.is_exact and max(abs(c) for plane in planes for c in plane) >= 2**53:
+        X, den = np.array(x.elements, dtype=object)[:, None], 1
     else:
-        X, den = scaled
-    y, den = _walk(tree, X[:, None], den, x.ring)
+        X = np.array(planes).T
+    y, den = _walk(tree, X, den, ring)
     if y.dtype != object:
-        y = _elements(x.ring, y, den)
-    return Signal(x.ring, tuple(y[:, 0]))
+        y = _decode(ring, y, den)
+    return Signal(ring, tuple(y[:, 0]))
 
 
 def ght(B: GMatrix, x: Signal) -> Signal:

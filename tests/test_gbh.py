@@ -120,6 +120,22 @@ def test_dft_symmetric_and_normalised():
                 assert F.entry(j, k) == F.entry(k, j)
 
 
+@pytest.mark.parametrize(
+    "v, ring",
+    [(v, cyclotomic(v)) for v in (1, 6, 8, 24)] + [(32, prime_field(97)), (16, complex_ring())],
+)
+def test_dft_unit_table_matches_keyed_construction(v, ring):
+    # the construction that keyed all v^2 entries through from_rows
+    omega = ring.root_of_unity(v)
+    powers = [ring.one()]
+    for _ in range(v - 1):
+        powers.append(powers[-1] * omega)
+    old = GMatrix.from_rows(ring, [[powers[(j * k) % v] for k in range(v)] for j in range(v)])
+    F = dft_matrix(v, ring)
+    assert [u.payload for u in F.units] == [u.payload for u in old.units]
+    assert F.idx.dtype == old.idx.dtype and (F.idx == old.idx).all()
+
+
 def test_dft_without_root_raises():
     with pytest.raises(RingError):
         dft_matrix(3, rationals())

@@ -169,6 +169,26 @@ def test_inverse_of_sixth_root():
     assert z.inverse() == z ** 5
 
 
+def test_cyclotomic_root_inverses_by_table(monkeypatch):
+    for w in range(1, 41):
+        ring = cyclotomic(w)
+        table = ring._root_inverses
+        assert len(table) == ring.unit_order_hint()
+        for root, inverse in table.items():
+            assert inverse == ring._euclid_inverse(root)
+    ring = cyclotomic(12)
+    euclid = []
+    inverse = ring._euclid_inverse
+    monkeypatch.setattr(ring, "_euclid_inverse", lambda a: euclid.append(a) or inverse(a))
+    x = ring.root_of_unity(12)
+    for u in (x, x**5, -x, ring.one()):
+        assert u * u.inverse() == ring.one()
+    assert euclid == []
+    for u in (ring.from_int(2), x + 1):
+        assert u * u.inverse() == ring.one()
+    assert euclid == [ring.from_int(2).payload, (x + 1).payload]
+
+
 def test_int_inverse():
     assert cyclotomic(6).int_inverse(6) == cyclotomic(6).element(
         cyclotomic(6)._from_fractions([Fraction(1, 6), Fraction(0)])

@@ -213,10 +213,37 @@ def _count_adds(monkeypatch, context):
 
 
 def test_fast_apply_object_lane_makes_tree_cost_additions(monkeypatch):
+    # the unit -1 of GF(2^61 - 1) is 2^61 - 2, past the lane's 2^53 bound
+    gf = prime_field(2**61 - 1)
     added = _count_adds(monkeypatch, PrimeFieldContext)
-    tree = walsh(3, prime_field(7)).tree
-    fast_apply(tree, Signal.from_ints(prime_field(7), range(8)))
+    tree = walsh(3, gf).tree
+    y, _ = fast_apply(tree, Signal.from_ints(gf, range(8)))
     assert len(added) == tree_cost(tree).add == 24
+    assert y == Signal.from_ints(gf, [28, -4, -8, 0, -16, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "mk",
+    [
+        lambda: walsh(3, prime_field(7)),
+        lambda: tensor(k3(quadratic_field(5)), k3(quadratic_field(5))),
+        lambda: tensor(dft_matrix(4, cyclotomic(4)), walsh(1, cyclotomic(4))),
+        lambda: tensor(dft_matrix(4, complex_ring()), dft_matrix(2, complex_ring())),
+    ],
+)
+def test_lane_transforms_make_no_ring_additions(monkeypatch, mk):
+    M = mk()
+    ring = M.ring
+    u = ring.root_of_unity(4 if ring.characteristic() != 7 else 3)
+    x = Signal(ring, tuple(ring.from_int(k) + u * ring.from_int(k % 3) for k in range(M.order)))
+    want = [ght(M, x), ight(M, x)]
+    added = _count_adds(monkeypatch, type(ring))
+    dots = []
+    monkeypatch.setattr(type(ring), "dot", lambda *args: dots.append(1))
+    y, _ = fast_apply(M.tree, x)
+    assert [y, ight(M, x)] == want
+    assert ight(M, ght(M, x)) == x
+    assert added == [] and dots == []
 
 
 def test_fraction_signal_makes_no_ring_additions(monkeypatch):
@@ -314,6 +341,13 @@ def _q_signal(values):
     return Signal(q, tuple(q.element(Fraction(n)) for n in values))
 
 
+def _zeta4_signal(pairs):
+    """Entries a + b*i of Q(zeta4) from integer pairs (a, b)."""
+    ring = cyclotomic(4)
+    i = ring.root_of_unity(4)
+    return Signal(ring, tuple(ring.from_int(a) + ring.from_int(b) * i for a, b in pairs))
+
+
 @settings(max_examples=300)
 @given(walks())
 @example((walsh(3).tree, Signal.from_ints(rationals(), [2**51 + 1] + [2**51] * 7)))
@@ -322,15 +356,24 @@ def _q_signal(values):
 @example((walsh(3).tree, _q_signal([Fraction(8191, 2**40)] + [8191 - k for k in range(7)])))
 # the entry 8192 scales to 2^53 itself: the signal starts on the object lane
 @example((walsh(3).tree, _q_signal([Fraction(-8191, 2**40 + 1)] + [8192 - 3 * k for k in range(7)])))
+# 2^30 + 1 is exact in float64 but not in float32, which is exact only below 2^24
+@example((walsh(3).tree, Signal.from_ints(rationals(), [2**30 + 1] + list(range(7)))))
+# GF(2^61 - 1): the leaf unit -1 is past the bound, so the first leaf
+# converts the batch to elements
+@example((walsh(2, prime_field(2**61 - 1)).tree, Signal.from_ints(prime_field(2**61 - 1), [5, 3, 2**40, 7])))
+# Q(zeta4): the first 2-point stage stays inside the bound; with the fold
+# modulo Phi_4 the second would reach 2^53 and converts the batch
+@example((walsh(3, cyclotomic(4)).tree, _zeta4_signal([(2**50 + 1, 2**50)] + [(2**50, -(2**50))] * 7)))
 def test_fast_apply_matches_ght_on_random_trees(case):
     tree, x = case
     y, count = fast_apply(tree, x)
     M = tree.expand()
     assert y == ght(M, x)
     assert count == tree_cost(tree)
+    # the per-entry object path as reference, within tol on the complex
+    # backend, where BLAS may sum in another order
     ring = x.ring
-    if ring.spec.kind == "rationals":
-        assert y == Signal(ring, tuple(ring.dot(zip(row, x.elements)) for row in M.rows()))
+    assert y == Signal(ring, tuple(ring.dot(zip(row, x.elements)) for row in M.rows()))
 
 
 @settings(max_examples=300)
