@@ -306,21 +306,22 @@ def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
     if L < 1 or L > 10:
         raise MatrixError("exhaustive search is bounded to 1 <= L <= 10")
     ring = ring if ring is not None else ringmod.cyclotomic(4)
-    found = []
-    for tail in itertools.product(range(4), repeat=L - 1):
-        phases = (0,) + tail
-        # fast counter test: a + b*i + c*(-1) + d*(-i) = 0 iff a=c and b=d
-        ok = True
-        for tau in range(1, L):
-            counts = _shift_counts(phases, tau)
-            if counts[0] != counts[2] or counts[1] != counts[3]:
-                ok = False
-                break
-        if ok:
-            s = QuadriphaseSequence(phases)
-            if is_perfect(s, ring):
-                found.append(s)
-    return found
+    # the candidates in itertools.product order, one row each: candidate n
+    # holds the base-4 digits of n, most significant first, after s_0 = 0;
+    # built a column at a time, which keeps the int32 temporaries one
+    # column wide
+    n = np.arange(4 ** (L - 1), dtype=np.int32)
+    phases = np.empty((len(n), L), dtype=np.int8)
+    for j in range(L):
+        phases[:, j] = (n >> 2 * (L - 1 - j)) & 3
+    # prefilter: sum_j i^(d_j) = 0 iff the phase differences d_j hold as
+    # many 0s as 2s and as many 1s as 3s, i.e. both parts of the sum vanish
+    re, im = np.array([1, 0, -1, 0], dtype=np.int8), np.array([0, 1, 0, -1], dtype=np.int8)
+    for tau in range(1, L):
+        d = (phases - np.roll(phases, -tau, axis=1)) % 4
+        phases = phases[(re[d].sum(axis=1) == 0) & (im[d].sum(axis=1) == 0)]
+    found = [QuadriphaseSequence(tuple(row)) for row in phases.tolist()]
+    return [s for s in found if is_perfect(s, ring)]
 
 
 def enumerate_jackets_2x2(ring: RingContext, group_order: int):

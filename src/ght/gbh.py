@@ -6,12 +6,15 @@ invertible M M* = v I gives M* = v M^-1 and hence M* M = v I: verification
 checks M M* = v I and the characteristic, exactly on exact backends and
 within tol on the complex one.
 
-Each distinct unit of M has its powers walked once. The walk gives the
-unit's order, for the entry-group order w, and on exact backends the power
-before 1, which is the unit's inverse; M* is those inverses on the
-transposed index array. M M* then takes the numeric lane of ght.matrix: one
-BLAS product of coefficient planes, compared plane by plane with v I.
-Where the lane's bound fails, M M* is the per-entry product of mat_mul.
+The entry-group order w is the lcm of the orders of the distinct units of
+M. An exact backend takes each order from the structure of its cyclic group
+of roots of unity (RingContext._order): a table lookup on Q(zeta_w), a
+descent through the prime factors of the group order elsewhere. The complex
+backend searches the powers of all its units at once with numpy. M* is the
+field inverses of the units on the transposed index array. M M* then takes
+the numeric lane of ght.matrix: one BLAS product of coefficient planes,
+compared plane by plane with v I. Where the lane's bound fails, M M* is the
+per-entry product of mat_mul.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix import GMatrix, MatrixError, _lane_product, mat_mul, star
-from .ring import RingContext, RingElement, RingError
+from .ring import RingContext, RingError
 
 
 @dataclass
@@ -30,7 +33,8 @@ class GbhReport:
     """Outcome of verify_gbh.
 
     w is the order of the group generated by the entries, or None when some
-    entry order exceeded the search bound (infinite/unknown). method names
+    entry is no root of unity (infinite/unknown; on the complex backend,
+    when no power up to the search bound is within tol of 1). method names
     the route M M* took: "numeric-lane" or "per-entry".
     """
 
@@ -56,29 +60,41 @@ class GbhReport:
         return "\n".join(lines)
 
 
-def _power_walk(u: RingElement, bound):
-    """(order, inverse) of the unit u from its powers u, u^2, ..., u^bound:
-    the order is the first k with u^k == 1 and the inverse u^(k-1). When no
-    power up to the bound is 1 the order is None and the inverse is computed.
-    On the complex backend u^(k-1) is only within tol of the inverse, so the
-    inverse is always computed there."""
-    one = u.ring.one()
-    before, acc = one, u
-    for k in range(1, bound + 1):
-        if acc == one:
-            return k, before if u.ring.is_exact else u.inverse()
-        before, acc = acc, acc * u
-    return None, u.inverse()
+# complex values per block of powers in _complex_orders: 1 MB per temporary
+_POWER_BLOCK = 2**16
+
+
+def _complex_orders(z, bound, tol):
+    """For each complex unit of the array z, the first k <= bound with
+    |z^k - 1| <= tol, or None. The powers are the sequential products z,
+    z*z, (z*z)*z, ... that a walk takes one at a time, here for all live
+    units together in blocks of powers; a unit leaves once its order is
+    found."""
+    orders = [None] * len(z)
+    live = np.arange(len(z))
+    acc = np.ones(len(z), dtype=np.complex128)
+    k = 0
+    while live.size and k < bound:
+        step = min(bound - k, max(1, _POWER_BLOCK // live.size))
+        factors = np.broadcast_to(z[live, None], (live.size, step))
+        powers = np.cumprod(np.concatenate([acc[:, None], factors], axis=1), axis=1)[:, 1:]
+        hit = np.abs(powers - 1) <= tol
+        first = hit.argmax(axis=1)
+        found = hit[np.arange(live.size), first]
+        for i, f in zip(live[found].tolist(), first[found].tolist()):
+            orders[i] = k + f + 1
+        acc, live = powers[~found, -1], live[~found]
+        k += step
+    return orders
 
 
 def verify_gbh(M: GMatrix) -> GbhReport:
     """Check M M* = v I and char R does not divide v; M* M = v I follows.
 
     failures are the positions of M M* that differ from v I, in row-major
-    order (within tol on the complex backend). On an exact backend a walk
-    stops after unit_order_hint() powers, the order of its group of roots of
-    unity, so a unit of any other order has order None; on the complex
-    backend it stops after 2 * v * unit_order_hint().
+    order (within tol on the complex backend). On an exact backend a unit
+    that is no root of unity has order None; on the complex backend, a unit
+    none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
     """
     v = M.order
     if v < 2:
@@ -86,9 +102,12 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     ring = M.ring
     ch = ring.characteristic()
     char_check = ch == 0 or v % ch != 0
-    bound = ring.unit_order_hint() * (1 if ring.is_exact else 2 * v)
-    orders, inverses = zip(*(_power_walk(u, bound) for u in M.units))
-    M_star = GMatrix._table(ring, inverses, M.idx.T)
+    if ring.is_exact:
+        orders = [ring._order(u.payload) for u in M.units]
+    else:
+        z = np.array([u.payload for u in M.units], dtype=np.complex128)
+        orders = _complex_orders(z, 2 * v * ring.unit_order_hint(), ring.spec.tol)
+    M_star = star(M)
     lane = _lane_product(M, M_star)
     if lane is None:
         P = mat_mul(M, M_star)

@@ -313,10 +313,12 @@ _BLOCK_VALUES = 2**16
 
 
 @lru_cache(maxsize=64)
-def _scatter(ma, mx, d):
+def _scatter(ma, mx):
     """Row (i, j) holds a 1 in column ma[i] + mx[j]: the product of plane
-    ma[i] of A and plane mx[j] of X adds to that unreduced plane."""
-    out = (np.add.outer(ma, mx).reshape(-1, 1) == np.arange(2 * d - 1)).astype(np.float64)
+    ma[i] of A and plane mx[j] of X adds to that unreduced plane. The
+    columns stop at max(ma) + max(mx), past which every plane is zero."""
+    sums = np.add.outer(ma, mx).reshape(-1, 1)
+    out = (sums == np.arange(sums.max() + 1)).astype(np.float64)
     out.flags.writeable = False
     return out
 
@@ -364,7 +366,7 @@ def _lane_apply(A: GMatrix, batch, mx, big_x):
             planes = prod.reshape(-1, 1)
         else:
             prod = prod.reshape(len(ma), len(idx), n, len(mx)).transpose(1, 2, 0, 3)
-            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx), d)
+            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx))
         planes = ring._lane_reduce(planes, top)
         if planes is None:
             return None

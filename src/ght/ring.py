@@ -12,12 +12,13 @@ integer coefficient planes for the numeric lane of ght.matrix.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,14 +122,7 @@ class RingElement:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        acc = self.ring.one()
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return RingElement(self.ring, self.ring._pow(base.payload, abs(n)))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -231,18 +225,63 @@ def is_prime(n):
     )
 
 
-def _prime_factors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+_TRIAL_LIMIT = 2**10
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    cycle detection, gcds batched 128 steps at a time, retried with the next
+    constant c when a batch jumps past the factor to n itself."""
+    for c in itertools.count(1):
+        f = lambda x: (x * x + c) % n
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = f(y)
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = f(y)
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # step the last batch again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = f(ys)
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=256)
+def _prime_factors(*parts):
+    """The distinct primes of the product of parts, ascending: trial division
+    below _TRIAL_LIMIT, then Pollard-Brent rho on each cofactor until
+    is_prime decides every piece. Each part must lie below _PRIME_LIMIT."""
+    primes, pieces = set(), []
+    for n in parts:
+        for f in range(2, _TRIAL_LIMIT):
+            if f * f > n:
+                break
+            if n % f == 0:
+                primes.add(f)
+                while n % f == 0:
+                    n //= f
+        if n > 1:
+            pieces.append(n)
+    while pieces:
+        n = pieces.pop()
+        if is_prime(n):
+            primes.add(n)
+        else:
+            d = _rho_factor(n)
+            pieces += [d, n // d]
+    return tuple(sorted(primes))
 
 
 class RingContext:
@@ -283,11 +322,30 @@ class RingContext:
         raise NotImplementedError
 
     def unit_order_hint(self) -> int:
-        """Order of the cyclic group of roots of unity of an exact backend:
+        """Order h of the cyclic group of roots of unity of an exact backend:
         2 for Q, lcm(2, w) for Q(zeta_w), p - 1 for GF(p), p^2 - 1 for
-        GF(p^2); an exact unit of finite order has an order dividing it. On
-        the complex backend, 2 is only a scale for bounding order searches."""
+        GF(p^2). By Lagrange an exact unit of finite order has an order
+        dividing h, which _order and root_of_unity descend from. On the
+        complex backend, 2 is only a scale for bounding order searches."""
         return 2
+
+    def _hint_primes(self):
+        """The distinct primes of unit_order_hint()."""
+        return _prime_factors(self.unit_order_hint())
+
+    def _order(self, a):
+        """Multiplicative order of the unit payload a on an exact backend, or
+        None when a is no root of unity: a^h = 1 for h = unit_order_hint()
+        exactly when a has finite order, and then h is divided by each prime
+        q of h for as long as a^(h/q) is still 1."""
+        one = self._from_int(1)
+        h = self.unit_order_hint()
+        if not self._eq(self._pow(a, h), one):
+            return None
+        for q in self._hint_primes():
+            while h % q == 0 and self._eq(self._pow(a, h // q), one):
+                h //= q
+        return h
 
     def dot(self, pairs):
         """Sum of a*b over (a, b) pairs; subclasses may batch the reduction."""
@@ -307,10 +365,11 @@ class RingContext:
 
     def _lane_reduce(self, planes, top):
         """The (k, d) reduced coefficients of k values of a product, given
-        as their (k, 2d-1) unreduced coefficients, a float array of integers
-        smaller than top in size; None when reducing would leave the range
-        where float64 is exact. Backends with nothing to reduce return
-        planes as they are."""
+        as their (k, n) unreduced coefficients of x^0..x^(n-1), n <= 2d - 1,
+        the higher ones being zero: a float array of integers smaller than
+        top in size. None when reducing would leave the range where float64
+        is exact. Backends with nothing to reduce return planes as they
+        are."""
         return planes
 
     def _lane_payload(self, coeffs, den):
@@ -329,6 +388,16 @@ class RingContext:
 
     def _inv(self, a):
         raise NotImplementedError
+
+    def _pow(self, a, n):
+        """a^n for n >= 0, by squaring and multiplying payloads."""
+        acc = self._from_int(1)
+        while n:
+            if n & 1:
+                acc = self._mul(acc, a)
+            a = self._mul(a, a)
+            n >>= 1
+        return acc
 
     def _eq(self, a, b):
         return a == b
@@ -394,7 +463,7 @@ class RationalsContext(RingContext):
         return Fraction(n)
 
     def root_of_unity(self, w):
-        return _first_of_order(self, w, (Fraction(1), Fraction(-1)))
+        return _root_by_descent(self, w, (Fraction(1), Fraction(-1)))
 
     def _lane_planes(self, units):
         fracs = [u.payload for u in units]
@@ -477,17 +546,15 @@ class CyclotomicContext(RingContext):
         (ca, da) = a
         return (tuple(-c for c in ca), da)
 
-    @cached_property
+    @property
     def _root_inverses(self):
-        """{g^k: g^(h-k)} over the h = unit_order_hint() roots of unity, for a
-        generator g of their cyclic group: x for even w, -x for odd w, each
-        power one shift and one fold of the last."""
-        x = self.root_of_unity(self.w).payload
-        g = x if self.w % 2 == 0 else self._neg(x)
-        powers = [self._from_int(1)]
-        for _ in range(self.unit_order_hint() - 1):
-            powers.append(self._mul(g, powers[-1]))
-        return {u: powers[-k] for k, u in enumerate(powers)}
+        """{root: its inverse} over the roots of unity (see _root_table)."""
+        return _root_table(self.w)[0]
+
+    def _order(self, a):
+        """A root of unity's order is a table lookup; any other unit has
+        order None."""
+        return _root_table(self.w)[1].get(a)
 
     def _inv(self, a):
         """A root of unity inverts by table lookup, any other unit by
@@ -570,15 +637,6 @@ class CyclotomicContext(RingContext):
                 acc[i] += c
         return self.element(self._normalize(self._reduce(acc), den_acc))
 
-    @cached_property
-    def _fold(self):
-        """(fold, growth): row m of fold holds the coefficients of x^m mod
-        Phi_w, for m < 2 deg - 1, and folding multiplies a bound on the
-        coefficients by at most growth, its largest column sum in size."""
-        rows = [self._reduce([0] * m + [1]) for m in range(2 * self.deg - 1)]
-        fold = np.array(rows, dtype=np.float64)
-        return fold, np.abs(fold).sum(axis=0).max()
-
     def _lane_planes(self, units):
         payloads = [u.payload for u in units]
         den = math.lcm(*(d for _, d in payloads))
@@ -586,10 +644,11 @@ class CyclotomicContext(RingContext):
         return [list(plane) for plane in zip(*cols)], den
 
     def _lane_reduce(self, planes, top):
-        fold, growth = self._fold
-        if top * growth >= 2**53:
+        fold, growth = _fold_table(self.w)
+        n = planes.shape[1]
+        if top * growth[n - 1] >= 2**53:
             return None
-        return planes @ fold
+        return planes @ fold[:n]
 
     def _lane_payload(self, coeffs, den):
         return self._normalize(list(coeffs), den)
@@ -632,22 +691,58 @@ class CyclotomicContext(RingContext):
         return f"Q(zeta_{self.w})"
 
 
+# Q(zeta_w) tables are keyed by w, not by ring object, as every loaded file
+# builds its own ring; a few tables of large w are already megabytes
+@lru_cache(maxsize=32)
+def _fold_table(w):
+    """(fold, growth): row m of fold holds the coefficients of x^m mod Phi_w,
+    for m < 2 deg - 1, and folding rows 0..n-1 multiplies a bound on the
+    coefficients by at most growth[n - 1], their largest column sum in size."""
+    ring = CyclotomicContext(w)
+    rows = [ring._reduce([0] * m + [1]) for m in range(2 * ring.deg - 1)]
+    fold = np.array(rows, dtype=np.float64)
+    fold.flags.writeable = False
+    return fold, np.abs(fold).cumsum(axis=0).max(axis=1)
+
+
+@lru_cache(maxsize=32)
+def _root_table(w):
+    """(inverses, orders): {g^k: g^(h-k)} and {g^k: h / gcd(h, k)} over the
+    h = unit_order_hint() roots of unity of Q(zeta_w), for a generator g of
+    their cyclic group: x for even w, -x for odd w, each power one shift and
+    one fold of the last."""
+    ring = CyclotomicContext(w)
+    h = ring.unit_order_hint()
+    x = ring.root_of_unity(w).payload
+    g = x if w % 2 == 0 else ring._neg(x)
+    powers = [ring._from_int(1)]
+    for _ in range(h - 1):
+        powers.append(ring._mul(g, powers[-1]))
+    inverses = {u: powers[-k] for k, u in enumerate(powers)}
+    orders = {u: h // math.gcd(h, k) for k, u in enumerate(powers)}
+    return inverses, orders
+
+
 def _order_exact(el: RingElement, w, one) -> bool:
+    """el has multiplicative order exactly w: el^w = 1, and el^(w/q) != 1
+    for each prime q of w."""
     if el ** w != one:
         return False
     return all(el ** (w // q) != one for q in _prime_factors(w))
 
 
-def _first_of_order(ring, w, payloads):
-    """The first candidate payload whose element has order exactly w, in a
-    ring whose roots of unity form a cyclic group of order unit_order_hint()
-    (the units of a finite field, or +-1 in Q)."""
-    if w >= 1 and ring.unit_order_hint() % w == 0:
-        one = ring.one()
+def _root_by_descent(ring, w, payloads):
+    """The first c = a^(h/w) over the candidate payloads a with order exactly
+    w, in a ring whose roots of unity form a cyclic group of order
+    h = unit_order_hint() (the units of a finite field, or +-1 in Q). A
+    generator a gives one, so candidates that run through the group end the
+    search; a fraction phi(w)/w of them succeeds."""
+    h = ring.unit_order_hint()
+    if w >= 1 and h % w == 0:
         for a in payloads:
-            el = ring.element(a)
-            if _order_exact(el, w, one):
-                return el
+            c = ring._pow(a, h // w)
+            if ring._order(c) == w:
+                return ring.element(c)
     raise RingError(f"{ring!r} has no element of order {w}")
 
 
@@ -677,8 +772,11 @@ class PrimeFieldContext(RingContext):
     def _from_int(self, n):
         return n % self.p
 
+    def _pow(self, a, n):
+        return pow(a, n, self.p)
+
     def root_of_unity(self, w):
-        return _first_of_order(self, w, range(1, self.p))
+        return _root_by_descent(self, w, range(1, self.p))
 
     def unit_order_hint(self):
         return self.p - 1
@@ -746,20 +844,32 @@ class QuadraticFieldContext(RingContext):
         return ((-a[0]) % self.p, (-a[1]) % self.p)
 
     def _inv(self, a):
+        """The conjugate (a0 - c1*a1) - a1*y over the norm
+        a0^2 - c1*a0*a1 + c0*a1^2, an element of GF(p)."""
         if a == (0, 0):
             raise RingError("inverse of zero")
-        el = self.element(a)
-        return (el ** (self.p * self.p - 2)).payload
+        p, c0, c1 = self.p, self.c0, self.c1
+        a0, a1 = a
+        n = pow((a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1) % p, -1, p)
+        return ((a0 - c1 * a1) * n % p, -a1 * n % p)
 
     def _from_int(self, n):
         return (n % self.p, 0)
 
     def root_of_unity(self, w):
+        # candidates a + b*y for b = 1, 2, ..., and a = 0..p-1, then GF(p):
+        # every element of GF(p) has an order dividing p - 1, so starting
+        # there would cost p - 1 failed candidates when w does not divide it
         p = self.p
-        return _first_of_order(self, w, ((i % p, i // p) for i in range(1, p * p)))
+        indices = itertools.chain(range(p, p * p), range(1, p))
+        return _root_by_descent(self, w, ((i % p, i // p) for i in indices))
 
     def unit_order_hint(self):
         return self.p * self.p - 1
+
+    def _hint_primes(self):
+        # p^2 - 1 may pass _PRIME_LIMIT; its factors p - 1 and p + 1 do not
+        return _prime_factors(self.p - 1, self.p + 1)
 
     _lane_dim = 2
 
@@ -771,7 +881,7 @@ class QuadraticFieldContext(RingContext):
         if self.p * self.p >= 2**53:
             return None
         fold = np.array([[1, 0], [0, 1], [-self.c0, -self.c1]], dtype=planes.dtype)
-        return (planes % self.p) @ fold % self.p
+        return (planes % self.p) @ fold[: planes.shape[1]] % self.p
 
     def _lane_payload(self, coeffs, den):
         return (coeffs[0] % self.p, coeffs[1] % self.p)

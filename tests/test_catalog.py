@@ -1,6 +1,8 @@
 """Catalog constructors, the tensor family classification, and the
 quadriphase perfect-sequence machinery."""
 
+import itertools
+
 import pytest
 
 from ght import (
@@ -30,7 +32,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght.catalog import from_token
+from ght.catalog import _shift_counts, from_token
 from ght.matrix import MatrixError
 from ght.ring import RingError
 
@@ -235,6 +237,23 @@ def test_search_length8():
     assert len(found) < 16384 // 100  # rare
     for s in found[:4]:
         assert verify_gbh(back_circulant(s)).is_gbh
+
+
+def _search_by_loop(L):
+    """Reference: the candidate loop the search once ran, counter test first."""
+    found = []
+    for tail in itertools.product(range(4), repeat=L - 1):
+        phases = (0,) + tail
+        if all(c[0] == c[2] and c[1] == c[3] for c in (_shift_counts(phases, t) for t in range(1, L))):
+            s = QuadriphaseSequence(phases)
+            if is_perfect(s):
+                found.append(s)
+    return found
+
+
+@pytest.mark.parametrize("L", range(1, 10))
+def test_search_matches_the_candidate_loop(L):
+    assert search_perfect_quadriphase(L) == _search_by_loop(L)
 
 
 def test_search_length_cap():

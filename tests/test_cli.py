@@ -365,3 +365,14 @@ def test_order_limit_exits_two(tmp_path, capsys):
     assert (tmp_path / "m.json").stat().st_size < 4096
     assert "above the limit 4096" in capsys.readouterr().err
 
+
+
+def test_gen_and_verify_over_a_large_prime_field(tmp_path, capsys):
+    # -1 is payload p - 1, which a scan for the first element of order 2
+    # reached only after p - 2 candidates
+    out = str(tmp_path / "m.json")
+    start = time.perf_counter()
+    assert main(["gen", "dft:2", "--ring", "gf:100000007", "-o", out]) == 0
+    assert main(["verify", out]) == 0
+    assert time.perf_counter() - start < 1
+    assert "entry-group-order: 2" in capsys.readouterr().out

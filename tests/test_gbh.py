@@ -1,6 +1,14 @@
 """GBH verification, row sums, DFT and B3 constructors."""
 
+import cmath
+import itertools
+import math
+import time
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ght import (
     GMatrix,
@@ -23,9 +31,10 @@ from ght import (
     walsh,
     k2,
     k4,
+    mat_mul,
 )
 from ght import gbh
-from ght.ring import RingError
+from ght.ring import RingError, is_prime
 
 
 def test_walsh_s3():
@@ -204,17 +213,177 @@ def test_bound_failing_matrix_takes_the_per_entry_route():
     assert rep.to_text().splitlines()[-1] == "method: per-entry"
 
 
-@pytest.mark.parametrize(
-    "build, bound",
-    [(_family, 6), (lambda: dft_matrix(32, prime_field(97)), 96), (lambda: dft_matrix(8, complex_ring()), 32)],
-    ids=["family-11132", "dft32-gf97", "dft8-complex"],
-)
-def test_order_walk_bound(monkeypatch, build, bound):
-    # exact backends walk at most unit_order_hint() powers, the order of their
-    # group of roots of unity; only the complex one walks 2 * v * hint
-    M, bounds = build(), set()
-    walk = gbh._power_walk
-    monkeypatch.setattr(gbh, "_power_walk", lambda u, b: bounds.add(b) or walk(u, b))
+def _walk(u, bound):
+    """Reference (order, inverse) of the unit u from its powers u, u^2, ...,
+    u^bound, one multiplication at a time: the order is the first k with
+    u^k == 1 and the inverse u^(k-1). Past the bound the order is None and
+    the inverse computed, as always on the complex backend, where u^(k-1) is
+    only within tol of the inverse."""
+    one = u.ring.one()
+    before, acc = one, u
+    for k in range(1, bound + 1):
+        if acc == one:
+            return k, before if u.ring.is_exact else u.inverse()
+        before, acc = acc, acc * u
+    return None, u.inverse()
+
+
+def _walk_bound(M):
+    """The walk's bound: unit_order_hint() powers on an exact backend, the
+    order of its group of roots of unity; 2 * v * hint on C."""
+    hint = M.ring.unit_order_hint()
+    return hint if M.ring.is_exact else 2 * M.order * hint
+
+
+def _orders(M):
+    ring = M.ring
+    if ring.is_exact:
+        return [ring._order(u.payload) for u in M.units]
+    z = np.array([u.payload for u in M.units])
+    return gbh._complex_orders(z, _walk_bound(M), ring.spec.tol)
+
+
+# the 16 sources of the verify-mix benchmark workload
+VERIFY_MIX = {
+    **{f"walsh{t}": (lambda t=t: walsh(t)) for t in range(6, 10)},
+    **{f"cbt{t}": (lambda t=t: cbt(t, cyclotomic(4))) for t in range(3, 7)},
+    **{f"dft{v}": (lambda v=v: dft_matrix(v, cyclotomic(v))) for v in (8, 12, 16, 24)},
+    "dft32-gf97": lambda: dft_matrix(32, prime_field(97)),
+    "k3k3-gf25": lambda: tensor(k3(quadratic_field(5)), k3(quadratic_field(5))),
+    "dft16-complex": lambda: dft_matrix(16, complex_ring()),
+    "family-11132": _family,
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_MIX)
+def test_orders_and_inverses_match_the_walk(name):
+    M = VERIFY_MIX[name]()
+    walked = [_walk(u, _walk_bound(M)) for u in M.units]
+    assert _orders(M) == [order for order, _ in walked]
+    assert [u.inverse() for u in M.units] == [inverse for _, inverse in walked]
+
+
+def _reference_report(M):
+    """(is_gbh, v, w, char_check, failures) from the walk's orders and
+    inverses and an entrywise comparison of M M* with v I."""
+    ring, v = M.ring, M.order
+    walked = [_walk(u, _walk_bound(M)) for u in M.units]
+    orders = [order for order, _ in walked]
+    P = mat_mul(M, GMatrix._table(ring, [inverse for _, inverse in walked], M.idx.T))
+    is_v = np.array([u == ring.from_int(v) for u in P.units])
+    is_zero = np.array([u == ring.zero() for u in P.units])
+    bad = ~is_zero[P.idx]
+    np.fill_diagonal(bad, ~is_v[np.diag(P.idx)])
+    failures = [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
+    ch = ring.characteristic()
+    char_check = ch == 0 or v % ch != 0
+    w = None if None in orders else math.lcm(*orders)
+    return (not failures and char_check, v, w, char_check, failures)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["plain", "planted"])
+@pytest.mark.parametrize("name", VERIFY_MIX)
+def test_report_matches_the_walk_reference(name, planted):
+    M = VERIFY_MIX[name]()
+    if planted:
+        # -1 lies in every source's entry group, so w stays and GBH breaks
+        rows = M.rows()
+        i, j = M.order // 3, M.order // 2
+        rows[i][j] = -rows[i][j]
+        M = GMatrix.from_rows(M.ring, rows)
     rep = verify_gbh(M)
-    assert bounds == {bound}
-    assert rep.w == (None if build is _family else M.order)
+    got = (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures)
+    assert got == _reference_report(M)
+    assert rep.is_gbh != planted and rep.method == "numeric-lane"
+
+
+def test_complex_orders_stop_at_the_bound():
+    # dft8-complex searches 2 * 8 * 2 = 32 powers: order 32 is found, 33 is not
+    z = np.array([cmath.exp(-2j * cmath.pi / 32), cmath.exp(-2j * cmath.pi / 33), 1, -1])
+    assert gbh._complex_orders(z, 32, 1e-9) == [32, None, 1, 2]
+    rep = verify_gbh(dft_matrix(8, complex_ring()))
+    assert rep.w == 8
+
+
+def test_complex_orders_in_blocks_match_the_walk():
+    # 512 units take blocks of 128 powers, so most orders lie past the first
+    M = dft_matrix(512, complex_ring())
+    assert _orders(M) == [_walk(u, _walk_bound(M))[0] for u in M.units]
+
+
+SMALL_PRIMES = [p for p in range(2, 200) if is_prime(p)]
+
+
+def _quadratic(p):
+    """GF(p^2) on the first irreducible y^2 + c1*y + c0 in (c1, c0) order."""
+    for c1, c0 in itertools.product(range(p), repeat=2):
+        try:
+            return quadratic_field(p, (c0, c1, 1))
+        except RingError:
+            pass
+
+
+@st.composite
+def drawn_units(draw):
+    """A unit of GF(p) or GF(p^2) with p < 200, or of Q(zeta_w) with
+    w <= 40: there a root of unity +-x^k, or a sum of small multiples of
+    powers of x, which is rarely one."""
+    kind = draw(st.sampled_from(("prime", "quadratic", "cyclotomic")))
+    if kind == "cyclotomic":
+        ring = cyclotomic(draw(st.integers(1, 40)))
+        x = ring.root_of_unity(ring.w)
+        if draw(st.booleans()):
+            return draw(st.sampled_from((1, -1))) * x ** draw(st.integers(0, ring.w - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        u = sum((c * x**k for k, c in enumerate(coeffs)), ring.zero())
+        assume(not u.is_zero())
+        return u
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    if kind == "prime":
+        return prime_field(p).from_int(draw(st.integers(1, p - 1)))
+    ring = _quadratic(p)
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((a, b) != (0, 0))
+    return ring.element((a, b))
+
+
+@settings(max_examples=150)
+@given(drawn_units())
+def test_orders_and_inverses_match_the_walk_on_drawn_units(u):
+    order, inverse = _walk(u, u.ring.unit_order_hint())
+    assert u.ring._order(u.payload) == order
+    assert u.inverse() == inverse
+
+
+def _primitive_root(p, primes):
+    """The least g whose order mod p is p - 1, given the primes of p - 1."""
+    return next(
+        g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, primes",
+    [
+        (1000003, (2, 3, 166667)),
+        (2**61 - 1, (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)),
+    ],
+)
+def test_large_prime_2x2_verifies_quickly(p, primes):
+    # the walk took p - 1 multiplications: 3.2 s at p = 1000003
+    n = p - 1
+    for q in primes:
+        assert n % q == 0
+        while n % q == 0:
+            n //= q
+    assert n == 1  # primes are all the primes of p - 1
+    f = prime_field(p)
+    g = f.from_int(_primitive_root(p, primes))
+    M = GMatrix.from_rows(f, [[f.one(), g], [f.one(), -g]])
+    start = time.perf_counter()
+    rep = verify_gbh(M)
+    assert time.perf_counter() - start < 1
+    assert rep.is_gbh and rep.w == p - 1
+    # w is the exact order of g, checked by pow alone
+    assert pow(g.payload, rep.w, p) == 1
+    assert all(pow(g.payload, rep.w // q, p) != 1 for q in primes)

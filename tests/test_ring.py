@@ -5,10 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ght import ring as ring_module
 from ght.ring import (
+    RingElement,
     RingError,
     _order_exact,
     complex_ring,
@@ -187,6 +189,77 @@ def test_cyclotomic_root_inverses_by_table(monkeypatch):
     for u in (ring.from_int(2), x + 1):
         assert u * u.inverse() == ring.one()
     assert euclid == [ring.from_int(2).payload, (x + 1).payload]
+
+
+def test_cyclotomic_tables_are_shared_by_w():
+    a, b = cyclotomic(24), cyclotomic(24)
+    assert a is not b
+    assert a._root_inverses is b._root_inverses
+    assert ring_module._fold_table(24) is ring_module._fold_table(24)
+    assert ring_module._root_table(24) is ring_module._root_table(24)
+
+
+def _trial_primes(n):
+    """Reference: the distinct primes of n by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] * (n > 1)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**7 - 1))
+# pieces past trial division: a product of two primes above 2^10, a square
+@example(1031 * 1033)
+@example(1031**2 * 2)
+@example(1031 * 1033 * 9)
+def test_prime_factors_match_trial_division(n):
+    assert ring_module._prime_factors(n) == tuple(_trial_primes(n))
+
+
+def test_prime_factors_of_large_products():
+    # rho splits semiprimes of two 20-bit and of two 31-bit primes, and a
+    # cube times a prime
+    for a, b in ((1048573, 1048583), (2147483629, 2**31 - 1)):
+        assert is_prime(a) and is_prime(b)
+        assert ring_module._prime_factors(a * b) == (a, b)
+    assert ring_module._prime_factors(1048573**3 * 1048583) == (1048573, 1048583)
+    # p^2 - 1 is factored through p - 1 and p + 1
+    p = 1000003
+    assert ring_module._prime_factors(p - 1, p + 1) == tuple(_trial_primes(p * p - 1))
+
+
+@pytest.mark.parametrize("p, ext", [(5, (1, 1, 1)), (7, (1, 0, 1)), (13, (2, 1, 1))])
+def test_quadratic_inverse_is_the_conjugate_over_the_norm(monkeypatch, p, ext):
+    f = quadratic_field(p, ext)
+    els = [f.element((a, b)) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    inverses = [el.inverse() for el in els]
+    assert all(el * inv == f.one() for el, inv in zip(els, inverses))
+    monkeypatch.setattr(RingElement, "__pow__", lambda *a: pytest.fail("power taken"))
+    assert [el.inverse() for el in els] == inverses
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [prime_field(1000003), prime_field(100000007), prime_field(2**61 - 1), quadratic_field(1000003, (1, 0, 1))],
+    ids=repr,
+)
+def test_roots_of_unity_of_large_fields(ring):
+    # the old scan for the first payload of order w passed about p payloads
+    start = time.perf_counter()
+    h = ring.unit_order_hint()
+    for w in (1, 2, h // 2, h):
+        assert _order_exact(ring.root_of_unity(w), w, ring.one())
+    for w in (4, 8, 3):
+        if h % w == 0:
+            assert _order_exact(ring.root_of_unity(w), w, ring.one())
+    with pytest.raises(RingError):
+        ring.root_of_unity(h + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_int_inverse():

@@ -246,6 +246,19 @@ def test_lane_transforms_make_no_ring_additions(monkeypatch, mk):
     assert added == [] and dots == []
 
 
+def test_big_zeta4_signal_stays_on_the_lane(monkeypatch):
+    # +-1 units never fill the plane of x^2, so the fold modulo Phi_4 only
+    # keeps planes 0 and 1: a signal near 2^51 stays exact in float64
+    ring = cyclotomic(4)
+    M = walsh(3, ring)
+    x = _zeta4_signal([(2**51 + 1, 2**51 - 3)] + [(k, -k) for k in range(7)])
+    want = Signal(ring, tuple(ring.dot(zip(row, x.elements)) for row in M.rows()))
+    dots = []
+    monkeypatch.setattr(type(ring), "dot", lambda *args: dots.append(1))
+    y, _ = fast_apply(M.tree, x)
+    assert y == want and dots == []
+
+
 def test_fraction_signal_makes_no_ring_additions(monkeypatch):
     added = _count_adds(monkeypatch, RationalsContext)
     q = rationals()
