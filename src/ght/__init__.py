@@ -18,6 +18,7 @@ from .ring import (
     rationals,
 )
 from .matrix import (
+    DftNode,
     GMatrix,
     Leaf,
     MatrixError,

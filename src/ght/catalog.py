@@ -280,12 +280,17 @@ def _shift_counts(phases, tau):
 
 
 def is_perfect(s: QuadriphaseSequence, ring: RingContext | None = None) -> bool:
-    """All nonzero cyclic shifts have vanishing autocorrelation."""
-    ring = ring if ring is not None else ringmod.cyclotomic(4)
+    """All nonzero cyclic shifts have vanishing autocorrelation.
+
+    Over Q(zeta_4) a shift's sum is (c0 - c2) + (c1 - c3) i for the counts c
+    of its phase differences, so it vanishes iff c0 == c2 and c1 == c3;
+    other rings sum the elements."""
+    shifts = range(1, s.length)
+    if ring is None or (ring.spec.kind, ring.spec.w) == ("cyclotomic-rationals", 4):
+        counts = (_shift_counts(s.phases, tau) for tau in shifts)
+        return all(c[0] == c[2] and c[1] == c[3] for c in counts)
     zero = ring.zero()
-    return all(
-        autocorrelation(s, tau, ring) == zero for tau in range(1, s.length)
-    )
+    return all(autocorrelation(s, tau, ring) == zero for tau in shifts)
 
 
 def back_circulant(s: QuadriphaseSequence, ring: RingContext | None = None) -> GMatrix:

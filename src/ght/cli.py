@@ -145,7 +145,9 @@ def build_parser():
     g.add_argument("--ring", help="override the token's natural ring")
     g.set_defaults(func=_cmd_gen)
 
-    g = sub.add_parser("verify", help="GBH product check on a matrix file")
+    g = sub.add_parser(
+        "verify", help="GBH check on a matrix file: its factor tree's leaves, or M M*"
+    )
     g.add_argument("matrix")
     g.set_defaults(func=_cmd_verify)
 

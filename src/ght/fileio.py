@@ -8,12 +8,14 @@ as [re, im] float pairs. Exact backends round-trip bit-exactly.
 A matrix file takes one of two forms:
 - tree-only, {"ring", "order", "tree"}: save_matrix writes this for a matrix
   that carries a factor tree. Entries appear only in the leaves, so walsh(12)
-  takes about 2 KB. The loader expands the tree, so nothing can contradict it.
+  takes about 2 KB, and a DFT is the generator {"kind": "dft", "order": v},
+  which stands for gbh.dft_matrix(v, ring). The loader expands the tree, so
+  nothing can contradict it.
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries.
-The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
-before it decodes an entry or builds a tree.
+The declared order, and that of each generator, may not exceed ORDER_LIMIT
+(4096); the loader checks it before it decodes an entry or builds a tree.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import json
 
 import numpy as np
 
-from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode, equal
-from .matrix import ORDER_LIMIT, _unit_table
+from .gbh import dft_matrix
+from .matrix import DftNode, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
+from .matrix import ORDER_LIMIT, _unit_table, equal
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -57,6 +60,8 @@ def ring_spec_from_json(data: dict) -> RingSpec:
 def _tree_to_json(tree):
     if tree is None:
         return None
+    if isinstance(tree, DftNode):
+        return {"kind": "dft", "order": tree.order}
     if isinstance(tree, Leaf):
         return {"kind": "leaf", "matrix": matrix_to_json(tree.matrix, with_tree=False)}
     if isinstance(tree, TensorNode):
@@ -116,6 +121,11 @@ def _tree_from_json(data, ring):
             _permutation(data, "row"),
             _permutation(data, "col"),
         )
+    if kind == "dft":
+        v = _field(data, "order")
+        if type(v) is not int or v > ORDER_LIMIT:
+            raise MatrixError(f"malformed file: dft order {v!r} is not an int up to {ORDER_LIMIT}")
+        return dft_matrix(v, ring).tree
     raise MatrixError(f"unknown tree node kind {kind!r}")
 
 
@@ -140,9 +150,8 @@ def matrix_from_json(data: dict) -> GMatrix:
 
     A tree-only file (a tree and no "entries") is the expansion of its tree,
     whose order must be the declared one. Otherwise the factor tree, if any,
-    must expand to exactly the entries. Each distinct entry encoding is
-    decoded once, keyed by its repr so that 1, 1.0, true and "1" stay apart,
-    and the decoded elements make the units."""
+    must expand to exactly the entries, and the decoded elements of the
+    entries (see _decoded) make the units."""
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
     if isinstance(v, (int, float)) and v > ORDER_LIMIT:
@@ -158,13 +167,8 @@ def matrix_from_json(data: dict) -> GMatrix:
     entries = _field(data, "entries")
     if not isinstance(entries, list) or len(entries) != v:
         raise MatrixError("entry grid does not match the declared order")
-    first = {}  # repr of an encoding -> (its code, the encoding)
-    codes = [
-        first.setdefault(repr(e), (len(first), e))[0]
-        for row in entries
-        for e in _listed(row, "an entry row", v)
-    ]
-    units, unit_codes = _unit_table([ring.decode(e) for _, e in first.values()])
+    decoded, codes = _decoded(ring, (e for row in entries for e in _listed(row, "an entry row", v)))
+    units, unit_codes = _unit_table(decoded)
     n = len(entries)  # equals v, which JSON may give as 2.0 for 2
     idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
     tree = _tree_from_json(data.get("tree"), ring)
@@ -175,9 +179,22 @@ def matrix_from_json(data: dict) -> GMatrix:
     return M
 
 
+def _decoded(ring, encodings):
+    """(elements, codes): each distinct encoding decoded once, keyed by its
+    repr so that 1, 1.0, true and "1" stay apart, and per encoding the
+    position of its element."""
+    first = {}  # repr of an encoding -> (its code, the encoding)
+    codes = [first.setdefault(repr(e), (len(first), e))[0] for e in encodings]
+    return [ring.decode(e) for _, e in first.values()], codes
+
+
 def save_matrix(M: GMatrix, path):
-    """Write M tree-only when it carries a factor tree, else with entries."""
-    data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=_tree_to_json(M.tree))
+    """Write M tree-only when it carries a trusted factor tree, else with
+    entries (and an unchecked tree, which the loader then checks)."""
+    if M.tree is not None and M.tree_trusted:
+        data = dict(_header(M), tree=_tree_to_json(M.tree))
+    else:
+        data = matrix_to_json(M)
     with open(path, "w") as fh:
         json.dump(data, fh)
         fh.write("\n")
@@ -210,7 +227,8 @@ def signal_to_json(x: Signal) -> dict:
 def signal_from_json(data: dict) -> Signal:
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     elems = _listed(_field(data, "elements"), "the element list", _field(data, "length"))
-    return Signal(ring, tuple(ring.decode(e) for e in elems))
+    decoded, codes = _decoded(ring, elems)
+    return Signal(ring, tuple(decoded[k] for k in codes))
 
 
 def save_signal(x: Signal, path):

@@ -10,11 +10,14 @@ The entry-group order w is the lcm of the orders of the distinct units of
 M. An exact backend takes each order from the structure of its cyclic group
 of roots of unity (RingContext._order): a table lookup on Q(zeta_w), a
 descent through the prime factors of the group order elsewhere. The complex
-backend searches the powers of all its units at once with numpy. M* is the
-field inverses of the units on the transposed index array. M M* then takes
-the numeric lane of ght.matrix: one BLAS product of coefficient planes,
-compared plane by plane with v I. Where the lane's bound fails, M M* is the
-per-entry product of mat_mul.
+backend searches the powers of all its units at once with numpy.
+
+On an exact backend a trusted factor tree of two or more leaves decides
+M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
+Otherwise M* is the field inverses of the units on the transposed index
+array, and M M* takes the numeric lane of ght.matrix: one BLAS product of
+coefficient planes, compared plane by plane with v I. Where the lane's bound
+fails, M M* is the per-entry product of mat_mul.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import GMatrix, MatrixError, _lane_product, mat_mul, star
-from .ring import RingContext, RingError
+from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
+from .matrix import _lane_product, mat_mul, star
+from .ring import RingContext, RingError, _prime_factors
 
 
 @dataclass
@@ -35,7 +39,8 @@ class GbhReport:
     w is the order of the group generated by the entries, or None when some
     entry is no root of unity (infinite/unknown; on the complex backend,
     when no power up to the search bound is within tol of 1). method names
-    the route M M* took: "numeric-lane" or "per-entry".
+    the route that decided M M* = v I: "tree" (the leaves of a trusted
+    factor tree), or the product M M* on the "numeric-lane" or "per-entry".
     """
 
     is_gbh: bool
@@ -88,25 +93,11 @@ def _complex_orders(z, bound, tol):
     return orders
 
 
-def verify_gbh(M: GMatrix) -> GbhReport:
-    """Check M M* = v I and char R does not divide v; M* M = v I follows.
-
-    failures are the positions of M M* that differ from v I, in row-major
-    order (within tol on the complex backend). On an exact backend a unit
-    that is no root of unity has order None; on the complex backend, a unit
-    none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
-    """
-    v = M.order
-    if v < 2:
-        raise MatrixError("GBH matrices have order >= 2")
-    ring = M.ring
-    ch = ring.characteristic()
-    char_check = ch == 0 or v % ch != 0
-    if ring.is_exact:
-        orders = [ring._order(u.payload) for u in M.units]
-    else:
-        z = np.array([u.payload for u in M.units], dtype=np.complex128)
-        orders = _complex_orders(z, 2 * v * ring.unit_order_hint(), ring.spec.tol)
+def _product_failures(M: GMatrix):
+    """(failures, method): the positions of M M* that differ from v I, in
+    row-major order (within tol on the complex backend), and the route the
+    product took."""
+    ring, v = M.ring, M.order
     M_star = star(M)
     lane = _lane_product(M, M_star)
     if lane is None:
@@ -128,13 +119,55 @@ def verify_gbh(M: GMatrix) -> GbhReport:
         sizes = sum(np.abs(planes[:, :, m]) for m in range(planes.shape[2]))
         bad = sizes > (0 if ring.is_exact else ring.spec.tol)
     failures = [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
+    return failures, "per-entry" if lane is None else "numeric-lane"
+
+
+def _leaves_pass(M: GMatrix):
+    """Whether M's trusted factor tree of two or more leaves proves
+    M M* = v I: (A (x) B)(A (x) B)* = A A* (x) B B*, and a permuted matrix
+    P M Q has P M Q (P M Q)* = P M M* P^-1, so the products of the leaves
+    of orders v_i with v_i I give v I. Each distinct leaf object is checked
+    once; walsh(t) has t leaves and one of them."""
+    if M.tree is None or not M.tree_trusted or not M.ring.is_exact:
+        return False
+    leaves = M.tree.leaves()
+    distinct = {id(L): L for L in leaves}.values()
+    return len(leaves) > 1 and all(not _product_failures(L)[0] for L in distinct)
+
+
+def verify_gbh(M: GMatrix) -> GbhReport:
+    """Check M M* = v I and char R does not divide v; M* M = v I follows.
+
+    failures are the positions of M M* that differ from v I, in row-major
+    order (within tol on the complex backend). On an exact backend a unit
+    that is no root of unity has order None; on the complex backend, a unit
+    none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
+
+    On an exact backend a matrix whose trusted tree has two or more leaves,
+    all of them passing, is decided by its leaves (method "tree"). An
+    unchecked or one-leaf tree, the complex backend, whose tolerance is
+    defined on M M* itself, and a failing leaf, whose failure positions the
+    report lists, take the product M M*.
+    """
+    v = M.order
+    if v < 2:
+        raise MatrixError("GBH matrices have order >= 2")
+    ring = M.ring
+    ch = ring.characteristic()
+    char_check = ch == 0 or v % ch != 0
+    if ring.is_exact:
+        orders = [ring._order(u.payload) for u in M.units]
+    else:
+        z = np.array([u.payload for u in M.units], dtype=np.complex128)
+        orders = _complex_orders(z, 2 * v * ring.unit_order_hint(), ring.spec.tol)
+    failures, method = ([], "tree") if _leaves_pass(M) else _product_failures(M)
     w = None if None in orders else math.lcm(*orders)
     return GbhReport(
         is_gbh=not failures and char_check,
         v=v,
         w=w,
         char_check=char_check,
-        method="per-entry" if lane is None else "numeric-lane",
+        method=method,
         failures=failures,
     )
 
@@ -150,17 +183,62 @@ def row_sums(M: GMatrix):
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:
     """[omega^(j*k)] for the canonical order-v root omega of the ring: the
-    unit table of the v powers of omega, indexed by j*k mod v."""
+    unit table of the v powers of omega, indexed by j*k mod v, with its
+    Good-Thomas tree (a DftNode) down to prime-power leaves."""
     if v < 1:
         raise RingError("order must be positive")
+    powers = _powers(ring, v)
+    F = _power_table(ring, powers)
+    F._validate_units()
+    return GMatrix._table(ring, powers, F.idx, DftNode(F, _good_thomas(F)))
+
+
+def _powers(ring, v):
+    """[1, omega, ..., omega^(v-1)] for the canonical order-v root omega, one
+    multiplication at a time."""
     omega = ring.root_of_unity(v)
     powers = [ring.one()]
     for _ in range(v - 1):
         powers.append(powers[-1] * omega)
+    return powers
+
+
+def _power_table(ring, powers):
+    """The table [powers[j*k mod v]], v = len(powers), without a tree."""
+    v = len(powers)
+    j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
+    return GMatrix._table(ring, powers, np.outer(j, j) % v)
+
+
+def _good_thomas(F: GMatrix) -> FactorTree:
+    """The tree of the DFT table F of order v, whose units are the powers of
+    omega, down to prime-power leaves (Good, 1958; Burrus, 1977).
+
+    For v = q r with q the part of v in its least prime, F = P (F_q (x) F_r) Q,
+    where F_q and F_r are the tables of dft_matrix(q) and dft_matrix(r), on
+    the canonical roots omega^(r s) and omega^(q t). Row j is row
+    (j mod q, j mod r) of the tensor product, and column (k1, k2) is column
+    r s k1 + q t k2 mod v: j k is congruent to r s j k1 modulo q and to
+    q t j k2 modulo r, so by the Chinese remainder theorem omega^(j k) is
+    the product of the two factor entries."""
+    ring, v, powers = F.ring, F.order, F.units
+    primes = _prime_factors(v)
+    if len(primes) < 2:
+        return Leaf(F)
+    q = math.gcd(v, primes[0] ** v.bit_length())
+    r = v // q
+    # the factors' own powers: on C, omega^k for k near v carries k rounding
+    # errors, and the leaves stay dft_matrix(q) and dft_matrix(r) exactly
+    Fq, Fr = _power_table(ring, _powers(ring, q)), _power_table(ring, _powers(ring, r))
+    s = next(s for s in range(q) if powers[r * s] == Fq.units[1])
+    t = next(t for t in range(r) if powers[q * t] == Fr.units[1])
     j = np.arange(v)
-    M = GMatrix._table(ring, powers, np.outer(j, j) % v)
-    M._validate_units()
-    return M
+    rowp = np.empty(v, dtype=np.intp)
+    rowp[(j % q) * r + j % r] = j
+    k1, k2 = np.divmod(j, r)
+    colp = (r * s * k1 + q * t * k2) % v
+    perms = (Permutation(tuple(p.tolist())) for p in (rowp, colp))
+    return PermutedNode(TensorNode(_good_thomas(Fq), _good_thomas(Fr)), *perms)
 
 
 def b3(ring: RingContext) -> GMatrix:

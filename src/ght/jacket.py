@@ -150,6 +150,9 @@ def jacketize_dft(n: int, ring: RingContext):
     from .gbh import dft_matrix
 
     F = dft_matrix(2 * n, ring)
+    # RJT_n is one leaf of order 2n, not F's Good-Thomas tree, so that the
+    # family trees keep their factor orders (2, 4, 2n)
+    F = GMatrix._table(ring, F.units, F.idx)
     img = []
     for j in range(2 * n):
         j1, j0 = divmod(j, n)

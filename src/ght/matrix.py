@@ -17,7 +17,11 @@ one ring.dot.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
-fast application.
+fast application, and gbh.verify_gbh decides a trusted tree from its leaves.
+A tree is trusted when the library built it (tensor and permute of matrices
+whose trees are trusted, gbh.dft_matrix, and the checked loads of
+ght.fileio); a tree passed to GMatrix(..., tree=) or from_rows(..., tree=)
+is unchecked, as nothing compares it with the entries.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ class FactorTree:
         a permuted matrix swaps its row and column permutations."""
         raise NotImplementedError
 
+    def leaves(self) -> list["GMatrix"]:
+        """The leaf matrices, left to right, one per leaf node."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Leaf(FactorTree):
@@ -112,6 +120,9 @@ class Leaf(FactorTree):
 
     def star(self):
         return Leaf(star(self.matrix))
+
+    def leaves(self):
+        return [self.matrix]
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,9 @@ class TensorNode(FactorTree):
 
     def star(self):
         return TensorNode(self.left.star(), self.right.star())
+
+    def leaves(self):
+        return self.left.leaves() + self.right.leaves()
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,32 @@ class PermutedNode(FactorTree):
     def star(self):
         return PermutedNode(self.child.star(), self.colp, self.rowp)
 
+    def leaves(self):
+        return self.child.leaves()
+
+
+@dataclass(frozen=True)
+class DftNode(FactorTree):
+    """The tree of gbh.dft_matrix(order, ring): `tree` is its Good-Thomas
+    factorisation, a Leaf for a prime-power order, and `matrix` the indexed
+    table it expands to. Files write the node as its generator."""
+
+    matrix: "GMatrix"
+    tree: FactorTree
+
+    @property
+    def order(self):
+        return self.matrix.order
+
+    def expand(self):
+        return self.matrix
+
+    def star(self):
+        return self.tree.star()
+
+    def leaves(self):
+        return self.tree.leaves()
+
 
 def _unit_table(entries):
     """(units, codes): the distinct entries by exact payload and ring object,
@@ -163,10 +203,11 @@ class GMatrix:
 
     `array` is a square object array of RingElements, or an integer array
     whose values are embedded through the ring (a +1/-1 Sylvester array over
-    the rationals, say). Each distinct unit is validated once.
+    the rationals, say). Each distinct unit is validated once. A tree given
+    here is unchecked: tree_trusted is false (see the module docstring).
     """
 
-    __slots__ = ("ring", "order", "tree", "units", "idx")
+    __slots__ = ("ring", "order", "tree", "units", "idx", "tree_trusted")
 
     def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
@@ -179,20 +220,22 @@ class GMatrix:
             units = [ring.from_int(int(n)) for n in values]
         else:
             raise MatrixError("entries must be ring elements or integers")
-        self._fill(ring, units, codes.reshape(a.shape), tree)
+        self._fill(ring, units, codes.reshape(a.shape), tree, tree is None)
         self._validate_units()
 
     @classmethod
-    def _table(cls, ring, units, idx, tree=None):
-        """Unchecked matrix from a unit list and an index array."""
+    def _table(cls, ring, units, idx, tree=None, trusted=True):
+        """Unchecked matrix from a unit list and an index array; the caller
+        vouches for the tree unless trusted is false."""
         M = object.__new__(cls)
-        M._fill(ring, units, idx, tree)
+        M._fill(ring, units, idx, tree, trusted)
         return M
 
-    def _fill(self, ring, units, idx, tree):
+    def _fill(self, ring, units, idx, tree, trusted):
         idx = idx.astype(np.min_scalar_type(len(units) - 1), copy=False)
         idx.flags.writeable = False
-        for name, value in zip(self.__slots__, (ring, len(idx), tree, tuple(units), idx)):
+        values = (ring, len(idx), tree, tuple(units), idx, trusted)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -212,7 +255,8 @@ class GMatrix:
 
     @classmethod
     def from_rows(cls, ring, rows, tree=None):
-        """Build from nested lists of RingElements (plain ints are embedded)."""
+        """Build from nested lists of RingElements (plain ints are embedded);
+        a tree given here is unchecked."""
         v = len(rows)
         if any(len(row) != v for row in rows):
             raise MatrixError("matrix must be square")
@@ -262,7 +306,8 @@ def star(M: GMatrix) -> GMatrix:
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
-    """Kronecker product; the result records both factors in its tree."""
+    """Kronecker product; the result records both factors in its tree,
+    trusted when theirs are."""
     _check_same_ring(A, B)
     products, table = _unit_products(A, B)
     va, vb = A.order, B.order
@@ -273,17 +318,18 @@ def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
         for l in range(vb):
             idx[k::vb, l::vb] = table[:, B.idx[k, l]][A.idx]
     tree = TensorNode(A.as_tree(), B.as_tree())
-    return GMatrix._table(A.ring, products, idx, tree=tree)
+    return GMatrix._table(A.ring, products, idx, tree, A.tree_trusted and B.tree_trusted)
 
 
 def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:
-    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]."""
+    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]; its tree is
+    trusted when M's is."""
     if rowp.order != M.order or colp.order != M.order:
         raise MatrixError("permutation size mismatch")
     rinv = rowp.inverse().image
     cinv = colp.inverse().image
     tree = PermutedNode(M.as_tree(), rowp, colp)
-    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree=tree)
+    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree, M.tree_trusted)
 
 
 def normalize(M: GMatrix):

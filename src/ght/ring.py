@@ -426,14 +426,23 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_fraction(s) -> Fraction:
-    """The rational that an int or a "p/q" or "n" string names. Fraction reads
-    more, such as exponents, with which a short string builds a huge integer."""
-    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s) or type(s) is int:
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_ratio(s):
+    """(numerator, denominator > 0) of the rational that an int or a "p/q"
+    or "n" string names, not reduced. Fraction reads more, such as
+    exponents, with which a short string builds a huge integer."""
+    if type(s) is int:
+        return s, 1
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match:
         try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # past the interpreter's limit on digits
+            den = 0
+        if den:
+            return num, den
     raise RingError(f"{s!r} is not a rational")
 
 
@@ -477,7 +486,7 @@ class RationalsContext(RingContext):
         return _fraction_str(el.payload)
 
     def decode(self, data):
-        return self.element(_parse_fraction(data))
+        return self.element(Fraction(*_parse_ratio(data)))
 
     def __repr__(self):
         return "Q"
@@ -667,8 +676,9 @@ class CyclotomicContext(RingContext):
         return [_fraction_str(Fraction(c, den)) for c in coeffs]
 
     def decode(self, data):
-        data = _decoded_list(self, data, self.deg, (int, str))
-        return self.element(self._from_fractions([_parse_fraction(s) for s in data]))
+        ratios = [_parse_ratio(s) for s in _decoded_list(self, data, self.deg, (int, str))]
+        den = math.lcm(*(d for _, d in ratios))
+        return self.element(self._normalize([n * (den // d) for n, d in ratios], den))
 
     def _repr(self, a):
         (coeffs, den) = a

@@ -19,9 +19,12 @@ at the end. Where a leaf's bound fails (coefficients reaching 2^53, or a
 large p) the batch becomes ring elements there and the walk goes on in the
 object lane: one ring.dot per result entry.
 
-fast_apply and ight trust the tree. Trees built by tensor, permute and the
-catalog are correct by construction, and fileio checks a loaded tree against
-the entries; a tree passed to GMatrix(..., tree=) is not checked.
+A matrix's tree is trusted when the library built it: tensor and permute of
+matrices with trusted trees, dft_matrix, the catalog, and fileio's loads,
+which expand a tree-only file or check a tree against the entries. A tree
+passed to GMatrix(..., tree=) or from_rows(..., tree=) is unchecked
+(GMatrix.tree_trusted is false). ight walks B's tree only when it is
+trusted; fast_apply walks the tree it is given, whatever its origin.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import (
+    DftNode,
     FactorTree,
     GMatrix,
     Leaf,
@@ -117,6 +121,8 @@ def _walk(node: FactorTree, X, den, ring):
     with fewer columns, so the column count is read after each walk."""
     if isinstance(node, Leaf):
         return _product(node.matrix, X, den, ring)
+    if isinstance(node, DftNode):
+        return _walk(node.tree, X, den, ring)
     if isinstance(node, TensorNode):
         a, b = node.left.order, node.right.order
         Y = X.reshape(a, b, -1).transpose(1, 0, 2).reshape(b, -1)
@@ -162,11 +168,12 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
 
     Walks the starred tree of B, B.as_tree().star(), so like fast_apply it
     costs v * (v_1 + ... + v_k) multiplications over tensor factors of
-    orders v_1..v_k, and like fast_apply it trusts B.tree. v^(-1) enters as a
-    1 x 1 leaf tensored on the left, so over Q it joins the carried
-    denominator."""
+    orders v_1..v_k; an unchecked tree is not walked, and B is one leaf.
+    v^(-1) enters as a 1 x 1 leaf tensored on the left, so over Q it joins
+    the carried denominator."""
     v_inv = GMatrix.from_rows(B.ring, [[B.ring.int_inverse(B.order)]])
-    return _apply(TensorNode(Leaf(v_inv), B.as_tree().star()), xhat)
+    tree = B.as_tree() if B.tree_trusted else Leaf(B)
+    return _apply(TensorNode(Leaf(v_inv), tree.star()), xhat)
 
 
 def tree_cost(tree: FactorTree) -> OpCount:
@@ -181,6 +188,8 @@ def tree_cost(tree: FactorTree) -> OpCount:
         return OpCount(a * right.mul + b * left.mul, a * right.add + b * left.add)
     if isinstance(tree, PermutedNode):
         return tree_cost(tree.child)
+    if isinstance(tree, DftNode):
+        return tree_cost(tree.tree)
     raise MatrixError(f"unknown tree node {tree!r}")
 
 

@@ -289,3 +289,15 @@ def test_from_token():
     assert from_token("family:1,1,0,0,2").order == 8
     with pytest.raises(MatrixError):
         from_token("nope")
+
+
+def test_is_perfect_count_path_matches_the_element_path():
+    # over Q(zeta_4) is_perfect reads the shift counts; Q(zeta_8) and C hold
+    # i as well and take the element path, as does autocorrelation itself
+    q4, q8, c = cyclotomic(4), cyclotomic(8), complex_ring()
+    for L in range(1, 7):
+        for tail in itertools.product(range(4), repeat=L - 1):
+            s = QuadriphaseSequence((0,) + tail)
+            want = all(autocorrelation(s, tau, q4) == q4.zero() for tau in range(1, L))
+            assert is_perfect(s) == is_perfect(s, q4) == want, s
+            assert is_perfect(s, q8) == is_perfect(s, c) == want, s

@@ -254,8 +254,10 @@ def test_malformed_files_exit_two(tmp_path):
     # some element or raised; the files carry no tree, so only decoding rejects
     wrong_kind = [
         (prime_field(7), [[2.5], "5", [True], [1, 2]]),
-        (rationals(), [0.1, "1/0", True, "1e1000000", "1.5e3"]),
+        (rationals(), [0.1, 1.0, "1/0", True, "1e1000000", "1.5e3", "1e5", " 1", "1 ", "+1"]),
+        (rationals(), ["1/-2", "", "1/", "/2", "9" * 5000, "1/" + "9" * 5000, None]),
         (cyclotomic(4), [[1, 0.5], ["1/0", "0/1"], ["1e1000000", "0/1"], ["0/1", "1.5e3"]]),
+        (cyclotomic(4), [["1e5", "0/1"], [" 1", "0/1"], [True, "0/1"], [1.0, 0], ["0/0", "1"]]),
         (
             complex_ring(),
             [["1", "2"], [1, 2, 3], [10**400, 0], [float("nan"), 0], [float("inf"), 0]],
@@ -376,3 +378,37 @@ def test_gen_and_verify_over_a_large_prime_field(tmp_path, capsys):
     assert main(["verify", out]) == 0
     assert time.perf_counter() - start < 1
     assert "entry-group-order: 2" in capsys.readouterr().out
+
+
+def test_dft_generator_orders_are_checked(tmp_path):
+    ring = {"kind": "cyclotomic-rationals", "w": 12}
+    base = {"ring": ring, "order": 12}
+    ok = _write(tmp_path / "ok.json", dict(base, tree={"kind": "dft", "order": 12}))
+    assert main(["verify", ok]) == 0
+    # the wrong order, no int, above the limit, or no such root in the ring
+    for n, order in enumerate((6, 24, "12", 12.0, True, None, 4097, 10**30, 0, -3)):
+        m = _write(tmp_path / f"m{n}.json", dict(base, tree={"kind": "dft", "order": order}))
+        start = time.perf_counter()
+        assert main(["verify", m]) == 2, order
+        assert time.perf_counter() - start < 1, order
+    no_order = _write(tmp_path / "none.json", dict(base, tree={"kind": "dft"}))
+    assert main(["verify", no_order]) == 2
+    gf7 = _write(tmp_path / "gf7.json", {"ring": {"kind": "prime-field", "p": 7}, "order": 12,
+                                         "tree": {"kind": "dft", "order": 12}})
+    assert main(["verify", gf7]) == 2
+    # a generator deep in a tree is checked as well
+    leaf = {"kind": "leaf", "matrix": matrix_to_json(walsh(1, cyclotomic(12)), with_tree=False)}
+    for order in (4097, "3"):
+        tree = {"kind": "tensor", "left": {"kind": "dft", "order": order}, "right": leaf}
+        m = _write(tmp_path / "deep.json", dict(base, order=6, tree=tree))
+        assert main(["verify", m]) == 2, order
+
+
+def test_complex_dft1024_gen_and_verify(tmp_path, capsys):
+    out = str(tmp_path / "f.json")
+    start = time.perf_counter()
+    assert main(["gen", "dft:1024", "--ring", "complex", "-o", out]) == 0
+    assert main(["verify", out]) == 0
+    assert time.perf_counter() - start < 2  # 12 s before DFTs were written as generators
+    assert (tmp_path / "f.json").stat().st_size < 4096
+    assert "entry-group-order: 1024" in capsys.readouterr().out

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from test_transform import walks
 
 from ght import (
+    DftNode,
     GMatrix,
     MatrixError,
     Signal,
@@ -19,8 +21,11 @@ from ght import (
     jacketize_cbt,
     k2,
     k4,
+    prime_field,
     quadratic_field,
     rationals,
+    tensor,
+    verify_gbh,
     walsh,
 )
 from ght.fileio import (
@@ -174,7 +179,7 @@ def test_json_round_trip_on_random_trees(tmp_path_factory, case):
     strict decoder must not reject an encoder's output."""
     tree, x = case
     E = tree.expand()
-    M = GMatrix.from_rows(E.ring, E.rows(), tree=tree)
+    M = GMatrix._table(E.ring, E.units, E.idx, tree)  # a tree that E vouches for
     path = tmp_path_factory.getbasetemp() / "random-tree.json"
     save_matrix(M, path)
     v = M.order
@@ -183,3 +188,87 @@ def test_json_round_trip_on_random_trees(tmp_path_factory, case):
         assert all(N.entry(i, j) == M.entry(i, j) for i in range(v) for j in range(v))
         assert N.tree is not None and equal(N.tree.expand(), M)
     assert signal_from_json(json.loads(json.dumps(signal_to_json(x)))) == x
+
+
+def test_unchecked_trees_are_saved_with_the_entries(tmp_path):
+    # an unchecked tree is written beside the entries, so the loader checks it
+    W = walsh(3)
+    path = tmp_path / "m.json"
+    save_matrix(GMatrix.from_rows(W.ring, W.rows(), tree=W.tree), path)
+    assert "entries" in json.loads(path.read_text())
+    M = load_matrix(path)
+    assert equal(M, W) and M.tree_trusted
+    rows = W.rows()
+    rows[1][1] = -rows[1][1]
+    save_matrix(GMatrix.from_rows(W.ring, rows, tree=W.tree), path)
+    with pytest.raises(MatrixError, match="does not expand"):
+        load_matrix(path)
+
+
+def _same_table(A, B):
+    return A.units == B.units and np.array_equal(A.idx, B.idx)
+
+
+@pytest.mark.parametrize(
+    "v, ring",
+    [(12, cyclotomic(12)), (20, prime_field(41)), (25, quadratic_field(101)), (1024, complex_ring())],
+)
+def test_dfts_are_written_as_their_generator(tmp_path, v, ring):
+    F = dft_matrix(v, ring)
+    path = tmp_path / "f.json"
+    save_matrix(F, path)
+    assert path.stat().st_size < 4096
+    data = json.loads(path.read_text())
+    assert data == {"ring": ring_spec_to_json(ring.spec), "order": v, "tree": {"kind": "dft", "order": v}}
+    M = load_matrix(path)
+    assert _same_table(M, F) and isinstance(M.tree, DftNode) and M.tree_trusted
+    # with entries the generator is checked against them
+    N = matrix_from_json(json.loads(json.dumps(matrix_to_json(F)))) if v < 100 else M
+    assert _same_table(N, F) and N.tree_trusted
+
+
+def test_generators_nest_in_trees(tmp_path):
+    ring = cyclotomic(6)
+    T = tensor(dft_matrix(3, ring), walsh(1, ring))
+    path = tmp_path / "t.json"
+    save_matrix(T, path)
+    data = json.loads(path.read_text())
+    assert data["tree"]["left"] == {"kind": "dft", "order": 3}
+    M = load_matrix(path)
+    assert equal(M, T) and M.tree_trusted
+
+
+# files that gen wrote before DFTs carried trees: entries and a null tree
+OLD_DFT4 = {
+    "ring": {"kind": "cyclotomic-rationals", "w": 4},
+    "order": 4,
+    "entries": [
+        [["1/1", "0/1"], ["1/1", "0/1"], ["1/1", "0/1"], ["1/1", "0/1"]],
+        [["1/1", "0/1"], ["0/1", "1/1"], ["-1/1", "0/1"], ["0/1", "-1/1"]],
+        [["1/1", "0/1"], ["-1/1", "0/1"], ["1/1", "0/1"], ["-1/1", "0/1"]],
+        [["1/1", "0/1"], ["0/1", "-1/1"], ["-1/1", "0/1"], ["0/1", "1/1"]],
+    ],
+    "tree": None,
+}
+OLD_DFT6_GF7 = {
+    "ring": {"kind": "prime-field", "p": 7},
+    "order": 6,
+    "entries": [
+        [[1], [1], [1], [1], [1], [1]],
+        [[1], [3], [2], [6], [4], [5]],
+        [[1], [2], [4], [1], [2], [4]],
+        [[1], [6], [1], [6], [1], [6]],
+        [[1], [4], [2], [1], [4], [2]],
+        [[1], [5], [4], [6], [2], [3]],
+    ],
+    "tree": None,
+}
+
+
+@pytest.mark.parametrize("data, v, ring", [(OLD_DFT4, 4, cyclotomic(4)), (OLD_DFT6_GF7, 6, prime_field(7))])
+def test_files_with_entries_from_before_generators_load(tmp_path, data, v, ring):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    M = load_matrix(path)
+    assert equal(M, dft_matrix(v, ring)) and M.tree is None
+    assert verify_gbh(M).is_gbh

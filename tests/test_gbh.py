@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_transform import RINGS, trees, walks
 
 from ght import (
+    DftNode,
     GMatrix,
+    Leaf,
+    Permutation,
+    PermutedNode,
     b3,
     cbt,
     complex_ring,
@@ -32,8 +37,10 @@ from ght import (
     k2,
     k4,
     mat_mul,
+    permute,
 )
 from ght import gbh
+from ght.transform import Signal, fast_apply, ght, tree_cost
 from ght.ring import RingError, is_prime
 
 
@@ -181,7 +188,8 @@ def test_report_text_stable_keys():
     assert keys == ["is-gbh", "order", "entry-group-order", "char-check", "failure-count", "method"]
     assert text.splitlines()[0] == "is-gbh: true"
     assert "entry-group-order: 2" in text
-    assert text.splitlines()[-1] == "method: numeric-lane"
+    # walsh(2) carries its tensor tree, whose one distinct leaf decides it
+    assert text.splitlines()[-1] == "method: tree"
 
 
 def _family():
@@ -202,8 +210,12 @@ def _family():
     ids=["walsh9", "cbt6", "dft24", "dft32-gf97", "k3k3-gf25", "dft16-complex", "family-11132"],
 )
 def test_catalog_matrices_take_the_numeric_lane(build):
-    rep = verify_gbh(build())
-    assert rep.is_gbh and rep.method == "numeric-lane"
+    # a trusted tree of two or more leaves is decided by its leaves on an
+    # exact backend; the product M M* takes the numeric lane otherwise
+    M = build()
+    rep = verify_gbh(M)
+    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
+    assert rep.is_gbh and rep.method == ("tree" if by_tree else "numeric-lane")
 
 
 def test_bound_failing_matrix_takes_the_per_entry_route():
@@ -294,7 +306,9 @@ def test_report_matches_the_walk_reference(name, planted):
     rep = verify_gbh(M)
     got = (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures)
     assert got == _reference_report(M)
-    assert rep.is_gbh != planted and rep.method == "numeric-lane"
+    # the planted matrix is rebuilt from its rows, without a tree
+    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
+    assert rep.is_gbh != planted and rep.method == ("tree" if by_tree else "numeric-lane")
 
 
 def test_complex_orders_stop_at_the_bound():
@@ -387,3 +401,154 @@ def test_large_prime_2x2_verifies_quickly(p, primes):
     # w is the exact order of g, checked by pow alone
     assert pow(g.payload, rep.w, p) == 1
     assert all(pow(g.payload, rep.w // q, p) != 1 for q in primes)
+
+
+# --- the tree route against the product route ---
+
+
+def _gbh_leaves(ring):
+    """GBH matrices of orders 2 to 6 over the ring, where they exist."""
+    leaves = [walsh(1, ring)]
+    for v in (3, 4, 6):
+        try:
+            leaves.append(dft_matrix(v, ring))
+        except RingError:
+            pass
+    return leaves
+
+
+@st.composite
+def gbh_trees(draw, ring, depth, cap):
+    """A matrix built by tensor and permute, as trees() builds one, from
+    leaves that are mostly GBH and sometimes one of trees()'s leaves."""
+    node = draw(st.sampled_from(("leaf", "tensor", "tensor", "permuted"))) if depth else "leaf"
+    if node == "leaf":
+        fits = [L for L in _gbh_leaves(ring) if L.order <= cap]
+        if not fits or draw(st.integers(0, 5)) == 0:
+            return draw(trees(ring, 0, cap)).matrix
+        return draw(st.sampled_from(fits))
+    if node == "permuted":
+        child = draw(gbh_trees(ring, depth - 1, cap))
+        rowp, colp = (draw(st.permutations(range(child.order))) for _ in range(2))
+        return permute(child, Permutation(tuple(rowp)), Permutation(tuple(colp)))
+    left = draw(gbh_trees(ring, depth - 1, cap))
+    return tensor(left, draw(gbh_trees(ring, depth - 1, cap // left.order)))
+
+
+@st.composite
+def verify_cases(draw):
+    """(M, stale): the expansion of a tree of test_transform.walks (leaves
+    rarely GBH) or of gbh_trees, and whether an entry was then multiplied by
+    -1 under the kept tree, which GMatrix(..., tree=) leaves unchecked."""
+    if draw(st.booleans()):
+        M = draw(walks())[0].expand()
+    else:
+        M = draw(gbh_trees(draw(st.sampled_from(RINGS)), 3, 64))
+    assume(M.order >= 2)
+    stale = M.tree is not None and draw(st.booleans())
+    if stale:
+        i, j = draw(st.integers(0, M.order - 1)), draw(st.integers(0, M.order - 1))
+        rows = M.rows()
+        rows[i][j] = -rows[i][j]
+        M = GMatrix.from_rows(M.ring, rows, tree=M.tree)
+    return M, stale
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_cases())
+def test_tree_route_matches_the_product_reference(case):
+    M, stale = case
+    rep = verify_gbh(M)
+    # the product route: the same matrix without a tree
+    ref = verify_gbh(GMatrix._table(M.ring, M.units, M.idx))
+    assert ref.method != "tree"
+    fields = lambda r: (r.is_gbh, r.v, r.w, r.char_check, r.failures)
+    assert fields(rep) == fields(ref)
+    leaves = M.tree.leaves() if M.tree is not None else []
+    by_tree = M.ring.is_exact and not stale and len(leaves) > 1 and not rep.failures
+    assert rep.method == "tree" if by_tree else rep.method != "tree"
+
+
+def test_unchecked_trees_never_take_the_tree_route():
+    # a correct tree given to the constructors is as unchecked as a stale one
+    W = walsh(3)
+    s1 = np.array([[1, 1], [1, -1]])
+    sylvester = np.kron(np.kron(s1, s1), s1)
+    correct = (
+        GMatrix(W.ring, sylvester, tree=W.tree),
+        GMatrix.from_rows(W.ring, W.rows(), tree=W.tree),
+    )
+    for M in correct:
+        assert not M.tree_trusted
+        assert verify_gbh(M).method == "numeric-lane"
+    # the negative of verify-mix: one entry negated under the kept tree
+    a = sylvester.copy()
+    a[2, 5] = -a[2, 5]
+    rep = verify_gbh(GMatrix(W.ring, a, tree=W.tree))
+    assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
+    # permute and tensor keep the trust of their inputs
+    ident = Permutation.identity(8)
+    P = permute(GMatrix(W.ring, a, tree=W.tree), ident, ident)
+    assert not P.tree_trusted and verify_gbh(P).method == "numeric-lane"
+    assert not tensor(P, walsh(1)).tree_trusted
+    assert tensor(W, walsh(1)).tree_trusted and permute(W, ident, ident).tree_trusted
+
+
+def test_a_failing_leaf_lists_the_product_failures():
+    # K2(1) is not GBH: its leaf fails, and the product lists the positions
+    bad = GMatrix.from_rows(rationals(), [[1, 1], [1, 1]])
+    M = tensor(walsh(2), bad)
+    rep = verify_gbh(M)
+    assert not rep.is_gbh and rep.method == "numeric-lane"
+    assert (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures) == _reference_report(M)
+
+
+def test_walsh12_verifies_through_one_leaf():
+    W = walsh(12)
+    start = time.perf_counter()
+    rep = verify_gbh(W)
+    assert time.perf_counter() - start < 0.1  # the 4096^2 product took 1.1 s
+    assert rep.is_gbh and rep.w == 2 and rep.method == "tree"
+
+
+def _gf_with_roots(v):
+    """GF(p) for the least prime p with v | p - 1."""
+    return prime_field(next(p for p in range(v + 1, 10**4, v) if is_prime(p)))
+
+
+def _prime_power(n):
+    return len([p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]) <= 1
+
+
+@pytest.mark.parametrize("v", range(1, 61))
+def test_good_thomas_trees_expand_to_the_dft(v):
+    for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)):
+        F = dft_matrix(v, ring)
+        assert isinstance(F.tree, DftNode) and F.tree_trusted
+        leaves = F.tree.leaves()
+        assert math.prod(L.order for L in leaves) == v
+        assert all(_prime_power(L.order) for L in leaves)
+        # coprime leaf orders, each the table of dft_matrix, to the last bit on C
+        assert len({L.order for L in leaves}) == len(leaves) or v == 1
+        for L in leaves:
+            D = dft_matrix(L.order, ring)
+            assert [u.payload for u in L.units] == [u.payload for u in D.units]
+            assert np.array_equal(L.idx, D.idx)
+        assert equal(F.tree.tree.expand(), F) and F.tree.expand() is not F
+
+
+def test_good_thomas_walk_on_c_is_closer_to_the_fft():
+    # omega^k carries about k rounding errors; the leaves' powers stay short
+    v = 2310  # 2 * 3 * 5 * 7 * 11
+    xs = [(7 * k) % 19 - 9 for k in range(v)]
+    F, x = dft_matrix(v, complex_ring()), Signal.from_ints(complex_ring(), xs)
+    fft = np.fft.fft(np.array(xs, dtype=complex))
+    err = lambda y: np.abs(np.array([e.payload for e in y.elements]) - fft).max()
+    assert err(fast_apply(F.tree, x)[0]) < 1e-10 < err(ght(F, x))  # 5e-12 and 3e-10
+
+
+def test_rjt_stays_one_leaf_in_family_trees():
+    M = family(1, 1, 1, 3, 2, cyclotomic(6))[0]
+    assert [L.order for L in M.tree.leaves()] == [2, 4, 6]
+    assert tree_cost(M.tree).mul == 48 * (2 + 4 + 6)
+    assert isinstance(M.tree.right, PermutedNode) and isinstance(M.tree.right.child, Leaf)

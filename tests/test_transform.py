@@ -399,3 +399,15 @@ def test_ight_matches_reference_on_random_trees(case):
     v_inv = ring.int_inverse(M.order)
     want = [v_inv * ring.dot(zip(row, y.elements)) for row in star(M).rows()]
     assert ight(M, y) == Signal(ring, tuple(want))
+
+
+def test_ight_does_not_walk_an_unchecked_tree():
+    # one entry negated under walsh(3)'s tree, kept through from_rows
+    W = walsh(3)
+    rows = W.rows()
+    rows[2][5] = -rows[2][5]
+    M = GMatrix.from_rows(W.ring, rows, tree=W.tree)
+    x = Signal.from_ints(W.ring, [3, -1, 4, 1, -5, 9, 2, -6])
+    v_inv = W.ring.int_inverse(8)
+    want = [v_inv * W.ring.dot(zip(row, x.elements)) for row in star(M).rows()]
+    assert ight(M, x) == Signal(W.ring, tuple(want)) != ight(W, x)
