@@ -14,8 +14,9 @@ A matrix file takes one of two forms:
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries.
-The declared order, and that of each generator, may not exceed ORDER_LIMIT
-(4096); the loader checks it before it decodes an entry or builds a tree.
+The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
+before it decodes an entry or builds a tree. Nor may any tree node's order,
+checked as the tree is read, so a generator is checked before it is built.
 """
 
 from __future__ import annotations
@@ -101,32 +102,38 @@ def _permutation(data, key):
     return Permutation(tuple(image))
 
 
-def _tree_from_json(data, ring):
-    if data is None:
-        return None
+def _tree_from_json(data, ring, limit=ORDER_LIMIT):
+    """The tree that data describes. No node may have an order above limit,
+    and a tensor node's right factor gets the limit over its left factor's
+    order, so that a few bytes of generators cannot ask for more work than
+    one matrix of order ORDER_LIMIT; a generator is checked before it is
+    built."""
     kind = _field(data, "kind")
     if kind == "leaf":
         leaf = matrix_from_json(_field(data, "matrix"))
         if leaf.ring.spec != ring.spec:
             raise MatrixError("a tree leaf is not over the matrix ring")
-        return Leaf(leaf)
-    if kind == "tensor":
-        return TensorNode(
-            _tree_from_json(_field(data, "left"), ring),
-            _tree_from_json(_field(data, "right"), ring),
-        )
-    if kind == "permuted":
-        return PermutedNode(
-            _tree_from_json(_field(data, "child"), ring),
+        tree = Leaf(leaf)
+    elif kind == "tensor":
+        left = _tree_from_json(_field(data, "left"), ring, limit)
+        right = _tree_from_json(_field(data, "right"), ring, limit // max(left.order, 1))
+        tree = TensorNode(left, right)
+    elif kind == "permuted":
+        tree = PermutedNode(
+            _tree_from_json(_field(data, "child"), ring, limit),
             _permutation(data, "row"),
             _permutation(data, "col"),
         )
-    if kind == "dft":
+    elif kind == "dft":
         v = _field(data, "order")
-        if type(v) is not int or v > ORDER_LIMIT:
-            raise MatrixError(f"malformed file: dft order {v!r} is not an int up to {ORDER_LIMIT}")
-        return dft_matrix(v, ring).tree
-    raise MatrixError(f"unknown tree node kind {kind!r}")
+        if type(v) is not int or v > limit:
+            raise MatrixError(f"malformed file: dft order {v!r} is not an int up to {limit}")
+        tree = dft_matrix(v, ring).tree
+    else:
+        raise MatrixError(f"unknown tree node kind {kind!r}")
+    if tree.order > limit:
+        raise MatrixError(f"a factor tree node has order {tree.order}, above {limit}")
+    return tree
 
 
 def _header(M: GMatrix) -> dict:
@@ -171,7 +178,7 @@ def matrix_from_json(data: dict) -> GMatrix:
     units, unit_codes = _unit_table(decoded)
     n = len(entries)  # equals v, which JSON may give as 2.0 for 2
     idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
-    tree = _tree_from_json(data.get("tree"), ring)
+    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring)
     M = GMatrix._table(ring, units, idx, tree=tree)
     M._validate_units()
     if tree is not None and not equal(tree.expand(), M):

@@ -292,6 +292,14 @@ def test_tampered_tree_exits_two(tmp_path):
         matrix_from_json(data)
 
 
+def test_null_tree_nodes_exit_two(tmp_path):
+    data = _drop(matrix_to_json(walsh(2)), "entries")
+    for key in ("left", "right"):
+        bad = copy.deepcopy(data)
+        bad["tree"][key] = None
+        assert main(["verify", _write(tmp_path / f"{key}.json", bad)]) == 2, key
+
+
 def test_tree_leaf_ring_must_match_header(tmp_path):
     data = matrix_to_json(walsh(2))
     leaf = matrix_to_json(walsh(1, cyclotomic(4)), with_tree=False)
@@ -396,6 +404,20 @@ def test_dft_generator_orders_are_checked(tmp_path):
     gf7 = _write(tmp_path / "gf7.json", {"ring": {"kind": "prime-field", "p": 7}, "order": 12,
                                          "tree": {"kind": "dft", "order": 12}})
     assert main(["verify", gf7]) == 2
+    # many generators in a few bytes ask for no more than order 4096 at once
+    tree = {"kind": "dft", "order": 64}
+    for _ in range(40):
+        tree = {"kind": "tensor", "left": {"kind": "dft", "order": 64}, "right": tree}
+    for left_deep in (False, True):
+        if left_deep:
+            tree = {"kind": "dft", "order": 4096}
+            for _ in range(40):
+                tree = {"kind": "tensor", "left": tree, "right": {"kind": "dft", "order": 4096}}
+        data = {"ring": {"kind": "complex-float", "tol": 1e-9}, "order": 4096, "tree": tree}
+        m = _write(tmp_path / "many.json", data)
+        start = time.perf_counter()
+        assert main(["verify", m]) == 2
+        assert time.perf_counter() - start < 1
     # a generator deep in a tree is checked as well
     leaf = {"kind": "leaf", "matrix": matrix_to_json(walsh(1, cyclotomic(12)), with_tree=False)}
     for order in (4097, "3"):
