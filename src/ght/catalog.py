@@ -279,18 +279,31 @@ def _shift_counts(phases, tau):
     return counts
 
 
-def is_perfect(s: QuadriphaseSequence, ring: RingContext | None = None) -> bool:
-    """All nonzero cyclic shifts have vanishing autocorrelation.
+def _perfect_rows(phases):
+    """The rows of an int8 array of phases whose nonzero cyclic shifts all
+    have vanishing autocorrelation over Q(zeta_4). A shift's sum is
+    (c0 - c2) + (c1 - c3) i for the counts c of its phase differences, so it
+    vanishes iff both parts of the sum do; the rows are narrowed shift by
+    shift."""
+    re, im = np.array([1, 0, -1, 0], dtype=np.int8), np.array([0, 1, 0, -1], dtype=np.int8)
+    for tau in range(1, phases.shape[1]):
+        d = (phases - np.roll(phases, -tau, axis=1)) % 4
+        phases = phases[(re[d].sum(axis=1) == 0) & (im[d].sum(axis=1) == 0)]
+    return phases
 
-    Over Q(zeta_4) a shift's sum is (c0 - c2) + (c1 - c3) i for the counts c
-    of its phase differences, so it vanishes iff c0 == c2 and c1 == c3;
-    other rings sum the elements."""
-    shifts = range(1, s.length)
-    if ring is None or (ring.spec.kind, ring.spec.w) == ("cyclotomic-rationals", 4):
-        counts = (_shift_counts(s.phases, tau) for tau in shifts)
-        return all(c[0] == c[2] and c[1] == c[3] for c in counts)
+
+def _is_q4(ring):
+    return ring is None or (ring.spec.kind, ring.spec.w) == ("cyclotomic-rationals", 4)
+
+
+def is_perfect(s: QuadriphaseSequence, ring: RingContext | None = None) -> bool:
+    """All nonzero cyclic shifts have vanishing autocorrelation: over
+    Q(zeta_4) (the default) by _perfect_rows, over other rings by the sums of
+    the elements."""
+    if _is_q4(ring):
+        return len(_perfect_rows(np.array([s.phases], dtype=np.int8))) == 1
     zero = ring.zero()
-    return all(autocorrelation(s, tau, ring) == zero for tau in shifts)
+    return all(autocorrelation(s, tau, ring) == zero for tau in range(1, s.length))
 
 
 def back_circulant(s: QuadriphaseSequence, ring: RingContext | None = None) -> GMatrix:
@@ -310,7 +323,6 @@ def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
     by exhausting the 4^(L-1) candidates; bounded to L <= 10."""
     if L < 1 or L > 10:
         raise MatrixError("exhaustive search is bounded to 1 <= L <= 10")
-    ring = ring if ring is not None else ringmod.cyclotomic(4)
     # the candidates in itertools.product order, one row each: candidate n
     # holds the base-4 digits of n, most significant first, after s_0 = 0;
     # built a column at a time, which keeps the int32 temporaries one
@@ -319,14 +331,9 @@ def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
     phases = np.empty((len(n), L), dtype=np.int8)
     for j in range(L):
         phases[:, j] = (n >> 2 * (L - 1 - j)) & 3
-    # prefilter: sum_j i^(d_j) = 0 iff the phase differences d_j hold as
-    # many 0s as 2s and as many 1s as 3s, i.e. both parts of the sum vanish
-    re, im = np.array([1, 0, -1, 0], dtype=np.int8), np.array([0, 1, 0, -1], dtype=np.int8)
-    for tau in range(1, L):
-        d = (phases - np.roll(phases, -tau, axis=1)) % 4
-        phases = phases[(re[d].sum(axis=1) == 0) & (im[d].sum(axis=1) == 0)]
-    found = [QuadriphaseSequence(tuple(row)) for row in phases.tolist()]
-    return [s for s in found if is_perfect(s, ring)]
+    # the rows perfect over Q(zeta_4); another ring re-checks them
+    found = [QuadriphaseSequence(tuple(row)) for row in _perfect_rows(phases).tolist()]
+    return found if _is_q4(ring) else [s for s in found if is_perfect(s, ring)]
 
 
 def enumerate_jackets_2x2(ring: RingContext, group_order: int):

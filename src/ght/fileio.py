@@ -15,8 +15,9 @@ A matrix file takes one of two forms:
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries.
 The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
-before it decodes an entry or builds a tree. Nor may any tree node's order,
-checked as the tree is read, so a generator is checked before it is built.
+before it decodes an entry or builds a tree. Nor may any tree node's order
+exceed the declared one, checked as the tree is read, so a generator is
+checked before it is built. A leaf holds its matrix with entries and no tree.
 """
 
 from __future__ import annotations
@@ -102,15 +103,20 @@ def _permutation(data, key):
     return Permutation(tuple(image))
 
 
-def _tree_from_json(data, ring, limit=ORDER_LIMIT):
+def _tree_from_json(data, ring, limit):
     """The tree that data describes. No node may have an order above limit,
     and a tensor node's right factor gets the limit over its left factor's
     order, so that a few bytes of generators cannot ask for more work than
-    one matrix of order ORDER_LIMIT; a generator is checked before it is
-    built."""
+    one matrix of order limit; a generator is checked before it is built. A
+    leaf is a matrix with entries and without a tree of its own, as
+    save_matrix writes it, so its work is bounded by the entries in the
+    file."""
     kind = _field(data, "kind")
     if kind == "leaf":
-        leaf = matrix_from_json(_field(data, "matrix"))
+        matrix = _field(data, "matrix")
+        if isinstance(matrix, dict) and matrix.get("tree") is not None:
+            raise MatrixError("malformed file: a tree leaf's matrix has a tree of its own")
+        leaf = matrix_from_json(matrix, limit)
         if leaf.ring.spec != ring.spec:
             raise MatrixError("a tree leaf is not over the matrix ring")
         tree = Leaf(leaf)
@@ -151,9 +157,10 @@ def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
     )
 
 
-def matrix_from_json(data: dict) -> GMatrix:
-    """Decode a matrix from either file form; a declared order above
-    ORDER_LIMIT is rejected first.
+def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
+    """Decode a matrix from either file form; a declared order that is not a
+    number from 0 to limit is rejected first, and no node of the factor tree
+    may exceed the declared order.
 
     A tree-only file (a tree and no "entries") is the expansion of its tree,
     whose order must be the declared one. Otherwise the factor tree, if any,
@@ -161,10 +168,10 @@ def matrix_from_json(data: dict) -> GMatrix:
     entries (see _decoded) make the units."""
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
-    if isinstance(v, (int, float)) and v > ORDER_LIMIT:
-        raise MatrixError(f"declared order {v} is above the limit {ORDER_LIMIT}")
+    if not isinstance(v, (int, float)) or not 0 <= v <= limit:
+        raise MatrixError(f"declared order {v!r} is not a number up to the limit {limit}")
     if "entries" not in data and data.get("tree") is not None:
-        tree = _tree_from_json(data["tree"], ring)
+        tree = _tree_from_json(data["tree"], ring, v)
         if tree.order != v:
             raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
         E = tree.expand()
@@ -178,7 +185,7 @@ def matrix_from_json(data: dict) -> GMatrix:
     units, unit_codes = _unit_table(decoded)
     n = len(entries)  # equals v, which JSON may give as 2.0 for 2
     idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
-    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring)
+    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring, v)
     M = GMatrix._table(ring, units, idx, tree=tree)
     M._validate_units()
     if tree is not None and not equal(tree.expand(), M):

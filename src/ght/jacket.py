@@ -147,12 +147,13 @@ def jacketize_cbt(t: int, ring: RingContext | None = None):
 def jacketize_dft(n: int, ring: RingContext):
     """Mixed-radix index permutation turning the order-2n DFT matrix into the
     complex reverse-jacket matrix: (j1, j0) -> (j1, (1-j1)j0 + (n-1-j0)j1)."""
-    from .gbh import dft_matrix
+    from .gbh import _power_table, _powers
 
-    F = dft_matrix(2 * n, ring)
-    # RJT_n is one leaf of order 2n, not F's Good-Thomas tree, so that the
-    # family trees keep their factor orders (2, 4, 2n)
-    F = GMatrix._table(ring, F.units, F.idx)
+    # the table of dft_matrix(2n) without its Good-Thomas tree: RJT_n is one
+    # leaf of order 2n, so that the family trees keep their factor orders
+    # (2, 4, 2n)
+    F = _power_table(ring, _powers(ring, 2 * n))
+    F._validate_units()
     img = []
     for j in range(2 * n):
         j1, j0 = divmod(j, n)

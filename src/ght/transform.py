@@ -24,7 +24,8 @@ matrices with trusted trees, dft_matrix, the catalog, and fileio's loads,
 which expand a tree-only file or check a tree against the entries. A tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is unchecked
 (GMatrix.tree_trusted is false). ight walks B's tree only when it is
-trusted; fast_apply walks the tree it is given, whatever its origin.
+trusted, and not for a small DFT; fast_apply walks the tree it is given,
+whatever its origin.
 """
 
 from __future__ import annotations
@@ -163,16 +164,23 @@ def ght(B: GMatrix, x: Signal) -> Signal:
     return _apply(Leaf(B), x)
 
 
+# below this many lane values per column, v * d for d coefficient planes, a
+# DFT's Good-Thomas walk costs more than its one table product
+DFT_WALK_MIN = 256
+
+
 def ight(B: GMatrix, xhat: Signal) -> Signal:
     """Inverse transform x = v^(-1) B* xhat; requires v invertible in R.
 
     Walks the starred tree of B, B.as_tree().star(), so like fast_apply it
     costs v * (v_1 + ... + v_k) multiplications over tensor factors of
-    orders v_1..v_k; an unchecked tree is not walked, and B is one leaf.
-    v^(-1) enters as a 1 x 1 leaf tensored on the left, so over Q it joins
-    the carried denominator."""
+    orders v_1..v_k. B is one leaf instead when its tree is unchecked, or
+    when B is a DFT with v * d below DFT_WALK_MIN, where one product of the
+    table is cheaper than the walk. v^(-1) enters as a 1 x 1 leaf tensored
+    on the left, so over Q it joins the carried denominator."""
     v_inv = GMatrix.from_rows(B.ring, [[B.ring.int_inverse(B.order)]])
-    tree = B.as_tree() if B.tree_trusted else Leaf(B)
+    small_dft = isinstance(B.tree, DftNode) and B.order * B.ring._lane_dim < DFT_WALK_MIN
+    tree = B.as_tree() if B.tree_trusted and not small_dft else Leaf(B)
     return _apply(TensorNode(Leaf(v_inv), tree.star()), xhat)
 
 

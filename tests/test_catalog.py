@@ -292,8 +292,8 @@ def test_from_token():
 
 
 def test_is_perfect_count_path_matches_the_element_path():
-    # over Q(zeta_4) is_perfect reads the shift counts; Q(zeta_8) and C hold
-    # i as well and take the element path, as does autocorrelation itself
+    # over Q(zeta_4) is_perfect runs the search's count test; Q(zeta_8) and C
+    # hold i as well and take the element path, as does autocorrelation itself
     q4, q8, c = cyclotomic(4), cyclotomic(8), complex_ring()
     for L in range(1, 7):
         for tail in itertools.product(range(4), repeat=L - 1):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ght import (
+    GMatrix,
     MatrixError,
     Permutation,
     Signal,
@@ -424,6 +425,32 @@ def test_dft_generator_orders_are_checked(tmp_path):
         tree = {"kind": "tensor", "left": {"kind": "dft", "order": order}, "right": leaf}
         m = _write(tmp_path / "deep.json", dict(base, order=6, tree=tree))
         assert main(["verify", m]) == 2, order
+
+
+def test_leaf_matrices_cannot_nest_generators(tmp_path):
+    # a leaf of order 1 whose matrix brings a tree of generators, level under
+    # level, would build a matrix of order 4096 per level; a leaf's matrix
+    # has no tree, and no tree outgrows its matrix's declared order
+    one = matrix_to_json(GMatrix.from_rows(complex_ring(), [[complex_ring().one()]]))
+    tree = {"kind": "leaf", "matrix": one}
+    for _ in range(300):
+        matrix = dict(one, tree={"kind": "tensor", "left": {"kind": "dft", "order": 4096},
+                                 "right": tree})
+        tree = {"kind": "leaf", "matrix": matrix}
+    for data in (dict(one, tree=tree), matrix, {"ring": one["ring"], "order": 1, "tree": tree}):
+        m = _write(tmp_path / "nested.json", data)
+        start = time.perf_counter()
+        assert main(["verify", m]) == 2
+        assert time.perf_counter() - start < 1
+    # nor may a leaf be tree-only
+    leaf = {"kind": "leaf", "matrix": {"ring": one["ring"], "order": 4096,
+                                       "tree": {"kind": "dft", "order": 4096}}}
+    for order in (4096, 1):
+        m = _write(tmp_path / "tree-only-leaf.json",
+                   {"ring": one["ring"], "order": order, "tree": leaf})
+        start = time.perf_counter()
+        assert main(["verify", m]) == 2, order
+        assert time.perf_counter() - start < 1, order
 
 
 def test_complex_dft1024_gen_and_verify(tmp_path, capsys):

@@ -34,6 +34,7 @@ from ght import (
     tensor,
     walsh,
 )
+from ght import transform
 from ght.ring import PrimeFieldContext, RationalsContext, RingError
 from ght.transform import OpCount, bench, bench_table, tree_cost
 
@@ -411,3 +412,18 @@ def test_ight_does_not_walk_an_unchecked_tree():
     v_inv = W.ring.int_inverse(8)
     want = [v_inv * W.ring.dot(zip(row, x.elements)) for row in star(M).rows()]
     assert ight(M, x) == Signal(W.ring, tuple(want)) != ight(W, x)
+
+
+@pytest.mark.parametrize("v, leaf_orders", [(24, [24, 1]), (60, [5, 3, 4, 1])])
+def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
+    # Q(zeta_24) has 8 coefficient planes, so dft(24) has 24 * 8 lane values
+    # per column, below DFT_WALK_MIN, and is one table; dft(60), 60 * 16, walks
+    # its Good-Thomas tree
+    ring = cyclotomic(v)
+    F = dft_matrix(v, ring)
+    orders = []
+    product = transform._product
+    monkeypatch.setattr(transform, "_product", lambda M, *a: orders.append(M.order) or product(M, *a))
+    x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
+    assert ight(F, ght(F, x)) == x
+    assert orders == [v] + leaf_orders
