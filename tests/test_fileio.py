@@ -28,6 +28,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
+from ght import fileio
 from ght.fileio import (
     load_matrix,
     load_signal,
@@ -236,6 +237,23 @@ def test_generators_nest_in_trees(tmp_path):
     assert data["tree"]["left"] == {"kind": "dft", "order": 3}
     M = load_matrix(path)
     assert equal(M, T) and M.tree_trusted
+
+
+def test_trees_are_read_against_the_declared_order(monkeypatch):
+    # a generator above the declared order fails before it is built, in
+    # either file form
+    built = []
+    monkeypatch.setattr(fileio, "dft_matrix", lambda v, ring: built.append(v) or dft_matrix(v, ring))
+    C = complex_ring()
+    one = matrix_to_json(GMatrix.from_rows(C, [[C.one()]]))
+    big = {"kind": "dft", "order": 4096}
+    for data in ({"ring": one["ring"], "order": 2, "tree": big}, dict(one, tree=big)):
+        with pytest.raises(MatrixError):
+            matrix_from_json(data)
+    assert built == []
+    assert equal(matrix_from_json({"ring": one["ring"], "order": 4, "tree": {"kind": "dft", "order": 4}}),
+                 dft_matrix(4, C))
+    assert built == [4]
 
 
 # files that gen wrote before DFTs carried trees: entries and a null tree
