@@ -64,6 +64,6 @@ from .catalog import (
     search_perfect_quadriphase,
     walsh,
 )
-from .transform import OpCount, Signal, bench, fast_apply, ght, ight
+from .transform import OpCount, Signal, fast_apply, ght, ight
 
 __version__ = "0.1.0"

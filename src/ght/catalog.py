@@ -8,7 +8,6 @@ producing K2/K3) act as genuine cross-checks instead of tautologies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,18 +336,14 @@ def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
 
 
 def enumerate_jackets_2x2(ring: RingContext, group_order: int):
-    """Exhaust 2x2 matrices with entries in the order-w root group, keeping
-    the normalised GBH ones in jacket form; the result is the single
-    Sylvester matrix whatever the group."""
+    """Exhaust the normalised 2x2 matrices [[1, 1], [1, d]] with d in the
+    order-w root group, keeping the GBH ones in jacket form; the result is
+    the single Sylvester matrix whatever the group."""
     zeta = ring.root_of_unity(group_order)
-    group = [zeta ** k for k in range(group_order)]
     one = ring.one()
     found = []
-    for entries in itertools.product(range(group_order), repeat=4):
-        a, b, c, d = (group[e] for e in entries)
-        if a != one or b != one or c != one:
-            continue  # not normalised
-        M = GMatrix.from_rows(ring, [[a, b], [c, d]])
+    for k in range(group_order):
+        M = GMatrix.from_rows(ring, [[one, one], [one, zeta**k]])
         if is_jacket_form(M) and verify_gbh(M).is_gbh:
             if not any(equal(M, F) for F in found):
                 found.append(M)

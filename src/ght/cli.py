@@ -108,13 +108,6 @@ def _cmd_seqsearch(args):
     return 0 if found else 1
 
 
-def _cmd_bench(args):
-    trees = [catalog.walsh(t).tree for t in range(args.t_min, args.t_max + 1)]
-    rows = transform.bench(trees, repetitions=args.reps)
-    print(transform.bench_table(rows))
-    return 0
-
-
 def _cmd_enumerate2x2(args):
     ring = (
         parse_ring_spec(args.ring)
@@ -178,12 +171,6 @@ def build_parser():
     g = sub.add_parser("seqsearch", help="perfect quadriphase sequence search")
     g.add_argument("length", type=int)
     g.set_defaults(func=_cmd_seqsearch)
-
-    g = sub.add_parser("bench", help="naive vs fast op counts for Walsh chains")
-    g.add_argument("--t-min", type=int, default=2)
-    g.add_argument("--t-max", type=int, default=8)
-    g.add_argument("--reps", type=int, default=0)
-    g.set_defaults(func=_cmd_bench)
 
     g = sub.add_parser(
         "enumerate2x2", help="exhaust 2x2 jacket matrices over a root group"

@@ -16,8 +16,7 @@ On an exact backend a trusted factor tree of two or more leaves decides
 M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
 Otherwise M* is the field inverses of the units on the transposed index
 array, and M M* takes the numeric lane of ght.matrix: one BLAS product of
-coefficient planes, compared plane by plane with v I. Where the lane's bound
-fails, M M* is the per-entry product of mat_mul.
+coefficient planes, compared plane by plane with v I.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import _lane_product, mat_mul, star
+from .matrix import _lane_product, star
 from .ring import RingContext, RingError, _prime_factors
 
 
@@ -40,7 +39,7 @@ class GbhReport:
     entry is no root of unity (infinite/unknown; on the complex backend,
     when no power up to the search bound is within tol of 1). method names
     the route that decided M M* = v I: "tree" (the leaves of a trusted
-    factor tree), or the product M M* on the "numeric-lane" or "per-entry".
+    factor tree) or "numeric-lane" (the product M M*).
     """
 
     is_gbh: bool
@@ -94,32 +93,21 @@ def _complex_orders(z, bound, tol):
 
 
 def _product_failures(M: GMatrix):
-    """(failures, method): the positions of M M* that differ from v I, in
-    row-major order (within tol on the complex backend), and the route the
-    product took."""
+    """The positions of M M* that differ from v I, in row-major order
+    (within tol on the complex backend)."""
     ring, v = M.ring, M.order
-    M_star = star(M)
-    lane = _lane_product(M, M_star)
-    if lane is None:
-        P = mat_mul(M, M_star)
-        is_v = np.array([u == ring.from_int(v) for u in P.units])
-        is_zero = np.array([u == ring.zero() for u in P.units])
-        bad = ~is_zero[P.idx]
-        np.fill_diagonal(bad, ~is_v[np.diag(P.idx)])
-    else:
-        planes, den = lane
-        # v I over den: the planes of the integer v times den on the
-        # diagonal, 0 elsewhere
-        v_planes, _ = ring._lane_planes([ring.from_int(v)])
-        diag = np.arange(v)
-        planes[diag, diag] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)
-        # an entry is bad when the sum of its |coefficients| exceeds tol (0 on
-        # exact backends), summed plane by plane: numpy reduces along a short
-        # last axis up to 40 times slower
-        sizes = sum(np.abs(planes[:, :, m]) for m in range(planes.shape[2]))
-        bad = sizes > (0 if ring.is_exact else ring.spec.tol)
-    failures = [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
-    return failures, "per-entry" if lane is None else "numeric-lane"
+    planes, den = _lane_product(M, star(M))
+    # v I over den: the planes of the integer v times den on the diagonal,
+    # 0 elsewhere
+    v_planes, _ = ring._lane_planes([ring.from_int(v)])
+    diag = np.arange(v)
+    planes[diag, diag] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)
+    # an entry is bad when the sum of its |coefficients| exceeds tol (0 on
+    # exact backends), summed plane by plane: numpy reduces along a short
+    # last axis up to 40 times slower
+    sizes = sum(np.abs(planes[:, :, m]) for m in range(planes.shape[2]))
+    bad = sizes > (0 if ring.is_exact else ring.spec.tol)
+    return [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
 
 
 def _leaves_pass(M: GMatrix):
@@ -132,7 +120,7 @@ def _leaves_pass(M: GMatrix):
         return False
     leaves = M.tree.leaves()
     distinct = {id(L): L for L in leaves}.values()
-    return len(leaves) > 1 and all(not _product_failures(L)[0] for L in distinct)
+    return len(leaves) > 1 and all(not _product_failures(L) for L in distinct)
 
 
 def verify_gbh(M: GMatrix) -> GbhReport:
@@ -160,14 +148,15 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     else:
         z = np.array([u.payload for u in M.units], dtype=np.complex128)
         orders = _complex_orders(z, 2 * v * ring.unit_order_hint(), ring.spec.tol)
-    failures, method = ([], "tree") if _leaves_pass(M) else _product_failures(M)
+    by_tree = _leaves_pass(M)
+    failures = [] if by_tree else _product_failures(M)
     w = None if None in orders else math.lcm(*orders)
     return GbhReport(
         is_gbh=not failures and char_check,
         v=v,
         w=w,
         char_check=char_check,
-        method=method,
+        method="tree" if by_tree else "numeric-lane",
         failures=failures,
     )
 

@@ -12,8 +12,8 @@ the transforms take the numeric lane: each backend writes a unit table as
 integer coefficient planes over a common denominator (one complex plane on
 the complex backend), the planes meet those of the other factor (or of a
 signal batch) in one BLAS product per block of rows, and the backend
-reduces the result; where the lane's exactness bound fails, each entry is
-one ring.dot.
+reduces the result: in floats while that is exact, in Python integers past
+that.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -359,12 +359,12 @@ _BLOCK_VALUES = 2**16
 
 
 @lru_cache(maxsize=64)
-def _scatter(ma, mx):
+def _scatter(ma, mx, dtype):
     """Row (i, j) holds a 1 in column ma[i] + mx[j]: the product of plane
     ma[i] of A and plane mx[j] of X adds to that unreduced plane. The
     columns stop at max(ma) + max(mx), past which every plane is zero."""
     sums = np.add.outer(ma, mx).reshape(-1, 1)
-    out = (sums == np.arange(sums.max() + 1)).astype(np.float64)
+    out = (sums == np.arange(sums.max() + 1)).astype(np.int64).astype(dtype)
     out.flags.writeable = False
     return out
 
@@ -375,31 +375,30 @@ def _lane_apply(A: GMatrix, batch, mx, big_x):
     batch(dtype) is X, a (v, n * len(mx)) array in that dtype whose column
     k * len(mx) + j holds plane mx[j] of vector k, and on an exact backend
     big_x bounds its values in size. The product is a (v, n, d) array of
-    reduced coefficients over A's plane denominator den; None when a bound
-    fails. X is built only once the dtype is known, as a large copy costs
-    as much as a small product.
+    reduced coefficients over A's plane denominator den. X is built only
+    once the dtype is known, as a large copy costs as much as a small
+    product.
 
     A's unit table is written as coefficient planes, and its nonzero planes,
     stacked as rows, meet X in one BLAS product per block of rows, whose
-    blocks A_m X_k add up to the unreduced plane m + k. On an exact backend
-    every value is an integer smaller than the bound top = min(#planes of A,
-    len(mx)) * v * max|a| * big_x: the product is float32 for one-plane
-    backends while top < 2^24, float64 while top < 2^53, and otherwise there
-    is no lane. The backend then reduces the planes (modulo Phi_w, modulo p),
-    or declines when that would leave the exact range. The complex backend
-    multiplies its complex128 plane as is.
+    blocks A_m X_k add up to the unreduced plane m + k; the backend then
+    reduces the planes (modulo Phi_w, modulo p). On an exact backend every
+    value is an integer smaller than the bound top = min(#planes of A,
+    len(mx)) * v * max|a| * big_x, and every value the reduction meets is
+    smaller than RingContext._lane_bound(top, #unreduced planes). The
+    product is float32 for one-plane backends while that bound is below
+    2^24, float64 while it is below 2^53, and otherwise Python integers in
+    object arrays, exact at any size. The complex backend multiplies its complex128 plane as is.
     """
     ring, v, d = A.ring, A.order, A.ring._lane_dim
     pa, den = ring._lane_planes(A.units)
     ma = tuple(m for m, plane in enumerate(pa) if any(plane)) or (0,)
-    top = None
     dtype = np.complex128
     if ring.is_exact:
         big_a = max(abs(c) for m in ma for c in pa[m])
         top = min(len(ma), len(mx)) * v * big_a * max(big_x, 1)
-        if top >= 2**53:
-            return None
-        dtype = np.float32 if d == 1 and top < 2**24 else np.float64
+        bound = ring._lane_bound(top, ma[-1] + max(mx) + 1)
+        dtype = np.float32 if d == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
     ua = np.array([pa[m] for m in ma], dtype=dtype)
     X = batch(dtype)
     n = X.shape[1] // len(mx)
@@ -412,29 +411,43 @@ def _lane_apply(A: GMatrix, batch, mx, big_x):
             planes = prod.reshape(-1, 1)
         else:
             prod = prod.reshape(len(ma), len(idx), n, len(mx)).transpose(1, 2, 0, 3)
-            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx))
-        planes = ring._lane_reduce(planes, top)
-        if planes is None:
-            return None
-        blocks.append(planes.reshape(len(idx), n, d))
+            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx), dtype)
+        blocks.append(ring._lane_reduce(planes).reshape(len(idx), n, d))
     return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), den
 
 
 def _lane_product(A: GMatrix, B: GMatrix):
     """(planes, den): the reduced coefficients of A B over the common
     denominator den, a (v, v, d) array with entry (i, j) of A B equal to
-    planes[i, j] / den; None when a bound fails (see _lane_apply, with the
-    columns of B as the batch)."""
+    planes[i, j] / den (see _lane_apply, with the columns of B as the
+    batch)."""
     ring, v = A.ring, A.order
     pb, den_b = ring._lane_planes(B.units)
     mb = [m for m, plane in enumerate(pb) if any(plane)] or [0]
     big_b = max(abs(c) for m in mb for c in pb[m]) if ring.is_exact else None
-    if ring.is_exact and big_b >= 2**53:
-        return None
     # column (j, k) holds plane mb[k] of B's column j
     batch = lambda dtype: np.array([pb[m] for m in mb], dtype=dtype).T[B.idx].reshape(v, -1)
-    lane = _lane_apply(A, batch, mb, big_b)
-    return None if lane is None else (lane[0], lane[1] * den_b)
+    planes, den = _lane_apply(A, batch, mb, big_b)
+    return planes, den * den_b
+
+
+def _decode_planes(ring, vecs, den):
+    """(units, codes): the ring elements of the rows of vecs / den, a (k, d)
+    array of reduced coefficients, each distinct row decoded once, and each
+    row's position in units. The rows are found by a dict: at signal sizes
+    that costs less than a sort, and np.unique(axis=0) rejects the object
+    arrays of Python integers."""
+    if vecs.dtype.kind == "f":
+        vecs = vecs.astype(np.int64)
+    if vecs.shape[1] == 1:
+        keys = vecs.ravel().tolist()
+        decode = lambda c: ring.element(ring._lane_payload((c,), den))
+    else:
+        keys = list(map(tuple, vecs.tolist()))
+        decode = lambda vec: ring.element(ring._lane_payload(vec, den))
+    first = {}
+    codes = [first.setdefault(key, len(first)) for key in keys]
+    return [decode(key) for key in first], np.array(codes, dtype=np.intp)
 
 
 def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
@@ -443,25 +456,14 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
 
     The product takes the numeric lane: one BLAS product of coefficient
     planes per block of rows (see _lane_apply), exact on the exact backends,
-    whose distinct coefficient vectors become the result's units. Where the
-    lane's bound fails (v times the largest coefficients of A and of B
-    reaches 2^53, or so would the reduction) each entry is one ring.dot.
+    whose distinct coefficient vectors become the result's units.
     """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    lane = _lane_product(A, B)
-    if lane is None:
-        bcols = [list(col) for col in zip(*B.rows())]
-        units, codes = _unit_table(ring.dot(zip(ai, bj)) for ai in A.rows() for bj in bcols)
-        return GMatrix._table(ring, units, codes.reshape(v, v))
-    planes, den = lane
-    vecs = planes.reshape(v * v, -1)
-    if ring.is_exact:
-        vecs = vecs.astype(np.int64)
-    vecs, codes = np.unique(vecs, axis=0, return_inverse=True)
-    units = [ring.element(ring._lane_payload(vec, den)) for vec in vecs.tolist()]
+    planes, den = _lane_product(A, B)
+    units, codes = _decode_planes(ring, planes.reshape(v * v, -1), den)
     return GMatrix._table(ring, units, codes.reshape(v, v))
 
 

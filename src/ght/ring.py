@@ -348,7 +348,8 @@ class RingContext:
         return h
 
     def dot(self, pairs):
-        """Sum of a*b over (a, b) pairs; subclasses may batch the reduction."""
+        """Sum of a*b over (a, b) pairs, one ring operation at a time: the
+        reference that tests hold the numeric lane of ght.matrix to."""
         acc = None
         for a, b in pairs:
             acc = a * b if acc is None else acc + a * b
@@ -363,13 +364,17 @@ class RingContext:
         Exact backends write integers over one common denominator den."""
         raise NotImplementedError
 
-    def _lane_reduce(self, planes, top):
+    def _lane_bound(self, top, n):
+        """A bound on the size of every value met in reducing n unreduced
+        planes whose integers are smaller than top in size."""
+        return top
+
+    def _lane_reduce(self, planes):
         """The (k, d) reduced coefficients of k values of a product, given
         as their (k, n) unreduced coefficients of x^0..x^(n-1), n <= 2d - 1,
-        the higher ones being zero: a float array of integers smaller than
-        top in size. None when reducing would leave the range where float64
-        is exact. Backends with nothing to reduce return planes as they
-        are."""
+        the higher ones being zero: integers in a float array, or Python
+        integers in an object array. Backends with nothing to reduce return
+        planes as they are."""
         return planes
 
     def _lane_payload(self, coeffs, den):
@@ -628,36 +633,18 @@ class CyclotomicContext(RingContext):
     def unit_order_hint(self):
         return self.w if self.w % 2 == 0 else 2 * self.w
 
-    def dot(self, pairs):
-        # accumulate the unreduced products, reduce and normalise once
-        acc = [0] * (2 * self.deg)
-        den_acc = 1
-        for a, b in pairs:
-            (ca, da), (cb, db) = a.payload, b.payload
-            prod = _poly_mul(ca, cb)
-            dab = da * db
-            if dab != den_acc:
-                g = math.gcd(den_acc, dab)
-                la, lb = dab // g, den_acc // g
-                acc = [c * la for c in acc]
-                prod = [c * lb for c in prod]
-                den_acc *= la
-            for i, c in enumerate(prod):
-                acc[i] += c
-        return self.element(self._normalize(self._reduce(acc), den_acc))
-
     def _lane_planes(self, units):
         payloads = [u.payload for u in units]
         den = math.lcm(*(d for _, d in payloads))
         cols = [[c * (den // d) for c in coeffs] for coeffs, d in payloads]
         return [list(plane) for plane in zip(*cols)], den
 
-    def _lane_reduce(self, planes, top):
-        fold, growth = _fold_table(self.w)
-        n = planes.shape[1]
-        if top * growth[n - 1] >= 2**53:
-            return None
-        return planes @ fold[:n]
+    def _lane_bound(self, top, n):
+        return top * int(_fold_table(self.w)[1][n - 1])
+
+    def _lane_reduce(self, planes):
+        fold = _fold_table(self.w)[0][: planes.shape[1]]
+        return planes @ (fold.astype(np.int64).astype(object) if planes.dtype == object else fold)
 
     def _lane_payload(self, coeffs, den):
         return self._normalize(list(coeffs), den)
@@ -794,7 +781,7 @@ class PrimeFieldContext(RingContext):
     def _lane_planes(self, units):
         return [[u.payload for u in units]], 1
 
-    def _lane_reduce(self, planes, top):
+    def _lane_reduce(self, planes):
         return planes % self.p
 
     def _lane_payload(self, coeffs, den):
@@ -886,10 +873,12 @@ class QuadraticFieldContext(RingContext):
     def _lane_planes(self, units):
         return [list(plane) for plane in zip(*(u.payload for u in units))], 1
 
-    def _lane_reduce(self, planes, top):
+    def _lane_bound(self, top, n):
+        # the fold below meets residues below p with c0, c1 < p
+        return max(top, 2 * self.p * self.p)
+
+    def _lane_reduce(self, planes):
         # y^2 = -c1*y - c0 folds plane 2 into planes 0 and 1
-        if self.p * self.p >= 2**53:
-            return None
         fold = np.array([[1, 0], [0, 1], [-self.c0, -self.c1]], dtype=planes.dtype)
         return (planes % self.p) @ fold[: planes.shape[1]] % self.p
 

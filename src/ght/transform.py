@@ -15,9 +15,9 @@ on C), carried as d columns per vector. Each leaf is one BLAS product of its
 unit planes per block of rows (matrix._lane_apply) and one reduction by the
 backend; the denominators of the leaf units (and ight's 1/v) join the
 carried one, and the result is decoded once per distinct coefficient vector
-at the end. Where a leaf's bound fails (coefficients reaching 2^53, or a
-large p) the batch becomes ring elements there and the walk goes on in the
-object lane: one ring.dot per result entry.
+at the end. Each leaf picks its own dtype from the batch it meets, so a
+batch whose coefficients grow past float64's exact range goes on in Python
+integers.
 
 A matrix's tree is trusted when the library built it: tensor and permute of
 matrices with trusted trees, dft_matrix, the catalog, and fileio's loads,
@@ -30,7 +30,6 @@ whatever its origin.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .matrix import (
     MatrixError,
     PermutedNode,
     TensorNode,
+    _decode_planes,
     _lane_apply,
 )
 from .ring import RingContext
@@ -70,56 +70,32 @@ class OpCount:
     add: int = 0
 
 
-def _decode(ring, X, den):
-    """The ring elements of a lane batch X / den, whose d columns per vector
-    are its coefficient planes, as an object array with a column per vector.
-    Each distinct coefficient vector is decoded once, found by a dict: at
-    signal sizes that costs less than a sort."""
-    d = ring._lane_dim
-    if ring.is_exact:
-        X = X.astype(np.int64)
-    if d == 1:
-        keys = X.ravel().tolist()
-        decode = lambda c: ring.element(ring._lane_payload((c,), den))
-    else:
-        keys = list(map(tuple, X.reshape(-1, d).tolist()))
-        decode = lambda vec: ring.element(ring._lane_payload(vec, den))
-    decoded = {key: decode(key) for key in dict.fromkeys(keys)}
-    return np.array([decoded[key] for key in keys], dtype=object).reshape(len(X), -1)
-
-
 def _product(M: GMatrix, X, den, ring):
     """M times each vector of the batch X / den, whose entries lie in ring,
     as a pair (Y, den') with the product equal to Y / den'.
 
-    A numeric batch is the lane: d columns per vector, its coefficient
-    planes, and M's unit planes over their denominator d_M meet it in
-    matrix._lane_apply, giving the planes of the product over den * d_M.
-    When that declines, the batch becomes the ring elements X / den, one
-    column per vector. An object batch takes one ring.dot per result entry,
-    over 1."""
+    The batch holds d columns per vector, its coefficient planes, and M's
+    unit planes over their denominator d_M meet it in matrix._lane_apply,
+    giving the planes of the product over den * d_M."""
     if M.ring.spec != ring.spec:
         raise MatrixError("ring mismatch")
-    v = M.order
-    if X.dtype != object:
-        big = float(np.abs(X).max()) if ring.is_exact else None
-        batch = lambda dtype: X.astype(dtype, copy=False)
-        lane = _lane_apply(M, batch, range(ring._lane_dim), big)
-        if lane is not None:
-            planes, den_m = lane
-            return planes.reshape(v, -1), den * den_m
-        X = _decode(ring, X, den)
-    cols = X.T.tolist()
-    out = [[ring.dot(zip(row, col)) for col in cols] for row in M.rows()]
-    return np.array(out, dtype=object), 1
+    big = int(np.abs(X).max()) if ring.is_exact else None
+
+    def batch(dtype):
+        # float lane values are integers, which an object batch keeps as ints
+        if dtype == object and X.dtype.kind == "f":
+            return X.astype(np.int64).astype(object)
+        return X.astype(dtype, copy=False)
+
+    planes, den_m = _lane_apply(M, batch, range(ring._lane_dim), big)
+    return planes.reshape(M.order, -1), den * den_m
 
 
 def _walk(node: FactorTree, X, den, ring):
     """The matrix of node times each vector of the batch X / den, as a pair
     like _product's. A tensor node of orders (a, b) views a column as an
     a x b array and applies its right factor along the length-b axis, then
-    its left factor along the other. A batch may leave the lane at any leaf,
-    with fewer columns, so the column count is read after each walk."""
+    its left factor along the other."""
     if isinstance(node, Leaf):
         return _product(node.matrix, X, den, ring)
     if isinstance(node, DftNode):
@@ -142,20 +118,16 @@ def _walk(node: FactorTree, X, den, ring):
 def _apply(tree: FactorTree, x: Signal) -> Signal:
     """The matrix of tree times x, with x as a batch of one vector. The
     signal enters the lane as its coefficient planes over their common
-    denominator, unless a coefficient reaches 2^53; the carried denominator
-    divides the result once at the end."""
+    denominator, Python integers until the first leaf picks a dtype; the
+    carried denominator divides the result once at the end."""
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
     planes, den = ring._lane_planes(x.elements)
-    if ring.is_exact and max(abs(c) for plane in planes for c in plane) >= 2**53:
-        X, den = np.array(x.elements, dtype=object)[:, None], 1
-    else:
-        X = np.array(planes).T
+    X = np.array(planes, dtype=object if ring.is_exact else np.complex128).T
     y, den = _walk(tree, X, den, ring)
-    if y.dtype != object:
-        y = _decode(ring, y, den)
-    return Signal(ring, tuple(y[:, 0]))
+    units, codes = _decode_planes(ring, y.reshape(-1, ring._lane_dim), den)
+    return Signal(ring, tuple(units[k] for k in codes.tolist()))
 
 
 def ght(B: GMatrix, x: Signal) -> Signal:
@@ -208,58 +180,3 @@ def fast_apply(tree: FactorTree, x: Signal):
     expanded matrix, and the count is tree_cost(tree).
     """
     return _apply(tree, x), tree_cost(tree)
-
-
-@dataclass
-class BenchRow:
-    order: int
-    naive_time: float | None
-    fast_time: float | None
-    naive_mul: int
-    fast_mul: int
-
-
-def bench(trees, repetitions: int = 0):
-    """Op counts and (optionally) median wall times, naive vs tree apply.
-
-    With repetitions == 0 only the deterministic operation counts are
-    reported.
-    """
-    out = []
-    for tree in trees:
-        M = tree.expand()
-        v = M.order
-        naive_time = fast_time = None
-        if repetitions > 0:
-            ones = Signal.from_ints(M.ring, [1] * v)
-            nt, ft = [], []
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                ght(M, ones)
-                nt.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                fast_apply(tree, ones)
-                ft.append(time.perf_counter() - t0)
-            naive_time = sorted(nt)[len(nt) // 2]
-            fast_time = sorted(ft)[len(ft) // 2]
-        out.append(
-            BenchRow(
-                order=v,
-                naive_time=naive_time,
-                fast_time=fast_time,
-                naive_mul=v * v,
-                fast_mul=tree_cost(tree).mul,
-            )
-        )
-    return out
-
-
-def bench_table(rows) -> str:
-    """Delimited table, one line per order, fixed column order."""
-    header = "order\tnaive-time\tfast-time\tnaive-ops\tfast-ops"
-    fmt = lambda t: "-" if t is None else f"{t:.6f}"
-    lines = [header] + [
-        f"{r.order}\t{fmt(r.naive_time)}\t{fmt(r.fast_time)}\t{r.naive_mul}\t{r.fast_mul}"
-        for r in rows
-    ]
-    return "\n".join(lines)

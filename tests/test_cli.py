@@ -170,15 +170,11 @@ def test_seqsearch_exit_codes(capsys):
     assert main(["seqsearch", "99"]) == 2  # outside the exhaustive bound
 
 
-def test_bench(capsys):
-    assert main(["bench", "--t-min", "2", "--t-max", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("order\t")
-    assert len(lines) == 3
-
-
 def test_enumerate2x2(capsys):
     assert main(["enumerate2x2", "--group-order", "4"]) == 0
+    assert "count: 1" in capsys.readouterr().out
+    # one candidate per root of unity, not one per 4-tuple of them
+    assert main(["enumerate2x2", "--group-order", "96"]) == 0
     assert "count: 1" in capsys.readouterr().out
 
 

@@ -218,11 +218,12 @@ def test_catalog_matrices_take_the_numeric_lane(build):
     assert rep.is_gbh and rep.method == ("tree" if by_tree else "numeric-lane")
 
 
-def test_bound_failing_matrix_takes_the_per_entry_route():
-    # K2(2^30) has units +-2^30, M* has +-2^-30: v * 2^30 * 2^30 > 2^53
+def test_matrix_past_the_float_bound_takes_the_numeric_lane():
+    # K2(2^30) has units +-2^30, M* has +-2^-30: v * 2^30 * 2^30 > 2^53,
+    # so the lane multiplies Python integers
     rep = verify_gbh(k2(2**30))
-    assert rep.is_gbh and rep.w is None and rep.method == "per-entry"
-    assert rep.to_text().splitlines()[-1] == "method: per-entry"
+    assert rep.is_gbh and rep.w is None and rep.method == "numeric-lane"
+    assert rep.to_text().splitlines()[-1] == "method: numeric-lane"
 
 
 def _walk(u, bound):

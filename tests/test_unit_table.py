@@ -228,26 +228,56 @@ def test_mat_mul_matches_per_entry_product_at_order_16(ring):
     _same(mat_mul(star(A), star(B)), _product(_grid(star(A)), _grid(star(B))))
 
 
-def test_bound_failing_units_take_the_per_entry_route():
+def test_units_past_the_float_bound_take_the_integer_lane():
     # Q units 2^30 and 2^-30 over the common denominator 2^30 have
     # numerators up to 2^60, and GF(2^61 - 1) residues reach 2^61: the lane
-    # declines, and mat_mul and verify_gbh run one ring.dot per entry
+    # multiplies Python integers in object arrays, for mat_mul and verify_gbh
     q = rationals()
     big = [q.element(Fraction(2) ** e) for e in (30, -30)] + [q.one(), q.from_int(-1)]
     gf = prime_field(2**61 - 1)
     rng = np.random.default_rng(61)
-    for ring, pool in [(q, big), (gf, [gf.from_int(int(n)) for n in rng.integers(1, 2**62, 4)])]:
-        a, b = ([[pool[k] for k in row] for row in rng.integers(0, 4, (4, 4))] for _ in range(2))
+    gf_pool = [gf.from_int(int(n)) for n in rng.integers(1, 2**62, 4)]
+    # the same over Q(zeta_6), whose fold modulo Phi_6 meets Python
+    # integers, and over GF(p^2) with p^2 past 2^53 (y^2 + 1 is irreducible
+    # as p = 3 mod 4)
+    z6 = cyclotomic(6)
+    zeta = z6.root_of_unity(6)
+    big6 = [zeta * z6.from_int(2**30), zeta**2 * z6.from_int(2**30).inverse(), z6.one(), -zeta]
+    gf2 = quadratic_field(2**31 - 1, (1, 0, 1))
+    pairs = rng.integers(0, 2**31 - 1, (4, 2)).tolist()
+    # GF(p^2) for p = 2^40 - 213 with y^2 = 2, written y^2 + (p - 2): the
+    # products of these units stay near 2^43, but the fold multiplies
+    # residues near p by c0 = p - 2, to about 2^80
+    p40 = 2**40 - 213
+    gf3 = quadratic_field(p40, (p40 - 2, 0, 1))
+    big3 = [gf3.element(pair) for pair in [(1, 2**35 + 7), (5, 2**34 + 1), (2, 3), (1, 1)]]
+    small3 = [gf3.element(pair) for pair in [(1, 1), (3, 7), (2, 31), (1, 0)]]
+    gf2_pool = [gf2.element((a, b)) for a, b in pairs]
+    pools = [
+        (q, big, big),
+        (gf, gf_pool, gf_pool),
+        (z6, big6, big6),
+        (gf2, gf2_pool, gf2_pool),
+        (gf3, big3, small3),
+    ]
+    for ring, pool_a, pool_b in pools:
+        a, b = ([[pool[k] for k in row] for row in rng.integers(0, 4, (4, 4))] for pool in (pool_a, pool_b))
         A, B = GMatrix.from_rows(ring, a), GMatrix.from_rows(ring, b)
-        assert _lane_product(A, B) is None
+        assert _lane_product(A, B)[0].dtype == object
         _same(mat_mul(A, B), _product(a, b))
-    for M in (GMatrix.from_rows(q, [[big[i ^ j] for j in range(4)] for i in range(4)]), walsh(2, gf)):
+    grids = (
+        GMatrix.from_rows(q, [[big[i ^ j] for j in range(4)] for i in range(4)]),
+        walsh(2, gf),
+        GMatrix.from_rows(z6, [[big6[i ^ j] for j in range(4)] for i in range(4)]),
+        walsh(2, gf2),
+    )
+    for M in grids:
         grid = _grid(M)
         planted = [row[:] for row in grid]
         planted[3][1] = -planted[3][1]
         for g in (grid, planted):
             rep = verify_gbh(GMatrix.from_rows(M.ring, g))
-            assert rep.method == "per-entry"
+            assert rep.method == "numeric-lane"
             assert rep.failures == _failures(g)
 
 
