@@ -231,10 +231,17 @@ def load_matrix(path) -> GMatrix:
 
 
 def signal_to_json(x: Signal) -> dict:
+    """The signal's JSON; each distinct element object is encoded once, and
+    the entries it fills share that encoding (a transform's output shares
+    one object per distinct value)."""
+    encodings = {}  # id of an element -> its encoding
+    for e in x.elements:
+        if id(e) not in encodings:
+            encodings[id(e)] = x.ring.encode(e)
     return {
         "ring": ring_spec_to_json(x.ring.spec),
         "length": x.length,
-        "elements": [x.ring.encode(e) for e in x.elements],
+        "elements": [encodings[id(e)] for e in x.elements],
     }
 
 

@@ -14,10 +14,15 @@ carried denominator (integers on the exact backends, one complex128 plane
 on C), carried as d columns per vector. Each leaf is one BLAS product of its
 unit planes per block of rows (matrix._lane_apply) and one reduction by the
 backend; the denominators of the leaf units (and ight's 1/v) join the
-carried one, and the result is decoded once per distinct coefficient vector
-at the end. Each leaf picks its own dtype from the batch it meets, so a
+carried one. Each leaf picks its own dtype from the batch it meets, so a
 batch whose coefficients grow past float64's exact range goes on in Python
 integers.
+
+A transform returns its output in that lane form, in lowest terms on the
+exact backends (planes and denominator divided by their gcd), and reads a
+lane-form input as it is. A chain of transforms thus writes elements as
+planes only for the signal that starts it; a Signal decodes its elements,
+once per distinct coefficient vector, the first time they are read.
 
 A matrix's tree is trusted when the library built it: tensor and permute of
 matrices with trusted trees, dft_matrix, the catalog, and fileio's loads,
@@ -30,6 +35,7 @@ whatever its origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +54,71 @@ from .matrix import (
 from .ring import RingContext
 
 
-@dataclass(frozen=True)
 class Signal:
-    """Length-v sequence of ring elements."""
+    """Length-v sequence of ring elements; immutable.
 
-    ring: RingContext
-    elements: tuple
+    A signal holds its elements, or its lane form: a read-only (v, d) array
+    of coefficient planes over one carried denominator, as the transforms
+    return it. A lane-form signal decodes its elements the first time they
+    are read and keeps them; ring and length need no decode. Equality is
+    element-wise (within the tolerance on the complex backend), and exact
+    signals hash by their elements, whichever form holds them.
+    """
+
+    __slots__ = ("ring", "length", "_elements", "_planes", "_den")
+
+    def __init__(self, ring: RingContext, elements):
+        elements = tuple(elements)
+        self._fill(ring, len(elements), elements, None, None)
+
+    @classmethod
+    def _from_lane(cls, ring, planes, den):
+        """The signal of planes / den, a (v, d) array that becomes read-only."""
+        planes.flags.writeable = False
+        x = object.__new__(cls)
+        x._fill(ring, len(planes), None, planes, den)
+        return x
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signal is immutable")
 
     @classmethod
     def from_ints(cls, ring, values):
         return cls(ring, tuple(ring.from_int(n) for n in values))
 
     @property
-    def length(self):
-        return len(self.elements)
+    def elements(self) -> tuple:
+        if self._elements is None:
+            units, codes = _decode_planes(self.ring, self._planes, self._den)
+            object.__setattr__(self, "_elements", tuple(units[k] for k in codes.tolist()))
+        return self._elements
+
+    def _lane_form(self):
+        """(planes, den): the lane form, written from the elements (as
+        Python integers on an exact backend) when they built the signal."""
+        if self._planes is not None:
+            return self._planes, self._den
+        planes, den = self.ring._lane_planes(self.elements)
+        return np.array(planes, dtype=object if self.ring.is_exact else np.complex128).T, den
+
+    def __eq__(self, other):
+        if not isinstance(other, Signal):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.length == other.length
+            and self.elements == other.elements
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.elements))
+
+    def __repr__(self):
+        return f"Signal(ring={self.ring!r}, elements={self.elements!r})"
 
 
 @dataclass(frozen=True)
@@ -115,19 +172,27 @@ def _walk(node: FactorTree, X, den, ring):
     raise MatrixError(f"unknown tree node {node!r}")
 
 
+def _lowest_terms(ring, y, den):
+    """(y, den) with the planes and den divided by their gcd on an exact
+    backend, so that the lane form of a signal does not depend on the route
+    that made it and a chain of transforms does not grow its denominator."""
+    if not ring.is_exact or den == 1:
+        return y, den
+    ints = y.astype(np.int64) if y.dtype.kind == "f" else y
+    g = math.gcd(den, int(np.gcd.reduce(ints.ravel())))
+    return (y, den) if g == 1 else (ints // g, den // g)
+
+
 def _apply(tree: FactorTree, x: Signal) -> Signal:
-    """The matrix of tree times x, with x as a batch of one vector. The
-    signal enters the lane as its coefficient planes over their common
-    denominator, Python integers until the first leaf picks a dtype; the
-    carried denominator divides the result once at the end."""
+    """The matrix of tree times x, with x as a batch of one vector, as a
+    lane-form signal. A signal built from elements enters the lane as its
+    coefficient planes over their common denominator, Python integers until
+    the first leaf picks a dtype; a lane-form signal enters as it is."""
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    planes, den = ring._lane_planes(x.elements)
-    X = np.array(planes, dtype=object if ring.is_exact else np.complex128).T
-    y, den = _walk(tree, X, den, ring)
-    units, codes = _decode_planes(ring, y.reshape(-1, ring._lane_dim), den)
-    return Signal(ring, tuple(units[k] for k in codes.tolist()))
+    y, den = _walk(tree, *x._lane_form(), ring)
+    return Signal._from_lane(ring, *_lowest_terms(ring, y, den))
 
 
 def ght(B: GMatrix, x: Signal) -> Signal:

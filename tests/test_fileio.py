@@ -18,6 +18,7 @@ from ght import (
     cyclotomic,
     dft_matrix,
     equal,
+    fast_apply,
     jacketize_cbt,
     k2,
     k4,
@@ -189,6 +190,32 @@ def test_json_round_trip_on_random_trees(tmp_path_factory, case):
         assert all(N.entry(i, j) == M.entry(i, j) for i in range(v) for j in range(v))
         assert N.tree is not None and equal(N.tree.expand(), M)
     assert signal_from_json(json.loads(json.dumps(signal_to_json(x)))) == x
+
+
+@settings(max_examples=50)
+@given(walks())
+def test_lane_form_signals_save_as_their_elements(tmp_path_factory, case):
+    # a transform's output is saved with the bytes of a twin built from
+    # fresh element objects, which the writer encodes one entry at a time
+    tree, x = case
+    y, _ = fast_apply(tree, x)
+    twin = Signal(y.ring, tuple(y.ring.element(e.payload) for e in y.elements))
+    base = tmp_path_factory.getbasetemp()
+    save_signal(y, base / "lane.json")
+    save_signal(twin, base / "twin.json")
+    assert (base / "lane.json").read_bytes() == (base / "twin.json").read_bytes()
+    assert load_signal(base / "lane.json") == y
+
+
+def test_each_distinct_signal_element_is_encoded_once(monkeypatch):
+    M = walsh(10)
+    y, _ = fast_apply(M.tree, Signal.from_ints(M.ring, [k % 3 for k in range(M.order)]))
+    encoded = []
+    encode = RationalsContext.encode
+    monkeypatch.setattr(RationalsContext, "encode", lambda r, e: encoded.append(1) or encode(r, e))
+    data = signal_to_json(y)
+    assert len(encoded) == len({e.payload for e in y.elements}) < M.order
+    assert data["elements"] == [encode(M.ring, e) for e in y.elements]
 
 
 def test_unchecked_trees_are_saved_with_the_entries(tmp_path):

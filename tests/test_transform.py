@@ -271,6 +271,30 @@ def test_fraction_signal_transforms_are_fast():
         assert time.perf_counter() - t0 < 1.0
 
 
+def test_chained_round_trips_keep_the_denominator():
+    # the lane form leaves each transform in lowest terms: without that, every
+    # ight multiplies the carried denominator by v, and a chain of round
+    # trips slows down until the lane falls to Python integers
+    q = rationals()
+    rng = random.Random(31)
+    M = walsh(10)
+    values = [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5, 7))) for _ in range(M.order)]
+    x = Signal(q, tuple(map(q.element, values)))
+    y, times = x, []
+    for _ in range(6):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            z = ight(M, fast_apply(M.tree, y)[0])
+            best = min(best, time.perf_counter() - t0)
+        y = z
+        times.append(best)
+        planes, den = y._lane_form()
+        assert den == x._lane_form()[1] and planes.dtype != object
+    assert y == x
+    assert times[-1] < 3 * times[0]
+
+
 def test_tree_cost_counts_nodes():
     J, _ = jacketize_cbt(3)
     assert tree_cost(J.tree) == OpCount(64, 56)  # a leaf under a permuted node
@@ -418,3 +442,46 @@ def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
     assert ight(F, ght(F, x)) == x
     assert orders == [v] + leaf_orders
+
+
+# --- lane-form signals, as the transforms return them ---
+
+
+@settings(max_examples=100)
+@given(walks())
+def test_lane_form_signals_act_as_their_elements(case):
+    tree, x = case
+    ring = x.ring
+    for y in (fast_apply(tree, x)[0], ght(tree.expand(), x)):
+        assert y.ring == ring and y.length == tree.order
+        assert y._elements is None  # not decoded yet
+        twin = Signal(ring, y.elements)
+        assert y == twin and twin == y and not y != twin
+        if ring.is_exact:
+            assert hash(y) == hash(twin)
+        else:
+            with pytest.raises(TypeError):
+                hash(y)
+        changed = Signal(ring, (y.elements[0] + 1,) + y.elements[1:])
+        assert y != changed and changed != y
+        for name in ("ring", "length", "elements", "_planes", "_den", "new"):
+            with pytest.raises(AttributeError):
+                setattr(y, name, None)
+        planes, _ = y._lane_form()
+        with pytest.raises(ValueError):
+            planes[0, 0] = 0
+
+
+def test_lane_form_inputs_are_read_as_they_are(monkeypatch):
+    # a transform's output enters the next one without a decode and without
+    # being written from elements again: the lane only writes unit tables
+    M = walsh(3)
+    x = Signal.from_ints(M.ring, [3, -1, 4, 1, -5, 9, 2, -6])
+    y, _ = fast_apply(M.tree, x)
+    written, decoded = [], []
+    lane_planes, decode = RationalsContext._lane_planes, transform._decode_planes
+    monkeypatch.setattr(RationalsContext, "_lane_planes", lambda r, u: written.append(len(u)) or lane_planes(r, u))
+    monkeypatch.setattr(transform, "_decode_planes", lambda *a: decoded.append(1) or decode(*a))
+    back = ight(M, y)
+    assert max(written) <= 2 and decoded == [] and y._elements is None
+    assert back == x and decoded == [1]
