@@ -18,16 +18,6 @@ from .jacket import is_jacket_form, jacketize_dft
 from .matrix import ORDER_LIMIT, GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
 from .ring import RingContext, RingElement, RingError, _order_exact
 
-FAMILY_TAGS = (
-    "WHT",
-    "DFT-equivalent",
-    "CWHT",
-    "complex-RJT",
-    "extended-complex-RJT",
-    "unnamed",
-)
-
-
 @dataclass(frozen=True)
 class FamilyLabel:
     l: int
@@ -121,12 +111,11 @@ def k2(r, ring: RingContext | None = None) -> GMatrix:
     )
 
 
-def k3(ring: RingContext, alpha: RingElement | None = None) -> GMatrix:
-    """The 6x6 primary jacket matrix on a primitive 6th root of unity."""
-    a = alpha if alpha is not None else ring.root_of_unity(6)
+def k3(ring: RingContext) -> GMatrix:
+    """The 6x6 primary jacket matrix on the ring's primitive 6th root of
+    unity."""
+    a = ring.root_of_unity(6)
     one = ring.one()
-    if not _order_exact(a, 6, one):
-        raise RingError("alpha must have multiplicative order exactly 6")
     m1 = ring.from_int(-1)
     a2, a4, a5 = a ** 2, a ** 4, a ** 5
     return GMatrix.from_rows(
@@ -317,9 +306,10 @@ def back_circulant(s: QuadriphaseSequence, ring: RingContext | None = None) -> G
     return GMatrix.from_rows(ring, rows)
 
 
-def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
-    """All canonical (s_0 = 0) perfect quadriphase sequences of length L,
-    by exhausting the 4^(L-1) candidates; bounded to L <= 10."""
+def search_perfect_quadriphase(L: int):
+    """All canonical (s_0 = 0) perfect quadriphase sequences of length L
+    over Q(zeta_4), by exhausting the 4^(L-1) candidates; bounded to
+    L <= 10."""
     if L < 1 or L > 10:
         raise MatrixError("exhaustive search is bounded to 1 <= L <= 10")
     # the candidates in itertools.product order, one row each: candidate n
@@ -330,9 +320,7 @@ def search_perfect_quadriphase(L: int, ring: RingContext | None = None):
     phases = np.empty((len(n), L), dtype=np.int8)
     for j in range(L):
         phases[:, j] = (n >> 2 * (L - 1 - j)) & 3
-    # the rows perfect over Q(zeta_4); another ring re-checks them
-    found = [QuadriphaseSequence(tuple(row)) for row in _perfect_rows(phases).tolist()]
-    return found if _is_q4(ring) else [s for s in found if is_perfect(s, ring)]
+    return [QuadriphaseSequence(tuple(row)) for row in _perfect_rows(phases).tolist()]
 
 
 def enumerate_jackets_2x2(ring: RingContext, group_order: int):

@@ -15,8 +15,9 @@ backend searches the powers of all its units at once with numpy.
 On an exact backend a trusted factor tree of two or more leaves decides
 M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
 Otherwise M* is the field inverses of the units on the transposed index
-array, and M M* takes the numeric lane of ght.matrix: one BLAS product of
-coefficient planes, compared plane by plane with v I.
+array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
+batch meets M in _lane_apply, one BLAS product of coefficient planes,
+compared plane by plane with v I.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import _lane_product, star
+from .matrix import _lane_apply, _lane_batch, star
 from .ring import RingContext, RingError, _prime_factors
 
 
@@ -95,8 +96,8 @@ def _complex_orders(z, bound, tol):
 def _product_failures(M: GMatrix):
     """The positions of M M* that differ from v I, in row-major order
     (within tol on the complex backend)."""
-    ring, v = M.ring, M.order
-    planes, den = _lane_product(M, star(M))
+    ring, v, S = M.ring, M.order, star(M)
+    planes, den = _lane_apply(M, *_lane_batch(ring, S.units, S.idx))
     # v I over den: the planes of the integer v times den on the diagonal,
     # 0 elsewhere
     v_planes, _ = ring._lane_planes([ring.from_int(v)])

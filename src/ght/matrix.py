@@ -8,12 +8,13 @@ distinct entries, deduplicated by exact payload, and a read-only index array
 table: star inverts the units and transposes idx, permute indexes idx,
 tensor forms each unit product once and fills idx with numpy, and equal
 compares only the distinct unit pairs that occur. mat_mul, verification and
-the transforms take the numeric lane: each backend writes a unit table as
-integer coefficient planes over a common denominator (one complex plane on
-the complex backend), the planes meet those of the other factor (or of a
-signal batch) in one BLAS product per block of rows, and the backend
-reduces the result: in floats while that is exact, in Python integers past
-that.
+every transform leaf take the numeric lane through one kernel, _lane_apply:
+the backend writes a matrix's unit table as integer coefficient planes over
+a common denominator (one complex plane on the complex backend), which meet
+a lane batch (the other factor's table, or signals, as the one writer
+_lane_batch lays them out) in one BLAS product per block of rows, and the
+backend reduces the result: in floats while that is exact, in Python
+integers past that.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -359,36 +360,50 @@ _BLOCK_VALUES = 2**16
 
 
 @lru_cache(maxsize=64)
-def _scatter(ma, mx, dtype):
-    """Row (i, j) holds a 1 in column ma[i] + mx[j]: the product of plane
-    ma[i] of A and plane mx[j] of X adds to that unreduced plane. The
-    columns stop at max(ma) + max(mx), past which every plane is zero."""
-    sums = np.add.outer(ma, mx).reshape(-1, 1)
+def _scatter(ma, d, dtype):
+    """Row (i, j) holds a 1 in column ma[i] + j: the product of plane ma[i]
+    of A and plane j of X adds to that unreduced plane. The columns stop at
+    max(ma) + d - 1, past which every plane is zero."""
+    sums = np.add.outer(ma, np.arange(d)).reshape(-1, 1)
     out = (sums == np.arange(sums.max() + 1)).astype(np.int64).astype(dtype)
     out.flags.writeable = False
     return out
 
 
-def _lane_apply(A: GMatrix, batch, mx, big_x):
-    """(planes, den): A times a batch of n vectors given by the coefficient
-    planes mx of each (see RingContext._lane_planes), side by side:
-    batch(dtype) is X, a (v, n * len(mx)) array in that dtype whose column
-    k * len(mx) + j holds plane mx[j] of vector k, and on an exact backend
-    big_x bounds its values in size. The product is a (v, n, d) array of
-    reduced coefficients over A's plane denominator den. X is built only
-    once the dtype is known, as a large copy costs as much as a small
-    product.
+def _lane_batch(ring, units, idx):
+    """(X, den): the table units[idx] of n columns as a lane batch over the
+    common denominator den, a (v, n * d) array whose column k * d + m holds
+    coefficient plane m of column k (see RingContext._lane_planes); idx is
+    an index array, or slice(None) for the units as one column. Exact
+    planes are int64, or Python integers in an object array where a value
+    is out of int64's range (np.array would turn those in [2^63, 2^64)
+    into float64 unless asked for int64); the complex plane is complex128."""
+    planes, den = ring._lane_planes(units)
+    try:
+        table = np.array(planes, dtype=np.int64 if ring.is_exact else np.complex128)
+    except OverflowError:
+        table = np.array(planes, dtype=object)
+    X = table.T[idx]
+    return X.reshape(len(X), -1), den
+
+
+def _lane_apply(A: GMatrix, X, den_x):
+    """(planes, den): A times the lane batch X / den_x of n vectors (see
+    _lane_batch), as a (v, n, d) array of reduced coefficients over
+    den = den_x times A's plane denominator. This is the one kernel of the
+    numeric lane: mat_mul, verification and every transform leaf call it.
 
     A's unit table is written as coefficient planes, and its nonzero planes,
     stacked as rows, meet X in one BLAS product per block of rows, whose
-    blocks A_m X_k add up to the unreduced plane m + k; the backend then
+    blocks A_m X_j add up to the unreduced plane m + j; the backend then
     reduces the planes (modulo Phi_w, modulo p). On an exact backend every
-    value is an integer smaller than the bound top = min(#planes of A,
-    len(mx)) * v * max|a| * big_x, and every value the reduction meets is
-    smaller than RingContext._lane_bound(top, #unreduced planes). The
-    product is float32 for one-plane backends while that bound is below
-    2^24, float64 while it is below 2^53, and otherwise Python integers in
-    object arrays, exact at any size. The complex backend multiplies its complex128 plane as is.
+    value is an integer smaller than the bound top = min(#planes of A, d) *
+    v * max|a| * max|x|, and every value the reduction meets is smaller than
+    RingContext._lane_bound(top, #unreduced planes). The product is float32
+    for one-plane backends while that bound is below 2^24, float64 while it
+    is below 2^53, and otherwise Python integers in object arrays, exact at
+    any size; X is cast to that dtype once. The complex backend multiplies
+    its complex128 plane as is.
     """
     ring, v, d = A.ring, A.order, A.ring._lane_dim
     pa, den = ring._lane_planes(A.units)
@@ -396,12 +411,16 @@ def _lane_apply(A: GMatrix, batch, mx, big_x):
     dtype = np.complex128
     if ring.is_exact:
         big_a = max(abs(c) for m in ma for c in pa[m])
-        top = min(len(ma), len(mx)) * v * big_a * max(big_x, 1)
-        bound = ring._lane_bound(top, ma[-1] + max(mx) + 1)
+        # max|x| from max and min: np.abs leaves -2^63 negative in int64,
+        # and would copy a large batch
+        top = min(len(ma), d) * v * big_a * max(int(X.max()), -int(X.min()), 1)
+        bound = ring._lane_bound(top, ma[-1] + d)
         dtype = np.float32 if d == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
     ua = np.array([pa[m] for m in ma], dtype=dtype)
-    X = batch(dtype)
-    n = X.shape[1] // len(mx)
+    if dtype == object and X.dtype.kind == "f":
+        X = X.astype(np.int64)  # float lane values are integers, kept as ints
+    X = X.astype(dtype, copy=False)
+    n = X.shape[1] // d
     blocks = []
     rows = max(1, _BLOCK_VALUES * X.shape[1] // (len(ma) * v))
     for r in range(0, v, rows):
@@ -410,25 +429,10 @@ def _lane_apply(A: GMatrix, batch, mx, big_x):
         if d == 1:
             planes = prod.reshape(-1, 1)
         else:
-            prod = prod.reshape(len(ma), len(idx), n, len(mx)).transpose(1, 2, 0, 3)
-            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, tuple(mx), dtype)
+            prod = prod.reshape(len(ma), len(idx), n, d).transpose(1, 2, 0, 3)
+            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, d, dtype)
         blocks.append(ring._lane_reduce(planes).reshape(len(idx), n, d))
-    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), den
-
-
-def _lane_product(A: GMatrix, B: GMatrix):
-    """(planes, den): the reduced coefficients of A B over the common
-    denominator den, a (v, v, d) array with entry (i, j) of A B equal to
-    planes[i, j] / den (see _lane_apply, with the columns of B as the
-    batch)."""
-    ring, v = A.ring, A.order
-    pb, den_b = ring._lane_planes(B.units)
-    mb = [m for m, plane in enumerate(pb) if any(plane)] or [0]
-    big_b = max(abs(c) for m in mb for c in pb[m]) if ring.is_exact else None
-    # column (j, k) holds plane mb[k] of B's column j
-    batch = lambda dtype: np.array([pb[m] for m in mb], dtype=dtype).T[B.idx].reshape(v, -1)
-    planes, den = _lane_apply(A, batch, mb, big_b)
-    return planes, den * den_b
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), den_x * den
 
 
 def _decode_planes(ring, vecs, den):
@@ -454,15 +458,16 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     """Plain matrix product. The result is not unit-checked (products of GBH
     matrices legitimately contain zeros).
 
-    The product takes the numeric lane: one BLAS product of coefficient
-    planes per block of rows (see _lane_apply), exact on the exact backends,
-    whose distinct coefficient vectors become the result's units.
+    The product takes the numeric lane: B's unit table is written as a lane
+    batch (_lane_batch) that A meets in _lane_apply, exact on the exact
+    backends, and the distinct coefficient vectors of the product become the
+    result's units.
     """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    planes, den = _lane_product(A, B)
+    planes, den = _lane_apply(A, *_lane_batch(ring, B.units, B.idx))
     units, codes = _decode_planes(ring, planes.reshape(v * v, -1), den)
     return GMatrix._table(ring, units, codes.reshape(v, v))
 

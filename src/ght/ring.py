@@ -27,20 +27,11 @@ class RingError(ValueError):
     """Invalid ring specification or illegal ring operation."""
 
 
-BACKEND_KINDS = (
-    "cyclotomic-rationals",
-    "rationals",
-    "prime-field",
-    "quadratic-extension-field",
-    "complex-float",
-)
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """Declarative description of a coefficient ring.
 
-    kind: one of BACKEND_KINDS.
+    kind: one of the backend kinds that make_ring builds.
     w: root-of-unity order for the cyclotomic backend.
     p: characteristic for the field backends.
     ext_poly: (c0, c1, c2) of a monic quadratic c2*y^2 + c1*y + c0, c2 == 1.

@@ -8,11 +8,12 @@ one-leaf tree of B, fast_apply over a given tree, and ight over the starred
 tree of B, as (A (x) B)* = A* (x) B*. Tensor factors of orders v_1..v_k cost
 v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost counts.
 
-The kernel runs on the numeric lane of ght.matrix, on every backend. A
-signal is written once as the backend's d coefficient planes over one
-carried denominator (integers on the exact backends, one complex128 plane
-on C), carried as d columns per vector. Each leaf is one BLAS product of its
-unit planes per block of rows (matrix._lane_apply) and one reduction by the
+That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
+backend. A signal is written once, by the lane's one writer
+matrix._lane_batch, as the backend's d coefficient planes over one carried
+denominator (integers on the exact backends, one complex128 plane on C),
+carried as d columns per vector. Each leaf is one call of _lane_apply: one
+BLAS product of its unit planes per block of rows and one reduction by the
 backend; the denominators of the leaf units (and ight's 1/v) join the
 carried one. Each leaf picks its own dtype from the batch it meets, so a
 batch whose coefficients grow past float64's exact range goes on in Python
@@ -50,6 +51,7 @@ from .matrix import (
     TensorNode,
     _decode_planes,
     _lane_apply,
+    _lane_batch,
 )
 from .ring import RingContext
 
@@ -98,12 +100,11 @@ class Signal:
         return self._elements
 
     def _lane_form(self):
-        """(planes, den): the lane form, written from the elements (as
-        Python integers on an exact backend) when they built the signal."""
+        """(planes, den): the lane form, written from the elements by
+        matrix._lane_batch when they built the signal."""
         if self._planes is not None:
             return self._planes, self._den
-        planes, den = self.ring._lane_planes(self.elements)
-        return np.array(planes, dtype=object if self.ring.is_exact else np.complex128).T, den
+        return _lane_batch(self.ring, self.elements, slice(None))
 
     def __eq__(self, other):
         if not isinstance(other, Signal):
@@ -127,34 +128,18 @@ class OpCount:
     add: int = 0
 
 
-def _product(M: GMatrix, X, den, ring):
-    """M times each vector of the batch X / den, whose entries lie in ring,
-    as a pair (Y, den') with the product equal to Y / den'.
-
-    The batch holds d columns per vector, its coefficient planes, and M's
-    unit planes over their denominator d_M meet it in matrix._lane_apply,
-    giving the planes of the product over den * d_M."""
-    if M.ring.spec != ring.spec:
-        raise MatrixError("ring mismatch")
-    big = int(np.abs(X).max()) if ring.is_exact else None
-
-    def batch(dtype):
-        # float lane values are integers, which an object batch keeps as ints
-        if dtype == object and X.dtype.kind == "f":
-            return X.astype(np.int64).astype(object)
-        return X.astype(dtype, copy=False)
-
-    planes, den_m = _lane_apply(M, batch, range(ring._lane_dim), big)
-    return planes.reshape(M.order, -1), den * den_m
-
-
 def _walk(node: FactorTree, X, den, ring):
-    """The matrix of node times each vector of the batch X / den, as a pair
-    like _product's. A tensor node of orders (a, b) views a column as an
-    a x b array and applies its right factor along the length-b axis, then
-    its left factor along the other."""
+    """The matrix of node times each vector of the batch X / den, whose
+    entries lie in ring, as a pair (Y, den') with the product equal to
+    Y / den'. The batch holds d columns per vector, its coefficient planes;
+    a leaf meets it in matrix._lane_apply. A tensor node of orders (a, b)
+    views a column as an a x b array and applies its right factor along the
+    length-b axis, then its left factor along the other."""
     if isinstance(node, Leaf):
-        return _product(node.matrix, X, den, ring)
+        if node.matrix.ring.spec != ring.spec:
+            raise MatrixError("ring mismatch")
+        Y, den = _lane_apply(node.matrix, X, den)
+        return Y.reshape(node.order, -1), den
     if isinstance(node, DftNode):
         return _walk(node.tree, X, den, ring)
     if isinstance(node, TensorNode):
@@ -186,8 +171,8 @@ def _lowest_terms(ring, y, den):
 def _apply(tree: FactorTree, x: Signal) -> Signal:
     """The matrix of tree times x, with x as a batch of one vector, as a
     lane-form signal. A signal built from elements enters the lane as its
-    coefficient planes over their common denominator, Python integers until
-    the first leaf picks a dtype; a lane-form signal enters as it is."""
+    coefficient planes over their common denominator (matrix._lane_batch); a
+    lane-form signal enters as it is."""
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
@@ -223,19 +208,11 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
 
 def tree_cost(tree: FactorTree) -> OpCount:
     """Ring multiplications and additions that fast_apply spends on one
-    signal; a leaf of order a costs a^2 and a(a-1)."""
-    if isinstance(tree, Leaf):
-        a = tree.order
-        return OpCount(a * a, a * (a - 1))
-    if isinstance(tree, TensorNode):
-        a, b = tree.left.order, tree.right.order
-        left, right = tree_cost(tree.left), tree_cost(tree.right)
-        return OpCount(a * right.mul + b * left.mul, a * right.add + b * left.add)
-    if isinstance(tree, PermutedNode):
-        return tree_cost(tree.child)
-    if isinstance(tree, DftNode):
-        return tree_cost(tree.tree)
-    raise MatrixError(f"unknown tree node {tree!r}")
+    signal: over leaves of orders v_1..v_k, v * (v_1 + ... + v_k) and
+    v * ((v_1 - 1) + ... + (v_k - 1)), as each leaf of order a is applied
+    v / a times at a^2 and a(a-1)."""
+    v, orders = tree.order, [L.order for L in tree.leaves()]
+    return OpCount(v * sum(orders), v * (sum(orders) - len(orders)))
 
 
 def fast_apply(tree: FactorTree, x: Signal):

@@ -110,12 +110,6 @@ def test_k3_row3_display():
     assert K.row(2) == [ring.one(), a ** 2, a ** 4, a ** 4, a ** 2, ring.one()]
 
 
-def test_k3_rejects_wrong_order():
-    ring = cyclotomic(6)
-    with pytest.raises(RingError):
-        k3(ring, ring.root_of_unity(3))
-
-
 def test_k3_over_gf25():
     K = k3(quadratic_field(5))
     rep = verify_gbh(K)

@@ -12,6 +12,7 @@ from ght import (
     MatrixError,
     Permutation,
     Signal,
+    back_circulant,
     cbt,
     complex_ring,
     cyclotomic,
@@ -22,6 +23,7 @@ from ght import (
     prime_field,
     quadratic_field,
     rationals,
+    search_perfect_quadriphase,
     walsh,
 )
 from ght.catalog import from_token
@@ -89,6 +91,21 @@ def test_equiv_exit_codes(tmp_path):
     assert main(["equiv", str(a), str(b)]) == 0
     save_matrix(walsh(3, cyclotomic(4)), b)
     assert main(["equiv", str(a), str(b)]) == 1
+
+
+def test_equiv_normalize_exit_codes(tmp_path, capsys):
+    # a permuted back-circulant matrix of a perfect sequence normalises to a
+    # permutation of K4; K4 and walsh:3 over Q(zeta_4) stay apart
+    B = back_circulant(search_perfect_quadriphase(8)[0])
+    B = permute(B, Permutation((3, 0, 6, 1, 7, 2, 5, 4)), Permutation((1, 5, 2, 7, 0, 4, 6, 3)))
+    a, b, k = (tmp_path / f"{name}.json" for name in ("bc", "walsh3", "k4"))
+    save_matrix(B, a)
+    save_matrix(walsh(3, cyclotomic(4)), b)
+    save_matrix(k4(), k)
+    assert main(["equiv", "--normalize", str(a), str(k)]) == 0
+    assert "equivalent: true" in capsys.readouterr().out
+    assert main(["equiv", "--normalize", str(k), str(b)]) == 1
+    assert "equivalent: false" in capsys.readouterr().out
 
 
 def test_equiv_budget_exhaustion(tmp_path):

@@ -289,6 +289,15 @@ def test_perm_equivalent_none():
     assert perm_equivalent(walsh(2), k2(2)) is None
 
 
+def test_perm_equivalent_exhausts_the_search():
+    # the column signatures agree (each column holds two 1s and one -1), so
+    # only the backtracking search over column assignments rules it out
+    q = rationals()
+    A = GMatrix.from_rows(q, [[1, 1, -1], [1, -1, 1], [-1, 1, 1]])
+    B = GMatrix.from_rows(q, [[1, 1, 1], [1, -1, -1], [-1, 1, 1]])
+    assert perm_equivalent(A, B) is None
+
+
 def test_perm_equivalent_nontrivial_witness():
     M = k4()
     rp = Permutation((4, 2, 0, 6, 1, 3, 7, 5))

@@ -66,7 +66,7 @@ def test_star_of_dft_is_inverse_powers():
 
 
 def test_star_distributes_over_tensor():
-    A = k3(cyclotomic(12), cyclotomic(12).root_of_unity(6))
+    A = k3(cyclotomic(12))
     B = k4(cyclotomic(12))
     assert equal(star(tensor(A, B)), tensor(star(A), star(B)))
 

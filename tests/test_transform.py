@@ -375,6 +375,20 @@ def _zeta4_signal(pairs):
     return Signal(ring, tuple(ring.from_int(a) + ring.from_int(b) * i for a, b in pairs))
 
 
+def _cost_by_recurrence(node):
+    """tree_cost's reference: a leaf of order a costs a^2 and a(a-1), and a
+    tensor node of orders (a, b) applies its right factor a times and its
+    left factor b times."""
+    if isinstance(node, Leaf):
+        a = node.order
+        return OpCount(a * a, a * (a - 1))
+    if isinstance(node, TensorNode):
+        a, b = node.left.order, node.right.order
+        left, right = _cost_by_recurrence(node.left), _cost_by_recurrence(node.right)
+        return OpCount(a * right.mul + b * left.mul, a * right.add + b * left.add)
+    return _cost_by_recurrence(node.child)
+
+
 @settings(max_examples=300)
 @given(walks())
 @example((walsh(3).tree, Signal.from_ints(rationals(), [2**51 + 1] + [2**51] * 7)))
@@ -384,6 +398,9 @@ def _zeta4_signal(pairs):
 @example((walsh(3).tree, _q_signal([Fraction(8191, 2**40)] + [8191 - k for k in range(7)])))
 # the entry 8192 scales to 2^53 itself: the first leaf multiplies Python integers
 @example((walsh(3).tree, _q_signal([Fraction(-8191, 2**40 + 1)] + [8192 - 3 * k for k in range(7)])))
+# -2^63 is an int64 whose negation is not: the bound on the batch must still
+# see it, and the leaves multiply Python integers
+@example((walsh(2).tree, Signal.from_ints(rationals(), [-(2**63), 5, 3, -1])))
 # 2^30 + 1 is exact in float64 but not in float32, which is exact only below 2^24
 @example((walsh(3).tree, Signal.from_ints(rationals(), [2**30 + 1] + list(range(7)))))
 # GF(2^61 - 1): the leaf unit -1 is past the float64 bound, so every leaf
@@ -398,7 +415,7 @@ def test_fast_apply_matches_ght_on_random_trees(case):
     y, count = fast_apply(tree, x)
     M = tree.expand()
     assert y == ght(M, x)
-    assert count == tree_cost(tree)
+    assert count == tree_cost(tree) == _cost_by_recurrence(tree)
     # one ring.dot per entry as reference, within tol on the complex
     # backend, where BLAS may sum in another order
     ring = x.ring
@@ -437,8 +454,8 @@ def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     ring = cyclotomic(v)
     F = dft_matrix(v, ring)
     orders = []
-    product = transform._product
-    monkeypatch.setattr(transform, "_product", lambda M, *a: orders.append(M.order) or product(M, *a))
+    lane_apply = transform._lane_apply
+    monkeypatch.setattr(transform, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
     x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
     assert ight(F, ght(F, x)) == x
     assert orders == [v] + leaf_orders
