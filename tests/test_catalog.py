@@ -110,6 +110,14 @@ def test_k3_row3_display():
     assert K.row(2) == [ring.one(), a ** 2, a ** 4, a ** 4, a ** 2, ring.one()]
 
 
+def test_k3_rejects_wrong_order():
+    # k3 takes its root from root_of_unity(6), so a ring whose roots of
+    # unity have no element of order 6 cannot build it
+    for ring in (cyclotomic(4), rationals()):
+        with pytest.raises(RingError):
+            k3(ring)
+
+
 def test_k3_over_gf25():
     K = k3(quadratic_field(5))
     rep = verify_gbh(K)
