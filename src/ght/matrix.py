@@ -16,6 +16,14 @@ _lane_batch lays them out) in one BLAS product per block of rows, and the
 backend reduces the result: in floats while that is exact, in Python
 integers past that.
 
+A matrix is immutable, so what is derived from it is derived once: the first
+star(M) is kept and returned again, and the first use of M in the lane keeps
+the lane form of its units (planes, denominator, nonzero planes, their
+largest value, and the stacked planes per dtype, a _UnitLane). Both memos
+hold O(#units * d) values, never O(v^2): star(M) shares M's index array,
+transposed. A transform that applies the same matrix again writes no plane
+of it again.
+
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
 fast application, and gbh.verify_gbh decides a trusted tree from its leaves.
@@ -208,7 +216,7 @@ class GMatrix:
     here is unchecked: tree_trusted is false (see the module docstring).
     """
 
-    __slots__ = ("ring", "order", "tree", "units", "idx", "tree_trusted")
+    __slots__ = ("ring", "order", "tree", "units", "idx", "tree_trusted", "_star", "_lane")
 
     def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
@@ -217,8 +225,20 @@ class GMatrix:
         if a.dtype == object:
             units, codes = _unit_table(a.ravel())
         elif a.dtype.kind in "iu":
-            values, codes = np.unique(a, return_inverse=True)
+            # the sorted distinct values, and each entry's position among
+            # them found a block of rows at a time into the narrowest type:
+            # np.unique(return_inverse=True) sorts an intp argsort of all of
+            # a, a 6.8 MB peak for a 512 x 512 table of int8 (and without it
+            # np.unique imports numpy.ma on its first call)
+            s = np.sort(a, axis=None)
+            keep = np.ones(len(s), dtype=bool)
+            np.not_equal(s[1:], s[:-1], out=keep[1:])
+            values = s[keep]
             units = [ring.from_int(int(n)) for n in values]
+            codes = np.empty(a.shape, dtype=np.min_scalar_type(len(values) - 1))
+            step = max(1, _BLOCK_VALUES // max(1, len(a)))
+            for r in range(0, len(a), step):
+                codes[r : r + step] = np.searchsorted(values, a[r : r + step])
         else:
             raise MatrixError("entries must be ring elements or integers")
         self._fill(ring, units, codes.reshape(a.shape), tree, tree is None)
@@ -235,7 +255,7 @@ class GMatrix:
     def _fill(self, ring, units, idx, tree, trusted):
         idx = idx.astype(np.min_scalar_type(len(units) - 1), copy=False)
         idx.flags.writeable = False
-        values = (ring, len(idx), tree, tuple(units), idx, trusted)
+        values = (ring, len(idx), tree, tuple(units), idx, trusted, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -301,9 +321,12 @@ def _unit_products(A: GMatrix, B: GMatrix):
 
 
 def star(M: GMatrix) -> GMatrix:
-    """M* : transpose of the entrywise inverses; an involution."""
-    inverses = [u.inverse() for u in M.units]
-    return GMatrix._table(M.ring, inverses, M.idx.T)
+    """M* : transpose of the entrywise inverses; an involution. The first
+    call keeps its result on M, and later calls return that same matrix."""
+    if M._star is None:
+        inverses = [u.inverse() for u in M.units]
+        object.__setattr__(M, "_star", GMatrix._table(M.ring, inverses, M.idx.T))
+    return M._star
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
@@ -354,9 +377,17 @@ def normalize(M: GMatrix):
 # values of A's stacked planes gathered per BLAS call in _lane_apply, per
 # column of the batch: a thin batch (a signal) meets A 256-512 KB at a time,
 # as a fresh large temporary costs more than the product it feeds (ght of
-# walsh(10) took twice as long with one 4 MB block), while a product with v
-# columns (verify) runs as one call
+# walsh(10) took twice as long with one 4 MB block). A wide batch, as in a
+# product with v columns (verify, mat_mul; v * d for star(M) of a DFT over
+# Q(zeta_v)), takes as many rows as keep the block of its product within
+# _PRODUCT_VALUES, and the blocks are written into one output array: ght
+# verify of a dft(128) entries file over Q(zeta_128) peaked at 1146 MB with
+# one block, and verify_gbh of a 512 x 512 +-1 table that is not decided by
+# its tree had 5 MB of numpy temporaries live at once, 3 MB so. The lane
+# batch of a table (_lane_batch) and the positions of an integer array's
+# entries (GMatrix) are written _BLOCK_VALUES entries at a time.
 _BLOCK_VALUES = 2**16
+_PRODUCT_VALUES = 2**16
 
 
 @lru_cache(maxsize=64)
@@ -370,21 +401,82 @@ def _scatter(ma, d, dtype):
     return out
 
 
-def _lane_batch(ring, units, idx):
-    """(X, den): the table units[idx] of n columns as a lane batch over the
-    common denominator den, a (v, n * d) array whose column k * d + m holds
-    coefficient plane m of column k (see RingContext._lane_planes); idx is
-    an index array, or slice(None) for the units as one column. Exact
-    planes are int64, or Python integers in an object array where a value
-    is out of int64's range (np.array would turn those in [2^63, 2^64)
-    into float64 unless asked for int64); the complex plane is complex128."""
-    planes, den = ring._lane_planes(units)
-    try:
-        table = np.array(planes, dtype=np.int64 if ring.is_exact else np.complex128)
-    except OverflowError:
-        table = np.array(planes, dtype=object)
-    X = table.T[idx]
-    return X.reshape(len(X), -1), den
+class _UnitLane:
+    """The lane form of a list of units: `planes`, the d lists of their
+    coefficients over the common denominator `den` that
+    RingContext._lane_planes writes, and `table`, the same as a read-only
+    (d, k) array (int64, or Python integers in an object array where a value
+    is out of int64's range, as np.array would turn those in [2^63, 2^64)
+    into float64 unless asked for int64; complex128 on the complex backend).
+    A matrix keeps its units' lane (_lane_of), and with it what _lane_apply
+    derives from the planes on first use: the indices of the nonzero planes,
+    the largest |coefficient| in them, and one read-only stack of those
+    planes per dtype. They are read from the lists, as a few numpy calls on
+    a small table cost more."""
+
+    __slots__ = ("planes", "den", "table", "_nonzero", "_stacks")
+
+    def __init__(self, ring, units):
+        self.planes, self.den = ring._lane_planes(units)
+        try:
+            table = np.array(self.planes, dtype=np.int64 if ring.is_exact else np.complex128)
+        except OverflowError:
+            table = np.array(self.planes, dtype=object)
+        table.flags.writeable = False
+        self.table, self._nonzero, self._stacks = table, None, {}
+
+    def nonzero(self):
+        """(ma, big): the indices of the nonzero planes ((0,) when all are
+        zero) and the largest |coefficient| in them (a bound only on the
+        exact backends)."""
+        if self._nonzero is None:
+            ma = tuple(m for m, plane in enumerate(self.planes) if any(plane)) or (0,)
+            self._nonzero = ma, max(abs(c) for m in ma for c in self.planes[m])
+        return self._nonzero
+
+    def stack(self, dtype):
+        """The nonzero planes as one read-only array of dtype, whose values
+        the caller has bounded to fit it."""
+        ua = self._stacks.get(dtype)
+        if ua is None:
+            ua = np.array([self.planes[m] for m in self.nonzero()[0]], dtype=dtype)
+            ua.flags.writeable = False
+            self._stacks[dtype] = ua
+        return ua
+
+
+def _lane_of(M: GMatrix) -> _UnitLane:
+    """The lane form of M's units, written on first use and kept on M."""
+    if M._lane is None:
+        object.__setattr__(M, "_lane", _UnitLane(M.ring, M.units))
+    return M._lane
+
+
+def _lane_batch(lane: _UnitLane, idx):
+    """(X, den): the table units[idx] of n columns, for the units whose lane
+    form is `lane`, as a lane batch over the common denominator den, a
+    (v, n * d) array whose column k * d + m holds coefficient plane m of
+    column k; idx is an index array, or slice(None) for the units as one
+    column. A matrix's table passes _lane_of(M), written once per matrix; a
+    signal's elements pass a fresh _UnitLane, whose table is the batch.
+
+    A table's batch is in the narrowest integer type its exact values fit
+    (int8 for a +-1 table; _lane_apply casts it once to the type of its
+    product), gathered _BLOCK_VALUES indices at a time, as numpy casts each
+    index block to intp: a 512 x 512 table took 2 MB of intp indices and
+    2 MB of int64 values at once."""
+    if isinstance(idx, slice):
+        X = lane.table.T[idx]
+        return X.reshape(len(X), -1), lane.den
+    dtype = lane.table.dtype
+    if dtype == np.int64:
+        dtype = np.min_scalar_type(-lane.nonzero()[1])
+    X = np.empty((len(idx), idx.shape[1] * lane.table.shape[0]), dtype=dtype)
+    step = max(1, _BLOCK_VALUES // max(1, idx.shape[1]))
+    for r in range(0, len(idx), step):
+        block = lane.table.T[idx[r : r + step]]
+        X[r : r + step] = block.reshape(len(block), -1)
+    return X, lane.den
 
 
 def _lane_apply(A: GMatrix, X, den_x):
@@ -393,36 +485,42 @@ def _lane_apply(A: GMatrix, X, den_x):
     den = den_x times A's plane denominator. This is the one kernel of the
     numeric lane: mat_mul, verification and every transform leaf call it.
 
-    A's unit table is written as coefficient planes, and its nonzero planes,
-    stacked as rows, meet X in one BLAS product per block of rows, whose
-    blocks A_m X_j add up to the unreduced plane m + j; the backend then
-    reduces the planes (modulo Phi_w, modulo p). On an exact backend every
-    value is an integer smaller than the bound top = min(#planes of A, d) *
-    v * max|a| * max|x|, and every value the reduction meets is smaller than
-    RingContext._lane_bound(top, #unreduced planes). The product is float32
-    for one-plane backends while that bound is below 2^24, float64 while it
-    is below 2^53, and otherwise Python integers in object arrays, exact at
-    any size; X is cast to that dtype once. The complex backend multiplies
-    its complex128 plane as is.
+    A's unit table is written as coefficient planes once and kept on A
+    (_lane_of), and its nonzero planes, stacked as rows, meet X in one BLAS
+    product per block of rows, whose blocks A_m X_j add up to the unreduced
+    plane m + j; the backend then reduces the planes (modulo Phi_w, modulo
+    p). On an exact backend every value is an integer smaller than the bound
+    top = min(#planes of A, d) * v * max|a| * max|x|, and every value the
+    reduction meets is smaller than RingContext._lane_bound(top, #unreduced
+    planes). The product is float32 for one-plane backends while that bound
+    is below 2^24, float64 while it is below 2^53, and otherwise Python
+    integers in object arrays, exact at any size; X is cast to that dtype
+    once, and A's stacked planes are kept per dtype, since a leaf may meet a
+    small batch and then one past 2^53. The complex backend multiplies its
+    complex128 plane as is. A block of rows is bounded both by the values of
+    A it gathers and by the values of the product it makes (_BLOCK_VALUES,
+    _PRODUCT_VALUES), and two or more blocks are written into one (v, n, d)
+    array as they are reduced.
     """
     ring, v, d = A.ring, A.order, A.ring._lane_dim
-    pa, den = ring._lane_planes(A.units)
-    ma = tuple(m for m, plane in enumerate(pa) if any(plane)) or (0,)
+    lane = _lane_of(A)
+    ma, big_a = lane.nonzero()
     dtype = np.complex128
     if ring.is_exact:
-        big_a = max(abs(c) for m in ma for c in pa[m])
         # max|x| from max and min: np.abs leaves -2^63 negative in int64,
         # and would copy a large batch
         top = min(len(ma), d) * v * big_a * max(int(X.max()), -int(X.min()), 1)
         bound = ring._lane_bound(top, ma[-1] + d)
         dtype = np.float32 if d == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
-    ua = np.array([pa[m] for m in ma], dtype=dtype)
+    ua = lane.stack(dtype)
     if dtype == object and X.dtype.kind == "f":
         X = X.astype(np.int64)  # float lane values are integers, kept as ints
     X = X.astype(dtype, copy=False)
     n = X.shape[1] // d
-    blocks = []
-    rows = max(1, _BLOCK_VALUES * X.shape[1] // (len(ma) * v))
+    den = den_x * lane.den
+    gather = _BLOCK_VALUES * X.shape[1] // (len(ma) * v)
+    rows = max(1, min(gather, _PRODUCT_VALUES // (len(ma) * X.shape[1])))
+    out = None
     for r in range(0, v, rows):
         idx = A.idx[r : r + rows]
         prod = ua[:, idx].reshape(len(ma) * len(idx), v) @ X
@@ -431,8 +529,13 @@ def _lane_apply(A: GMatrix, X, den_x):
         else:
             prod = prod.reshape(len(ma), len(idx), n, d).transpose(1, 2, 0, 3)
             planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, d, dtype)
-        blocks.append(ring._lane_reduce(planes).reshape(len(idx), n, d))
-    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), den_x * den
+        block = ring._lane_reduce(planes).reshape(len(idx), n, d)
+        if rows >= v:
+            return block, den
+        if out is None:
+            out = np.empty((v, n, d), dtype=block.dtype)
+        out[r : r + rows] = block
+    return out, den
 
 
 def _decode_planes(ring, vecs, den):
@@ -458,16 +561,16 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     """Plain matrix product. The result is not unit-checked (products of GBH
     matrices legitimately contain zeros).
 
-    The product takes the numeric lane: B's unit table is written as a lane
-    batch (_lane_batch) that A meets in _lane_apply, exact on the exact
-    backends, and the distinct coefficient vectors of the product become the
-    result's units.
+    The product takes the numeric lane: B's unit table, from the lane form
+    kept on B, is laid out as a lane batch (_lane_batch) that A meets in
+    _lane_apply, exact on the exact backends, and the distinct coefficient
+    vectors of the product become the result's units.
     """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    planes, den = _lane_apply(A, *_lane_batch(ring, B.units, B.idx))
+    planes, den = _lane_apply(A, *_lane_batch(_lane_of(B), B.idx))
     units, codes = _decode_planes(ring, planes.reshape(v * v, -1), den)
     return GMatrix._table(ring, units, codes.reshape(v, v))
 

@@ -471,9 +471,20 @@ class RationalsContext(RingContext):
         return _root_by_descent(self, w, (Fraction(1), Fraction(-1)))
 
     def _lane_planes(self, units):
-        fracs = [u.payload for u in units]
-        den = math.lcm(*(f.denominator for f in fracs))
-        return [[f.numerator * (den // f.denominator) for f in fracs]], den
+        # one as_integer_ratio() per Fraction costs half of its numerator and
+        # denominator properties; each pair is unpacked at once, as a list of
+        # k live pairs would set off the cyclic collector on a long signal.
+        # The lcm needs each denominator once, and an integer table needs no
+        # rescale.
+        nums, dens = [], []
+        for u in units:
+            n, d = u.payload.as_integer_ratio()
+            nums.append(n)
+            dens.append(d)
+        den = math.lcm(*set(dens))
+        if den == 1:
+            return [nums], 1
+        return [[n * (den // d) for n, d in zip(nums, dens)]], den
 
     def _lane_payload(self, coeffs, den):
         return Fraction(coeffs[0], den)

@@ -17,7 +17,10 @@ BLAS product of its unit planes per block of rows and one reduction by the
 backend; the denominators of the leaf units (and ight's 1/v) join the
 carried one. Each leaf picks its own dtype from the batch it meets, so a
 batch whose coefficients grow past float64's exact range goes on in Python
-integers.
+integers. A leaf matrix keeps the lane form of its units and its starred
+matrix (see ght.matrix), and ight's 1/v leaf is built once per ring and
+order, so a transform applied again writes the planes of its signal and of
+nothing else.
 
 A transform returns its output in that lane form, in lowest terms on the
 exact backends (planes and denominator divided by their gcd), and reads a
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .matrix import (
     PermutedNode,
     TensorNode,
     _decode_planes,
+    _UnitLane,
     _lane_apply,
     _lane_batch,
 )
@@ -104,7 +109,7 @@ class Signal:
         matrix._lane_batch when they built the signal."""
         if self._planes is not None:
             return self._planes, self._den
-        return _lane_batch(self.ring, self.elements, slice(None))
+        return _lane_batch(_UnitLane(self.ring, self.elements), slice(None))
 
     def __eq__(self, other):
         if not isinstance(other, Signal):
@@ -191,6 +196,13 @@ def ght(B: GMatrix, x: Signal) -> Signal:
 DFT_WALK_MIN = 256
 
 
+@lru_cache(maxsize=64)
+def _inverse_leaf(ring, v):
+    """Leaf([[v^(-1)]]), one per ring and order, so that its matrix keeps its
+    lane form between calls of ight."""
+    return Leaf(GMatrix.from_rows(ring, [[ring.int_inverse(v)]]))
+
+
 def ight(B: GMatrix, xhat: Signal) -> Signal:
     """Inverse transform x = v^(-1) B* xhat; requires v invertible in R.
 
@@ -199,11 +211,12 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
     orders v_1..v_k. B is one leaf instead when its tree is unchecked, or
     when B is a DFT with v * d below DFT_WALK_MIN, where one product of the
     table is cheaper than the walk. v^(-1) enters as a 1 x 1 leaf tensored
-    on the left, so over Q it joins the carried denominator."""
-    v_inv = GMatrix.from_rows(B.ring, [[B.ring.int_inverse(B.order)]])
+    on the left, so over Q it joins the carried denominator; that leaf is
+    built once per ring and order, and star keeps each leaf's starred
+    matrix, so a repeated ight writes none of their planes again."""
     small_dft = isinstance(B.tree, DftNode) and B.order * B.ring._lane_dim < DFT_WALK_MIN
     tree = B.as_tree() if B.tree_trusted and not small_dft else Leaf(B)
-    return _apply(TensorNode(Leaf(v_inv), tree.star()), xhat)
+    return _apply(TensorNode(_inverse_leaf(B.ring, B.order), tree.star()), xhat)
 
 
 def tree_cost(tree: FactorTree) -> OpCount:

@@ -2,11 +2,15 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import ght
 from ght import (
     GMatrix,
     MatrixError,
@@ -16,6 +20,7 @@ from ght import (
     cbt,
     complex_ring,
     cyclotomic,
+    dft_matrix,
     equal,
     k2,
     k4,
@@ -474,3 +479,24 @@ def test_complex_dft1024_gen_and_verify(tmp_path, capsys):
     assert time.perf_counter() - start < 2  # 12 s before DFTs were written as generators
     assert (tmp_path / "f.json").stat().st_size < 4096
     assert "entry-group-order: 1024" in capsys.readouterr().out
+
+
+def test_dft128_entries_file_verifies_in_bounded_memory(tmp_path):
+    # star(M) of a DFT over Q(zeta_v) is a lane batch v * d columns wide; a
+    # block of rows is bounded by its product's size as well, so the 7.4 MB
+    # entries file of dft(128) over Q(zeta_128) no longer peaks near 1.1 GB
+    m = _write(tmp_path / "dft128.json", matrix_to_json(dft_matrix(128, cyclotomic(128)), with_tree=False))
+    code = (
+        "import resource, sys\n"
+        "from ght.cli import main\n"
+        "rc = main(['verify', sys.argv[1]])\n"
+        "print('peak-kb:', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, m], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "is-gbh: true" in run.stdout
+    peak_kb = int(run.stdout.split("peak-kb:")[1])
+    assert peak_kb < 512 * 1024

@@ -141,11 +141,15 @@ def test_dft_symmetric_and_normalised():
     [(v, cyclotomic(v)) for v in (1, 6, 8, 24)] + [(32, prime_field(97)), (16, complex_ring())],
 )
 def test_dft_unit_table_matches_keyed_construction(v, ring):
-    # the construction that keyed all v^2 entries through from_rows
+    # the construction that keyed all v^2 entries through from_rows, on the
+    # powers of omega: products on the exact backends, and on C each power
+    # exp(-2 pi i k / v) itself
     omega = ring.root_of_unity(v)
     powers = [ring.one()]
     for _ in range(v - 1):
         powers.append(powers[-1] * omega)
+    if not ring.is_exact:
+        powers = [ring.element(cmath.exp(-2j * cmath.pi * k / v)) for k in range(v)]
     old = GMatrix.from_rows(ring, [[powers[(j * k) % v] for k in range(v)] for j in range(v)])
     F = dft_matrix(v, ring)
     assert [u.payload for u in F.units] == [u.payload for u in old.units]
@@ -539,13 +543,31 @@ def test_good_thomas_trees_expand_to_the_dft(v):
 
 
 def test_good_thomas_walk_on_c_is_closer_to_the_fft():
-    # omega^k carries about k rounding errors; the leaves' powers stay short
+    # the k-th power of a rounded omega carries k times its angle error; the
+    # table holds each exp(-2 pi i k / v) itself, and so do the leaves, so
+    # the walk and the table product are both within 1e-10 (the table of
+    # powers was 3e-10 away)
     v = 2310  # 2 * 3 * 5 * 7 * 11
     xs = [(7 * k) % 19 - 9 for k in range(v)]
     F, x = dft_matrix(v, complex_ring()), Signal.from_ints(complex_ring(), xs)
     fft = np.fft.fft(np.array(xs, dtype=complex))
     err = lambda y: np.abs(np.array([e.payload for e in y.elements]) - fft).max()
-    assert err(fast_apply(F.tree, x)[0]) < 1e-10 < err(ght(F, x))  # 5e-12 and 3e-10
+    assert err(fast_apply(F.tree, x)[0]) < 1e-10 and err(ght(F, x)) < 1e-10  # 5e-12 and 3e-12
+
+
+def test_complex_dft_table_is_written_entry_by_entry():
+    # dft(4095)'s table of powers was 1.1e-9 from the FFT, past the default
+    # tol; each Good-Thomas leaf is the table of dft_matrix(q)
+    v = 4095
+    xs = [(7 * k) % 19 - 9 for k in range(v)]
+    c = complex_ring()
+    F = dft_matrix(v, c)
+    y = ght(F, Signal.from_ints(c, xs))
+    assert np.abs(np.array([e.payload for e in y.elements]) - np.fft.fft(xs)).max() < 1e-10
+    for L in F.tree.leaves():
+        D = dft_matrix(L.order, c)
+        assert [u.payload for u in L.units] == [u.payload for u in D.units]
+        assert (L.idx == D.idx).all()
 
 
 def test_rjt_stays_one_leaf_in_family_trees():

@@ -1,6 +1,7 @@
 """Ring backend tests: construction, canonical roots, axioms, encodings."""
 
 import cmath
+import math
 import time
 from fractions import Fraction
 
@@ -402,3 +403,28 @@ def test_complex_encode_decode():
     c = complex_ring()
     e = c.root_of_unity(8)
     assert c.decode(c.encode(e)) == e
+
+
+def test_rational_lane_planes_match_the_property_writer():
+    # the writer reads as_integer_ratio() once per entry and skips the
+    # rescale over the denominator 1; the reference reads numerator and
+    # denominator and always rescales
+    q = rationals()
+
+    def reference(units):
+        fracs = [u.payload for u in units]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return [[f.numerator * (den // f.denominator) for f in fracs]], den
+
+    big = 2**63
+    cases = [
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(-7, 6), Fraction(2, 9)],
+        [Fraction(n) for n in (-5, 0, 3, -(2**40), 7)],
+        [Fraction(big), Fraction(-big), Fraction(big + 1, 3), Fraction(-(2**64), 5), Fraction(-1)],
+        [Fraction(big), Fraction(2**64 + 3), Fraction(-big - 1)],
+        [Fraction(-1, 2**70), Fraction(-3, 2**70 + 1)],
+        [],
+    ]
+    for fracs in cases:
+        units = [q.element(f) for f in fracs]
+        assert q._lane_planes(units) == reference(units)

@@ -21,12 +21,14 @@ from ght import (
     complex_ring,
     cyclotomic,
     dft_matrix,
+    equal,
     fast_apply,
     ght,
     ight,
     jacketize_cbt,
     k3,
     k4,
+    mat_mul,
     prime_field,
     quadratic_field,
     rationals,
@@ -502,3 +504,61 @@ def test_lane_form_inputs_are_read_as_they_are(monkeypatch):
     back = ight(M, y)
     assert max(written) <= 2 and decoded == [] and y._elements is None
     assert back == x and decoded == [1]
+
+
+# --- lane forms kept per matrix ---
+
+
+def test_warm_round_trip_writes_planes_once(monkeypatch):
+    # each leaf keeps its starred matrix and the lane form of its units, and
+    # ight keeps its v^-1 leaf: a warm round trip writes only the signal
+    W = walsh(12)
+    x0, x = (Signal.from_ints(W.ring, [(7 * k + s) % 19 - 9 for k in range(4096)]) for s in (0, 1))
+    assert ight(W, fast_apply(W.tree, x0)[0]) == x0
+    written = []
+    lane_planes = RationalsContext._lane_planes
+    monkeypatch.setattr(RationalsContext, "_lane_planes", lambda r, u: written.append(len(u)) or lane_planes(r, u))
+    back = ight(W, fast_apply(W.tree, x)[0])
+    assert written == [4096]
+    monkeypatch.undo()
+    assert back == x
+
+
+def _fresh(node):
+    """A copy of the tree whose leaf matrices are new objects, with nothing
+    kept on them yet."""
+    if isinstance(node, Leaf):
+        return Leaf(GMatrix.from_rows(node.matrix.ring, node.matrix.rows()))
+    if isinstance(node, TensorNode):
+        return TensorNode(_fresh(node.left), _fresh(node.right))
+    return PermutedNode(_fresh(node.child), node.rowp, node.colp)
+
+
+def _transforms(tree, M, x):
+    """ght, fast_apply and, where v is invertible, ight of x."""
+    ch = x.ring.characteristic()
+    out = [ght(M, x), fast_apply(tree, x)[0]]
+    return out + [ight(M, x)] if not ch or M.order % ch else out
+
+
+@settings(max_examples=100)
+@given(walks())
+# each walsh leaf first meets small batches in float32 (Q) or float64
+# (Q(zeta4)), then entries near 2^60, which only Python integers hold exactly
+@example((walsh(2, rationals()).tree, _q_signal([2**60 + 3, -(2**60), 5, 2**61 - 1])))
+@example((walsh(3, cyclotomic(4)).tree, _zeta4_signal([(2**59 + k, -(2**58)) for k in range(8)])))
+def test_kept_lane_forms_give_what_fresh_matrices_give(case):
+    tree, x = case
+    ring, M = x.ring, tree.expand()
+    small = Signal.from_ints(ring, [k % 5 - 2 for k in range(tree.order)])
+    signals = [small, x]
+    if ring.is_exact:
+        signals.append(Signal.from_ints(ring, [(-1) ** k * 2**60 + k for k in range(tree.order)]))
+    # M and its leaves keep what each call derives; every fresh copy starts
+    # with nothing kept
+    for y in signals:
+        fresh = _fresh(tree)
+        assert _transforms(tree, M, y) == _transforms(fresh, fresh.expand(), y)
+    F = _fresh(tree).expand()
+    assert equal(mat_mul(M, M), mat_mul(F, _fresh(tree).expand()))
+    assert equal(mat_mul(M, star(M)), mat_mul(F, star(_fresh(tree).expand())))

@@ -31,7 +31,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght.matrix import _lane_apply, _lane_batch
+from ght.matrix import _lane_apply, _lane_batch, _lane_of
 
 
 def _candidates(ring):
@@ -263,7 +263,7 @@ def test_units_past_the_float_bound_take_the_integer_lane():
     for ring, pool_a, pool_b in pools:
         a, b = ([[pool[k] for k in row] for row in rng.integers(0, 4, (4, 4))] for pool in (pool_a, pool_b))
         A, B = GMatrix.from_rows(ring, a), GMatrix.from_rows(ring, b)
-        assert _lane_apply(A, *_lane_batch(ring, B.units, B.idx))[0].dtype == object
+        assert _lane_apply(A, *_lane_batch(_lane_of(B), B.idx))[0].dtype == object
         _same(mat_mul(A, B), _product(a, b))
     grids = (
         GMatrix.from_rows(q, [[big[i ^ j] for j in range(4)] for i in range(4)]),
