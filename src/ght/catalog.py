@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ring as ringmod
-from .gbh import dft_matrix, verify_gbh
-from .jacket import is_jacket_form, jacketize_dft
+from .gbh import _power_table, dft_matrix, verify_gbh
+from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
 from .matrix import ORDER_LIMIT, GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
 from .ring import RingContext, RingElement, RingError, _order_exact
 
@@ -185,20 +185,17 @@ def k6(ring: RingContext, r) -> GMatrix:
 
 def complex_rjt(n: int, omega: RingElement) -> GMatrix:
     """The order-2n reverse-jacket matrix on a given primitive 2n-th root,
-    via the exponent formula of the jacketized DFT."""
+    without a tree: the table [omega^(jk)] with rows and columns permuted by
+    the involution jacket.rjt_permutation(n), as in jacketize_dft."""
     ring = omega.ring
     w = 2 * n
     if not _order_exact(omega, w, ring.one()):
         raise RingError(f"omega must have multiplicative order exactly {w}")
-    exps = []
-    for j in range(w):
-        j1, j0 = divmod(j, n)
-        exps.append((1 - j1) * j0 + (n - 1 - j0) * j1 + j1 * n)
     powers = [ring.one()]
-    for _ in range(w * w):
+    for _ in range(w - 1):
         powers.append(powers[-1] * omega)
-    rows = [[powers[exps[j] * exps[k]] for k in range(w)] for j in range(w)]
-    return GMatrix.from_rows(ring, rows)
+    p = list(rjt_permutation(n).image)
+    return GMatrix._table(ring, powers, _power_table(ring, powers).idx[np.ix_(p, p)])
 
 
 def _classify(l, eps, delta, n, r, ring) -> str:

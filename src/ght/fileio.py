@@ -13,7 +13,7 @@ A matrix file takes one of two forms:
   nothing can contradict it.
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
-  here must expand to exactly the entries.
+  here must expand to exactly the entries (matrix.tree_matches).
 The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
 before it decodes an entry or builds a tree. Nor may any tree node's order
 exceed the declared one, checked as the tree is read, so a generator is
@@ -28,7 +28,7 @@ import numpy as np
 
 from .gbh import dft_matrix
 from .matrix import DftNode, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import ORDER_LIMIT, _unit_table, equal
+from .matrix import ORDER_LIMIT, _unit_table, tree_matches
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -188,7 +188,7 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring, v)
     M = GMatrix._table(ring, units, idx, tree=tree)
     M._validate_units()
-    if tree is not None and not equal(tree.expand(), M):
+    if tree is not None and not tree_matches(tree, M):
         raise MatrixError("the factor tree does not expand to the matrix entries")
     return M
 
@@ -203,12 +203,8 @@ def _decoded(ring, encodings):
 
 
 def save_matrix(M: GMatrix, path):
-    """Write M tree-only when it carries a trusted factor tree, else with
-    entries (and an unchecked tree, which the loader then checks)."""
-    if M.tree is not None and M.tree_trusted:
-        data = dict(_header(M), tree=_tree_to_json(M.tree))
-    else:
-        data = matrix_to_json(M)
+    """Write M tree-only when it carries a factor tree, else with entries."""
+    data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=_tree_to_json(M.tree))
     with open(path, "w") as fh:
         json.dump(data, fh)
         fh.write("\n")

@@ -12,7 +12,7 @@ of roots of unity (RingContext._order): a table lookup on Q(zeta_w), a
 descent through the prime factors of the group order elsewhere. The complex
 backend searches the powers of all its units at once with numpy.
 
-On an exact backend a trusted factor tree of two or more leaves decides
+On an exact backend a factor tree of two or more leaves decides
 M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
 Otherwise M* is the field inverses of the units on the transposed index
 array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
@@ -40,8 +40,8 @@ class GbhReport:
     w is the order of the group generated by the entries, or None when some
     entry is no root of unity (infinite/unknown; on the complex backend,
     when no power up to the search bound is within tol of 1). method names
-    the route that decided M M* = v I: "tree" (the leaves of a trusted
-    factor tree) or "numeric-lane" (the product M M*).
+    the route that decided M M* = v I: "tree" (the leaves of its factor
+    tree) or "numeric-lane" (the product M M*).
     """
 
     is_gbh: bool
@@ -115,12 +115,12 @@ def _product_failures(M: GMatrix):
 
 
 def _leaves_pass(M: GMatrix):
-    """Whether M's trusted factor tree of two or more leaves proves
+    """Whether M's factor tree of two or more leaves proves
     M M* = v I: (A (x) B)(A (x) B)* = A A* (x) B B*, and a permuted matrix
     P M Q has P M Q (P M Q)* = P M M* P^-1, so the products of the leaves
     of orders v_i with v_i I give v I. Each distinct leaf object is checked
     once; walsh(t) has t leaves and one of them."""
-    if M.tree is None or not M.tree_trusted or not M.ring.is_exact:
+    if M.tree is None or not M.ring.is_exact:
         return False
     leaves = M.tree.leaves()
     distinct = {id(L): L for L in leaves}.values()
@@ -135,11 +135,11 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     that is no root of unity has order None; on the complex backend, a unit
     none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
 
-    On an exact backend a matrix whose trusted tree has two or more leaves,
-    all of them passing, is decided by its leaves (method "tree"). An
-    unchecked or one-leaf tree, the complex backend, whose tolerance is
-    defined on M M* itself, and a failing leaf, whose failure positions the
-    report lists, take the product M M*.
+    On an exact backend a matrix whose tree has two or more leaves, all of
+    them passing, is decided by its leaves (method "tree"); its tree expands
+    to it (see ght.matrix). No tree, a one-leaf tree, the complex backend,
+    whose tolerance is defined on M M* itself, and a failing leaf, whose
+    failure positions the report lists, take the product M M*.
     """
     v = M.order
     if v < 2:

@@ -144,9 +144,16 @@ def jacketize_cbt(t: int, ring: RingContext | None = None):
     return permute(C, rowp, colp), (rowp, colp)
 
 
+def rjt_permutation(n: int) -> Permutation:
+    """(j1, j0) -> (j1, (1-j1)j0 + (n-1-j0)j1) on 0..2n-1, which turns the DFT
+    into the complex reverse-jacket matrix: it keeps the first half in place
+    and reverses the second, so it is its own inverse."""
+    return Permutation(tuple(range(n)) + tuple(range(2 * n - 1, n - 1, -1)))
+
+
 def jacketize_dft(n: int, ring: RingContext):
-    """Mixed-radix index permutation turning the order-2n DFT matrix into the
-    complex reverse-jacket matrix: (j1, j0) -> (j1, (1-j1)j0 + (n-1-j0)j1)."""
+    """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
+    columns, the complex reverse-jacket matrix, and that permutation."""
     from .gbh import _power_table, _powers
 
     # the table of dft_matrix(2n) without its Good-Thomas tree: RJT_n is one
@@ -154,11 +161,7 @@ def jacketize_dft(n: int, ring: RingContext):
     # (2, 4, 2n)
     F = _power_table(ring, _powers(ring, 2 * n))
     F._validate_units()
-    img = []
-    for j in range(2 * n):
-        j1, j0 = divmod(j, n)
-        img.append(j1 * n + (1 - j1) * j0 + (n - 1 - j0) * j1)
-    p = Permutation(tuple(img))
+    p = rjt_permutation(n)
     return permute(F, p, p), p
 
 

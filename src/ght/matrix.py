@@ -11,8 +11,8 @@ compares only the distinct unit pairs that occur. mat_mul, verification and
 every transform leaf take the numeric lane through one kernel, _lane_apply:
 the backend writes a matrix's unit table as integer coefficient planes over
 a common denominator (one complex plane on the complex backend), which meet
-a lane batch (the other factor's table, or signals, as the one writer
-_lane_batch lays them out) in one BLAS product per block of rows, and the
+a lane batch (the other factor's table, as _lane_batch lays it out, or
+signals) in one BLAS product per block of rows, and the
 backend reduces the result: in floats while that is exact, in Python
 integers past that.
 
@@ -26,11 +26,11 @@ of it again.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
-fast application, and gbh.verify_gbh decides a trusted tree from its leaves.
-A tree is trusted when the library built it (tensor and permute of matrices
-whose trees are trusted, gbh.dft_matrix, and the checked loads of
-ght.fileio); a tree passed to GMatrix(..., tree=) or from_rows(..., tree=)
-is unchecked, as nothing compares it with the entries.
+fast application, and gbh.verify_gbh decides a matrix from its tree's leaves.
+A matrix's tree is None or expands to the matrix, each DftNode's tree to its
+table. tensor, permute, gbh.dft_matrix and the loads of ght.fileio build
+their trees so; a tree passed to GMatrix(..., tree=) or from_rows(...,
+tree=) is kept only when tree_matches finds that it expands to the entries.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ class GMatrix:
     `array` is a square object array of RingElements, or an integer array
     whose values are embedded through the ring (a +1/-1 Sylvester array over
     the rationals, say). Each distinct unit is validated once. A tree given
-    here is unchecked: tree_trusted is false (see the module docstring).
+    here is kept when tree_matches(tree, M), and dropped otherwise.
     """
 
-    __slots__ = ("ring", "order", "tree", "units", "idx", "tree_trusted", "_star", "_lane")
+    __slots__ = ("ring", "order", "tree", "units", "idx", "_star", "_lane")
 
     def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
@@ -241,21 +241,23 @@ class GMatrix:
                 codes[r : r + step] = np.searchsorted(values, a[r : r + step])
         else:
             raise MatrixError("entries must be ring elements or integers")
-        self._fill(ring, units, codes.reshape(a.shape), tree, tree is None)
+        self._fill(ring, units, codes.reshape(a.shape), None)
         self._validate_units()
+        if tree is not None and tree_matches(tree, self):
+            object.__setattr__(self, "tree", tree)
 
     @classmethod
-    def _table(cls, ring, units, idx, tree=None, trusted=True):
+    def _table(cls, ring, units, idx, tree=None):
         """Unchecked matrix from a unit list and an index array; the caller
-        vouches for the tree unless trusted is false."""
+        vouches for the units and for the tree."""
         M = object.__new__(cls)
-        M._fill(ring, units, idx, tree, trusted)
+        M._fill(ring, units, idx, tree)
         return M
 
-    def _fill(self, ring, units, idx, tree, trusted):
+    def _fill(self, ring, units, idx, tree):
         idx = idx.astype(np.min_scalar_type(len(units) - 1), copy=False)
         idx.flags.writeable = False
-        values = (ring, len(idx), tree, tuple(units), idx, trusted, None, None)
+        values = (ring, len(idx), tree, tuple(units), idx, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -277,7 +279,7 @@ class GMatrix:
     @classmethod
     def from_rows(cls, ring, rows, tree=None):
         """Build from nested lists of RingElements (plain ints are embedded);
-        a tree given here is unchecked."""
+        a tree given here is kept as GMatrix keeps it."""
         v = len(rows)
         if any(len(row) != v for row in rows):
             raise MatrixError("matrix must be square")
@@ -330,8 +332,7 @@ def star(M: GMatrix) -> GMatrix:
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
-    """Kronecker product; the result records both factors in its tree,
-    trusted when theirs are."""
+    """Kronecker product; the result records both factors in its tree."""
     _check_same_ring(A, B)
     products, table = _unit_products(A, B)
     va, vb = A.order, B.order
@@ -342,18 +343,17 @@ def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
         for l in range(vb):
             idx[k::vb, l::vb] = table[:, B.idx[k, l]][A.idx]
     tree = TensorNode(A.as_tree(), B.as_tree())
-    return GMatrix._table(A.ring, products, idx, tree, A.tree_trusted and B.tree_trusted)
+    return GMatrix._table(A.ring, products, idx, tree)
 
 
 def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:
-    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]; its tree is
-    trusted when M's is."""
+    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]."""
     if rowp.order != M.order or colp.order != M.order:
         raise MatrixError("permutation size mismatch")
     rinv = rowp.inverse().image
     cinv = colp.inverse().image
     tree = PermutedNode(M.as_tree(), rowp, colp)
-    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree, M.tree_trusted)
+    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree)
 
 
 def normalize(M: GMatrix):
@@ -453,21 +453,14 @@ def _lane_of(M: GMatrix) -> _UnitLane:
 
 
 def _lane_batch(lane: _UnitLane, idx):
-    """(X, den): the table units[idx] of n columns, for the units whose lane
-    form is `lane`, as a lane batch over the common denominator den, a
-    (v, n * d) array whose column k * d + m holds coefficient plane m of
-    column k; idx is an index array, or slice(None) for the units as one
-    column. A matrix's table passes _lane_of(M), written once per matrix; a
-    signal's elements pass a fresh _UnitLane, whose table is the batch.
-
-    A table's batch is in the narrowest integer type its exact values fit
-    (int8 for a +-1 table; _lane_apply casts it once to the type of its
-    product), gathered _BLOCK_VALUES indices at a time, as numpy casts each
-    index block to intp: a 512 x 512 table took 2 MB of intp indices and
-    2 MB of int64 values at once."""
-    if isinstance(idx, slice):
-        X = lane.table.T[idx]
-        return X.reshape(len(X), -1), lane.den
+    """(X, den): a matrix's table units[idx] of n columns, whose units have
+    the lane form `lane` (_lane_of(M), kept on M), as a lane batch over the
+    common denominator den: a (v, n * d) array whose column k * d + m holds
+    coefficient plane m of column k, in the narrowest integer type its exact
+    values fit (int8 for a +-1 table; _lane_apply casts it once to the type
+    of its product). It is gathered _BLOCK_VALUES indices at a time, as
+    numpy casts each index block to intp: a 512 x 512 table took 2 MB of
+    intp indices and 2 MB of int64 values at once."""
     dtype = lane.table.dtype
     if dtype == np.int64:
         dtype = np.min_scalar_type(-lane.nonzero()[1])
@@ -592,6 +585,21 @@ def equal(A: GMatrix, B: GMatrix) -> bool:
     seen = np.zeros((na, nb), dtype=bool)
     seen[A.idx, B.idx] = True
     return all(A.units[a] == B.units[b] for a, b in zip(*np.nonzero(seen)))
+
+
+def tree_matches(tree: FactorTree, M: GMatrix) -> bool:
+    """Whether tree expands to M, and the tree of each DftNode in it to the
+    node's table: a DftNode expands to its table, but its walk, leaves and
+    star are those of its tree."""
+    return equal(tree.expand(), M) and _dft_trees_match(tree)
+
+
+def _dft_trees_match(node: FactorTree) -> bool:
+    if isinstance(node, DftNode):
+        return equal(node.tree.expand(), node.matrix) and _dft_trees_match(node.tree)
+    if isinstance(node, TensorNode):
+        return _dft_trees_match(node.left) and _dft_trees_match(node.right)
+    return not isinstance(node, PermutedNode) or _dft_trees_match(node.child)
 
 
 def identity_gmatrix(ring, v, scale=1) -> GMatrix:

@@ -696,10 +696,22 @@ class CyclotomicContext(RingContext):
 def _fold_table(w):
     """(fold, growth): row m of fold holds the coefficients of x^m mod Phi_w,
     for m < 2 deg - 1, and folding rows 0..n-1 multiplies a bound on the
-    coefficients by at most growth[n - 1], their largest column sum in size."""
-    ring = CyclotomicContext(w)
-    rows = [ring._reduce([0] * m + [1]) for m in range(2 * ring.deg - 1)]
-    fold = np.array(rows, dtype=np.float64)
+    coefficients by at most growth[n - 1], their largest column sum in size.
+
+    Row m + 1 is x times row m, its top coefficient folded back by the monic
+    Phi_w: O(deg^2) steps in int64, each checked to stay below 2^53, where
+    the float64 table is exact."""
+    phi = np.array(cyclotomic_polynomial(w)[:-1], dtype=np.int64)
+    big_phi = int(np.abs(phi).max())
+    fold = np.zeros((2 * len(phi) - 1, len(phi)), dtype=np.int64)
+    fold[0, 0] = 1
+    for m in range(1, len(fold)):
+        top = int(fold[m - 1, -1])
+        if int(np.abs(fold[m - 1]).max()) + abs(top) * big_phi >= 2**53:
+            raise RingError(f"x^{m} mod Phi_{w} has a coefficient past 2^53")
+        fold[m, 1:] = fold[m - 1, :-1]
+        fold[m] -= top * phi
+    fold = fold.astype(np.float64)
     fold.flags.writeable = False
     return fold, np.abs(fold).cumsum(axis=0).max(axis=1)
 

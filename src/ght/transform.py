@@ -9,8 +9,8 @@ tree of B, as (A (x) B)* = A* (x) B*. Tensor factors of orders v_1..v_k cost
 v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost counts.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
-backend. A signal is written once, by the lane's one writer
-matrix._lane_batch, as the backend's d coefficient planes over one carried
+backend. A signal is written once, as the lane table of its elements
+(matrix._UnitLane), the backend's d coefficient planes over one carried
 denominator (integers on the exact backends, one complex128 plane on C),
 carried as d columns per vector. Each leaf is one call of _lane_apply: one
 BLAS product of its unit planes per block of rows and one reduction by the
@@ -28,13 +28,9 @@ lane-form input as it is. A chain of transforms thus writes elements as
 planes only for the signal that starts it; a Signal decodes its elements,
 once per distinct coefficient vector, the first time they are read.
 
-A matrix's tree is trusted when the library built it: tensor and permute of
-matrices with trusted trees, dft_matrix, the catalog, and fileio's loads,
-which expand a tree-only file or check a tree against the entries. A tree
-passed to GMatrix(..., tree=) or from_rows(..., tree=) is unchecked
-(GMatrix.tree_trusted is false). ight walks B's tree only when it is
-trusted, and not for a small DFT; fast_apply walks the tree it is given,
-whatever its origin.
+A matrix's tree, when it has one, expands to the matrix (see ght.matrix),
+so ight walks B's tree, except for a small DFT; fast_apply walks the tree
+it is given.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from .matrix import (
     _decode_planes,
     _UnitLane,
     _lane_apply,
-    _lane_batch,
 )
 from .ring import RingContext
 
@@ -105,11 +100,12 @@ class Signal:
         return self._elements
 
     def _lane_form(self):
-        """(planes, den): the lane form, written from the elements by
-        matrix._lane_batch when they built the signal."""
+        """(planes, den): the lane form; a signal built from its elements
+        writes them as the (v, d) transpose of their lane table."""
         if self._planes is not None:
             return self._planes, self._den
-        return _lane_batch(_UnitLane(self.ring, self.elements), slice(None))
+        lane = _UnitLane(self.ring, self.elements)
+        return lane.table.T, lane.den
 
     def __eq__(self, other):
         if not isinstance(other, Signal):
@@ -176,7 +172,7 @@ def _lowest_terms(ring, y, den):
 def _apply(tree: FactorTree, x: Signal) -> Signal:
     """The matrix of tree times x, with x as a batch of one vector, as a
     lane-form signal. A signal built from elements enters the lane as its
-    coefficient planes over their common denominator (matrix._lane_batch); a
+    coefficient planes over their common denominator (Signal._lane_form); a
     lane-form signal enters as it is."""
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
@@ -208,14 +204,14 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
 
     Walks the starred tree of B, B.as_tree().star(), so like fast_apply it
     costs v * (v_1 + ... + v_k) multiplications over tensor factors of
-    orders v_1..v_k. B is one leaf instead when its tree is unchecked, or
-    when B is a DFT with v * d below DFT_WALK_MIN, where one product of the
-    table is cheaper than the walk. v^(-1) enters as a 1 x 1 leaf tensored
-    on the left, so over Q it joins the carried denominator; that leaf is
-    built once per ring and order, and star keeps each leaf's starred
-    matrix, so a repeated ight writes none of their planes again."""
+    orders v_1..v_k. B is one leaf instead when it is a DFT with v * d below
+    DFT_WALK_MIN, where one product of the table is cheaper than the walk.
+    v^(-1) enters as a 1 x 1 leaf tensored on the left, so over Q it joins
+    the carried denominator; that leaf is built once per ring and order, and
+    star keeps each leaf's starred matrix, so a repeated ight writes none of
+    their planes again."""
     small_dft = isinstance(B.tree, DftNode) and B.order * B.ring._lane_dim < DFT_WALK_MIN
-    tree = B.as_tree() if B.tree_trusted and not small_dft else Leaf(B)
+    tree = Leaf(B) if small_dft else B.as_tree()
     return _apply(TensorNode(_inverse_leaf(B.ring, B.order), tree.star()), xhat)
 
 

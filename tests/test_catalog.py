@@ -32,7 +32,8 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght.catalog import _shift_counts, from_token
+from ght.catalog import _shift_counts, complex_rjt, from_token
+from ght.jacket import jacketize_dft
 from ght.matrix import MatrixError
 from ght.ring import RingError
 
@@ -176,6 +177,35 @@ def test_family_complex_rjt():
     assert label.tag == "complex-RJT"
     _, label = family(0, 1, 0, None, ring.root_of_unity(4), ring)
     assert label.tag == "complex-RJT"
+
+
+def _rjt_by_exponents(n, omega):
+    """Reference: entry (j, k) is omega^(e_j e_k) with e = (j1, j0) ->
+    j1 n + (1 - j1) j0 + (n - 1 - j0) j1, each power a product of omegas."""
+    exps = []
+    for j in range(2 * n):
+        j1, j0 = divmod(j, n)
+        exps.append(j1 * n + (1 - j1) * j0 + (n - 1 - j0) * j1)
+    powers = [omega.ring.one()]
+    for _ in range(4 * n * n):
+        powers.append(powers[-1] * omega)
+    return [[powers[a * b] for b in exps] for a in exps]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_complex_rjt_is_the_permuted_power_table(n):
+    for ring in (cyclotomic(2 * n), complex_ring()):
+        omega = ring.root_of_unity(2 * n)
+        for root in (omega, omega.inverse()):
+            M = complex_rjt(n, root)
+            assert M.tree is None and M.order == 2 * n
+            assert all(
+                a == b for ra, rb in zip(M.rows(), _rjt_by_exponents(n, root)) for a, b in zip(ra, rb)
+            )
+        assert equal(complex_rjt(n, omega), jacketize_dft(n, ring)[0])
+    if n > 1:
+        with pytest.raises(RingError):
+            complex_rjt(n, cyclotomic(2 * n).root_of_unity(n))
 
 
 def test_family_extended():

@@ -500,3 +500,18 @@ def test_dft128_entries_file_verifies_in_bounded_memory(tmp_path):
     assert "is-gbh: true" in run.stdout
     peak_kb = int(run.stdout.split("peak-kb:")[1])
     assert peak_kb < 512 * 1024
+
+
+def test_walsh1_over_q_zeta_4095_verifies_in_seconds(tmp_path):
+    # the fold table of Q(zeta_4095) is built row from row, x times the last;
+    # reducing each x^m afresh made this verify take 69 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "w.json")
+    ght_cli = [sys.executable, "-m", "ght.cli"]
+    gen = subprocess.run(ght_cli + ["gen", "walsh:1", "--ring", "cyclotomic:4095", "-o", m], env=env, capture_output=True, timeout=120)
+    assert gen.returncode == 0
+    start = time.perf_counter()
+    run = subprocess.run(ght_cli + ["verify", m], env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 30
+    assert run.returncode == 0 and "is-gbh: true" in run.stdout, run.stderr

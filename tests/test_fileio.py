@@ -218,19 +218,25 @@ def test_each_distinct_signal_element_is_encoded_once(monkeypatch):
     assert data["elements"] == [encode(M.ring, e) for e in y.elements]
 
 
-def test_unchecked_trees_are_saved_with_the_entries(tmp_path):
-    # an unchecked tree is written beside the entries, so the loader checks it
+def test_constructor_trees_are_saved_tree_only_or_dropped(tmp_path):
+    # a tree given to a constructor that expands to the entries is kept, so
+    # the matrix is saved tree-only; a stale one is dropped, and the matrix
+    # is saved with its entries alone (a hand-tampered file still exits 2,
+    # see test_cli::test_tampered_tree_exits_two)
     W = walsh(3)
     path = tmp_path / "m.json"
     save_matrix(GMatrix.from_rows(W.ring, W.rows(), tree=W.tree), path)
-    assert "entries" in json.loads(path.read_text())
+    assert "entries" not in json.loads(path.read_text())
     M = load_matrix(path)
-    assert equal(M, W) and M.tree_trusted
+    assert equal(M, W) and M.tree is not None
     rows = W.rows()
     rows[1][1] = -rows[1][1]
-    save_matrix(GMatrix.from_rows(W.ring, rows, tree=W.tree), path)
-    with pytest.raises(MatrixError, match="does not expand"):
-        load_matrix(path)
+    S = GMatrix.from_rows(W.ring, rows, tree=W.tree)
+    save_matrix(S, path)
+    data = json.loads(path.read_text())
+    assert S.tree is None and "entries" in data and data["tree"] is None
+    M = load_matrix(path)
+    assert equal(M, S) and M.tree is None
 
 
 def _same_table(A, B):
@@ -249,10 +255,10 @@ def test_dfts_are_written_as_their_generator(tmp_path, v, ring):
     data = json.loads(path.read_text())
     assert data == {"ring": ring_spec_to_json(ring.spec), "order": v, "tree": {"kind": "dft", "order": v}}
     M = load_matrix(path)
-    assert _same_table(M, F) and isinstance(M.tree, DftNode) and M.tree_trusted
+    assert _same_table(M, F) and isinstance(M.tree, DftNode)
     # with entries the generator is checked against them
     N = matrix_from_json(json.loads(json.dumps(matrix_to_json(F)))) if v < 100 else M
-    assert _same_table(N, F) and N.tree_trusted
+    assert _same_table(N, F) and isinstance(N.tree, DftNode)
 
 
 def test_generators_nest_in_trees(tmp_path):
@@ -263,7 +269,7 @@ def test_generators_nest_in_trees(tmp_path):
     data = json.loads(path.read_text())
     assert data["tree"]["left"] == {"kind": "dft", "order": 3}
     M = load_matrix(path)
-    assert equal(M, T) and M.tree_trusted
+    assert equal(M, T) and M.tree is not None
 
 
 def test_trees_are_read_against_the_declared_order(monkeypatch):

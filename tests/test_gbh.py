@@ -40,6 +40,7 @@ from ght import (
     permute,
 )
 from ght import gbh
+from ght.matrix import tree_matches
 from ght.transform import Signal, fast_apply, ght, tree_cost
 from ght.ring import RingError, is_prime
 
@@ -214,7 +215,7 @@ def _family():
     ids=["walsh9", "cbt6", "dft24", "dft32-gf97", "k3k3-gf25", "dft16-complex", "family-11132"],
 )
 def test_catalog_matrices_take_the_numeric_lane(build):
-    # a trusted tree of two or more leaves is decided by its leaves on an
+    # a tree of two or more leaves is decided by its leaves on an
     # exact backend; the product M M* takes the numeric lane otherwise
     M = build()
     rep = verify_gbh(M)
@@ -444,7 +445,7 @@ def gbh_trees(draw, ring, depth, cap):
 def verify_cases(draw):
     """(M, stale): the expansion of a tree of test_transform.walks (leaves
     rarely GBH) or of gbh_trees, and whether an entry was then multiplied by
-    -1 under the kept tree, which GMatrix(..., tree=) leaves unchecked."""
+    -1 under the kept tree, which GMatrix(..., tree=) then drops."""
     if draw(st.booleans()):
         M = draw(walks())[0].expand()
     else:
@@ -474,8 +475,8 @@ def test_tree_route_matches_the_product_reference(case):
     assert rep.method == "tree" if by_tree else rep.method != "tree"
 
 
-def test_unchecked_trees_never_take_the_tree_route():
-    # a correct tree given to the constructors is as unchecked as a stale one
+def test_constructor_trees_take_the_tree_route_only_when_they_match():
+    # a correct tree given to the constructors is kept and decides the matrix
     W = walsh(3)
     s1 = np.array([[1, 1], [1, -1]])
     sylvester = np.kron(np.kron(s1, s1), s1)
@@ -484,19 +485,21 @@ def test_unchecked_trees_never_take_the_tree_route():
         GMatrix.from_rows(W.ring, W.rows(), tree=W.tree),
     )
     for M in correct:
-        assert not M.tree_trusted
-        assert verify_gbh(M).method == "numeric-lane"
-    # the negative of verify-mix: one entry negated under the kept tree
+        assert M.tree is W.tree
+        assert verify_gbh(M).method == "tree"
+    # the negative of verify-mix: one entry negated under the kept tree,
+    # which is then dropped
     a = sylvester.copy()
     a[2, 5] = -a[2, 5]
-    rep = verify_gbh(GMatrix(W.ring, a, tree=W.tree))
-    assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
-    # permute and tensor keep the trust of their inputs
+    S = GMatrix(W.ring, a, tree=W.tree)
+    rep = verify_gbh(S)
+    assert S.tree is None and not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
+    # permute and tensor of it build trees that expand to their matrices, and
+    # its failing leaf sends them to the product
     ident = Permutation.identity(8)
-    P = permute(GMatrix(W.ring, a, tree=W.tree), ident, ident)
-    assert not P.tree_trusted and verify_gbh(P).method == "numeric-lane"
-    assert not tensor(P, walsh(1)).tree_trusted
-    assert tensor(W, walsh(1)).tree_trusted and permute(W, ident, ident).tree_trusted
+    for M in (permute(S, ident, ident), tensor(walsh(1), S)):
+        rep = verify_gbh(M)
+        assert tree_matches(M.tree, M) and not rep.is_gbh and rep.method == "numeric-lane"
 
 
 def test_a_failing_leaf_lists_the_product_failures():
@@ -529,7 +532,7 @@ def _prime_power(n):
 def test_good_thomas_trees_expand_to_the_dft(v):
     for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)):
         F = dft_matrix(v, ring)
-        assert isinstance(F.tree, DftNode) and F.tree_trusted
+        assert isinstance(F.tree, DftNode) and tree_matches(F.tree, F)
         leaves = F.tree.leaves()
         assert math.prod(L.order for L in leaves) == v
         assert all(_prime_power(L.order) for L in leaves)

@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,21 @@ def test_cyclotomic_tables_are_shared_by_w():
     assert a._root_inverses is b._root_inverses
     assert ring_module._fold_table(24) is ring_module._fold_table(24)
     assert ring_module._root_table(24) is ring_module._root_table(24)
+
+
+def _fold_by_reduction(w):
+    """Reference: each x^m reduced modulo Phi_w afresh, as a float table."""
+    ring = cyclotomic(w)
+    fold = np.array([ring._reduce([0] * m + [1]) for m in range(2 * ring.deg - 1)], dtype=np.float64)
+    return fold, np.abs(fold).cumsum(axis=0).max(axis=1)
+
+
+@pytest.mark.parametrize("w", list(range(1, 61)) + [105, 120, 143, 180, 210])
+def test_fold_table_matches_the_reduction_of_each_power(w):
+    fold, growth = ring_module._fold_table(w)
+    want_fold, want_growth = _fold_by_reduction(w)
+    assert fold.dtype == np.float64 and np.array_equal(fold, want_fold)
+    assert np.array_equal(growth, want_growth)
 
 
 def _trial_primes(n):

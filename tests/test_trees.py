@@ -1,0 +1,148 @@
+"""Factor trees describe their matrices: every GMatrix.tree is None or expands
+to the matrix, each DftNode's tree to the node's table."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_gbh import gbh_trees
+from test_transform import RINGS
+
+from ght import (
+    DftNode,
+    GMatrix,
+    Leaf,
+    Permutation,
+    Signal,
+    b3,
+    cyclotomic,
+    dagger,
+    dft_matrix,
+    equal,
+    fast_apply,
+    ght,
+    ight,
+    jacketize_cbt,
+    jacketize_dft,
+    k2,
+    normalize,
+    permute,
+    prime_field,
+    quadratic_field,
+    complex_ring,
+    star,
+    tensor,
+    TensorNode,
+    verify_gbh,
+    walsh,
+)
+from ght.catalog import QuadriphaseSequence, back_circulant, complex_rjt, from_token
+from ght.fileio import load_matrix, matrix_from_json, matrix_to_json, save_matrix
+from ght.matrix import tree_matches
+
+TOKENS = [
+    "walsh:1", "walsh:4", "cbt:1", "cbt:3", "dft:1", "dft:6", "dft:12", "dft:16",
+    "dft:30", "k1", "k2:3", "k3", "k4", "k6:2", "family:2,0,0,0,0", "family:1,1,0,0,2",
+    "family:0,0,1,3,0", "family:1,0,1,2,0",
+]
+
+
+def _library_matrices():
+    """Matrices as the library returns them: catalog tokens, constructors
+    over other rings, and what tensor, permute, star, normalize and the file
+    loads make of them."""
+    out = [from_token(t) for t in TOKENS]
+    for ring in (complex_ring(), prime_field(61), quadratic_field(5)):
+        out += [dft_matrix(v, ring) for v in (2, 4, 6, 12)]
+    q4 = cyclotomic(4)
+    out += [
+        jacketize_dft(3, cyclotomic(6))[0],
+        jacketize_cbt(2, q4)[0],
+        dagger(b3(cyclotomic(3)), k2(2, cyclotomic(3))),
+        complex_rjt(4, cyclotomic(8).root_of_unity(8)),
+        back_circulant(QuadriphaseSequence((0, 0, 0, 2))),
+    ]
+    W, F = walsh(2), dft_matrix(6, cyclotomic(6))
+    swap = Permutation((1, 0, 3, 2))
+    out += [
+        tensor(W, W), permute(W, swap, Permutation.identity(4)), star(W), star(F),
+        normalize(F)[0], tensor(F, walsh(1, cyclotomic(6))),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("M", _library_matrices(), ids=lambda M: f"{M.ring!r}-{M.order}")
+def test_library_trees_expand_to_their_matrices(tmp_path, M):
+    assert M.tree is None or tree_matches(M.tree, M)
+    path = tmp_path / "m.json"
+    save_matrix(M, path)
+    for N in (load_matrix(path), matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))):
+        assert equal(N, M) and (N.tree is None) == (M.tree is None)
+        assert N.tree is None or tree_matches(N.tree, N)
+
+
+@st.composite
+def given_trees(draw):
+    """(L, N, changed): a library matrix L with a tree, and N, built by a
+    constructor from L's entries, one of them multiplied by -1 when changed,
+    with tree=L.tree."""
+    ring = draw(st.sampled_from(RINGS))
+    L = draw(gbh_trees(ring, 3, 48))
+    assume(L.tree is not None)
+    changed = draw(st.booleans())
+    rows = L.rows()
+    if changed:
+        i, j = draw(st.integers(0, L.order - 1)), draw(st.integers(0, L.order - 1))
+        rows[i][j] = -rows[i][j]
+    if draw(st.booleans()):
+        N = GMatrix.from_rows(ring, rows, tree=L.tree)
+    else:
+        a = np.empty((L.order, L.order), dtype=object)
+        a[:] = rows
+        N = GMatrix(ring, a, tree=L.tree)
+    return L, N, changed
+
+
+@settings(max_examples=80, deadline=None)
+@given(given_trees(), st.data())
+def test_constructors_keep_a_tree_iff_it_expands_to_the_entries(tmp_path_factory, case, data):
+    L, N, changed = case
+    ring, v = N.ring, N.order
+    assert (N.tree is L.tree) == (not changed) and (N.tree is None) == changed
+    assert equal(N, L) != changed
+    x = Signal.from_ints(ring, data.draw(st.lists(st.integers(-9, 9), min_size=v, max_size=v)))
+    y = ght(N, x)
+    assert fast_apply(N.as_tree(), x)[0] == y
+    # ight is v^-1 N* y, whichever route it takes
+    v_inv = ring.int_inverse(v)
+    assert ight(N, y) == Signal(ring, tuple(v_inv * e for e in ght(star(N), y).elements))
+    if v > 1 and verify_gbh(N).is_gbh:
+        assert ight(N, y) == x
+    path = tmp_path_factory.getbasetemp() / "given-tree.json"
+    save_matrix(N, path)
+    assert ("entries" in json.loads(path.read_text())) == changed
+    M = load_matrix(path)
+    assert equal(M, N) and (M.tree is None) == changed
+
+
+def test_a_dft_node_whose_tree_is_not_its_table_is_dropped():
+    # a DftNode expands to its table, but walks and verifies through its
+    # tree: here the table is not GBH and the tree is that of dft(6)
+    ring = cyclotomic(6)
+    F = dft_matrix(6, ring)
+    rows = F.rows()
+    rows[1][2] = rows[1][3]
+    bad = GMatrix.from_rows(ring, rows)
+    node = DftNode(bad, F.tree.tree)
+    assert equal(node.expand(), bad) and not tree_matches(node, bad)
+    for M in (GMatrix.from_rows(ring, rows, tree=node), GMatrix(ring, np.array(rows, dtype=object), tree=node)):
+        assert M.tree is None
+        rep = verify_gbh(M)
+        assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
+    # nested under a tensor node, too
+    T = tensor(walsh(1, ring), bad)
+    assert GMatrix.from_rows(ring, T.rows(), tree=T.tree).tree is T.tree
+    stale = TensorNode(Leaf(walsh(1, ring)), node)
+    assert GMatrix.from_rows(ring, T.rows(), tree=stale).tree is None
