@@ -114,10 +114,8 @@ def k2(r, ring: RingContext | None = None) -> GMatrix:
 def k3(ring: RingContext) -> GMatrix:
     """The 6x6 primary jacket matrix on the ring's primitive 6th root of
     unity."""
-    a = ring.root_of_unity(6)
-    one = ring.one()
+    one, a, a2, _, a4, a5 = ring.root_powers(6)
     m1 = ring.from_int(-1)
-    a2, a4, a5 = a ** 2, a ** 4, a ** 5
     return GMatrix.from_rows(
         ring,
         [
@@ -158,11 +156,8 @@ def k6(ring: RingContext, r) -> GMatrix:
     from its explicit display (the dagger identity is tested, not assumed)."""
     r = _coerce_unit(ring, r)
     _require_not_pm1(ring, r)
-    beta = ring.root_of_unity(3)
-    o = ring.one()
+    o, b, b2 = ring.root_powers(3)
     m = ring.from_int(-1)
-    b = beta
-    b2 = beta * beta
     rb, rb2 = r * b, r * b2
     return GMatrix.from_rows(
         ring,
@@ -247,8 +242,7 @@ def autocorrelation(s: QuadriphaseSequence, tau: int, ring: RingContext | None =
     """Periodic autocorrelation sum_j i^(s_j - s_{j+tau}) as a ring element."""
     ring = ring if ring is not None else ringmod.cyclotomic(4)
     counts = _shift_counts(s.phases, tau)
-    i = ring.root_of_unity(4)
-    powers = [ring.one(), i, i * i, i * i * i]
+    powers = ring.root_powers(4)
     acc = ring.zero()
     for e in range(4):
         if counts[e]:
@@ -294,8 +288,7 @@ def is_perfect(s: QuadriphaseSequence, ring: RingContext | None = None) -> bool:
 def back_circulant(s: QuadriphaseSequence, ring: RingContext | None = None) -> GMatrix:
     """Matrix whose (j, k) entry is i^(s_(j+k mod L)); symmetric by design."""
     ring = ring if ring is not None else ringmod.cyclotomic(4)
-    i = ring.root_of_unity(4)
-    powers = [ring.one(), i, i * i, i * i * i]
+    powers = ring.root_powers(4)
     L = s.length
     rows = [
         [powers[s.phases[(j + k) % L]] for k in range(L)] for j in range(L)
@@ -324,11 +317,10 @@ def enumerate_jackets_2x2(ring: RingContext, group_order: int):
     """Exhaust the normalised 2x2 matrices [[1, 1], [1, d]] with d in the
     order-w root group, keeping the GBH ones in jacket form; the result is
     the single Sylvester matrix whatever the group."""
-    zeta = ring.root_of_unity(group_order)
     one = ring.one()
     found = []
-    for k in range(group_order):
-        M = GMatrix.from_rows(ring, [[one, one], [one, zeta**k]])
+    for d in ring.root_powers(group_order):
+        M = GMatrix.from_rows(ring, [[one, one], [one, d]])
         if is_jacket_form(M) and verify_gbh(M).is_gbh:
             if not any(equal(M, F) for F in found):
                 found.append(M)

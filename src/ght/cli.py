@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit status contract: 0 = success/verified, 1 = checked-false (not GBH, no
-equivalence, empty search), 2 = usage error, malformed input, or exhausted
-search budget. Reports are stable key: value text for downstream diffing.
+equivalence, empty search), 2 = usage error, malformed input, exhausted
+search budget or memory. Reports are stable key: value text for diffing.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def main(argv=None) -> int:
         return 2 if ex.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (RingError, MatrixError, OSError, ValueError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except (RingError, MatrixError, OSError, ValueError, MemoryError) as ex:
+        print(f"error: {str(ex) or type(ex).__name__}", file=sys.stderr)
         return 2
 
 

@@ -8,9 +8,11 @@ within tol on the complex one.
 
 The entry-group order w is the lcm of the orders of the distinct units of
 M. An exact backend takes each order from the structure of its cyclic group
-of roots of unity (RingContext._order): a table lookup on Q(zeta_w), a
-descent through the prime factors of the group order elsewhere. The complex
-backend searches the powers of all its units at once with numpy.
+of roots of unity (RingContext._order): an index into the table of its
+roots on Q(zeta_w), a descent through the prime factors of the group order
+elsewhere. The complex backend searches the powers of all its units at once
+with numpy. dft_matrix takes the powers of its root from
+RingContext.root_powers, a slice of that table on Q(zeta_w).
 
 On an exact backend a factor tree of two or more leaves decides
 M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
@@ -22,7 +24,6 @@ compared plane by plane with v I.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -180,25 +181,10 @@ def dft_matrix(v, ring: RingContext) -> GMatrix:
     Good-Thomas tree (a DftNode) down to prime-power leaves."""
     if v < 1:
         raise RingError("order must be positive")
-    powers = _powers(ring, v)
+    powers = ring.root_powers(v)
     F = _power_table(ring, powers)
     F._validate_units()
     return GMatrix._table(ring, powers, F.idx, DftNode(F, _good_thomas(F)))
-
-
-def _powers(ring, v):
-    """[1, omega, ..., omega^(v-1)] for the canonical order-v root omega, one
-    multiplication at a time on the exact backends. On C each power is
-    exp(-2 pi i k / v) itself: the k-th power of the rounded omega carries k
-    times its angle error, which put the table of dft(4095) 1.1e-9 from
-    np.fft.fft, past the default tol."""
-    if not ring.is_exact:
-        return [ring.element(cmath.exp(-2j * cmath.pi * k / v)) for k in range(v)]
-    omega = ring.root_of_unity(v)
-    powers = [ring.one()]
-    for _ in range(v - 1):
-        powers.append(powers[-1] * omega)
-    return powers
 
 
 def _power_table(ring, powers):
@@ -225,11 +211,17 @@ def _good_thomas(F: GMatrix) -> FactorTree:
         return Leaf(F)
     q = math.gcd(v, primes[0] ** v.bit_length())
     r = v // q
-    # the factors' own powers: on C, omega^k for k near v carries k rounding
-    # errors, and the leaves stay dft_matrix(q) and dft_matrix(r) exactly
-    Fq, Fr = _power_table(ring, _powers(ring, q)), _power_table(ring, _powers(ring, r))
-    s = next(s for s in range(q) if powers[r * s] == Fq.units[1])
-    t = next(t for t in range(r) if powers[q * t] == Fr.units[1])
+    # the factors' own powers, so that the leaves are dft_matrix(q) and
+    # dft_matrix(r) exactly: on C, powers[r] = exp(-2 pi i r / v) may differ
+    # from exp(-2 pi i / q) in its last bits
+    Fq, Fr = _power_table(ring, ring.root_powers(q)), _power_table(ring, ring.root_powers(r))
+    # the canonical roots of C and Q(zeta_w) are sent to exp(-2 pi i / v), so
+    # omega^r is omega_q and omega^q is omega_r; elsewhere s and t are found
+    # by exact comparison, which on C would depend on its tol
+    s = t = 1
+    if ring.is_exact:
+        s = next(s for s in range(q) if powers[r * s] == Fq.units[1])
+        t = next(t for t in range(r) if powers[q * t] == Fr.units[1])
     j = np.arange(v)
     rowp = np.empty(v, dtype=np.intp)
     rowp[(j % q) * r + j % r] = j
@@ -241,9 +233,7 @@ def _good_thomas(F: GMatrix) -> FactorTree:
 
 def b3(ring: RingContext) -> GMatrix:
     """The normalised GBH(3, 3) built on a primitive cube root of unity."""
-    beta = ring.root_of_unity(3)
-    beta2 = beta * beta
-    one = ring.one()
+    one, beta, beta2 = ring.root_powers(3)
     return GMatrix.from_rows(
         ring,
         [[one, one, one], [one, beta, beta2], [one, beta2, beta]],

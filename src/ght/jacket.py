@@ -154,12 +154,12 @@ def rjt_permutation(n: int) -> Permutation:
 def jacketize_dft(n: int, ring: RingContext):
     """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
     columns, the complex reverse-jacket matrix, and that permutation."""
-    from .gbh import _power_table, _powers
+    from .gbh import _power_table
 
     # the table of dft_matrix(2n) without its Good-Thomas tree: RJT_n is one
     # leaf of order 2n, so that the family trees keep their factor orders
     # (2, 4, 2n)
-    F = _power_table(ring, _powers(ring, 2 * n))
+    F = _power_table(ring, ring.root_powers(2 * n))
     F._validate_units()
     p = rjt_permutation(n)
     return permute(F, p, p), p

@@ -312,6 +312,16 @@ class RingContext:
         """Deterministic element of multiplicative order exactly w."""
         raise NotImplementedError
 
+    def root_powers(self, v) -> list[RingElement]:
+        """[omega^0, ..., omega^(v-1)] for omega = root_of_unity(v), by
+        sequential products; Q(zeta_w) slices its table of roots and C takes
+        each power as exp(-2 pi i k / v)."""
+        omega = self.root_of_unity(v)
+        powers = [self.one()]
+        for _ in range(v - 1):
+            powers.append(powers[-1] * omega)
+        return powers
+
     def unit_order_hint(self) -> int:
         """Order h of the cyclic group of roots of unity of an exact backend:
         2 for Q, lcm(2, w) for Q(zeta_w), p - 1 for GF(p), p^2 - 1 for
@@ -504,7 +514,8 @@ class CyclotomicContext(RingContext):
 
     Payload is (coeffs, den): integer coefficients of degree < deg Phi_w over
     a common positive denominator, gcd-reduced. Phi_w is irreducible over Q,
-    so every nonzero element is a unit.
+    so every nonzero element is a unit. Its roots of unity and the fold of its
+    lane are rows of x^j mod Phi_w, from one recurrence (_x_powers).
     """
 
     def __init__(self, w):
@@ -562,21 +573,17 @@ class CyclotomicContext(RingContext):
         (ca, da) = a
         return (tuple(-c for c in ca), da)
 
-    @property
-    def _root_inverses(self):
-        """{root: its inverse} over the roots of unity (see _root_table)."""
-        return _root_table(self.w)[0]
-
     def _order(self, a):
-        """A root of unity's order is a table lookup; any other unit has
-        order None."""
-        return _root_table(self.w)[1].get(a)
+        """A root's order from its index k in _root_table; None otherwise."""
+        k = _root_table(self.w)[1].get(a)
+        h = self.unit_order_hint()
+        return None if k is None else h // math.gcd(h, k)
 
     def _inv(self, a):
-        """A root of unity inverts by table lookup, any other unit by
-        extended Euclid."""
-        inverse = self._root_inverses.get(a)
-        return self._euclid_inverse(a) if inverse is None else inverse
+        """A root's inverse is entry -k of _root_table; others take Euclid."""
+        roots, index = _root_table(self.w)
+        k = index.get(a)
+        return self._euclid_inverse(a) if k is None else roots[-k]
 
     def _euclid_inverse(self, a):
         (ca, da) = a
@@ -608,29 +615,21 @@ class CyclotomicContext(RingContext):
         coeffs[0] = n
         return self._normalize(coeffs, 1)
 
+    def _root_slice(self, v):
+        """Every (h/v)-th payload of _root_table, h = unit_order_hint()."""
+        h = self.unit_order_hint()
+        if v < 1 or h % v != 0:
+            raise RingError(f"Q(zeta_{self.w}) has no element of order {v}")
+        return _root_table(self.w)[0][:: h // v]
+
     def root_of_unity(self, w):
-        # the unit roots of unity in Q(zeta_w) form a cyclic group of order
-        # lcm(2, self.w); the canonical order-w root is the element that the
-        # evaluation embedding x -> exp(-2*pi*i/self.w) sends to
-        # exp(-2*pi*i/w), so the exact and floating backends agree entrywise
-        m = self.w if self.w % 2 == 0 else 2 * self.w
-        if w < 1 or m % w != 0:
-            raise RingError(f"Q(zeta_{self.w}) has no element of order {w}")
-        if self.deg == 1:
-            # self.w in {1, 2}: x is congruent to a rational
-            x = self.element(self._normalize([-self.phi[0]], 1))
-        else:
-            coeffs = [0] * self.deg
-            coeffs[1] = 1
-            x = self.element((tuple(coeffs), 1))
-        if self.w % w == 0:
-            return x ** (self.w // w)
-        # self.w odd and w = 2e with e dividing self.w: -x^k evaluates to
-        # -zeta^k = exp(-2*pi*i*(2k + self.w)/(2*self.w)), which hits
-        # exp(-pi*i/e) at k = (self.w/e)*(1-e)/2 (an integer, e being odd)
-        e = w // 2
-        k = (self.w // e) * (1 - e) // 2 % self.w
-        return -(x ** k)
+        # index h/w of _root_table: the element that the evaluation embedding
+        # x -> exp(-2*pi*i/self.w) sends to exp(-2*pi*i/w), so the exact and
+        # floating backends agree entrywise
+        return self.element(self._root_slice(w)[1 % w])
+
+    def root_powers(self, v):
+        return [self.element(u) for u in self._root_slice(v)]
 
     def unit_order_hint(self):
         return self.w if self.w % 2 == 0 else 2 * self.w
@@ -690,6 +689,24 @@ class CyclotomicContext(RingContext):
         return f"Q(zeta_{self.w})"
 
 
+def _x_powers(w):
+    """The coefficients of x^0, ..., x^(w-1) mod Phi_w, one int64 row at a
+    time: row j + 1 is x times row j, its top coefficient folded back by the
+    monic Phi_w, each value checked to stay below 2^53, where a float64 copy
+    is exact. As x^w = 1, these are all the powers of x."""
+    phi = np.array(cyclotomic_polynomial(w)[:-1], dtype=np.int64)
+    big_phi = int(np.abs(phi).max())
+    row = np.zeros(len(phi), dtype=np.int64)
+    row[0] = 1
+    yield row
+    for j in range(1, w):
+        top = int(row[-1])
+        if int(np.abs(row).max()) + abs(top) * big_phi >= 2**53:
+            raise RingError(f"x^{j} mod Phi_{w} has a coefficient past 2^53")
+        row = np.concatenate(([0], row[:-1])) - top * phi
+        yield row
+
+
 # Q(zeta_w) tables are keyed by w, not by ring object, as every loaded file
 # builds its own ring; a few tables of large w are already megabytes
 @lru_cache(maxsize=32)
@@ -697,41 +714,34 @@ def _fold_table(w):
     """(fold, growth): row m of fold holds the coefficients of x^m mod Phi_w,
     for m < 2 deg - 1, and folding rows 0..n-1 multiplies a bound on the
     coefficients by at most growth[n - 1], their largest column sum in size.
-
-    Row m + 1 is x times row m, its top coefficient folded back by the monic
-    Phi_w: O(deg^2) steps in int64, each checked to stay below 2^53, where
-    the float64 table is exact."""
-    phi = np.array(cyclotomic_polynomial(w)[:-1], dtype=np.int64)
-    big_phi = int(np.abs(phi).max())
-    fold = np.zeros((2 * len(phi) - 1, len(phi)), dtype=np.int64)
-    fold[0, 0] = 1
-    for m in range(1, len(fold)):
-        top = int(fold[m - 1, -1])
-        if int(np.abs(fold[m - 1]).max()) + abs(top) * big_phi >= 2**53:
-            raise RingError(f"x^{m} mod Phi_{w} has a coefficient past 2^53")
-        fold[m, 1:] = fold[m - 1, :-1]
-        fold[m] -= top * phi
-    fold = fold.astype(np.float64)
+    Both are written one row at a time."""
+    deg = len(cyclotomic_polynomial(w)) - 1
+    fold = np.empty((2 * deg - 1, deg))
+    growth, sums = np.empty(len(fold)), np.zeros(deg)
+    # x^w = 1, so from row w on the rows repeat those from row 0
+    for m, row in zip(range(len(fold)), itertools.chain(_x_powers(w), fold)):
+        fold[m] = row
+        sums += np.abs(row)
+        growth[m] = sums.max()
     fold.flags.writeable = False
-    return fold, np.abs(fold).cumsum(axis=0).max(axis=1)
+    return fold, growth
 
 
 @lru_cache(maxsize=32)
 def _root_table(w):
-    """(inverses, orders): {g^k: g^(h-k)} and {g^k: h / gcd(h, k)} over the
-    h = unit_order_hint() roots of unity of Q(zeta_w), for a generator g of
-    their cyclic group: x for even w, -x for odd w, each power one shift and
-    one fold of the last."""
-    ring = CyclotomicContext(w)
-    h = ring.unit_order_hint()
-    x = ring.root_of_unity(w).payload
-    g = x if w % 2 == 0 else ring._neg(x)
-    powers = [ring._from_int(1)]
-    for _ in range(h - 1):
-        powers.append(ring._mul(g, powers[-1]))
-    inverses = {u: powers[-k] for k, u in enumerate(powers)}
-    orders = {u: h // math.gcd(h, k) for k, u in enumerate(powers)}
-    return inverses, orders
+    """(roots, index): roots[k] is the payload of the root of unity of
+    Q(zeta_w) that x -> exp(-2 pi i / w) sends to exp(-2 pi i k / h), for
+    h = unit_order_hint(), and index maps each of the h payloads to its k.
+    For even w, roots[k] is x^k; for odd w, roots[2j] is x^j and
+    roots[2j + w mod h] is -x^j. So roots[k] has order h / gcd(h, k) and
+    inverse roots[-k]."""
+    h = w if w % 2 == 0 else 2 * w
+    roots = [None] * h
+    for j, row in enumerate(_x_powers(w)):
+        roots[j * h // w] = (tuple(row.tolist()), 1)
+        if w % 2:
+            roots[(2 * j + w) % h] = (tuple((-row).tolist()), 1)
+    return roots, {u: k for k, u in enumerate(roots)}
 
 
 def _order_exact(el: RingElement, w, one) -> bool:
@@ -919,8 +929,8 @@ class ComplexContext(RingContext):
     is_exact = False
 
     def __init__(self, tol=1e-9):
-        if not isinstance(tol, (int, float)) or tol < 0:
-            raise RingError("tol must be a non-negative number")
+        if not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+            raise RingError("tol must be a finite non-negative number")
         self.tol = tol
         self.spec = RingSpec(kind="complex-float", tol=tol)
 
@@ -945,6 +955,13 @@ class ComplexContext(RingContext):
         if w < 1:
             raise RingError("w must be >= 1")
         return self.element(cmath.exp(-2j * cmath.pi / w))
+
+    def root_powers(self, v):
+        # the k-th power of a rounded omega carries k times its angle error:
+        # 1.1e-9 from np.fft.fft over dft(4095), past the default tol
+        if v < 1:
+            raise RingError("w must be >= 1")
+        return [self.element(cmath.exp(-2j * cmath.pi * k / v)) for k in range(v)]
 
     def encode(self, el):
         return [el.payload.real, el.payload.imag]

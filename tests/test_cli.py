@@ -515,3 +515,59 @@ def test_walsh1_over_q_zeta_4095_verifies_in_seconds(tmp_path):
     run = subprocess.run(ght_cli + ["verify", m], env=env, capture_output=True, text=True, timeout=120)
     assert time.perf_counter() - start < 30
     assert run.returncode == 0 and "is-gbh: true" in run.stdout, run.stderr
+
+
+def test_gen_dft4095_takes_seconds(tmp_path):
+    # the powers of omega are a slice of the table of roots of Q(zeta_4095),
+    # which is built row from row, x times the last; multiplying dense
+    # powers one at a time made this take 142 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "f.json")
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "ght.cli", "gen", "dft:4095", "-o", m], env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 30
+    assert run.returncode == 0, run.stderr
+    assert "order: 4095" in run.stdout
+
+
+@pytest.mark.parametrize("v", [30, 60])
+def test_good_thomas_trees_of_complex_dfts_need_no_tolerance(tmp_path, v):
+    out = str(tmp_path / "f.json")
+    assert main(["gen", f"dft:{v}", "--ring", "complex:0", "-o", out]) == 0
+    M = load_matrix(out)
+    assert M.ring.spec.tol == 0 and M.order == v
+
+
+def test_complex_tolerance_that_is_not_finite_exits_two(tmp_path, capsys):
+    assert main(["gen", "walsh:1", "--ring", "complex:nan", "-o", str(tmp_path / "g.json")]) == 2
+    assert main(["gen", "walsh:1", "--ring", "complex:inf", "-o", str(tmp_path / "g.json")]) == 2
+    data = matrix_to_json(walsh(1, complex_ring()), with_tree=False)
+    data["ring"]["tol"] = float("nan")
+    m = _write(tmp_path / "m.json", data)
+    assert "NaN" in (tmp_path / "m.json").read_text()
+    x = _write(tmp_path / "x.json", signal_to_json(Signal.from_ints(complex_ring(), [1, 1])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["verify", m], ["apply", m, x, "-o", str(tmp_path / "y.json")]):
+        run = subprocess.run([sys.executable, "-m", "ght.cli", *args], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 39.2 GiB for an array", "error: Unable to allocate 39.2 GiB for an array\n"), ("", "error: MemoryError\n")],
+    ids=["numpy-message", "no-message"],
+)
+def test_memory_error_exits_two(tmp_path, monkeypatch, capsys, message, line):
+    out = str(tmp_path / "w.json")
+    assert main(["gen", "walsh:1", "-o", out]) == 0
+
+    def verify_gbh(M):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ght.gbh, "verify_gbh", verify_gbh)
+    assert main(["verify", out]) == 2
+    assert capsys.readouterr().err == line

@@ -176,10 +176,10 @@ def test_inverse_of_sixth_root():
 def test_cyclotomic_root_inverses_by_table(monkeypatch):
     for w in range(1, 41):
         ring = cyclotomic(w)
-        table = ring._root_inverses
-        assert len(table) == ring.unit_order_hint()
-        for root, inverse in table.items():
-            assert inverse == ring._euclid_inverse(root)
+        roots, index = ring_module._root_table(w)
+        assert len(roots) == len(index) == ring.unit_order_hint()
+        for root in roots:
+            assert ring._inv(root) == ring._euclid_inverse(root)
     ring = cyclotomic(12)
     euclid = []
     inverse = ring._euclid_inverse
@@ -196,7 +196,7 @@ def test_cyclotomic_root_inverses_by_table(monkeypatch):
 def test_cyclotomic_tables_are_shared_by_w():
     a, b = cyclotomic(24), cyclotomic(24)
     assert a is not b
-    assert a._root_inverses is b._root_inverses
+    assert a.root_powers(24)[5].payload is b.root_powers(24)[5].payload
     assert ring_module._fold_table(24) is ring_module._fold_table(24)
     assert ring_module._root_table(24) is ring_module._root_table(24)
 
@@ -214,6 +214,90 @@ def test_fold_table_matches_the_reduction_of_each_power(w):
     want_fold, want_growth = _fold_by_reduction(w)
     assert fold.dtype == np.float64 and np.array_equal(fold, want_fold)
     assert np.array_equal(growth, want_growth)
+
+
+def _root_by_power(ring, v):
+    """Reference: the canonical order-v root of Q(zeta_w) as x ** k, with
+    -x ** k for an even v that does not divide an odd w."""
+    w = ring.w
+    if ring.deg == 1:  # w in {1, 2}: x is congruent to a rational
+        x = ring.from_int(-ring.phi[0])
+    else:
+        x = ring.element((tuple(int(k == 1) for k in range(ring.deg)), 1))
+    if w % v == 0:
+        return x ** (w // v)
+    # -x^k evaluates to exp(-2 pi i (2k + w) / (2w)), which is exp(-pi i / e)
+    # for e = v / 2 at k = (w / e)(1 - e) / 2
+    e = v // 2
+    return -(x ** ((w // e) * (1 - e) // 2 % w))
+
+
+def _products(ring, omega, v):
+    """Reference: [1, omega, omega^2, ..., omega^(v-1)], one product each."""
+    powers = [ring.one()]
+    for _ in range(v - 1):
+        powers.append(powers[-1] * omega)
+    return powers
+
+
+def _roots_by_product(ring):
+    """Reference: g^0..g^(h-1) for the generator g = x (even w) or -x (odd
+    w) of the roots of unity, one _mul each; g^k is index k (w + 2) of the
+    roots for odd w, as -x is sent to exp(-2 pi i (w + 2) / (2 w))."""
+    x = _root_by_power(ring, ring.w).payload
+    g = x if ring.w % 2 == 0 else ring._neg(x)
+    powers = [ring._from_int(1)]
+    for _ in range(ring.unit_order_hint() - 1):
+        powers.append(ring._mul(g, powers[-1]))
+    return powers
+
+
+@pytest.mark.parametrize("w", range(1, 200))
+def test_root_tables_match_the_power_and_product_references(w):
+    ring = cyclotomic(w)
+    h = ring.unit_order_hint()
+    for v in (v for v in range(1, h + 1) if h % v == 0):
+        omega = _root_by_power(ring, v)
+        assert ring.root_of_unity(v) == omega
+        assert ring.root_powers(v) == _products(ring, omega, v)
+    with pytest.raises(RingError):
+        ring.root_of_unity(h + 1)
+    sequential = _roots_by_product(ring)
+    roots, index = ring_module._root_table(w)
+    step = 1 if w % 2 == 0 else w + 2
+    assert [roots[k * step % h] for k in range(h)] == sequential
+    assert index == {u: k for k, u in enumerate(roots)}
+    assert [ring._order(u) for u in sequential] == [h // math.gcd(h, k) for k in range(h)]
+    assert [ring._inv(u) for u in sequential] == [sequential[-k] for k in range(h)]
+    # row m of the fold table is x^j for j = m mod w: g^j, or (-1)^j g^j for
+    # odd w
+    fold, growth = ring_module._fold_table(w)
+    rows = [sequential[m % w][0] for m in range(len(fold))]
+    signs = [-1 if w % 2 and m % w % 2 else 1 for m in range(len(fold))]
+    want = np.array([[c * sign for c in row] for row, sign in zip(rows, signs)], dtype=np.float64)
+    assert np.array_equal(fold, want.reshape(fold.shape))
+    assert np.array_equal(growth, np.abs(want).cumsum(axis=0).max(axis=1))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [rationals(), prime_field(7), prime_field(13), quadratic_field(5), quadratic_field(7, (1, 0, 1))],
+    ids=repr,
+)
+def test_root_powers_are_the_sequential_products(ring):
+    h = ring.unit_order_hint()
+    for v in (v for v in range(1, h + 1) if h % v == 0):
+        assert ring.root_powers(v) == _products(ring, ring.root_of_unity(v), v)
+    with pytest.raises(RingError):
+        ring.root_powers(h + 1)
+
+
+def test_complex_root_powers_are_exact_angles():
+    c = complex_ring(0)
+    for v in (1, 6, 4095):
+        assert [u.payload for u in c.root_powers(v)] == [cmath.exp(-2j * cmath.pi * k / v) for k in range(v)]
+    with pytest.raises(RingError):
+        c.root_powers(0)
 
 
 def _trial_primes(n):
@@ -402,6 +486,15 @@ def test_complex_tolerance_eq():
     c = complex_ring(1e-9)
     assert c.element(1 + 1e-12j) == c.one()
     assert c.element(1 + 1e-3j) != c.one()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, "1e-9"])
+def test_complex_tolerance_must_be_finite_and_non_negative(tol):
+    with pytest.raises(RingError):
+        complex_ring(tol)
+    with pytest.raises(RingError):
+        make_ring(RingSpec(kind="complex-float", tol=tol))
+    assert complex_ring(0).spec.tol == 0
 
 
 @pytest.mark.parametrize(
