@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import catalog, fileio, gbh, jacket, ring as ringmod, transform
-from .matrix import MatrixError
+from .matrix import MatrixError, star, within_limit
 from .ring import RingError
 
 
@@ -22,7 +22,7 @@ def parse_ring_spec(text):
     if name == "rationals":
         return ringmod.rationals()
     if name == "cyclotomic":
-        return ringmod.cyclotomic(int(rest))
+        return ringmod.cyclotomic(within_limit(int(rest), "cyclotomic w"))
     if name == "gf":
         p, _, poly = rest.partition(":")
         if poly:
@@ -85,15 +85,16 @@ def _cmd_apply(args, inverse=False):
     M = fileio.load_matrix(args.matrix)
     x = fileio.load_signal(args.signal)
     if inverse:
-        y = transform.ight(M, x)
+        tree, y = transform._route(star(M)), transform.ight(M, x)
     elif args.fast:
-        y, count = transform.fast_apply(M.as_tree(), x)
+        tree, (y, count) = M.as_tree(), transform.fast_apply(M.as_tree(), x)
         print(f"multiplications: {count.mul}")
         print(f"additions: {count.add}")
     else:
-        y = transform.ght(M, x)
+        tree, y = transform._route(M), transform.ght(M, x)
     fileio.save_signal(y, args.output)
     print(f"length: {y.length}")
+    print(f"method: {'tree-walk' if len(tree.leaves()) > 1 else 'table'}")
     return 0
 
 
@@ -109,6 +110,7 @@ def _cmd_seqsearch(args):
 
 
 def _cmd_enumerate2x2(args):
+    within_limit(args.group_order, "group order")
     ring = (
         parse_ring_spec(args.ring)
         if args.ring

@@ -28,7 +28,7 @@ import numpy as np
 
 from .gbh import dft_matrix
 from .matrix import DftNode, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import ORDER_LIMIT, _unit_table, tree_matches
+from .matrix import ORDER_LIMIT, _unit_table, tree_matches, within_limit
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
 
@@ -50,7 +50,7 @@ def ring_spec_from_json(data: dict) -> RingSpec:
     try:
         return RingSpec(
             kind=data["kind"],
-            w=data.get("w"),
+            w=within_limit(data.get("w"), "cyclotomic w"),
             p=data.get("p"),
             ext_poly=tuple(data["ext-poly"]) if "ext-poly" in data else None,
             tol=data.get("tol"),

@@ -17,9 +17,9 @@ backend reduces the result: in floats while that is exact, in Python
 integers past that.
 
 A matrix is immutable, so what is derived from it is derived once: the first
-star(M) is kept and returned again, and the first use of M in the lane keeps
-the lane form of its units (planes, denominator, nonzero planes, their
-largest value, and the stacked planes per dtype, a _UnitLane). Both memos
+star(M), with M's tree starred, is kept and returned again, and the first use
+of M in the lane keeps the lane form of its units (planes, denominator,
+nonzero planes, their largest value, the stacked planes per dtype). Both memos
 hold O(#units * d) values, never O(v^2): star(M) shares M's index array,
 transposed. A transform that applies the same matrix again writes no plane
 of it again.
@@ -51,6 +51,14 @@ class MatrixError(ValueError):
 # walsh(12). A tree-only file of a few KB, or a token such as walsh:20, could
 # otherwise ask for 2^40 index bytes. The constructors themselves are unbounded.
 ORDER_LIMIT = 4096
+
+
+def within_limit(n, what):
+    """n, or a MatrixError for an int above ORDER_LIMIT: a w or a group order
+    from the CLI or a file header, checked before anything grows with it."""
+    if isinstance(n, int) and n > ORDER_LIMIT:
+        raise MatrixError(f"{what} {n} is above the limit {ORDER_LIMIT}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -324,10 +332,12 @@ def _unit_products(A: GMatrix, B: GMatrix):
 
 def star(M: GMatrix) -> GMatrix:
     """M* : transpose of the entrywise inverses; an involution. The first
-    call keeps its result on M, and later calls return that same matrix."""
+    call keeps its result on M, and later calls return that same matrix. M*
+    carries M.tree.star(), which expands to M* as M.tree expands to M."""
     if M._star is None:
         inverses = [u.inverse() for u in M.units]
-        object.__setattr__(M, "_star", GMatrix._table(M.ring, inverses, M.idx.T))
+        tree = None if M.tree is None else M.tree.star()
+        object.__setattr__(M, "_star", GMatrix._table(M.ring, inverses, M.idx.T, tree))
     return M._star
 
 

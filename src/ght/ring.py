@@ -179,17 +179,23 @@ def _poly_divmod(num, den):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(w):
-    """Integer coefficients of Phi_w, ascending; computed by dividing x^w - 1
-    by Phi_d over all proper divisors d of w."""
+    """Integer coefficients of Phi_w, ascending: the Moebius product of the
+    x^(w/s) - 1 over the squarefree s | w, to the power mu(s), as power series
+    in Python integers cut past degree phi(w), the products before the quotients."""
     if w < 1:
         raise RingError("w must be >= 1")
-    num = [-1] + [0] * (w - 1) + [1]
-    for d in range(1, w):
-        if w % d == 0:
-            q, r = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert r == [0], "cyclotomic division must be exact"
-            num = q
-    return tuple(num)
+    primes = _prime_factors(w)
+    n = w // math.prod(primes) * math.prod(p - 1 for p in primes) + 1
+    c = np.array([1] + [0] * (n - 1), dtype=object)
+    subsets = (s for k in range(len(primes) + 1) for s in itertools.combinations(primes, k))
+    for odd, d in sorted((len(s) % 2, w // math.prod(s)) for s in subsets):
+        c = -c
+        if odd:  # c / (x^d - 1) = -c (1 + x^d + x^2d + ...)
+            for j in range(d, n, d):
+                c[j : j + d] += c[j - d : j][: n - j]
+        else:  # c (x^d - 1)
+            c[d:] -= c[:-d].copy()
+    return tuple(int(a) for a in c)
 
 
 # Miller-Rabin with the first 13 primes as bases decides every n below

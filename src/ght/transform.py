@@ -3,10 +3,12 @@
 Forward: xhat = B x. Inverse: x = v^(-1) B* xhat, which needs the order v to
 be invertible in the ring (char R must not divide v). All three transforms
 run one kernel, a matrix times a batch of columns, axis-wise over a factor
-tree (Van Loan, "The ubiquitous Kronecker product", 2000): ght over the
-one-leaf tree of B, fast_apply over a given tree, and ight over the starred
-tree of B, as (A (x) B)* = A* (x) B*. Tensor factors of orders v_1..v_k cost
-v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost counts.
+tree (Van Loan, "The ubiquitous Kronecker product", 2000): fast_apply over
+the tree it is given; ght and ight over the tree of B and of star(B), which
+star keeps as (A (x) B)* = A* (x) B*, where v * d reaches WALK_MIN, and over
+one table below it (_route, the one rule). Tensor factors of orders
+v_1..v_k cost v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost
+counts.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
@@ -27,10 +29,6 @@ exact backends (planes and denominator divided by their gcd), and reads a
 lane-form input as it is. A chain of transforms thus writes elements as
 planes only for the signal that starts it; a Signal decodes its elements,
 once per distinct coefficient vector, the first time they are read.
-
-A matrix's tree, when it has one, expands to the matrix (see ght.matrix),
-so ight walks B's tree, except for a small DFT; fast_apply walks the tree
-it is given.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from .matrix import (
     _decode_planes,
     _UnitLane,
     _lane_apply,
+    star,
 )
 from .ring import RingContext
 
@@ -181,15 +180,18 @@ def _apply(tree: FactorTree, x: Signal) -> Signal:
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))
 
 
+# the lane values per column, v * d for d planes, from which a walk beats a table
+WALK_MIN = 256
+
+
+def _route(B: GMatrix) -> FactorTree:
+    """B's tree where it has one and v * d reaches WALK_MIN, else Leaf(B)."""
+    return B.tree if B.tree is not None and B.order * B.ring._lane_dim >= WALK_MIN else Leaf(B)
+
+
 def ght(B: GMatrix, x: Signal) -> Signal:
-    """Forward transform xhat = B x, in exact ring arithmetic: the naive
-    product with the whole matrix, ignoring its tree."""
-    return _apply(Leaf(B), x)
-
-
-# below this many lane values per column, v * d for d coefficient planes, a
-# DFT's Good-Thomas walk costs more than its one table product
-DFT_WALK_MIN = 256
+    """Forward transform xhat = B x, in exact ring arithmetic, over _route(B)."""
+    return _apply(_route(B), x)
 
 
 @lru_cache(maxsize=64)
@@ -202,17 +204,13 @@ def _inverse_leaf(ring, v):
 def ight(B: GMatrix, xhat: Signal) -> Signal:
     """Inverse transform x = v^(-1) B* xhat; requires v invertible in R.
 
-    Walks the starred tree of B, B.as_tree().star(), so like fast_apply it
-    costs v * (v_1 + ... + v_k) multiplications over tensor factors of
-    orders v_1..v_k. B is one leaf instead when it is a DFT with v * d below
-    DFT_WALK_MIN, where one product of the table is cheaper than the walk.
-    v^(-1) enters as a 1 x 1 leaf tensored on the left, so over Q it joins
-    the carried denominator; that leaf is built once per ring and order, and
-    star keeps each leaf's starred matrix, so a repeated ight writes none of
-    their planes again."""
-    small_dft = isinstance(B.tree, DftNode) and B.order * B.ring._lane_dim < DFT_WALK_MIN
-    tree = Leaf(B) if small_dft else B.as_tree()
-    return _apply(TensorNode(_inverse_leaf(B.ring, B.order), tree.star()), xhat)
+    Walks _route(star(B)), and star keeps B* with its starred tree, so like
+    fast_apply it costs v * (v_1 + ... + v_k) multiplications over tensor
+    factors of orders v_1..v_k. v^(-1) enters as a 1 x 1 leaf tensored on the
+    left, so over Q it joins the carried denominator; that leaf is built once
+    per ring and order, so a repeated ight stars no tree and writes no plane
+    of a matrix again."""
+    return _apply(TensorNode(_inverse_leaf(B.ring, B.order), _route(star(B))), xhat)
 
 
 def tree_cost(tree: FactorTree) -> OpCount:

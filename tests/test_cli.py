@@ -184,6 +184,30 @@ def test_apply_fast_without_tree_runs_a_leaf(tmp_path, capsys):
     assert load_signal(y) == load_signal(z)
 
 
+@pytest.mark.parametrize(
+    "token, verbs, method",
+    [
+        ("walsh:8", ["apply", "invert"], "tree-walk"),
+        ("walsh:5", ["apply", "invert"], "table"),
+        ("dft:60", ["apply", "invert"], "tree-walk"),
+        ("cbt:3", ["apply --fast"], "table"),
+        ("walsh:5", ["apply --fast"], "tree-walk"),
+    ],
+)
+def test_transform_reports_name_their_route(tmp_path, capsys, token, verbs, method):
+    # ght and ight walk a tree from v * d = 256 on, and take one table below
+    # that; apply --fast walks the file's tree, or its one table without one
+    m, x, y = (str(tmp_path / f"{n}.json") for n in "mxy")
+    assert main(["gen", token, "-o", m]) == 0
+    M = load_matrix(m)
+    save_signal(Signal.from_ints(M.ring, [(7 * k) % 19 - 9 for k in range(M.order)]), x)
+    capsys.readouterr()
+    for verb in verbs:
+        assert main(verb.split() + [m, x, "-o", y]) == 0
+        text = capsys.readouterr().out
+        assert f"length: {M.order}" in text and f"method: {method}\n" in text, verb
+
+
 def test_seqsearch_exit_codes(capsys):
     assert main(["seqsearch", "4"]) == 0
     text = capsys.readouterr().out
@@ -394,6 +418,32 @@ def test_order_limit_exits_two(tmp_path, capsys):
     assert (tmp_path / "m.json").stat().st_size < 4096
     assert "above the limit 4096" in capsys.readouterr().err
 
+
+
+def test_cyclotomic_w_above_the_limit_exits_two(tmp_path, capsys):
+    # each w and group order is checked before Phi_w or a table of Q(zeta_w)
+    # is built: gen walsh:3 --ring cyclotomic:30030 took 179 s without it
+    m, x = (str(tmp_path / f"{n}.json") for n in "mx")
+    assert main(["gen", "walsh:1", "-o", m]) == 0
+    save_signal(Signal.from_ints(rationals(), [1, 2]), x)
+    big = {"kind": "cyclotomic-rationals", "w": 30030}
+    bad_m, bad_x = (
+        _write(tmp_path / f"bad-{n}.json", dict(json.loads((tmp_path / f"{n}.json").read_text()), ring=big))
+        for n in "mx"
+    )
+    capsys.readouterr()
+    runs = [
+        ["gen", "walsh:3", "--ring", "cyclotomic:30030", "-o", str(tmp_path / "g.json")],
+        ["verify", bad_m],
+        ["apply", m, bad_x, "-o", str(tmp_path / "y.json")],
+        ["enumerate2x2", "--group-order", "30030"],
+        ["enumerate2x2", "--group-order", "100000", "--ring", "gf:100003"],
+    ]
+    for args in runs:
+        start = time.perf_counter()
+        assert main(args) == 2, args
+        assert time.perf_counter() - start < 1, args
+        assert "is above the limit 4096" in capsys.readouterr().err, args
 
 
 def test_gen_and_verify_over_a_large_prime_field(tmp_path, capsys):

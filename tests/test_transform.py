@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +38,7 @@ from ght import (
     walsh,
 )
 from ght import transform
+from ght.matrix import tree_matches
 from ght.ring import RationalsContext, RingError
 from ght.transform import OpCount, tree_cost
 
@@ -448,11 +450,12 @@ def test_ight_does_not_walk_an_unchecked_tree():
     assert ight(M, x) == Signal(W.ring, tuple(want)) != ight(W, x)
 
 
-@pytest.mark.parametrize("v, leaf_orders", [(24, [24, 1]), (60, [5, 3, 4, 1])])
+@pytest.mark.parametrize("v, leaf_orders", [(24, [24]), (60, [5, 3, 4])])
 def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     # Q(zeta_24) has 8 coefficient planes, so dft(24) has 24 * 8 lane values
-    # per column, below DFT_WALK_MIN, and is one table; dft(60), 60 * 16, walks
-    # its Good-Thomas tree
+    # per column, below WALK_MIN, and ght and ight take one table each;
+    # dft(60), 60 * 16, walks its Good-Thomas tree both ways, and ight ends
+    # with its 1/v leaf
     ring = cyclotomic(v)
     F = dft_matrix(v, ring)
     orders = []
@@ -460,7 +463,46 @@ def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     monkeypatch.setattr(transform, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
     x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
     assert ight(F, ght(F, x)) == x
-    assert orders == [v] + leaf_orders
+    assert orders == leaf_orders + leaf_orders + [1]
+
+
+@settings(max_examples=150)
+@given(walks())
+def test_star_keeps_a_tree_that_both_transforms_walk(case):
+    tree, x = case
+    ring, M = x.ring, tree.expand()
+    S = star(M)
+    assert (S.tree is None) == (M.tree is None)
+    assert S.tree is None or tree_matches(S.tree, S)
+    ch = ring.characteristic()
+    v_inv = None if ch and M.order % ch == 0 else ring.int_inverse(M.order)
+    # these orders are below WALK_MIN and take one table; at 1 every tree
+    # is walked
+    for walk_min in (transform.WALK_MIN, 1):
+        with mock.patch.object(transform, "WALK_MIN", walk_min):
+            assert ght(M, x) == fast_apply(M.as_tree(), x)[0]
+            if v_inv is not None:
+                want = [v_inv * ring.dot(zip(row, x.elements)) for row in S.rows()]
+                assert ight(M, x) == Signal(ring, tuple(want))
+
+
+def test_transforms_walk_a_tree_only_from_walk_min(monkeypatch):
+    # walsh(12), 4096 lane values per column, walks its 12 leaves both ways;
+    # walsh(7), 128, takes one table each way; ight adds its 1/v leaf
+    orders, stars = [], []
+    lane_apply = transform._lane_apply
+    monkeypatch.setattr(transform, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
+    for node in (Leaf, TensorNode, PermutedNode):
+        monkeypatch.setattr(node, "star", lambda t, f=node.star: stars.append(t) or f(t))
+    for t, leaves in ((12, [2] * 12), (7, [128])):
+        W = walsh(t)
+        x = Signal.from_ints(W.ring, [(7 * k) % 19 - 9 for k in range(2**t)])
+        orders.clear()
+        assert ight(W, ght(W, x)) == x
+        assert orders == leaves + leaves + [1]
+        # star(W) keeps the starred tree: a second ight builds no node of it
+        stars.clear()
+        assert ight(W, ght(W, x)) == x and stars == []
 
 
 # --- lane-form signals, as the transforms return them ---

@@ -83,6 +83,30 @@ def test_library_trees_expand_to_their_matrices(tmp_path, M):
         assert N.tree is None or tree_matches(N.tree, N)
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        walsh(3),
+        permute(walsh(2), Permutation((1, 0, 3, 2)), Permutation((2, 0, 1, 3))),
+        tensor(b3(cyclotomic(3)), k2(2, cyclotomic(3))),
+        dft_matrix(60, cyclotomic(60)),
+        dft_matrix(12, complex_ring()),
+        jacketize_cbt(2, cyclotomic(4))[0],
+    ],
+    ids=lambda M: f"{M.ring!r}-{M.order}",
+)
+def test_star_keeps_a_tree_and_saves_tree_only(tmp_path, M):
+    # (A (x) B)* = A* (x) B*, and a permuted matrix's star swaps its
+    # permutations, so star(M) keeps M's tree starred
+    S = star(M)
+    assert S.tree is not None and tree_matches(S.tree, S)
+    path = tmp_path / "s.json"
+    save_matrix(S, path)
+    assert "entries" not in json.loads(path.read_text())
+    N = load_matrix(path)
+    assert equal(N, S) and tree_matches(N.tree, N)
+
+
 @st.composite
 def given_trees(draw):
     """(L, N, changed): a library matrix L with a tree, and N, built by a
