@@ -99,7 +99,7 @@ def _product_failures(M: GMatrix):
     """The positions of M M* that differ from v I, in row-major order
     (within tol on the complex backend)."""
     ring, v, S = M.ring, M.order, star(M)
-    planes, den = _lane_apply(M, *_lane_batch(_lane_of(S), S.idx))
+    planes, den, _ = _lane_apply(M, *_lane_batch(_lane_of(S), S.idx))
     # v I over den: the planes of the integer v times den on the diagonal,
     # 0 elsewhere
     v_planes, _ = ring._lane_planes([ring.from_int(v)])

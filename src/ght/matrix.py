@@ -12,17 +12,18 @@ every transform leaf take the numeric lane through one kernel, _lane_apply:
 the backend writes a matrix's unit table as integer coefficient planes over
 a common denominator (one complex plane on the complex backend), which meet
 a lane batch (the other factor's table, as _lane_batch lays it out, or
-signals) in one BLAS product per block of rows, and the
-backend reduces the result: in floats while that is exact, in Python
-integers past that.
+signals) in one BLAS product per block of rows, and the backend reduces the
+result: in floats while that is exact, in Python integers past that.
 
 A matrix is immutable, so what is derived from it is derived once: the first
 star(M), with M's tree starred, is kept and returned again, and the first use
 of M in the lane keeps the lane form of its units (planes, denominator,
-nonzero planes, their largest value, the stacked planes per dtype). Both memos
-hold O(#units * d) values, never O(v^2): star(M) shares M's index array,
-transposed. A transform that applies the same matrix again writes no plane
-of it again.
+nonzero planes, their largest value, the stacked planes per dtype, and the
+kept operand per dtype, the stacked planes at idx, where that has at most
+_BLOCK_VALUES values). The memos hold O(#units * d) values besides the
+kept operands, never O(v^2) for a matrix past that cap: star(M) shares M's
+index array, transposed. A transform that applies the same matrix again
+writes no plane of it again.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
@@ -36,7 +37,7 @@ tree=) is kept only when tree_matches finds that it expands to the entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,6 +124,12 @@ class FactorTree:
         """The leaf matrices, left to right, one per leaf node."""
         raise NotImplementedError
 
+    @property
+    def factors(self) -> tuple["FactorTree", ...]:
+        """The Leaf and PermutedNode factors whose Kronecker product this node
+        is, left to right; a TensorNode or DftNode keeps its flattened chain."""
+        return (self,)
+
 
 @dataclass(frozen=True)
 class Leaf(FactorTree):
@@ -160,6 +167,10 @@ class TensorNode(FactorTree):
     def leaves(self):
         return self.left.leaves() + self.right.leaves()
 
+    @cached_property
+    def factors(self):
+        return self.left.factors + self.right.factors
+
 
 @dataclass(frozen=True)
 class PermutedNode(FactorTree):
@@ -179,6 +190,11 @@ class PermutedNode(FactorTree):
 
     def leaves(self):
         return self.child.leaves()
+
+    @cached_property
+    def gathers(self):
+        """(cols, rows): intp arrays, kept, with (P M Q) x = (M x[cols])[rows]."""
+        return np.array(self.colp.image, dtype=np.intp), np.argsort(self.rowp.image)
 
 
 @dataclass(frozen=True)
@@ -202,6 +218,10 @@ class DftNode(FactorTree):
 
     def leaves(self):
         return self.tree.leaves()
+
+    @cached_property
+    def factors(self):
+        return self.tree.factors
 
 
 def _unit_table(entries):
@@ -420,9 +440,9 @@ class _UnitLane:
     into float64 unless asked for int64; complex128 on the complex backend).
     A matrix keeps its units' lane (_lane_of), and with it what _lane_apply
     derives from the planes on first use: the indices of the nonzero planes,
-    the largest |coefficient| in them, and one read-only stack of those
-    planes per dtype. They are read from the lists, as a few numpy calls on
-    a small table cost more."""
+    the largest |coefficient| in them, and per dtype one read-only stack of
+    those planes and, for a small matrix, its kept operand. They are read
+    from the lists, as a few numpy calls on a small table cost more."""
 
     __slots__ = ("planes", "den", "table", "_nonzero", "_stacks")
 
@@ -444,14 +464,19 @@ class _UnitLane:
             self._nonzero = ma, max(abs(c) for m in ma for c in self.planes[m])
         return self._nonzero
 
-    def stack(self, dtype):
+    def stack(self, dtype, idx=None):
         """The nonzero planes as one read-only array of dtype, whose values
-        the caller has bounded to fit it."""
-        ua = self._stacks.get(dtype)
+        the caller has bounded to fit it; given the index array idx of the
+        matrix that keeps this lane, its kept operand stack(dtype)[:, idx]."""
+        key = dtype if idx is None else (dtype, "operand")
+        ua = self._stacks.get(key)
         if ua is None:
-            ua = np.array([self.planes[m] for m in self.nonzero()[0]], dtype=dtype)
+            if idx is None:
+                ua = np.array([self.planes[m] for m in self.nonzero()[0]], dtype=dtype)
+            else:
+                ua = self.stack(dtype)[:, idx].reshape(-1, len(idx))
             ua.flags.writeable = False
-            self._stacks[dtype] = ua
+            self._stacks[key] = ua
         return ua
 
 
@@ -463,58 +488,79 @@ def _lane_of(M: GMatrix) -> _UnitLane:
 
 
 def _lane_batch(lane: _UnitLane, idx):
-    """(X, den): a matrix's table units[idx] of n columns, whose units have
-    the lane form `lane` (_lane_of(M), kept on M), as a lane batch over the
-    common denominator den: a (v, n * d) array whose column k * d + m holds
-    coefficient plane m of column k, in the narrowest integer type its exact
-    values fit (int8 for a +-1 table; _lane_apply casts it once to the type
-    of its product). It is gathered _BLOCK_VALUES indices at a time, as
-    numpy casts each index block to intp: a 512 x 512 table took 2 MB of
-    intp indices and 2 MB of int64 values at once."""
+    """(X, den, big): a matrix's table units[idx] of n columns, whose units
+    have the lane form `lane` (_lane_of(M), kept on M), as a lane batch over
+    the common denominator den, with big >= max|X| for _lane_apply: a
+    (v, n * d) array whose column k * d + m holds coefficient plane m of
+    column k, in the narrowest integer type its exact values fit (int8 for a
+    +-1 table; _lane_apply casts it once to the type of its product). It is
+    gathered _BLOCK_VALUES indices at a time, as numpy casts each index block
+    to intp: a 512 x 512 table took 2 MB of intp indices and 2 MB of int64
+    values at once."""
+    big = lane.nonzero()[1]
     dtype = lane.table.dtype
     if dtype == np.int64:
-        dtype = np.min_scalar_type(-lane.nonzero()[1])
+        dtype = np.min_scalar_type(-big)
     X = np.empty((len(idx), idx.shape[1] * lane.table.shape[0]), dtype=dtype)
     step = max(1, _BLOCK_VALUES // max(1, idx.shape[1]))
     for r in range(0, len(idx), step):
         block = lane.table.T[idx[r : r + step]]
         X[r : r + step] = block.reshape(len(block), -1)
-    return X, lane.den
+    return X, lane.den, big
 
 
-def _lane_apply(A: GMatrix, X, den_x):
-    """(planes, den): A times the lane batch X / den_x of n vectors (see
-    _lane_batch), as a (v, n, d) array of reduced coefficients over
-    den = den_x times A's plane denominator. This is the one kernel of the
-    numeric lane: mat_mul, verification and every transform leaf call it.
+def _lane_max(X):
+    """max|X| from max and min: np.abs leaves -2^63 negative in int64."""
+    return max(int(X.max()), -int(X.min()))
+
+
+def _lane_dtype(ring, top, n):
+    """(dtype, big) for n unreduced planes of integers no larger than top,
+    whose reduction meets values below bound = RingContext._lane_bound(top,
+    n): float32 for one plane while bound < 2^24, float64 while bound < 2^53,
+    else Python integers in an object array; and big >= the reduced values,
+    p - 1 on a backend that reduces modulo p, bound otherwise."""
+    bound, p = ring._lane_bound(top, n), ring.characteristic()
+    dtype = np.float32 if ring._lane_dim == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
+    return dtype, p - 1 if p else bound
+
+
+def _lane_apply(A: GMatrix, X, den_x, big_x):
+    """(planes, den, big): A times the lane batch X / den_x of n vectors
+    (see _lane_batch), as a (v, n, d) array of reduced coefficients over
+    den = den_x times A's plane denominator. The caller passes
+    big_x >= max|X|, and big >= max|planes| comes back (None on the complex
+    backend), so that a walk carries the bound from leaf to leaf and a table
+    batch takes it from _lane_batch. This is the one kernel of the numeric
+    lane: mat_mul, verification and every transform leaf call it.
 
     A's unit table is written as coefficient planes once and kept on A
     (_lane_of), and its nonzero planes, stacked as rows, meet X in one BLAS
     product per block of rows, whose blocks A_m X_j add up to the unreduced
     plane m + j; the backend then reduces the planes (modulo Phi_w, modulo
-    p). On an exact backend every value is an integer smaller than the bound
-    top = min(#planes of A, d) * v * max|a| * max|x|, and every value the
-    reduction meets is smaller than RingContext._lane_bound(top, #unreduced
-    planes). The product is float32 for one-plane backends while that bound
-    is below 2^24, float64 while it is below 2^53, and otherwise Python
-    integers in object arrays, exact at any size; X is cast to that dtype
-    once, and A's stacked planes are kept per dtype, since a leaf may meet a
-    small batch and then one past 2^53. The complex backend multiplies its
-    complex128 plane as is. A block of rows is bounded both by the values of
-    A it gathers and by the values of the product it makes (_BLOCK_VALUES,
-    _PRODUCT_VALUES), and two or more blocks are written into one (v, n, d)
-    array as they are reduced.
+    p). On an exact backend every value is an integer no larger than
+    top = min(#planes of A, d) * v * max|a| * big_x, and _lane_dtype picks
+    the product's dtype from that. Where big_x would take a wider dtype than
+    float32 for one plane or float64, X is measured once and the smaller
+    bound taken, so that no leaf is slower for the carried bound. X is cast
+    to that dtype once, and A's stacked planes are kept per dtype, since a
+    leaf may meet a small batch and then one past 2^53. The complex backend
+    multiplies its complex128 plane as is. A block of rows is bounded both
+    by the values of A it gathers and by the values of the product it makes
+    (_BLOCK_VALUES, _PRODUCT_VALUES), and two or more blocks are written
+    into one (v, n, d) array as they are reduced. A product in one block
+    whose operand, A's planes at A.idx, has at most _BLOCK_VALUES values
+    takes that operand from A's lane, which keeps it per dtype.
     """
     ring, v, d = A.ring, A.order, A.ring._lane_dim
     lane = _lane_of(A)
     ma, big_a = lane.nonzero()
-    dtype = np.complex128
+    dtype, big = np.complex128, None
     if ring.is_exact:
-        # max|x| from max and min: np.abs leaves -2^63 negative in int64,
-        # and would copy a large batch
-        top = min(len(ma), d) * v * big_a * max(int(X.max()), -int(X.min()), 1)
-        bound = ring._lane_bound(top, ma[-1] + d)
-        dtype = np.float32 if d == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
+        scale, unreduced = min(len(ma), d) * v * big_a, ma[-1] + d
+        dtype, big = _lane_dtype(ring, scale * big_x, unreduced)
+        if dtype is object or d == 1 and dtype is np.float64:
+            dtype, big = _lane_dtype(ring, scale * min(big_x, _lane_max(X)), unreduced)
     ua = lane.stack(dtype)
     if dtype == object and X.dtype.kind == "f":
         X = X.astype(np.int64)  # float lane values are integers, kept as ints
@@ -523,22 +569,23 @@ def _lane_apply(A: GMatrix, X, den_x):
     den = den_x * lane.den
     gather = _BLOCK_VALUES * X.shape[1] // (len(ma) * v)
     rows = max(1, min(gather, _PRODUCT_VALUES // (len(ma) * X.shape[1])))
+    kept = rows >= v and len(ma) * v * v <= _BLOCK_VALUES
     out = None
     for r in range(0, v, rows):
         idx = A.idx[r : r + rows]
-        prod = ua[:, idx].reshape(len(ma) * len(idx), v) @ X
+        prod = (lane.stack(dtype, A.idx) if kept else ua[:, idx].reshape(-1, v)).dot(X)
         if d == 1:
             planes = prod.reshape(-1, 1)
         else:
             prod = prod.reshape(len(ma), len(idx), n, d).transpose(1, 2, 0, 3)
-            planes = prod.reshape(len(idx) * n, -1) @ _scatter(ma, d, dtype)
+            planes = prod.reshape(len(idx) * n, -1).dot(_scatter(ma, d, dtype))
         block = ring._lane_reduce(planes).reshape(len(idx), n, d)
         if rows >= v:
-            return block, den
+            return block, den, big
         if out is None:
             out = np.empty((v, n, d), dtype=block.dtype)
         out[r : r + rows] = block
-    return out, den
+    return out, den, big
 
 
 def _decode_planes(ring, vecs, den):
@@ -573,7 +620,7 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    planes, den = _lane_apply(A, *_lane_batch(_lane_of(B), B.idx))
+    planes, den, _ = _lane_apply(A, *_lane_batch(_lane_of(B), B.idx))
     units, codes = _decode_planes(ring, planes.reshape(v * v, -1), den)
     return GMatrix._table(ring, units, codes.reshape(v, v))
 

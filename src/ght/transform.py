@@ -3,26 +3,34 @@
 Forward: xhat = B x. Inverse: x = v^(-1) B* xhat, which needs the order v to
 be invertible in the ring (char R must not divide v). All three transforms
 run one kernel, a matrix times a batch of columns, axis-wise over a factor
-tree (Van Loan, "The ubiquitous Kronecker product", 2000): fast_apply over
-the tree it is given; ght and ight over the tree of B and of star(B), which
-star keeps as (A (x) B)* = A* (x) B*, where v * d reaches WALK_MIN, and over
-one table below it (_route, the one rule). Tensor factors of orders
-v_1..v_k cost v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost
-counts.
+tree: fast_apply over the tree it is given; ght and ight over the tree of B
+and of star(B), which star keeps as (A (x) B)* = A* (x) B*, where v * d
+reaches WALK_MIN, and over one table below it (_route, the one rule).
+Tensor factors of orders v_1..v_k cost v*(v_1+...+v_k) multiplications
+instead of v^2, as tree_cost counts.
+
+A walk takes the shuffle form of the Kronecker product (Davio, "Kronecker
+products and shuffle algebra", 1981; Van Loan, "The ubiquitous Kronecker
+product", 2000). A chain of tensor nodes, through DftNodes, is one flat
+tuple of factors, leaves and permuted subtrees, kept on its node
+(FactorTree.factors). The walk applies them right to left, so that the
+leaves meet the batch in the order reversed(tree.leaves()), and before each
+factor one transpose brings that factor's axis to the front of the rows.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
 (matrix._UnitLane), the backend's d coefficient planes over one carried
 denominator (integers on the exact backends, one complex128 plane on C),
 carried as d columns per vector. Each leaf is one call of _lane_apply: one
-BLAS product of its unit planes per block of rows and one reduction by the
-backend; the denominators of the leaf units (and ight's 1/v) join the
-carried one. Each leaf picks its own dtype from the batch it meets, so a
-batch whose coefficients grow past float64's exact range goes on in Python
-integers. A leaf matrix keeps the lane form of its units and its starred
-matrix (see ght.matrix), and ight's 1/v leaf is built once per ring and
-order, so a transform applied again writes the planes of its signal and of
-nothing else.
+BLAS product of its unit planes and one reduction by the backend; the
+denominators of the leaf units (and ight's 1/v) join the carried one. Each
+leaf picks its own dtype from a bound on the batch it meets: the walk
+measures the signal once, and each leaf returns the bound of its output to
+the next, so a batch whose coefficients grow past float64's exact range
+goes on in Python integers. A leaf matrix keeps the lane form of its units
+and its starred matrix (see ght.matrix), and ight's 1/v leaf is built once
+per ring and order, so a transform applied again writes the planes of its
+signal and of nothing else.
 
 A transform returns its output in that lane form, in lowest terms on the
 exact backends (planes and denominator divided by their gcd), and reads a
@@ -40,7 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 from .matrix import (
-    DftNode,
     FactorTree,
     GMatrix,
     Leaf,
@@ -50,6 +57,7 @@ from .matrix import (
     _decode_planes,
     _UnitLane,
     _lane_apply,
+    _lane_max,
     star,
 )
 from .ring import RingContext
@@ -128,33 +136,25 @@ class OpCount:
     add: int = 0
 
 
-def _walk(node: FactorTree, X, den, ring):
-    """The matrix of node times each vector of the batch X / den, whose
-    entries lie in ring, as a pair (Y, den') with the product equal to
-    Y / den'. The batch holds d columns per vector, its coefficient planes;
-    a leaf meets it in matrix._lane_apply. A tensor node of orders (a, b)
-    views a column as an a x b array and applies its right factor along the
-    length-b axis, then its left factor along the other."""
-    if isinstance(node, Leaf):
-        if node.matrix.ring.spec != ring.spec:
-            raise MatrixError("ring mismatch")
-        Y, den = _lane_apply(node.matrix, X, den)
-        return Y.reshape(node.order, -1), den
-    if isinstance(node, DftNode):
-        return _walk(node.tree, X, den, ring)
-    if isinstance(node, TensorNode):
-        a, b = node.left.order, node.right.order
-        Y = X.reshape(a, b, -1).transpose(1, 0, 2).reshape(b, -1)
-        Y, den = _walk(node.right, Y, den, ring)
-        Y = Y.reshape(b, a, -1).transpose(1, 0, 2).reshape(a, -1)
-        Y, den = _walk(node.left, Y, den, ring)
-        return Y.reshape(a * b, -1), den
-    if isinstance(node, PermutedNode):
-        Z, den = _walk(node.child, X[list(node.colp.image)], den, ring)
-        out = np.empty_like(Z)
-        out[list(node.rowp.image)] = Z
-        return out, den
-    raise MatrixError(f"unknown tree node {node!r}")
+def _walk(node: FactorTree, X, den, big):
+    """The matrix of node times each vector of the batch X / den, as a triple
+    (Y, den', big') with the product equal to Y / den' and big' >= max|Y|
+    on the exact backends, given big >= max|X|. A factor of order a meets
+    the batch as an (a, -1) array: a leaf in matrix._lane_apply, a permuted
+    subtree as its child's walk between two gathers of rows."""
+    c = X.shape[1]
+    for f in reversed(node.factors):
+        a = f.order
+        X = X.reshape(-1, a, c).transpose(1, 0, 2).reshape(a, -1)
+        if isinstance(f, Leaf):
+            X, den, big = _lane_apply(f.matrix, X, den, big)
+        elif isinstance(f, PermutedNode):
+            cols, rows = f.gathers
+            X, den, big = _walk(f.child, X[cols], den, big)
+            X = X[rows]
+        else:
+            raise MatrixError(f"unknown tree node {f!r}")
+    return X.reshape(-1, c), den, big
 
 
 def _lowest_terms(ring, y, den):
@@ -176,7 +176,10 @@ def _apply(tree: FactorTree, x: Signal) -> Signal:
     if tree.order != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    y, den = _walk(tree, *x._lane_form(), ring)
+    if any(M.ring.spec != ring.spec for M in tree.leaves()):
+        raise MatrixError("ring mismatch")
+    X, den = x._lane_form()
+    y, den, _ = _walk(tree, X, den, _lane_max(X) if ring.is_exact else None)
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))
 
 
