@@ -32,6 +32,7 @@ import numpy as np
 from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
 from .matrix import _lane_apply, _lane_batch, _lane_of, star
 from .ring import RingContext, RingError, _prime_factors
+from .transform import Signal, ght
 
 
 @dataclass
@@ -167,12 +168,15 @@ def verify_gbh(M: GMatrix) -> GbhReport:
 
 
 def row_sums(M: GMatrix):
-    """Row sums of M and column sums of the entrywise-inverse matrix.
+    """Row sums of M and column sums of the entrywise-inverse matrix: the
+    transforms ght(M, 1) and ght(star(M), 1) of the all-ones signal, as
+    lists. On the complex backend the sums are those of the transform, equal
+    to the entry-by-entry sums within tol but not bit for bit.
 
     For a normalised GBH all sums except the first are zero.
     """
-    zero = M.ring.zero()
-    return [sum(r, zero) for r in M.rows()], [sum(r, zero) for r in star(M).rows()]
+    ones = Signal.from_ints(M.ring, [1] * M.order)
+    return list(ght(M, ones).elements), list(ght(star(M), ones).elements)
 
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:

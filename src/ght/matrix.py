@@ -5,15 +5,18 @@ nonzero). The matrices of interest are Butson-type: their entries come from
 a small set of units. A GMatrix therefore stores the tuple `units` of its
 distinct entries, deduplicated by exact payload, and a read-only index array
 `idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
-table: star inverts the units and transposes idx, permute indexes idx,
-tensor forms each unit product once and fills idx with numpy, and equal
-compares only the distinct unit pairs that occur. mat_mul, verification and
-every transform leaf take the numeric lane through one kernel, _lane_apply:
-the backend writes a matrix's unit table as integer coefficient planes over
-a common denominator (one complex plane on the complex backend), which meet
-a lane batch (the other factor's table, as _lane_batch lays it out, or
-signals) in one BLAS product per block of rows, and the backend reduces the
-result: in floats while that is exact, in Python integers past that.
+table, never on rows of entries: star inverts the units and transposes idx,
+permute indexes idx, tensor and normalize form each unit product that occurs
+once and gather idx through a table of products, from_blocks joins the
+remapped idx of its blocks, and equal compares the index arrays through a
+map of units by payload (on C, the entries within tol). mat_mul,
+verification and every transform leaf take the numeric lane through one
+kernel, _lane_apply: the backend writes a matrix's unit table as integer
+coefficient planes over a common denominator (one complex plane on the
+complex backend), which meet a lane batch (the other factor's table, as
+_lane_batch lays it out, or signals) in one BLAS product per block of rows,
+and the backend reduces the result: in floats while that is exact, in
+Python integers past that.
 
 A matrix is immutable, so what is derived from it is derived once: the first
 star(M), with M's tree starred, is kept and returned again, and the first use
@@ -36,6 +39,7 @@ tree=) is kept only when tree_matches finds that it expands to the entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -120,9 +124,17 @@ class FactorTree:
         a permuted matrix swaps its row and column permutations."""
         raise NotImplementedError
 
-    def leaves(self) -> list["GMatrix"]:
-        """The leaf matrices, left to right, one per leaf node."""
-        raise NotImplementedError
+    def leaves(self) -> tuple["GMatrix", ...]:
+        """The leaf matrices, left to right, one per leaf node: the factors'
+        matrices, a PermutedNode's read from its child; kept on the node on
+        first use (a cached_property's lock costs a transform's fresh node
+        about 2 us on Python 3.11)."""
+        if "_leaves" not in self.__dict__:
+            leaves = []
+            for f in self.factors:
+                leaves += f.child.leaves() if isinstance(f, PermutedNode) else (f.matrix,)
+            object.__setattr__(self, "_leaves", tuple(leaves))
+        return self._leaves
 
     @property
     def factors(self) -> tuple["FactorTree", ...]:
@@ -145,9 +157,6 @@ class Leaf(FactorTree):
     def star(self):
         return Leaf(star(self.matrix))
 
-    def leaves(self):
-        return [self.matrix]
-
 
 @dataclass(frozen=True)
 class TensorNode(FactorTree):
@@ -163,9 +172,6 @@ class TensorNode(FactorTree):
 
     def star(self):
         return TensorNode(self.left.star(), self.right.star())
-
-    def leaves(self):
-        return self.left.leaves() + self.right.leaves()
 
     @cached_property
     def factors(self):
@@ -187,9 +193,6 @@ class PermutedNode(FactorTree):
 
     def star(self):
         return PermutedNode(self.child.star(), self.colp, self.rowp)
-
-    def leaves(self):
-        return self.child.leaves()
 
     @cached_property
     def gathers(self):
@@ -215,9 +218,6 @@ class DftNode(FactorTree):
 
     def star(self):
         return self.tree.star()
-
-    def leaves(self):
-        return self.tree.leaves()
 
     @cached_property
     def factors(self):
@@ -264,9 +264,8 @@ class GMatrix:
             values = s[keep]
             units = [ring.from_int(int(n)) for n in values]
             codes = np.empty(a.shape, dtype=np.min_scalar_type(len(values) - 1))
-            step = max(1, _BLOCK_VALUES // max(1, len(a)))
-            for r in range(0, len(a), step):
-                codes[r : r + step] = np.searchsorted(values, a[r : r + step])
+            for rows in _row_blocks(*a.shape):
+                codes[rows] = np.searchsorted(values, a[rows])
         else:
             raise MatrixError("entries must be ring elements or integers")
         self._fill(ring, units, codes.reshape(a.shape), None)
@@ -343,11 +342,31 @@ def _check_same_ring(A: GMatrix, B: GMatrix):
         raise MatrixError("ring mismatch")
 
 
-def _unit_products(A: GMatrix, B: GMatrix):
-    """(products, table): the distinct products of a unit of A and a unit of
-    B, and table[a, b] = position of units_A[a] * units_B[b] in products."""
-    products, codes = _unit_table([a * b for a in A.units for b in B.units])
-    return products, codes.reshape(len(A.units), len(B.units))
+def _unit_products(left, right, seen):
+    """(products, table): the distinct products left[a] * right[b] over the
+    pairs (a, b) that the boolean array seen marks, and table[a, b] = the
+    position of that product in products (0 elsewhere), in the narrowest type."""
+    a, b = np.nonzero(seen)
+    products, codes = _unit_table([left[i] * right[j] for i, j in zip(a.tolist(), b.tolist())])
+    table = np.zeros(seen.shape, dtype=np.min_scalar_type(len(products) - 1))
+    table[a, b] = codes
+    return products, table
+
+
+def _row_blocks(n, width):
+    """Slices of rows of an n x width array holding _BLOCK_VALUES values each:
+    numpy casts the index arrays of a gather to intp, 8 bytes an entry."""
+    step = max(1, _BLOCK_VALUES // max(1, width))
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
+def _gather(table, shape, index):
+    """The array of the given shape whose rows are table[index(rows)], for a
+    1-D table, gathered a block of rows at a time (_row_blocks)."""
+    out = np.empty(shape, dtype=table.dtype)
+    for rows in _row_blocks(*shape):
+        np.take(table, index(rows), out=out[rows])
+    return out
 
 
 def star(M: GMatrix) -> GMatrix:
@@ -362,15 +381,20 @@ def star(M: GMatrix) -> GMatrix:
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
-    """Kronecker product; the result records both factors in its tree."""
+    """Kronecker product; the result records both factors in its tree. Each
+    unit product is formed once, and idx is filled by one gather per entry of
+    the smaller factor (C_1 in cbt's C_1 (x) S_{t-2}, S_1 in walsh)."""
     _check_same_ring(A, B)
-    products, table = _unit_products(A, B)
+    every_pair = np.ones((len(A.units), len(B.units)), dtype=bool)
+    products, table = _unit_products(A.units, B.units, every_pair)
     va, vb = A.order, B.order
-    table = table.astype(np.min_scalar_type(len(products) - 1))
     idx = np.empty((va * vb, va * vb), dtype=table.dtype)
     # entry (i*vb + k, j*vb + l) is A[i, j] * B[k, l]
-    for k in range(vb):
-        for l in range(vb):
+    if va < vb:
+        for i, j in itertools.product(range(va), repeat=2):
+            idx[i * vb : (i + 1) * vb, j * vb : (j + 1) * vb] = table[A.idx[i, j]][B.idx]
+    else:
+        for k, l in itertools.product(range(vb), repeat=2):
             idx[k::vb, l::vb] = table[:, B.idx[k, l]][A.idx]
     tree = TensorNode(A.as_tree(), B.as_tree())
     return GMatrix._table(A.ring, products, idx, tree)
@@ -391,17 +415,28 @@ def normalize(M: GMatrix):
 
     Returns (N, row_scalars, col_scalars) with
     M[i][j] == row_scalars[i] * N[i][j] * col_scalars[j].
+
+    The rows are scaled by the inverses of their entries in column 0, then
+    the columns (on the transposed table) by theirs in row 0, each by one
+    gather through the unit products that occur, marked in a mask of heads x
+    units and formed once; numpy gathers a pair at head * #units + unit three
+    times faster than at table[head, unit]. N's units are checked once each.
     """
-    rows = M.rows()
-    row_scalars = [r[0] for r in rows]
-    row_inv = [r.inverse() for r in row_scalars]
-    col_scalars = [row_inv[0] * e for e in rows[0]]
-    col_inv = [c.inverse() for c in col_scalars]
-    out = [
-        [ri * e * cj for e, cj in zip(r, col_inv)] for r, ri in zip(rows, row_inv)
-    ]
-    N = GMatrix.from_rows(M.ring, out)
-    return N, row_scalars, col_scalars
+    units, idx, scalars = M.units, M.idx, []
+    for _ in range(2):
+        scalars.append([units[k] for k in idx[:, 0].tolist()])
+        heads, pos = np.unique(idx[:, 0], return_inverse=True)
+        n = len(units)
+        pairs = lambda rows: pos[rows, None] * n + idx[rows]
+        seen = np.zeros(len(heads) * n, dtype=bool)
+        for rows in _row_blocks(*idx.shape):
+            seen[pairs(rows)] = True
+        inverses = [units[k].inverse() for k in heads.tolist()]
+        units, table = _unit_products(inverses, units, seen.reshape(len(heads), -1))
+        idx = _gather(table.ravel(), idx.shape, pairs).T
+    N = GMatrix._table(M.ring, units, idx)
+    N._validate_units()
+    return N, *scalars
 
 
 # values of A's stacked planes gathered per BLAS call in _lane_apply, per
@@ -414,8 +449,9 @@ def normalize(M: GMatrix):
 # verify of a dft(128) entries file over Q(zeta_128) peaked at 1146 MB with
 # one block, and verify_gbh of a 512 x 512 +-1 table that is not decided by
 # its tree had 5 MB of numpy temporaries live at once, 3 MB so. The lane
-# batch of a table (_lane_batch) and the positions of an integer array's
-# entries (GMatrix) are written _BLOCK_VALUES entries at a time.
+# batch of a table (_lane_batch), the positions of an integer array's
+# entries (GMatrix) and the gathers of normalize, equal and from_blocks are
+# written _BLOCK_VALUES entries at a time (_row_blocks).
 _BLOCK_VALUES = 2**16
 _PRODUCT_VALUES = 2**16
 
@@ -502,10 +538,9 @@ def _lane_batch(lane: _UnitLane, idx):
     if dtype == np.int64:
         dtype = np.min_scalar_type(-big)
     X = np.empty((len(idx), idx.shape[1] * lane.table.shape[0]), dtype=dtype)
-    step = max(1, _BLOCK_VALUES // max(1, idx.shape[1]))
-    for r in range(0, len(idx), step):
-        block = lane.table.T[idx[r : r + step]]
-        X[r : r + step] = block.reshape(len(block), -1)
+    for rows in _row_blocks(*idx.shape):
+        block = lane.table.T[idx[rows]]
+        X[rows] = block.reshape(len(block), -1)
     return X, lane.den, big
 
 
@@ -632,16 +667,24 @@ def scalar_mul(c, M: GMatrix) -> GMatrix:
 
 
 def equal(A: GMatrix, B: GMatrix) -> bool:
-    """Entrywise equality. Each distinct (A-unit, B-unit) pair that occurs is
-    compared once, or each entry when there are more unit pairs than entries."""
+    """Entrywise equality, by the index arrays a block of rows at a time
+    (_row_blocks). On an exact backend, where payloads are canonical, the
+    units of B and then of A are coded by payload, so that a unit of A
+    absent from B has a code that B lacks, and the coded index arrays are
+    compared; on the complex backend each pair of entries is compared within
+    tol, since that equality is not transitive."""
     if A.ring.spec != B.ring.spec or A.order != B.order:
         return False
-    na, nb = len(A.units), len(B.units)
-    if na * nb > A.order**2:
-        return all(a == b for ra, rb in zip(A.rows(), B.rows()) for a, b in zip(ra, rb))
-    seen = np.zeros((na, nb), dtype=bool)
-    seen[A.idx, B.idx] = True
-    return all(A.units[a] == B.units[b] for a, b in zip(*np.nonzero(seen)))
+    if A.ring.is_exact:
+        first = {}
+        tb, ta = ([first.setdefault(u.payload, len(first)) for u in M.units] for M in (B, A))
+        ta, tb = (np.array(t, dtype=np.min_scalar_type(len(first))) for t in (ta, tb))
+        same = np.equal
+    else:
+        ta, tb = (np.array([u.payload for u in M.units], dtype=np.complex128) for M in (A, B))
+        same = lambda a, b: np.abs(a - b) <= A.ring.spec.tol
+    blocks = _row_blocks(A.order, A.order)
+    return all(same(np.take(ta, A.idx[rows]), np.take(tb, B.idx[rows])).all() for rows in blocks)
 
 
 def tree_matches(tree: FactorTree, M: GMatrix) -> bool:
@@ -659,19 +702,17 @@ def _dft_trees_match(node: FactorTree) -> bool:
     return not isinstance(node, PermutedNode) or _dft_trees_match(node.child)
 
 
-def identity_gmatrix(ring, v, scale=1) -> GMatrix:
-    """scale * I_v, unchecked (off-diagonal zeros)."""
-    s = ring.from_int(scale) if isinstance(scale, int) else scale
-    return GMatrix._table(ring, (s, ring.zero()), 1 - np.eye(v, dtype=np.uint8))
-
-
 def from_blocks(ring, blocks) -> GMatrix:
-    """Assemble a matrix from a 2D grid of GMatrix blocks."""
-    rows = []
-    for brow in blocks:
-        for b in brow:
-            _check_same_ring(b, brow[0])
-        height = brow[0].order
-        for i in range(height):
-            rows.append([e for b in brow for e in b.row(i)])
-    return GMatrix.from_rows(ring, rows)
+    """Assemble a matrix over ring from a 2D grid of GMatrix blocks: the
+    blocks' unit lists are merged, each index array is shifted to its block's
+    place in the joint list, np.block joins them, and one gather maps the
+    joint list to the merged one. Each merged unit is checked once."""
+    units, codes = _unit_table([u for brow in blocks for b in brow for u in b.units])
+    starts = iter(np.cumsum([0] + [len(b.units) for brow in blocks for b in brow]).tolist())
+    dtype = np.min_scalar_type(len(codes))
+    idx = np.block([[b.idx.astype(dtype) + next(starts) for b in brow] for brow in blocks])
+    if idx.ndim != 2 or idx.shape[0] != idx.shape[1]:
+        raise MatrixError("matrix must be square")
+    M = GMatrix._table(ring, units, _gather(codes.astype(dtype), idx.shape, idx.__getitem__))
+    M._validate_units()
+    return M

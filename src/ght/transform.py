@@ -221,8 +221,9 @@ def tree_cost(tree: FactorTree) -> OpCount:
     signal: over leaves of orders v_1..v_k, v * (v_1 + ... + v_k) and
     v * ((v_1 - 1) + ... + (v_k - 1)), as each leaf of order a is applied
     v / a times at a^2 and a(a-1)."""
-    v, orders = tree.order, [L.order for L in tree.leaves()]
-    return OpCount(v * sum(orders), v * (sum(orders) - len(orders)))
+    orders = [L.order for L in tree.leaves()]
+    v, total = math.prod(orders), sum(orders)
+    return OpCount(v * total, v * (total - len(orders)))
 
 
 def fast_apply(tree: FactorTree, x: Signal):

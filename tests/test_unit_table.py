@@ -5,6 +5,7 @@ operation is recomputed entry by entry here, from `entry` alone, and the
 results must agree (the complex backend within its tolerance).
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +22,14 @@ from ght import (
     cyclotomic,
     dft_matrix,
     equal,
+    make_ring,
     mat_mul,
+    normalize,
     permute,
     prime_field,
     quadratic_field,
     rationals,
+    row_sums,
     star,
     tensor,
     verify_gbh,
@@ -298,3 +302,107 @@ def test_units_are_deduplicated_by_exact_payload():
     M = GMatrix.from_rows(c, [[c.one(), near], [near, c.one()]])
     assert len(M.units) == 2
     assert M.entry(0, 1).payload == 1 + 1e-12j
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _units_occur(M):
+    """Every unit of M is an entry of M, so that orders and lanes read only
+    its own units."""
+    return set(M.idx.ravel().tolist()) == set(range(len(M.units)))
+
+
+@given(case=cases(), data=st.data())
+def test_normalize_tensor_row_sums_equal_match_per_entry_reference(case, data):
+    name, v, ta, tb, vc, tc, _, _ = case
+    ring = RINGS[name]
+    A, B, C = _build(ring, v, ta), _build(ring, v, tb), _build(ring, vc, tc)
+    a, b, c = _grid(A), _grid(B), _grid(C)
+
+    N, rs, cs = normalize(A)
+    assert N.is_normalised() and _units_occur(N)
+    assert all(a[i][j] == rs[i] * N.entry(i, j) * cs[j] for i in range(v) for j in range(v))
+    # the smaller factor on either side, and equal orders
+    _same(tensor(A, C), _kron(a, c))
+    _same(tensor(C, A), _kron(c, a))
+    _same(tensor(A, B), _kron(a, b))
+    assert _units_occur(tensor(A, C)) and _units_occur(tensor(C, A))
+
+    sums, inv_sums = row_sums(A)
+    assert sums == [sum(r, ring.zero()) for r in a]
+    assert inv_sums == [sum(r, ring.zero()) for r in _grid(star(A))]
+
+    # the same entries over a second ring object of the same spec, one of
+    # them perhaps changed
+    other = make_ring(ring.spec)
+    moved = [[other.element(e.payload) for e in r] for r in b]
+    i, j = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
+    if data.draw(st.booleans()):
+        moved[i][j] = moved[i][j] * other.from_int(2)
+    B2 = GMatrix.from_rows(other, moved)
+    assert equal(B, B2) == all(b[i][j] == moved[i][j] for i in range(v) for j in range(v))
+    assert equal(A, B2) == all(a[i][j] == moved[i][j] for i in range(v) for j in range(v))
+
+
+@pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
+def test_equal_of_products_with_more_unit_pairs_than_entries(ring):
+    # two mat_mul results of order 3 over ring objects of one spec: their
+    # unit lists make more pairs than the 9 entries
+    rng = np.random.default_rng(3)
+    pool = _candidates(ring)
+    x, y = ([[pool[k] for k in row] for row in rng.integers(0, 6, (3, 3))] for _ in range(2))
+    X, Y = GMatrix.from_rows(ring, x), GMatrix.from_rows(ring, y)
+    other = make_ring(ring.spec)
+    X2, Y2 = (GMatrix.from_rows(other, [[other.element(e.payload) for e in r] for r in g]) for g in (x, y))
+    for P, Q in [(mat_mul(X, Y), mat_mul(X2, Y2)), (mat_mul(X, Y), mat_mul(Y2, X2))]:
+        assert len(P.units) * len(Q.units) > 9
+        want = all(P.entry(i, j) == Q.entry(i, j) for i in range(3) for j in range(3))
+        assert equal(P, Q) == want
+
+
+def test_complex_equal_within_tol_and_just_past_it():
+    c = complex_ring(1e-9)
+    one, i = c.one(), c.root_of_unity(4)
+    base = GMatrix.from_rows(c, [[one, i], [one, -i]])
+    for shift, want in [(0.9e-9, True), (0.9e-9j, True), (1.1e-9, False), (1.1e-9j, False)]:
+        near = GMatrix.from_rows(c, [[one, i], [c.element(1 + shift), -i]])
+        assert (base.entry(1, 0) == near.entry(1, 0)) is want
+        assert equal(base, near) is want and equal(near, base) is want
+
+
+def _cbt_reference(t, ring):
+    """C_t by its block recursion, entry by entry: C_2 = [[S_1, S_1], [C_1,
+    -C_1]] and C_t = [[C_{t-1}, C_{t-1}], [W, -W]] with W = C_1 (x) S_{t-2}."""
+    i, one = ring.root_of_unity(4), ring.one()
+    c1 = [[one, -i], [one, i]]
+    if t == 1:
+        return c1
+    s1 = [[one, one], [one, -one]]
+    prev, wing = s1, c1
+    for _ in range(2, t + 1):
+        prev = [r + r for r in prev] + [r + [-e for e in r] for r in wing]
+        wing = _kron(wing, s1)
+    return prev
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_cbt_matches_per_entry_block_reference(t):
+    ring = cyclotomic(4)
+    C = cbt(t, ring)
+    _same(C, _cbt_reference(t, ring))
+    assert _units_occur(C)
+
+
+# per-entry code took 13.1 s, 4.3 s and 2.0 s for these on a 2-core Xeon,
+# and the unit table takes 17 ms, 36 ms and 2 ms there
+@pytest.mark.parametrize(
+    "run, bound",
+    [(lambda: normalize(walsh(10)), 1.0), (lambda: cbt(11), 2.0), (lambda: row_sums(walsh(9)), 1.0)],
+    ids=["normalize-walsh10", "cbt11", "row-sums-walsh9"],
+)
+def test_unit_table_operations_stay_fast(run, bound):
+    t0 = time.perf_counter()
+    run()
+    assert time.perf_counter() - t0 < bound
