@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import _lane_apply, _lane_batch, _lane_of, star
+from .matrix import _lane_apply, _lane_batch, _lane_of, _power_table, star
 from .ring import RingContext, RingError, _prime_factors
 from .transform import Signal, ght
 
@@ -189,13 +189,6 @@ def dft_matrix(v, ring: RingContext) -> GMatrix:
     F = _power_table(ring, powers)
     F._validate_units()
     return GMatrix._table(ring, powers, F.idx, DftNode(F, _good_thomas(F)))
-
-
-def _power_table(ring, powers):
-    """The table [powers[j*k mod v]], v = len(powers), without a tree."""
-    v = len(powers)
-    j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
-    return GMatrix._table(ring, powers, np.outer(j, j) % v)
 
 
 def _good_thomas(F: GMatrix) -> FactorTree:

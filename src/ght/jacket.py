@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import GMatrix, MatrixError, Permutation, equal, permute, tensor
+from .matrix import GMatrix, MatrixError, Permutation, _power_table, equal, permute, tensor
 from .ring import RingContext
 
 PRIMARY_BY_WIDTH = "primary-by-width"
@@ -154,8 +154,6 @@ def rjt_permutation(n: int) -> Permutation:
 def jacketize_dft(n: int, ring: RingContext):
     """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
     columns, the complex reverse-jacket matrix, and that permutation."""
-    from .gbh import _power_table
-
     # the table of dft_matrix(2n) without its Good-Thomas tree: RJT_n is one
     # leaf of order 2n, so that the family trees keep their factor orders
     # (2, 4, 2n)

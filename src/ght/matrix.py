@@ -15,8 +15,8 @@ kernel, _lane_apply: the backend writes a matrix's unit table as integer
 coefficient planes over a common denominator (one complex plane on the
 complex backend), which meet a lane batch (the other factor's table, as
 _lane_batch lays it out, or signals) in one BLAS product per block of rows,
-and the backend reduces the result: in floats while that is exact, in
-Python integers past that.
+reduced by one product with the ring's reduced powers of x (_fold) and
+modulo p: in floats while that is exact, in Python integers past that.
 
 A matrix is immutable, so what is derived from it is derived once: the first
 star(M), with M's tree starred, is kept and returned again, and the first use
@@ -31,10 +31,11 @@ writes no plane of it again.
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
 fast application, and gbh.verify_gbh decides a matrix from its tree's leaves.
-A matrix's tree is None or expands to the matrix, each DftNode's tree to its
-table. tensor, permute, gbh.dft_matrix and the loads of ght.fileio build
-their trees so; a tree passed to GMatrix(..., tree=) or from_rows(...,
-tree=) is kept only when tree_matches finds that it expands to the entries.
+A matrix's tree is None or expands to the matrix, and each DftNode is the
+DFT table of its order, which its tree expands to. tensor, permute,
+gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
+passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
+tree_matches finds that.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ring import RingContext, RingElement
+from .ring import RingContext, RingElement, RingError
 
 
 class MatrixError(ValueError):
@@ -456,15 +457,23 @@ _BLOCK_VALUES = 2**16
 _PRODUCT_VALUES = 2**16
 
 
+# the most fold rows one lane may hold, #nonzero planes * d^2 values (64 MB
+# in float64): the tests and the benchmark build up to 3.0e6 (walsh(1) over
+# Q(zeta_4095)), while dft(9) over Q(zeta_4095) would need 2.6e9
+_FOLD_VALUES = 2**23
+
+
 @lru_cache(maxsize=64)
-def _scatter(ma, d, dtype):
-    """Row (i, j) holds a 1 in column ma[i] + j: the product of plane ma[i]
-    of A and plane j of X adds to that unreduced plane. The columns stop at
-    max(ma) + d - 1, past which every plane is zero."""
-    sums = np.add.outer(ma, np.arange(d)).reshape(-1, 1)
-    out = (sums == np.arange(sums.max() + 1)).astype(np.int64).astype(dtype)
-    out.flags.writeable = False
-    return out
+def _fold(ring, ma, dtype=None):
+    """(rows, G): row i * d + j holds x^(ma[i] + j) reduced, the integers of
+    ring._lane_fold() cast to dtype (float64 is exact whenever _lane_dtype
+    picks it, as G >= max|rows|), and G is the largest column sum of |rows|.
+    Keyed by ring (equal specs hash alike): a matrix keeps O(#units * d)."""
+    d = ring._lane_dim
+    if len(ma) * d * d > _FOLD_VALUES:
+        raise MatrixError(f"a lane fold of {len(ma)} planes of {ring!r} is above the limit of {_FOLD_VALUES} values")
+    rows = ring._lane_fold()[np.add.outer(ma, np.arange(d)).ravel()]
+    return rows.astype(dtype or rows.dtype, copy=False), int(np.abs(rows).sum(axis=0).max())
 
 
 class _UnitLane:
@@ -549,13 +558,17 @@ def _lane_max(X):
     return max(int(X.max()), -int(X.min()))
 
 
-def _lane_dtype(ring, top, n):
-    """(dtype, big) for n unreduced planes of integers no larger than top,
-    whose reduction meets values below bound = RingContext._lane_bound(top,
-    n): float32 for one plane while bound < 2^24, float64 while bound < 2^53,
-    else Python integers in an object array; and big >= the reduced values,
-    p - 1 on a backend that reduces modulo p, bound otherwise."""
-    bound, p = ring._lane_bound(top, n), ring.characteristic()
+def _lane_dtype(ring, G, t):
+    """(dtype, big) for plane products A_m X_j no larger than
+    t = v * max|a| * big_x in size, folded by rows whose largest column sum
+    in size is G (_fold; G = 0 for d = 1, which folds nothing). Characteristic
+    p > 0 reduces them below p in size before the fold, so a folded value and
+    each of its partial sums is at most (p - 1) * G, else t * G, and a value
+    met is at most bound = max(t, (p - 1 or t) * G): float32 for one plane
+    while bound < 2^24, float64 while bound < 2^53, else Python integers in
+    an object array. big >= the returned values is p - 1, or bound."""
+    p = ring.characteristic()
+    bound = max(t, (p - 1 if p else t) * G)
     dtype = np.float32 if ring._lane_dim == 1 and bound < 2**24 else np.float64 if bound < 2**53 else object
     return dtype, p - 1 if p else bound
 
@@ -571,32 +584,36 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
 
     A's unit table is written as coefficient planes once and kept on A
     (_lane_of), and its nonzero planes, stacked as rows, meet X in one BLAS
-    product per block of rows, whose blocks A_m X_j add up to the unreduced
-    plane m + j; the backend then reduces the planes (modulo Phi_w, modulo
-    p). On an exact backend every value is an integer no larger than
-    top = min(#planes of A, d) * v * max|a| * big_x, and _lane_dtype picks
-    the product's dtype from that. Where big_x would take a wider dtype than
-    float32 for one plane or float64, X is measured once and the smaller
-    bound taken, so that no leaf is slower for the carried bound. X is cast
-    to that dtype once, and A's stacked planes are kept per dtype, since a
-    leaf may meet a small batch and then one past 2^53. The complex backend
-    multiplies its complex128 plane as is. A block of rows is bounded both
-    by the values of A it gathers and by the values of the product it makes
-    (_BLOCK_VALUES, _PRODUCT_VALUES), and two or more blocks are written
-    into one (v, n, d) array as they are reduced. A product in one block
-    whose operand, A's planes at A.idx, has at most _BLOCK_VALUES values
-    takes that operand from A's lane, which keeps it per dtype.
+    product per block of rows, whose blocks are the plane products A_m X_j.
+    For d > 1 these are laid out as columns (m, j) and multiplied once by
+    the fold rows of the ring (_fold), row (m, j) holding x^(m + j) reduced
+    (modulo Phi_w, or modulo y^2 + c1 y + c0); a backend of characteristic
+    p reduces modulo p before that fold and after it, and for d = 1 after
+    the product alone. On an exact backend _lane_dtype picks the product's
+    dtype from t = v * max|a| * big_x and the fold's G. Where big_x would
+    take a wider dtype than float32 for one plane or float64, X is measured
+    once and the smaller bound taken, so that no leaf is slower for the
+    carried bound. X is cast to that dtype once, and A's stacked planes are
+    kept per dtype, since a leaf may meet a small batch and then one past
+    2^53. The complex backend multiplies its complex128 plane as is. A block
+    of rows is bounded both by the values of A it gathers and by the values
+    of the product it makes (_BLOCK_VALUES, _PRODUCT_VALUES), and two or
+    more blocks are written into one (v, n, d) array as they are reduced. A
+    product in one block whose operand, A's planes at A.idx, has at most
+    _BLOCK_VALUES values takes that operand from A's lane, which keeps it
+    per dtype.
     """
-    ring, v, d = A.ring, A.order, A.ring._lane_dim
+    ring, v, d, p = A.ring, A.order, A.ring._lane_dim, A.ring.characteristic()
     lane = _lane_of(A)
     ma, big_a = lane.nonzero()
+    G = _fold(ring, ma)[1] if d > 1 else 0
     dtype, big = np.complex128, None
     if ring.is_exact:
-        scale, unreduced = min(len(ma), d) * v * big_a, ma[-1] + d
-        dtype, big = _lane_dtype(ring, scale * big_x, unreduced)
+        dtype, big = _lane_dtype(ring, G, v * big_a * big_x)
         if dtype is object or d == 1 and dtype is np.float64:
-            dtype, big = _lane_dtype(ring, scale * min(big_x, _lane_max(X)), unreduced)
+            dtype, big = _lane_dtype(ring, G, v * big_a * min(big_x, _lane_max(X)))
     ua = lane.stack(dtype)
+    fold = _fold(ring, ma, dtype)[0] if d > 1 else None
     if dtype == object and X.dtype.kind == "f":
         X = X.astype(np.int64)  # float lane values are integers, kept as ints
     X = X.astype(dtype, copy=False)
@@ -608,13 +625,16 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
     out = None
     for r in range(0, v, rows):
         idx = A.idx[r : r + rows]
-        prod = (lane.stack(dtype, A.idx) if kept else ua[:, idx].reshape(-1, v)).dot(X)
-        if d == 1:
-            planes = prod.reshape(-1, 1)
-        else:
-            prod = prod.reshape(len(ma), len(idx), n, d).transpose(1, 2, 0, 3)
-            planes = prod.reshape(len(idx) * n, -1).dot(_scatter(ma, d, dtype))
-        block = ring._lane_reduce(planes).reshape(len(idx), n, d)
+        prod = planes = (lane.stack(dtype, A.idx) if kept else ua[:, idx].reshape(-1, v)).dot(X)
+        if fold is not None:
+            # prod, the BLAS output, is kept until the fold has written planes:
+            # M M* of dft(60) over Q(zeta_60) was slower when it was not
+            if p:  # to |values| < p, as the bound asks: fmod is 5x faster on floats
+                (np.remainder if dtype is object else np.fmod)(prod, p, out=prod)
+            planes = prod.reshape(len(ma), -1, d).transpose(1, 0, 2).reshape(-1, len(ma) * d).dot(fold)
+        if p:
+            np.remainder(planes, p, out=planes)
+        block = planes.reshape(len(idx), n, d)
         if rows >= v:
             return block, den, big
         if out is None:
@@ -687,16 +707,28 @@ def equal(A: GMatrix, B: GMatrix) -> bool:
     return all(same(np.take(ta, A.idx[rows]), np.take(tb, B.idx[rows])).all() for rows in blocks)
 
 
+def _power_table(ring, powers):
+    """The table [powers[j*k mod v]], v = len(powers), without a tree."""
+    v = len(powers)
+    j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
+    return GMatrix._table(ring, powers, np.outer(j, j) % v)
+
+
 def tree_matches(tree: FactorTree, M: GMatrix) -> bool:
-    """Whether tree expands to M, and the tree of each DftNode in it to the
-    node's table: a DftNode expands to its table, but its walk, leaves and
-    star are those of its tree."""
+    """Whether tree expands to M, and each DftNode in it is the DFT table of
+    its order (as a file writes it, by its generator) and its tree expands to
+    that table: a DftNode expands to its table, but its walk, leaves and star
+    are those of its tree."""
     return equal(tree.expand(), M) and _dft_trees_match(tree)
 
 
 def _dft_trees_match(node: FactorTree) -> bool:
     if isinstance(node, DftNode):
-        return equal(node.tree.expand(), node.matrix) and _dft_trees_match(node.tree)
+        try:  # a ring without a root of that order has no such table
+            dft = _power_table(node.matrix.ring, node.matrix.ring.root_powers(node.order))
+        except RingError:
+            return False
+        return equal(node.matrix, dft) and equal(node.tree.expand(), dft) and _dft_trees_match(node.tree)
     if isinstance(node, TensorNode):
         return _dft_trees_match(node.left) and _dft_trees_match(node.right)
     return not isinstance(node, PermutedNode) or _dft_trees_match(node.child)

@@ -5,8 +5,9 @@ exact cyclotomic field Q(zeta_w), the plain rationals, a prime field GF(p), a
 quadratic extension GF(p^2), or floating complex numbers used as a numerical
 cross-check. All exact backends are fields, so an entry is a unit exactly when
 it is nonzero. A backend defines only the payload rules in which it differs
-from Python's operators (see RingContext), and how its values are written as
-integer coefficient planes for the numeric lane of ght.matrix.
+from Python's operators (see RingContext), how its values are written as
+integer coefficient planes for the numeric lane of ght.matrix, and with two
+or more planes the reduced powers of x that fold a product (_lane_fold).
 """
 
 from __future__ import annotations
@@ -368,21 +369,15 @@ class RingContext:
     def _lane_planes(self, units):
         """(planes, den): d lists of numbers, where planes[m][k] * x_m / den
         summed over m is units[k] for the backend's basis x_0..x_{d-1}.
-        Exact backends write integers over one common denominator den."""
+        Exact backends write integers over one common denominator den; by
+        default the payloads are the one plane."""
+        return [[u.payload for u in units]], 1
+
+    def _lane_fold(self):
+        """For d > 1: the (2d - 1, d) integers, int64 or Python integers in an
+        object array, of x^0..x^(2d - 2) reduced, which fold a product's
+        planes; the kernel reduces modulo characteristic() before and after."""
         raise NotImplementedError
-
-    def _lane_bound(self, top, n):
-        """A bound on the size of every value met in reducing n unreduced
-        planes whose integers are smaller than top in size."""
-        return top
-
-    def _lane_reduce(self, planes):
-        """The (k, d) reduced coefficients of k values of a product, given
-        as their (k, n) unreduced coefficients of x^0..x^(n-1), n <= 2d - 1,
-        the higher ones being zero: integers in a float array, or Python
-        integers in an object array. Backends with nothing to reduce return
-        planes as they are."""
-        return planes
 
     def _lane_payload(self, coeffs, den):
         """The payload of the value with reduced coefficients coeffs over den."""
@@ -646,12 +641,8 @@ class CyclotomicContext(RingContext):
         cols = [[c * (den // d) for c in coeffs] for coeffs, d in payloads]
         return [list(plane) for plane in zip(*cols)], den
 
-    def _lane_bound(self, top, n):
-        return top * int(_fold_table(self.w)[1][n - 1])
-
-    def _lane_reduce(self, planes):
-        fold = _fold_table(self.w)[0][: planes.shape[1]]
-        return planes @ (fold.astype(np.int64).astype(object) if planes.dtype == object else fold)
+    def _lane_fold(self):
+        return _fold_table(self.w)
 
     def _lane_payload(self, coeffs, den):
         return self._normalize(list(coeffs), den)
@@ -717,20 +708,19 @@ def _x_powers(w):
 # builds its own ring; a few tables of large w are already megabytes
 @lru_cache(maxsize=32)
 def _fold_table(w):
-    """(fold, growth): row m of fold holds the coefficients of x^m mod Phi_w,
-    for m < 2 deg - 1, and folding rows 0..n-1 multiplies a bound on the
-    coefficients by at most growth[n - 1], their largest column sum in size.
-    Both are written one row at a time."""
+    """Row m holds the int64 coefficients of x^m mod Phi_w, for m < 2 deg - 1,
+    written one row at a time. A lane fold sums at most deg rows of it per
+    column (ght.matrix._fold), so deg times its column sums in size is
+    checked to stay below 2^53, where a float64 copy of the fold is exact."""
     deg = len(cyclotomic_polynomial(w)) - 1
-    fold = np.empty((2 * deg - 1, deg))
-    growth, sums = np.empty(len(fold)), np.zeros(deg)
+    fold = np.empty((2 * deg - 1, deg), dtype=np.int64)
     # x^w = 1, so from row w on the rows repeat those from row 0
     for m, row in zip(range(len(fold)), itertools.chain(_x_powers(w), fold)):
         fold[m] = row
-        sums += np.abs(row)
-        growth[m] = sums.max()
+    if deg * int(np.abs(fold).sum(axis=0).max()) >= 2**53:
+        raise RingError(f"the fold table of Phi_{w} has column sums past 2^53 / {deg}")
     fold.flags.writeable = False
-    return fold, growth
+    return fold
 
 
 @lru_cache(maxsize=32)
@@ -807,12 +797,6 @@ class PrimeFieldContext(RingContext):
 
     def unit_order_hint(self):
         return self.p - 1
-
-    def _lane_planes(self, units):
-        return [[u.payload for u in units]], 1
-
-    def _lane_reduce(self, planes):
-        return planes % self.p
 
     def _lane_payload(self, coeffs, den):
         return coeffs[0] % self.p
@@ -903,14 +887,9 @@ class QuadraticFieldContext(RingContext):
     def _lane_planes(self, units):
         return [list(plane) for plane in zip(*(u.payload for u in units))], 1
 
-    def _lane_bound(self, top, n):
-        # the fold below meets residues below p with c0, c1 < p
-        return max(top, 2 * self.p * self.p)
-
-    def _lane_reduce(self, planes):
-        # y^2 = -c1*y - c0 folds plane 2 into planes 0 and 1
-        fold = np.array([[1, 0], [0, 1], [-self.c0, -self.c1]], dtype=planes.dtype)
-        return (planes % self.p) @ fold[: planes.shape[1]] % self.p
+    def _lane_fold(self):
+        # y^2 = -c1*y - c0; Python integers, as c0 and c1 may pass 2^53
+        return np.array([[1, 0], [0, 1], [-self.c0, -self.c1]], dtype=object)
 
     def _lane_payload(self, coeffs, den):
         return (coeffs[0] % self.p, coeffs[1] % self.p)
@@ -950,9 +929,6 @@ class ComplexContext(RingContext):
 
     def _from_int(self, n):
         return complex(n)
-
-    def _lane_planes(self, units):
-        return [[u.payload for u in units]], 1
 
     def _lane_payload(self, coeffs, den):
         return complex(coeffs[0])

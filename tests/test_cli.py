@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -565,6 +566,19 @@ def test_walsh1_over_q_zeta_4095_verifies_in_seconds(tmp_path):
     run = subprocess.run(ght_cli + ["verify", m], env=env, capture_output=True, text=True, timeout=120)
     assert time.perf_counter() - start < 30
     assert run.returncode == 0 and "is-gbh: true" in run.stdout, run.stderr
+
+
+def test_an_oversized_fold_exits_two_before_allocating(tmp_path):
+    # the order-9 DFT over Q(zeta_4095) has 882 nonzero planes of d = 1728:
+    # its fold would hold 2.6e9 values, so verify exits 2 with a message,
+    # here in a child whose address space is limited to 1 GiB
+    m = _write(tmp_path / "f.json", {"ring": {"kind": "cyclotomic-rationals", "w": 4095}, "order": 9, "tree": {"kind": "dft", "order": 9}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    run = subprocess.run([sys.executable, "-m", "ght.cli", "verify", m], env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert "above the limit" in run.stderr
 
 
 def test_gen_dft4095_takes_seconds(tmp_path):

@@ -233,16 +233,13 @@ def test_cyclotomic_tables_are_shared_by_w():
 def _fold_by_reduction(w):
     """Reference: each x^m reduced modulo Phi_w afresh, as a float table."""
     ring = cyclotomic(w)
-    fold = np.array([ring._reduce([0] * m + [1]) for m in range(2 * ring.deg - 1)], dtype=np.float64)
-    return fold, np.abs(fold).cumsum(axis=0).max(axis=1)
+    return np.array([ring._reduce([0] * m + [1]) for m in range(2 * ring.deg - 1)], dtype=np.float64)
 
 
 @pytest.mark.parametrize("w", list(range(1, 61)) + [105, 120, 143, 180, 210])
 def test_fold_table_matches_the_reduction_of_each_power(w):
-    fold, growth = ring_module._fold_table(w)
-    want_fold, want_growth = _fold_by_reduction(w)
-    assert fold.dtype == np.float64 and np.array_equal(fold, want_fold)
-    assert np.array_equal(growth, want_growth)
+    fold = ring_module._fold_table(w)
+    assert fold.dtype == np.int64 and np.array_equal(fold, _fold_by_reduction(w))
 
 
 def _root_by_power(ring, v):
@@ -300,12 +297,11 @@ def test_root_tables_match_the_power_and_product_references(w):
     assert [ring._inv(u) for u in sequential] == [sequential[-k] for k in range(h)]
     # row m of the fold table is x^j for j = m mod w: g^j, or (-1)^j g^j for
     # odd w
-    fold, growth = ring_module._fold_table(w)
+    fold = ring_module._fold_table(w)
     rows = [sequential[m % w][0] for m in range(len(fold))]
     signs = [-1 if w % 2 and m % w % 2 else 1 for m in range(len(fold))]
     want = np.array([[c * sign for c in row] for row, sign in zip(rows, signs)], dtype=np.float64)
     assert np.array_equal(fold, want.reshape(fold.shape))
-    assert np.array_equal(growth, np.abs(want).cumsum(axis=0).max(axis=1))
 
 
 @pytest.mark.parametrize(

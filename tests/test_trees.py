@@ -1,5 +1,6 @@
 """Factor trees describe their matrices: every GMatrix.tree is None or expands
-to the matrix, each DftNode's tree to the node's table."""
+to the matrix, each DftNode's table is the DFT of its order, and its tree
+expands to that table."""
 
 import json
 
@@ -27,6 +28,7 @@ from ght import (
     jacketize_cbt,
     jacketize_dft,
     k2,
+    k4,
     normalize,
     permute,
     prime_field,
@@ -170,3 +172,20 @@ def test_a_dft_node_whose_tree_is_not_its_table_is_dropped():
     assert GMatrix.from_rows(ring, T.rows(), tree=T.tree).tree is T.tree
     stale = TensorNode(Leaf(walsh(1, ring)), node)
     assert GMatrix.from_rows(ring, T.rows(), tree=stale).tree is None
+
+
+@pytest.mark.parametrize("X", [walsh(3, cyclotomic(8)), k4(cyclotomic(4))], ids=["walsh3", "k4"])
+def test_a_dft_node_whose_table_is_no_dft_is_dropped(X, tmp_path):
+    # the node's tree expands to its table, but a file writes the node as
+    # the generator dft:8, which is another matrix (over Q(zeta_8)) or none
+    # at all (Q(zeta_4) has no root of order 8)
+    node = DftNode(X, Leaf(X))
+    assert equal(node.expand(), X) and equal(node.tree.expand(), X) and not tree_matches(node, X)
+    rows = X.rows()
+    for M in (GMatrix.from_rows(X.ring, rows, tree=node), GMatrix(X.ring, np.array(rows, dtype=object), tree=node)):
+        assert M.tree is None
+        path = tmp_path / "m.json"
+        save_matrix(M, path)
+        assert equal(load_matrix(path), X)
+    F = dft_matrix(8, cyclotomic(8))
+    assert tree_matches(F.tree, F) and not tree_matches(TensorNode(Leaf(walsh(1, X.ring)), node), tensor(walsh(1, X.ring), X))
