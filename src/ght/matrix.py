@@ -457,23 +457,25 @@ _BLOCK_VALUES = 2**16
 _PRODUCT_VALUES = 2**16
 
 
-# the most fold rows one lane may hold, #nonzero planes * d^2 values (64 MB
-# in float64): the tests and the benchmark build up to 3.0e6 (walsh(1) over
-# Q(zeta_4095)), while dft(9) over Q(zeta_4095) would need 2.6e9
-_FOLD_VALUES = 2**23
+# the most fold rows one lane may hold, #nonzero planes * d^2 values (128 MB
+# in float64): one plane of any ring the loader accepts (d <= 4092) passes,
+# as does dft(512) over Q(zeta_512) (2^24), but not dft(9) over Q(zeta_4095)
+_FOLD_VALUES = 2**24
 
 
 @lru_cache(maxsize=64)
-def _fold(ring, ma, dtype=None):
-    """(rows, G): row i * d + j holds x^(ma[i] + j) reduced, the integers of
-    ring._lane_fold() cast to dtype (float64 is exact whenever _lane_dtype
-    picks it, as G >= max|rows|), and G is the largest column sum of |rows|.
+def _fold(ring, ma):
+    """(G, rows): rows(dtype), built once per dtype, holds x^(ma[i] + j)
+    reduced in row i * d + j, the integers of ring._lane_fold() cast to dtype
+    (float64 is exact whenever _lane_dtype picks it, as G >= max|rows|), and
+    G, the largest column sum of |rows|, is counted without building them.
     Keyed by ring (equal specs hash alike): a matrix keeps O(#units * d)."""
     d = ring._lane_dim
     if len(ma) * d * d > _FOLD_VALUES:
         raise MatrixError(f"a lane fold of {len(ma)} planes of {ring!r} is above the limit of {_FOLD_VALUES} values")
-    rows = ring._lane_fold()[np.add.outer(ma, np.arange(d)).ravel()]
-    return rows.astype(dtype or rows.dtype, copy=False), int(np.abs(rows).sum(axis=0).max())
+    table, powers = ring._lane_fold(), np.add.outer(ma, np.arange(d)).ravel()
+    rows = lru_cache(maxsize=None)(lambda dtype: table.astype(dtype)[powers])
+    return int((np.bincount(powers, minlength=len(table)) @ np.abs(table)).max()), rows
 
 
 class _UnitLane:
@@ -561,7 +563,7 @@ def _lane_max(X):
 def _lane_dtype(ring, G, t):
     """(dtype, big) for plane products A_m X_j no larger than
     t = v * max|a| * big_x in size, folded by rows whose largest column sum
-    in size is G (_fold; G = 0 for d = 1, which folds nothing). Characteristic
+    in size is G (_fold; G = 0 where nothing is folded). Characteristic
     p > 0 reduces them below p in size before the fold, so a folded value and
     each of its partial sums is at most (p - 1) * G, else t * G, and a value
     met is at most bound = max(t, (p - 1 or t) * G): float32 for one plane
@@ -588,17 +590,18 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
     For d > 1 these are laid out as columns (m, j) and multiplied once by
     the fold rows of the ring (_fold), row (m, j) holding x^(m + j) reduced
     (modulo Phi_w, or modulo y^2 + c1 y + c0); a backend of characteristic
-    p reduces modulo p before that fold and after it, and for d = 1 after
-    the product alone. On an exact backend _lane_dtype picks the product's
-    dtype from t = v * max|a| * big_x and the fold's G. Where big_x would
-    take a wider dtype than float32 for one plane or float64, X is measured
-    once and the smaller bound taken, so that no leaf is slower for the
-    carried bound. X is cast to that dtype once, and A's stacked planes are
-    kept per dtype, since a leaf may meet a small batch and then one past
-    2^53. The complex backend multiplies its complex128 plane as is. A block
-    of rows is bounded both by the values of A it gathers and by the values
-    of the product it makes (_BLOCK_VALUES, _PRODUCT_VALUES), and two or
-    more blocks are written into one (v, n, d) array as they are reduced. A
+    p reduces modulo p before that fold and after it, and after the product
+    alone where nothing is folded: d = 1, or plane 0 alone (identity rows).
+    On an exact backend _lane_dtype picks the product's dtype from
+    t = v * max|a| * big_x and the fold's G. Where big_x would take a wider
+    dtype than float32 for one plane or float64, X is measured once and the
+    smaller bound taken, so that no leaf is slower for the carried bound. X
+    is cast to that dtype once, and A's stacked planes are kept per dtype,
+    since a leaf may meet a small batch and then one past 2^53. The complex
+    backend multiplies its complex128 plane as is. A block of rows is
+    bounded both by the values of A it gathers and by the values of the
+    product it makes (_BLOCK_VALUES, _PRODUCT_VALUES), and two or more
+    blocks are written into one (v, n, d) array as they are reduced. A
     product in one block whose operand, A's planes at A.idx, has at most
     _BLOCK_VALUES values takes that operand from A's lane, which keeps it
     per dtype.
@@ -606,14 +609,13 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
     ring, v, d, p = A.ring, A.order, A.ring._lane_dim, A.ring.characteristic()
     lane = _lane_of(A)
     ma, big_a = lane.nonzero()
-    G = _fold(ring, ma)[1] if d > 1 else 0
+    G, fold_rows = _fold(ring, ma) if d > 1 and ma != (0,) else (0, None)
     dtype, big = np.complex128, None
     if ring.is_exact:
         dtype, big = _lane_dtype(ring, G, v * big_a * big_x)
         if dtype is object or d == 1 and dtype is np.float64:
             dtype, big = _lane_dtype(ring, G, v * big_a * min(big_x, _lane_max(X)))
-    ua = lane.stack(dtype)
-    fold = _fold(ring, ma, dtype)[0] if d > 1 else None
+    fold = fold_rows(dtype) if fold_rows else None
     if dtype == object and X.dtype.kind == "f":
         X = X.astype(np.int64)  # float lane values are integers, kept as ints
     X = X.astype(dtype, copy=False)
@@ -625,7 +627,7 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
     out = None
     for r in range(0, v, rows):
         idx = A.idx[r : r + rows]
-        prod = planes = (lane.stack(dtype, A.idx) if kept else ua[:, idx].reshape(-1, v)).dot(X)
+        prod = planes = (lane.stack(dtype, A.idx) if kept else lane.stack(dtype)[:, idx].reshape(-1, v)).dot(X)
         if fold is not None:
             # prod, the BLAS output, is kept until the fold has written planes:
             # M M* of dft(60) over Q(zeta_60) was slower when it was not
@@ -651,12 +653,9 @@ def _decode_planes(ring, vecs, den):
     arrays of Python integers."""
     if vecs.dtype.kind == "f":
         vecs = vecs.astype(np.int64)
-    if vecs.shape[1] == 1:
-        keys = vecs.ravel().tolist()
-        decode = lambda c: ring.element(ring._lane_payload((c,), den))
-    else:
-        keys = list(map(tuple, vecs.tolist()))
-        decode = lambda vec: ring.element(ring._lane_payload(vec, den))
+    one = vecs.shape[1] == 1  # one plane: int keys, which cost less than tuples
+    keys = vecs.ravel().tolist() if one else list(map(tuple, vecs.tolist()))
+    decode = lambda key: ring.element(ring._lane_payload((key,) if one else key, den))
     first = {}
     codes = [first.setdefault(key, len(first)) for key in keys]
     return [decode(key) for key in first], np.array(codes, dtype=np.intp)

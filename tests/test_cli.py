@@ -554,7 +554,7 @@ def test_dft128_entries_file_verifies_in_bounded_memory(tmp_path):
 
 
 def test_walsh1_over_q_zeta_4095_verifies_in_seconds(tmp_path):
-    # the fold table of Q(zeta_4095) is built row from row, x times the last;
+    # the tables of Q(zeta_4095) are built row from row, x times the last;
     # reducing each x^m afresh made this verify take 69 s
     src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -566,6 +566,27 @@ def test_walsh1_over_q_zeta_4095_verifies_in_seconds(tmp_path):
     run = subprocess.run(ght_cli + ["verify", m], env=env, capture_output=True, text=True, timeout=120)
     assert time.perf_counter() - start < 30
     assert run.returncode == 0 and "is-gbh: true" in run.stdout, run.stderr
+
+
+def test_walsh1_over_q_zeta_4093_folds_nothing(tmp_path):
+    # d = 4092, so a fold of plane 0 would hold 4092^2 values and the fold
+    # table of Phi_4093 twice as many: a +-1 table folds nothing, as its fold
+    # rows would be the identity (800 MB peak when it folded)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "w.json")
+    gen = subprocess.run([sys.executable, "-m", "ght.cli", "gen", "walsh:1", "--ring", "cyclotomic:4093", "-o", m], env=env, capture_output=True, timeout=120)
+    assert gen.returncode == 0
+    code = (
+        "import resource, sys\n"
+        "from ght.cli import main\n"
+        "rc = main(['verify', sys.argv[1]])\n"
+        "print('peak-kb:', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(rc)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, m], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and "is-gbh: true" in run.stdout, run.stderr
+    assert int(run.stdout.split("peak-kb:")[1]) < 512 * 1024
 
 
 def test_an_oversized_fold_exits_two_before_allocating(tmp_path):

@@ -22,6 +22,7 @@ from ght import (
     star,
     tensor,
     verify_gbh,
+    walsh,
 )
 from ght.matrix import _FOLD_VALUES, _fold, _lane_apply, _lane_batch, _lane_max, _lane_of
 
@@ -99,7 +100,9 @@ def test_the_fold_is_exact_just_below_and_just_above_2_53(w):
     ma, big_a = _lane_of(A).nonzero()
     assert len(ma) >= 2
     rows, G = _fold_reference(ring, ma)
-    assert np.array_equal(_fold(ring, ma)[0], rows) and _fold(ring, ma)[1] == G
+    assert _fold(ring, ma)[0] == G
+    for dtype in (np.float64, object):
+        assert np.array_equal(_fold(ring, ma)[1](dtype), rows)
     v, low = A.order, (2**53 - 1) // (A.order * big_a * G)
     rnd = np.random.default_rng(w)
     for big_x, dtype in ((low, np.float64), (low + 1, object)):
@@ -124,6 +127,30 @@ def test_one_plane_over_a_large_p_keeps_the_narrow_dtype():
         Y, _, big = _lane_apply(A, X, 1, _lane_max(X))
         assert Y.dtype == dtype and big == P61 - 1
         assert [int(c) for c in Y.ravel()] == [(X[0, 0] + 2 * X[1, 0]) % P61, (3 * X[0, 0] + 4 * X[1, 0]) % P61]
+
+
+def test_plane_zero_alone_folds_nothing():
+    # a +-1 table has plane 0 alone, whose fold rows would be the identity:
+    # the plane products are the result, and no fold is looked up or built
+    ring = cyclotomic(20)
+    A = walsh(3, ring)
+    assert _lane_of(A).nonzero()[0] == (0,)
+    X = np.random.default_rng(20).integers(-9, 9, size=(A.order, 2 * ring.deg), endpoint=True)
+    calls = _fold.cache_info()
+    Y, den, big = _lane_apply(A, X, 1, 9)
+    assert _fold.cache_info()[:2] == calls[:2]
+    assert big >= _lane_max(Y.reshape(A.order, -1))
+    for k, x in enumerate(_batch_elements(ring, X)):
+        got = [ring.element(ring._lane_payload([int(c) for c in Y[i, k]], den)) for i in range(A.order)]
+        assert got == _dot_rows(A, Signal(ring, tuple(x)))
+
+
+def test_the_fold_limit_covers_one_plane_of_every_ring_and_every_plane_of_dft512():
+    # d <= phi(4093) = 4092 for every w the loader accepts; dft(512) over
+    # Q(zeta_512) has all 256 planes nonzero, and Phi_512 = x^256 + 1 folds
+    # each column from 256 powers
+    assert 4092**2 <= _FOLD_VALUES and 256 * 256**2 <= _FOLD_VALUES
+    assert _fold(cyclotomic(512), tuple(range(256)))[0] == 256
 
 
 def test_an_oversized_fold_is_refused_before_it_is_built():
