@@ -18,7 +18,6 @@ from .ring import (
     rationals,
 )
 from .matrix import (
-    DftNode,
     GMatrix,
     Leaf,
     MatrixError,
@@ -33,7 +32,7 @@ from .matrix import (
     star,
     tensor,
 )
-from .gbh import GbhReport, b3, dft_matrix, row_sums, verify_gbh
+from .gbh import DftNode, GbhReport, b3, dft_matrix, row_sums, verify_gbh
 from .jacket import (
     JacketReport,
     SearchBudgetExceeded,

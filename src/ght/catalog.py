@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ring as ringmod
-from .gbh import dft_matrix, verify_gbh
+from .gbh import _power_table, dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
-from .matrix import ORDER_LIMIT, GMatrix, MatrixError, _power_table, equal, from_blocks, scalar_mul, tensor
+from .matrix import ORDER_LIMIT, GMatrix, MatrixError, equal, from_blocks, scalar_mul, tensor
 from .ring import RingContext, RingElement, RingError, _order_exact
 
 @dataclass(frozen=True)

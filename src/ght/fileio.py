@@ -9,8 +9,8 @@ A matrix file takes one of two forms:
 - tree-only, {"ring", "order", "tree"}: save_matrix writes this for a matrix
   that carries a factor tree. Entries appear only in the leaves, so walsh(12)
   takes about 2 KB, and a DFT is the generator {"kind": "dft", "order": v},
-  which stands for gbh.dft_matrix(v, ring). The loader expands the tree, so
-  nothing can contradict it.
+  which loads as gbh.dft_matrix(v, ring), the table of gbh.DftNode(ring, v).
+  The loader expands the tree, so nothing can contradict it.
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries (matrix.tree_matches).
@@ -26,8 +26,8 @@ import json
 
 import numpy as np
 
-from .gbh import dft_matrix
-from .matrix import DftNode, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
+from .gbh import DftNode
+from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
 from .matrix import ORDER_LIMIT, _unit_table, tree_matches, within_limit
 from .ring import RingError, RingSpec, make_ring
 from .transform import Signal
@@ -60,8 +60,6 @@ def ring_spec_from_json(data: dict) -> RingSpec:
 
 
 def _tree_to_json(tree):
-    if tree is None:
-        return None
     if isinstance(tree, DftNode):
         return {"kind": "dft", "order": tree.order}
     if isinstance(tree, Leaf):
@@ -134,7 +132,7 @@ def _tree_from_json(data, ring, limit):
         v = _field(data, "order")
         if type(v) is not int or v > limit:
             raise MatrixError(f"malformed file: dft order {v!r} is not an int up to {limit}")
-        tree = dft_matrix(v, ring).tree
+        tree = DftNode(ring, v)
     else:
         raise MatrixError(f"unknown tree node kind {kind!r}")
     if tree.order > limit:
@@ -153,7 +151,7 @@ def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
     return dict(
         _header(M),
         entries=[[encoded[k] for k in row] for row in M.idx.tolist()],
-        tree=_tree_to_json(M.tree) if with_tree else None,
+        tree=_tree_to_json(M.tree) if with_tree and M.tree is not None else None,
     )
 
 
@@ -175,9 +173,8 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
         if tree.order != v:
             raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
         E = tree.expand()
-        M = GMatrix._table(ring, E.units, E.idx, tree=tree)
-        M._validate_units()
-        return M
+        E._validate_units()
+        return E if E.tree is tree else GMatrix._table(ring, E.units, E.idx, tree=tree)
     entries = _field(data, "entries")
     if not isinstance(entries, list) or len(entries) != v:
         raise MatrixError("entry grid does not match the declared order")

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .matrix import DftNode, FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import _lane_apply, _lane_batch, _lane_of, _power_table, star
-from .ring import RingContext, RingError, _prime_factors
+from .matrix import FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
+from .matrix import _lane_apply, _lane_batch, _lane_of, star
+from .ring import RingContext, _prime_factors
 from .transform import Signal, ght
 
 
@@ -181,57 +182,91 @@ def row_sums(M: GMatrix):
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:
     """[omega^(j*k)] for the canonical order-v root omega of the ring: the
-    unit table of the v powers of omega, indexed by j*k mod v, with its
-    Good-Thomas tree (a DftNode) down to prime-power leaves."""
-    if v < 1:
-        raise RingError("order must be positive")
-    powers = ring.root_powers(v)
-    F = _power_table(ring, powers)
-    F._validate_units()
-    return GMatrix._table(ring, powers, F.idx, DftNode(F, _good_thomas(F)))
+    unit table of the v powers of omega, indexed by j*k mod v, whose tree is
+    its generator DftNode(ring, v)."""
+    return DftNode(ring, v).expand()
 
 
-def _good_thomas(F: GMatrix) -> FactorTree:
-    """The tree of the DFT table F of order v, whose units are the powers of
-    omega, down to prime-power leaves (Good, 1958; Burrus, 1977).
+def _power_table(ring, powers, tree=None):
+    """The table [powers[j*k mod v]], v = len(powers)."""
+    v = len(powers)
+    j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
+    return GMatrix._table(ring, powers, np.outer(j, j) % v, tree)
 
-    For v = q r with q the part of v in its least prime, F = P (F_q (x) F_r) Q,
-    where F_q and F_r are the tables of dft_matrix(q) and dft_matrix(r), on
-    the canonical roots omega^(r s) and omega^(q t). Row j is row
-    (j mod q, j mod r) of the tensor product, and column (k1, k2) is column
-    r s k1 + q t k2 mod v: j k is congruent to r s j k1 modulo q and to
-    q t j k2 modulo r, so by the Chinese remainder theorem omega^(j k) is
-    the product of the two factor entries."""
-    ring, v, powers = F.ring, F.order, F.units
-    primes = _prime_factors(v)
-    if len(primes) < 2:
-        return Leaf(F)
-    q = math.gcd(v, primes[0] ** v.bit_length())
-    r = v // q
-    # the factors' own powers, so that the leaves are dft_matrix(q) and
-    # dft_matrix(r) exactly: on C, powers[r] = exp(-2 pi i r / v) may differ
-    # from exp(-2 pi i / q) in its last bits
-    Fq, Fr = _power_table(ring, ring.root_powers(q)), _power_table(ring, ring.root_powers(r))
-    # the canonical roots of C and Q(zeta_w) are sent to exp(-2 pi i / v), so
-    # omega^r is omega_q and omega^q is omega_r; elsewhere s and t are found
-    # by exact comparison, which on C would depend on its tol
-    s = t = 1
-    if ring.is_exact:
-        s = next(s for s in range(q) if powers[r * s] == Fq.units[1])
-        t = next(t for t in range(r) if powers[q * t] == Fr.units[1])
-    j = np.arange(v)
-    rowp = np.empty(v, dtype=np.intp)
-    rowp[(j % q) * r + j % r] = j
-    k1, k2 = np.divmod(j, r)
-    colp = (r * s * k1 + q * t * k2) % v
-    perms = (Permutation(tuple(p.tolist())) for p in (rowp, colp))
-    return PermutedNode(TensorNode(_good_thomas(Fq), _good_thomas(Fr)), *perms)
+
+@dataclass(frozen=True)
+class DftNode(FactorTree):
+    """The DFT of order v over ring as its generator, which files write as
+    {"kind": "dft", "order": v}. Its table, built on first use, is the
+    matrix that dft_matrix(v, ring) returns, whose tree is this node; a ring
+    without a root of order v has none (RingError). Its walk, leaves and
+    star are those of its Good-Thomas tree, built on first walk, whose flat
+    factors a chain of tensor nodes takes in (FactorTree.factors)."""
+
+    ring: RingContext
+    v: int
+
+    @property
+    def order(self):
+        return self.v
+
+    @cached_property
+    def table(self):
+        F = _power_table(self.ring, self.ring.root_powers(self.v), self)
+        F._validate_units()
+        return F
+
+    def expand(self):
+        return self.table
+
+    def star(self):
+        return self.good_thomas.star()
+
+    @cached_property
+    def factors(self):
+        return self.good_thomas.factors
+
+    @cached_property
+    def good_thomas(self) -> FactorTree:
+        """The tree of the DFT down to prime-power DftNodes (Good, 1958;
+        Burrus, 1977), each with its table as its one leaf.
+
+        For v = q r with q the part of v in its least prime, F = P (F_q (x) F_r) Q,
+        where F_q and F_r are the DftNodes of orders q and r, on the canonical
+        roots omega^(r s) and omega^(q t). Row j is row (j mod q, j mod r) of
+        the tensor product, and column (k1, k2) is column r s k1 + q t k2 mod v:
+        j k is congruent to r s j k1 modulo q and to q t j k2 modulo r, so by
+        the Chinese remainder theorem omega^(j k) is the product of the two
+        factor entries."""
+        ring, v = self.ring, self.v
+        primes = _prime_factors(v)
+        if len(primes) < 2:
+            return Leaf(self.table)
+        q = math.gcd(v, primes[0] ** v.bit_length())
+        r = v // q
+        # the factors' own powers, so that the leaves are dft_matrix(q) and
+        # dft_matrix(r) exactly: on C, powers[r] = exp(-2 pi i r / v) may differ
+        # from exp(-2 pi i / q) in its last bits
+        Fq, Fr = DftNode(ring, q), DftNode(ring, r)
+        # the canonical roots of C and Q(zeta_w) are sent to exp(-2 pi i / v), so
+        # omega^r is omega_q and omega^q is omega_r; elsewhere s and t are found
+        # by exact comparison, which on C would depend on its tol
+        s = t = 1
+        if ring.is_exact:
+            powers = self.table.units
+            s = next(s for s in range(q) if powers[r * s] == Fq.table.units[1])
+            t = next(t for t in range(r) if powers[q * t] == Fr.table.units[1])
+        j = np.arange(v)
+        rowp = np.empty(v, dtype=np.intp)
+        rowp[(j % q) * r + j % r] = j
+        k1, k2 = np.divmod(j, r)
+        colp = (r * s * k1 + q * t * k2) % v
+        perms = (Permutation(tuple(p.tolist())) for p in (rowp, colp))
+        return PermutedNode(TensorNode(Fq, Fr), *perms)
 
 
 def b3(ring: RingContext) -> GMatrix:
-    """The normalised GBH(3, 3) built on a primitive cube root of unity."""
-    one, beta, beta2 = ring.root_powers(3)
-    return GMatrix.from_rows(
-        ring,
-        [[one, one, one], [one, beta, beta2], [one, beta2, beta]],
-    )
+    """The normalised GBH(3, 3) built on a primitive cube root of unity: the
+    table of dft_matrix(3), without a tree."""
+    F = dft_matrix(3, ring)
+    return GMatrix._table(ring, F.units, F.idx)

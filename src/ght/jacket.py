@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import GMatrix, MatrixError, Permutation, _power_table, equal, permute, tensor
+from .gbh import dft_matrix
+from .matrix import GMatrix, MatrixError, Permutation, equal, permute, tensor
 from .ring import RingContext
 
 PRIMARY_BY_WIDTH = "primary-by-width"
@@ -154,13 +155,10 @@ def rjt_permutation(n: int) -> Permutation:
 def jacketize_dft(n: int, ring: RingContext):
     """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
     columns, the complex reverse-jacket matrix, and that permutation."""
-    # the table of dft_matrix(2n) without its Good-Thomas tree: RJT_n is one
-    # leaf of order 2n, so that the family trees keep their factor orders
-    # (2, 4, 2n)
-    F = _power_table(ring, ring.root_powers(2 * n))
-    F._validate_units()
-    p = rjt_permutation(n)
-    return permute(F, p, p), p
+    # the table of dft_matrix(2n) without its tree: RJT_n is one leaf of
+    # order 2n, so that the family trees keep their factor orders (2, 4, 2n)
+    F, p = dft_matrix(2 * n, ring), rjt_permutation(n)
+    return permute(GMatrix._table(ring, F.units, F.idx), p, p), p
 
 
 def dagger(B: GMatrix, K: GMatrix) -> GMatrix:

@@ -31,8 +31,7 @@ writes no plane of it again.
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations; the transform module exploits the tree for
 fast application, and gbh.verify_gbh decides a matrix from its tree's leaves.
-A matrix's tree is None or expands to the matrix, and each DftNode is the
-DFT table of its order, which its tree expands to. tensor, permute,
+A matrix's tree is None or expands to the matrix. tensor, permute, star,
 gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
 tree_matches finds that.
@@ -41,6 +40,7 @@ tree_matches finds that.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -111,7 +111,7 @@ class Permutation:
 
 class FactorTree:
     """Construction record: leaf matrices combined by tensor products and
-    row/column permutations."""
+    row/column permutations, or a generator's own node (see gbh)."""
 
     @property
     def order(self):
@@ -140,7 +140,7 @@ class FactorTree:
     @property
     def factors(self) -> tuple["FactorTree", ...]:
         """The Leaf and PermutedNode factors whose Kronecker product this node
-        is, left to right; a TensorNode or DftNode keeps its flattened chain."""
+        is, left to right; a TensorNode keeps its flattened chain."""
         return (self,)
 
 
@@ -201,30 +201,6 @@ class PermutedNode(FactorTree):
         return np.array(self.colp.image, dtype=np.intp), np.argsort(self.rowp.image)
 
 
-@dataclass(frozen=True)
-class DftNode(FactorTree):
-    """The tree of gbh.dft_matrix(order, ring): `tree` is its Good-Thomas
-    factorisation, a Leaf for a prime-power order, and `matrix` the indexed
-    table it expands to. Files write the node as its generator."""
-
-    matrix: "GMatrix"
-    tree: FactorTree
-
-    @property
-    def order(self):
-        return self.matrix.order
-
-    def expand(self):
-        return self.matrix
-
-    def star(self):
-        return self.tree.star()
-
-    @cached_property
-    def factors(self):
-        return self.tree.factors
-
-
 def _unit_table(entries):
     """(units, codes): the distinct entries by exact payload and ring object,
     in order of first occurrence, and each entry's position in `units`."""
@@ -245,7 +221,7 @@ class GMatrix:
     here is kept when tree_matches(tree, M), and dropped otherwise.
     """
 
-    __slots__ = ("ring", "order", "tree", "units", "idx", "_star", "_lane")
+    __slots__ = ("ring", "order", "tree", "units", "idx", "_star", "_lane", "__weakref__")
 
     def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
@@ -372,13 +348,18 @@ def _gather(table, shape, index):
 
 def star(M: GMatrix) -> GMatrix:
     """M* : transpose of the entrywise inverses; an involution. The first
-    call keeps its result on M, and later calls return that same matrix. M*
-    carries M.tree.star(), which expands to M* as M.tree expands to M."""
-    if M._star is None:
-        inverses = [u.inverse() for u in M.units]
-        tree = None if M.tree is None else M.tree.star()
-        object.__setattr__(M, "_star", GMatrix._table(M.ring, inverses, M.idx.T, tree))
-    return M._star
+    call keeps M* on M and M, by a weak reference, on M*, so star(star(M))
+    is M and the pair is freed without the cyclic collector. M* carries
+    M.tree.star(), which expands to M* as M.tree expands to M, starred once
+    both are kept, so that a tree naming M stars to one naming M*."""
+    S = M._star() if isinstance(M._star, weakref.ref) else M._star
+    if S is None:
+        S = GMatrix._table(M.ring, [u.inverse() for u in M.units], M.idx.T)
+        object.__setattr__(M, "_star", S)
+        object.__setattr__(S, "_star", weakref.ref(M))
+        if M.tree is not None:
+            object.__setattr__(S, "tree", M.tree.star())
+    return S
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
@@ -706,31 +687,13 @@ def equal(A: GMatrix, B: GMatrix) -> bool:
     return all(same(np.take(ta, A.idx[rows]), np.take(tb, B.idx[rows])).all() for rows in blocks)
 
 
-def _power_table(ring, powers):
-    """The table [powers[j*k mod v]], v = len(powers), without a tree."""
-    v = len(powers)
-    j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
-    return GMatrix._table(ring, powers, np.outer(j, j) % v)
-
-
 def tree_matches(tree: FactorTree, M: GMatrix) -> bool:
-    """Whether tree expands to M, and each DftNode in it is the DFT table of
-    its order (as a file writes it, by its generator) and its tree expands to
-    that table: a DftNode expands to its table, but its walk, leaves and star
-    are those of its tree."""
-    return equal(tree.expand(), M) and _dft_trees_match(tree)
-
-
-def _dft_trees_match(node: FactorTree) -> bool:
-    if isinstance(node, DftNode):
-        try:  # a ring without a root of that order has no such table
-            dft = _power_table(node.matrix.ring, node.matrix.ring.root_powers(node.order))
-        except RingError:
-            return False
-        return equal(node.matrix, dft) and equal(node.tree.expand(), dft) and _dft_trees_match(node.tree)
-    if isinstance(node, TensorNode):
-        return _dft_trees_match(node.left) and _dft_trees_match(node.right)
-    return not isinstance(node, PermutedNode) or _dft_trees_match(node.child)
+    """Whether tree expands to M; a tree that cannot expand, as a generator
+    over a ring without a root of its order, does not."""
+    try:
+        return equal(tree.expand(), M)
+    except RingError:
+        return False
 
 
 def from_blocks(ring, blocks) -> GMatrix:

@@ -575,13 +575,22 @@ class CyclotomicContext(RingContext):
         return (tuple(-c for c in ca), da)
 
     def _order(self, a):
-        """A root's order from its index k in _root_table; None otherwise."""
+        """A rational unit's order is 1 for 1, 2 for -1, else None; a root's
+        order comes from its index k in _root_table; None otherwise. A
+        rational unit builds no table, which for w = 4093 is 8186 payloads."""
+        (ca, da) = a
+        if not any(ca[1:]):
+            return {(1, 1): 1, (-1, 1): 2}.get((ca[0], da))
         k = _root_table(self.w)[1].get(a)
         h = self.unit_order_hint()
         return None if k is None else h // math.gcd(h, k)
 
     def _inv(self, a):
-        """A root's inverse is entry -k of _root_table; others take Euclid."""
+        """A rational unit inverts its constant; a root's inverse is entry -k
+        of _root_table; others take Euclid."""
+        (ca, da) = a
+        if ca[0] and not any(ca[1:]):
+            return self._normalize([da] + [0] * (self.deg - 1), ca[0])
         roots, index = _root_table(self.w)
         k = index.get(a)
         return self._euclid_inverse(a) if k is None else roots[-k]

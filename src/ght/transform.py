@@ -11,11 +11,11 @@ instead of v^2, as tree_cost counts.
 
 A walk takes the shuffle form of the Kronecker product (Davio, "Kronecker
 products and shuffle algebra", 1981; Van Loan, "The ubiquitous Kronecker
-product", 2000). A chain of tensor nodes, through DftNodes, is one flat
-tuple of factors, leaves and permuted subtrees, kept on its node
-(FactorTree.factors). The walk applies them right to left, so that the
-leaves meet the batch in the order reversed(tree.leaves()), and before each
-factor one transpose brings that factor's axis to the front of the rows.
+product", 2000). A chain of tensor nodes is one flat tuple of factors,
+leaves and permuted subtrees, kept on its node (FactorTree.factors), and a
+transform walks such a tuple right to left, so that the leaves meet the
+batch in the order reversed(tree.leaves()); before each factor one
+transpose brings that factor's axis to the front of the rows.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
@@ -53,7 +53,6 @@ from .matrix import (
     Leaf,
     MatrixError,
     PermutedNode,
-    TensorNode,
     _decode_planes,
     _UnitLane,
     _lane_apply,
@@ -136,21 +135,21 @@ class OpCount:
     add: int = 0
 
 
-def _walk(node: FactorTree, X, den, big):
-    """The matrix of node times each vector of the batch X / den, as a triple
+def _walk(factors, X, den, big):
+    """The product of the factors times each vector of the batch X / den, as
     (Y, den', big') with the product equal to Y / den' and big' >= max|Y|
     on the exact backends, given big >= max|X|. A factor of order a meets
     the batch as an (a, -1) array: a leaf in matrix._lane_apply, a permuted
     subtree as its child's walk between two gathers of rows."""
     c = X.shape[1]
-    for f in reversed(node.factors):
+    for f in reversed(factors):
         a = f.order
         X = X.reshape(-1, a, c).transpose(1, 0, 2).reshape(a, -1)
         if isinstance(f, Leaf):
             X, den, big = _lane_apply(f.matrix, X, den, big)
         elif isinstance(f, PermutedNode):
             cols, rows = f.gathers
-            X, den, big = _walk(f.child, X[cols], den, big)
+            X, den, big = _walk(f.child.factors, X[cols], den, big)
             X = X[rows]
         else:
             raise MatrixError(f"unknown tree node {f!r}")
@@ -168,18 +167,18 @@ def _lowest_terms(ring, y, den):
     return (y, den) if g == 1 else (ints // g, den // g)
 
 
-def _apply(tree: FactorTree, x: Signal) -> Signal:
-    """The matrix of tree times x, with x as a batch of one vector, as a
-    lane-form signal. A signal built from elements enters the lane as its
-    coefficient planes over their common denominator (Signal._lane_form); a
-    lane-form signal enters as it is."""
-    if tree.order != x.length:
+def _apply(factors, x: Signal) -> Signal:
+    """The product of the factors (FactorTree.factors) times x as a batch
+    of one vector, as a lane-form signal. A signal built from elements
+    enters the lane as its coefficient planes over their common denominator
+    (Signal._lane_form); a lane-form signal enters as it is."""
+    if math.prod(f.order for f in factors) != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    if any(M.ring.spec != ring.spec for M in tree.leaves()):
+    if any(M.ring.spec != ring.spec for f in factors for M in f.leaves()):
         raise MatrixError("ring mismatch")
     X, den = x._lane_form()
-    y, den, _ = _walk(tree, X, den, _lane_max(X) if ring.is_exact else None)
+    y, den, _ = _walk(factors, X, den, _lane_max(X) if ring.is_exact else None)
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))
 
 
@@ -194,7 +193,7 @@ def _route(B: GMatrix) -> FactorTree:
 
 def ght(B: GMatrix, x: Signal) -> Signal:
     """Forward transform xhat = B x, in exact ring arithmetic, over _route(B)."""
-    return _apply(_route(B), x)
+    return _apply(_route(B).factors, x)
 
 
 @lru_cache(maxsize=64)
@@ -209,11 +208,11 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
 
     Walks _route(star(B)), and star keeps B* with its starred tree, so like
     fast_apply it costs v * (v_1 + ... + v_k) multiplications over tensor
-    factors of orders v_1..v_k. v^(-1) enters as a 1 x 1 leaf tensored on the
-    left, so over Q it joins the carried denominator; that leaf is built once
-    per ring and order, so a repeated ight stars no tree and writes no plane
-    of a matrix again."""
-    return _apply(TensorNode(_inverse_leaf(B.ring, B.order), _route(star(B))), xhat)
+    factors of orders v_1..v_k. v^(-1) enters as a 1 x 1 leaf in front of
+    those factors, so over Q it joins the carried denominator; that leaf is
+    built once per ring and order, so a repeated ight stars no tree and
+    writes no plane of a matrix again."""
+    return _apply((_inverse_leaf(B.ring, B.order),) + _route(star(B)).factors, xhat)
 
 
 def tree_cost(tree: FactorTree) -> OpCount:
@@ -232,4 +231,4 @@ def fast_apply(tree: FactorTree, x: Signal):
     Returns (Signal, OpCount): the output equals the naive product with the
     expanded matrix, and the count is tree_cost(tree).
     """
-    return _apply(tree, x), tree_cost(tree)
+    return _apply(tree.factors, x), tree_cost(tree)

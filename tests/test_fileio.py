@@ -29,7 +29,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght import fileio
+from ght import gbh
 from ght.fileio import (
     load_matrix,
     load_signal,
@@ -261,6 +261,19 @@ def test_dfts_are_written_as_their_generator(tmp_path, v, ring):
     assert _same_table(N, F) and isinstance(N.tree, DftNode)
 
 
+@pytest.mark.parametrize("v, ring", [(8, cyclotomic(8)), (12, cyclotomic(12)), (60, cyclotomic(60)), (1024, complex_ring())])
+def test_a_dft_file_loads_as_the_table_of_its_node(tmp_path, v, ring):
+    # the generator dft:v is one matrix: dft_matrix returns the table of its
+    # node, and so does a load of its file
+    F = dft_matrix(v, ring)
+    path = tmp_path / "f.json"
+    save_matrix(F, path)
+    M = load_matrix(path)
+    for N in (F, M):
+        assert isinstance(N.tree, DftNode) and N.tree.expand() is N
+    assert _same_table(M, F) and M.tree == F.tree
+
+
 def test_generators_nest_in_trees(tmp_path):
     ring = cyclotomic(6)
     T = tensor(dft_matrix(3, ring), walsh(1, ring))
@@ -273,10 +286,11 @@ def test_generators_nest_in_trees(tmp_path):
 
 
 def test_trees_are_read_against_the_declared_order(monkeypatch):
-    # a generator above the declared order fails before it is built, in
-    # either file form
+    # a generator above the declared order fails before its table is built,
+    # in either file form
     built = []
-    monkeypatch.setattr(fileio, "dft_matrix", lambda v, ring: built.append(v) or dft_matrix(v, ring))
+    power_table = gbh._power_table
+    monkeypatch.setattr(gbh, "_power_table", lambda ring, powers, tree=None: built.append(len(powers)) or power_table(ring, powers, tree))
     C = complex_ring()
     one = matrix_to_json(GMatrix.from_rows(C, [[C.one()]]))
     big = {"kind": "dft", "order": 4096}
@@ -284,9 +298,9 @@ def test_trees_are_read_against_the_declared_order(monkeypatch):
         with pytest.raises(MatrixError):
             matrix_from_json(data)
     assert built == []
-    assert equal(matrix_from_json({"ring": one["ring"], "order": 4, "tree": {"kind": "dft", "order": 4}}),
-                 dft_matrix(4, C))
+    M = matrix_from_json({"ring": one["ring"], "order": 4, "tree": {"kind": "dft", "order": 4}})
     assert built == [4]
+    assert equal(M, dft_matrix(4, C)) and M.tree.expand() is M
 
 
 # files that gen wrote before DFTs carried trees: entries and a null tree

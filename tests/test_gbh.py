@@ -38,6 +38,7 @@ from ght import (
     k4,
     mat_mul,
     permute,
+    star,
 )
 from ght import gbh
 from ght.matrix import tree_matches
@@ -542,7 +543,23 @@ def test_good_thomas_trees_expand_to_the_dft(v):
             D = dft_matrix(L.order, ring)
             assert [u.payload for u in L.units] == [u.payload for u in D.units]
             assert np.array_equal(L.idx, D.idx)
-        assert equal(F.tree.tree.expand(), F) and F.tree.expand() is not F
+        # the node is its generator: it expands to F itself, and at a prime
+        # power F is its one leaf
+        assert F.tree.expand() is F
+        assert F.tree.leaves() == (F,) or not _prime_power(v)
+
+
+@pytest.mark.parametrize("v", [8, 9, 12, 60])
+def test_star_keeps_a_dft_and_its_star_on_each_other(v):
+    # star(star(M)) is M itself; at a prime power the starred tree's one
+    # leaf is star(F), as F's is F
+    for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)):
+        F = dft_matrix(v, ring)
+        S = star(F)
+        assert star(S) is F and star(F) is S and tree_matches(S.tree, S)
+        assert S.tree.leaves() == (S,) or not _prime_power(v)
+    W = walsh(3)
+    assert star(star(W)) is W
 
 
 def test_good_thomas_walk_on_c_is_closer_to_the_fft():

@@ -1,6 +1,8 @@
 """Matrix layer: star, tensor, permutations, normalisation, file round-trips."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -55,6 +57,26 @@ def test_star_is_kept_on_the_matrix():
         S = star(M)
         assert star(M) is S and np.shares_memory(S.idx, M.idx)  # M's index array, transposed
         assert equal(star(S), M) and star(S) is star(S)
+
+
+def test_a_matrix_and_its_star_are_freed_without_the_collector():
+    # M keeps M* and M* keeps M by a weak reference: star(star(M)) is M, and
+    # reference counting alone frees M; a star whose matrix is gone stars to
+    # an equal matrix again, and frees the new pair the same way
+    gc.disable()
+    try:
+        M = walsh(2)
+        S, alive = star(M), weakref.ref(M)
+        assert star(S) is M
+        del M
+        assert alive() is None
+        N = star(S)
+        assert equal(N, walsh(2)) and star(N) is S and star(S) is N
+        alive = weakref.ref(S)
+        del S, N
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_star_s1_fixed():

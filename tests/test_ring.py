@@ -214,12 +214,29 @@ def test_cyclotomic_root_inverses_by_table(monkeypatch):
     inverse = ring._euclid_inverse
     monkeypatch.setattr(ring, "_euclid_inverse", lambda a: euclid.append(a) or inverse(a))
     x = ring.root_of_unity(12)
-    for u in (x, x**5, -x, ring.one()):
+    for u in (x, x**5, -x, ring.one(), ring.from_int(2), ring.from_int(-3) * ring.int_inverse(4)):
         assert u * u.inverse() == ring.one()
     assert euclid == []
-    for u in (ring.from_int(2), x + 1):
-        assert u * u.inverse() == ring.one()
-    assert euclid == [ring.from_int(2).payload, (x + 1).payload]
+    u = x + 1
+    assert u * u.inverse() == ring.one()
+    assert euclid == [u.payload]
+
+
+def test_cyclotomic_rational_units_build_no_root_table(monkeypatch):
+    # a unit whose only nonzero coefficient is the constant one is rational:
+    # its order and inverse need no table of the 2w roots of Q(zeta_w)
+    ring = cyclotomic(4093)
+
+    def no_table(w):
+        raise AssertionError("built _root_table")
+
+    monkeypatch.setattr(ring_module, "_root_table", no_table)
+    for n, order in ((1, 1), (-1, 2), (2, None), (-7, None)):
+        u = ring.from_int(n)
+        assert ring._order(u.payload) == order
+        assert u * u.inverse() == ring.one() and u.inverse().payload == ring.int_inverse(n).payload
+    half = ring.int_inverse(2)
+    assert half.inverse() == ring.from_int(2) and ring._order(half.payload) is None
 
 
 def test_cyclotomic_tables_are_shared_by_w():

@@ -39,7 +39,7 @@ from ght import (
 )
 from ght import transform
 from ght.matrix import tree_matches
-from ght.ring import RationalsContext, RingError
+from ght.ring import ComplexContext, RationalsContext, RingError
 from ght.transform import OpCount, tree_cost
 
 
@@ -484,6 +484,22 @@ def test_star_keeps_a_tree_that_both_transforms_walk(case):
             if v_inv is not None:
                 want = [v_inv * ring.dot(zip(row, x.elements)) for row in S.rows()]
                 assert ight(M, x) == Signal(ring, tuple(want))
+
+
+def test_a_first_ight_of_a_prime_power_dft_inverts_its_units_once(monkeypatch):
+    # star(F) inverts the 1024 units of F, and F's tree, whose one leaf is F,
+    # stars to the leaf star(F) instead of inverting a second table; the 1/v
+    # leaf inverts one more unit, and a second ight inverts none
+    C = complex_ring()
+    F = dft_matrix(1024, C)
+    transform._inverse_leaf.cache_clear()
+    calls = []
+    inv = ComplexContext._inv
+    monkeypatch.setattr(ComplexContext, "_inv", lambda ring, a: calls.append(a) or inv(ring, a))
+    x = Signal.from_ints(C, [(7 * k) % 19 - 9 for k in range(1024)])
+    y = ight(F, x)
+    assert len(calls) == 1025 and ight(F, x) == y and len(calls) == 1025
+    assert star(F).tree.leaves() == (star(F),)
 
 
 def test_transforms_walk_a_tree_only_from_walk_min(monkeypatch):

@@ -1,6 +1,6 @@
 """Factor trees describe their matrices: every GMatrix.tree is None or expands
-to the matrix, each DftNode's table is the DFT of its order, and its tree
-expands to that table."""
+to the matrix, and a DftNode expands to the DFT table of its order, whose
+tree is the node itself."""
 
 import json
 
@@ -37,6 +37,7 @@ from ght import (
     star,
     tensor,
     TensorNode,
+    RingError,
     verify_gbh,
     walsh,
 )
@@ -153,39 +154,46 @@ def test_constructors_keep_a_tree_iff_it_expands_to_the_entries(tmp_path_factory
     assert equal(M, N) and (M.tree is None) == changed
 
 
-def test_a_dft_node_whose_tree_is_not_its_table_is_dropped():
-    # a DftNode expands to its table, but walks and verifies through its
-    # tree: here the table is not GBH and the tree is that of dft(6)
-    ring = cyclotomic(6)
-    F = dft_matrix(6, ring)
-    rows = F.rows()
-    rows[1][2] = rows[1][3]
-    bad = GMatrix.from_rows(ring, rows)
-    node = DftNode(bad, F.tree.tree)
-    assert equal(node.expand(), bad) and not tree_matches(node, bad)
-    for M in (GMatrix.from_rows(ring, rows, tree=node), GMatrix(ring, np.array(rows, dtype=object), tree=node)):
-        assert M.tree is None
-        rep = verify_gbh(M)
-        assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
-    # nested under a tensor node, too
-    T = tensor(walsh(1, ring), bad)
-    assert GMatrix.from_rows(ring, T.rows(), tree=T.tree).tree is T.tree
-    stale = TensorNode(Leaf(walsh(1, ring)), node)
-    assert GMatrix.from_rows(ring, T.rows(), tree=stale).tree is None
-
-
-@pytest.mark.parametrize("X", [walsh(3, cyclotomic(8)), k4(cyclotomic(4))], ids=["walsh3", "k4"])
-def test_a_dft_node_whose_table_is_no_dft_is_dropped(X, tmp_path):
-    # the node's tree expands to its table, but a file writes the node as
-    # the generator dft:8, which is another matrix (over Q(zeta_8)) or none
-    # at all (Q(zeta_4) has no root of order 8)
-    node = DftNode(X, Leaf(X))
-    assert equal(node.expand(), X) and equal(node.tree.expand(), X) and not tree_matches(node, X)
+def _dropped(X, tree, tmp_path):
+    """The matrices that GMatrix and from_rows build from X's entries with
+    tree, after checking that both dropped the tree and that each saves with
+    entries and reloads equal to X."""
     rows = X.rows()
-    for M in (GMatrix.from_rows(X.ring, rows, tree=node), GMatrix(X.ring, np.array(rows, dtype=object), tree=node)):
+    out = [GMatrix.from_rows(X.ring, rows, tree=tree), GMatrix(X.ring, np.array(rows, dtype=object), tree=tree)]
+    for M in out:
         assert M.tree is None
         path = tmp_path / "m.json"
         save_matrix(M, path)
-        assert equal(load_matrix(path), X)
+        assert "entries" in json.loads(path.read_text()) and equal(load_matrix(path), X)
+    return out
+
+
+def test_a_dft_node_whose_tree_is_not_its_table_is_dropped(tmp_path):
+    # a DftNode is its generator and expands to the DFT of its order: a tree
+    # left over from the DFT does not describe a table with one entry
+    # changed, which is not GBH
+    ring = cyclotomic(6)
+    rows = dft_matrix(6, ring).rows()
+    rows[1][2] = rows[1][3]
+    bad = GMatrix.from_rows(ring, rows)
+    T = tensor(walsh(1, ring), bad)
+    assert GMatrix.from_rows(ring, T.rows(), tree=T.tree).tree is T.tree
+    stale = TensorNode(Leaf(walsh(1, ring)), DftNode(ring, 6))
+    assert not tree_matches(stale, T)
+    for M in _dropped(T, stale, tmp_path):
+        rep = verify_gbh(M)
+        assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
+
+
+@pytest.mark.parametrize("X", [walsh(3, cyclotomic(4)), k4(cyclotomic(4))], ids=["walsh3", "k4"])
+def test_a_dft_node_whose_table_is_no_dft_is_dropped(X, tmp_path):
+    # Q(zeta_4) has no root of order 8, so the generator dft:8 has no table:
+    # it matches no matrix, alone or under a tensor node
+    node = DftNode(X.ring, 8)
+    with pytest.raises(RingError):
+        node.expand()
+    assert not tree_matches(node, X)
+    assert not tree_matches(TensorNode(Leaf(walsh(1, X.ring)), node), tensor(walsh(1, X.ring), X))
+    _dropped(X, node, tmp_path)
     F = dft_matrix(8, cyclotomic(8))
-    assert tree_matches(F.tree, F) and not tree_matches(TensorNode(Leaf(walsh(1, X.ring)), node), tensor(walsh(1, X.ring), X))
+    assert tree_matches(F.tree, F) and F.tree.expand() is F
