@@ -199,9 +199,11 @@ class DftNode(FactorTree):
     """The DFT of order v over ring as its generator, which files write as
     {"kind": "dft", "order": v}. Its table, built on first use, is the
     matrix that dft_matrix(v, ring) returns, whose tree is this node; a ring
-    without a root of order v has none (RingError). Its walk, leaves and
-    star are those of its Good-Thomas tree, built on first walk, whose flat
-    factors a chain of tensor nodes takes in (FactorTree.factors)."""
+    without a root of order v has none (RingError). Its walk and leaves are
+    those of its Good-Thomas tree, built on first walk, whose flat factors a
+    chain of tensor nodes takes in (FactorTree.factors). Its star is itself
+    with the rows negated: F* = [omega^(-jk)] is F with row j moved to row
+    -j mod v, so that starring builds no table."""
 
     ring: RingContext
     v: int
@@ -220,7 +222,13 @@ class DftNode(FactorTree):
         return self.table
 
     def star(self):
-        return self.good_thomas.star()
+        return PermutedNode(self, *self._negated_rows)
+
+    @cached_property
+    def _negated_rows(self):
+        """(j -> -j mod v, identity), which hold no reference to the node."""
+        v = self.v
+        return Permutation(tuple(-j % v for j in range(v))), Permutation.identity(v)
 
     @cached_property
     def factors(self):

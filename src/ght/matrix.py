@@ -7,13 +7,12 @@ distinct entries, deduplicated by exact payload, and a read-only index array
 `idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
 table, never on rows of entries: star inverts the units and transposes idx,
 permute indexes idx, tensor and normalize form each unit product that occurs
-once and gather idx through a table of products, from_blocks joins the
-remapped idx of its blocks, and equal compares the index arrays through a
-map of units by payload (on C, the entries within tol). mat_mul,
-verification and every transform leaf take the numeric lane through one
-kernel, _lane_apply: the backend writes a matrix's unit table as integer
-coefficient planes over a common denominator (one complex plane on the
-complex backend), which meet a lane batch (the other factor's table, as
+once and gather idx through a table of products, and equal compares the
+index arrays through a map of units by payload (on C, the entries within
+tol). mat_mul, verification and every transform leaf take the numeric lane
+through one kernel, _lane_apply: the backend writes a matrix's unit table as
+integer coefficient planes over a common denominator (one complex plane on
+the complex backend), which meet a lane batch (the other factor's table, as
 _lane_batch lays it out, or signals) in one BLAS product per block of rows,
 reduced by one product with the ring's reduced powers of x (_fold) and
 modulo p: in floats while that is exact, in Python integers past that.
@@ -337,28 +336,17 @@ def _row_blocks(n, width):
     return [slice(r, r + step) for r in range(0, n, step)]
 
 
-def _gather(table, shape, index):
-    """The array of the given shape whose rows are table[index(rows)], for a
-    1-D table, gathered a block of rows at a time (_row_blocks)."""
-    out = np.empty(shape, dtype=table.dtype)
-    for rows in _row_blocks(*shape):
-        np.take(table, index(rows), out=out[rows])
-    return out
-
-
 def star(M: GMatrix) -> GMatrix:
     """M* : transpose of the entrywise inverses; an involution. The first
     call keeps M* on M and M, by a weak reference, on M*, so star(star(M))
     is M and the pair is freed without the cyclic collector. M* carries
-    M.tree.star(), which expands to M* as M.tree expands to M, starred once
-    both are kept, so that a tree naming M stars to one naming M*."""
+    M.tree.star(), which expands to M* as M.tree expands to M."""
     S = M._star() if isinstance(M._star, weakref.ref) else M._star
     if S is None:
-        S = GMatrix._table(M.ring, [u.inverse() for u in M.units], M.idx.T)
+        tree = None if M.tree is None else M.tree.star()
+        S = GMatrix._table(M.ring, [u.inverse() for u in M.units], M.idx.T, tree)
         object.__setattr__(M, "_star", S)
         object.__setattr__(S, "_star", weakref.ref(M))
-        if M.tree is not None:
-            object.__setattr__(S, "tree", M.tree.star())
     return S
 
 
@@ -415,7 +403,10 @@ def normalize(M: GMatrix):
             seen[pairs(rows)] = True
         inverses = [units[k].inverse() for k in heads.tolist()]
         units, table = _unit_products(inverses, units, seen.reshape(len(heads), -1))
-        idx = _gather(table.ravel(), idx.shape, pairs).T
+        out = np.empty(idx.shape, dtype=table.dtype)
+        for rows in _row_blocks(*idx.shape):
+            np.take(table, pairs(rows), out=out[rows])
+        idx = out.T
     N = GMatrix._table(M.ring, units, idx)
     N._validate_units()
     return N, *scalars
@@ -432,8 +423,8 @@ def normalize(M: GMatrix):
 # one block, and verify_gbh of a 512 x 512 +-1 table that is not decided by
 # its tree had 5 MB of numpy temporaries live at once, 3 MB so. The lane
 # batch of a table (_lane_batch), the positions of an integer array's
-# entries (GMatrix) and the gathers of normalize, equal and from_blocks are
-# written _BLOCK_VALUES entries at a time (_row_blocks).
+# entries (GMatrix) and the gathers of normalize and equal are written
+# _BLOCK_VALUES entries at a time (_row_blocks).
 _BLOCK_VALUES = 2**16
 _PRODUCT_VALUES = 2**16
 
@@ -695,18 +686,3 @@ def tree_matches(tree: FactorTree, M: GMatrix) -> bool:
     except RingError:
         return False
 
-
-def from_blocks(ring, blocks) -> GMatrix:
-    """Assemble a matrix over ring from a 2D grid of GMatrix blocks: the
-    blocks' unit lists are merged, each index array is shifted to its block's
-    place in the joint list, np.block joins them, and one gather maps the
-    joint list to the merged one. Each merged unit is checked once."""
-    units, codes = _unit_table([u for brow in blocks for b in brow for u in b.units])
-    starts = iter(np.cumsum([0] + [len(b.units) for brow in blocks for b in brow]).tolist())
-    dtype = np.min_scalar_type(len(codes))
-    idx = np.block([[b.idx.astype(dtype) + next(starts) for b in brow] for brow in blocks])
-    if idx.ndim != 2 or idx.shape[0] != idx.shape[1]:
-        raise MatrixError("matrix must be square")
-    M = GMatrix._table(ring, units, _gather(codes.astype(dtype), idx.shape, idx.__getitem__))
-    M._validate_units()
-    return M

@@ -25,6 +25,7 @@ from ght import (
     prime_field,
     quadratic_field,
     rationals,
+    star,
     tensor,
     verify_gbh,
     walsh,
@@ -272,6 +273,25 @@ def test_a_dft_file_loads_as_the_table_of_its_node(tmp_path, v, ring):
     for N in (F, M):
         assert isinstance(N.tree, DftNode) and N.tree.expand() is N
     assert _same_table(M, F) and M.tree == F.tree
+
+
+@pytest.mark.parametrize(
+    "v, ring, size",
+    [(256, cyclotomic(256), 10_000), (1024, complex_ring(), 16_000)],
+    ids=["q256", "complex1024"],
+)
+def test_the_star_of_a_dft_saves_as_its_generator_with_rows_negated(tmp_path, v, ring, size):
+    # star(F) is F's node with its rows negated, so its file is the
+    # generator and two permutations of v indices, a few KB where the
+    # entries of the table take 58.9 MB and 45 MB; it loads equal, within
+    # tol on C
+    S = star(dft_matrix(v, ring))
+    path = tmp_path / "s.json"
+    save_matrix(S, path)
+    data = json.loads(path.read_text())
+    assert "entries" not in data and data["tree"]["child"] == {"kind": "dft", "order": v}
+    assert path.stat().st_size < size
+    assert equal(load_matrix(path), S)
 
 
 def test_generators_nest_in_trees(tmp_path):

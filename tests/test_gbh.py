@@ -549,15 +549,25 @@ def test_good_thomas_trees_expand_to_the_dft(v):
         assert F.tree.leaves() == (F,) or not _prime_power(v)
 
 
-@pytest.mark.parametrize("v", [8, 9, 12, 60])
-def test_star_keeps_a_dft_and_its_star_on_each_other(v):
-    # star(star(M)) is M itself; at a prime power the starred tree's one
-    # leaf is star(F), as F's is F
-    for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)):
+@pytest.mark.parametrize("v", [8, 9, 12, 60, 1024])
+def test_star_keeps_a_dft_and_its_star_on_each_other(v, monkeypatch):
+    # star(star(M)) is M itself; F* = [omega^(-jk)] is F with row j moved to
+    # row -j mod v, so the starred tree is F's node with its rows negated, it
+    # builds no table and no Good-Thomas tree, and at a prime power its one
+    # leaf is F
+    neg = Permutation(tuple(-j % v for j in range(v)))
+    tables = []
+    power_table = gbh._power_table
+    for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)) if v < 1024 else (complex_ring(),):
         F = dft_matrix(v, ring)
+        monkeypatch.setattr(gbh, "_power_table", lambda *a: tables.append(a) or power_table(*a))
         S = star(F)
+        monkeypatch.undo()
         assert star(S) is F and star(F) is S and tree_matches(S.tree, S)
-        assert S.tree.leaves() == (S,) or not _prime_power(v)
+        assert S.tree == PermutedNode(F.tree, neg, Permutation.identity(v))
+        assert "good_thomas" not in vars(F.tree)
+        assert S.tree.leaves() == (F,) or not _prime_power(v)
+    assert tables == []
     W = walsh(3)
     assert star(star(W)) is W
 

@@ -39,7 +39,7 @@ from ght import (
 )
 from ght import transform
 from ght.matrix import tree_matches
-from ght.ring import ComplexContext, RationalsContext, RingError
+from ght.ring import ComplexContext, CyclotomicContext, RationalsContext, RingError
 from ght.transform import OpCount, tree_cost
 
 
@@ -487,9 +487,9 @@ def test_star_keeps_a_tree_that_both_transforms_walk(case):
 
 
 def test_a_first_ight_of_a_prime_power_dft_inverts_its_units_once(monkeypatch):
-    # star(F) inverts the 1024 units of F, and F's tree, whose one leaf is F,
-    # stars to the leaf star(F) instead of inverting a second table; the 1/v
-    # leaf inverts one more unit, and a second ight inverts none
+    # star(F) inverts the 1024 units of F, and F's tree stars to F with its
+    # rows negated, whose one leaf is F, instead of inverting a second table;
+    # the 1/v leaf inverts one more unit, and a second ight inverts none
     C = complex_ring()
     F = dft_matrix(1024, C)
     transform._inverse_leaf.cache_clear()
@@ -499,7 +499,21 @@ def test_a_first_ight_of_a_prime_power_dft_inverts_its_units_once(monkeypatch):
     x = Signal.from_ints(C, [(7 * k) % 19 - 9 for k in range(1024)])
     y = ight(F, x)
     assert len(calls) == 1025 and ight(F, x) == y and len(calls) == 1025
-    assert star(F).tree.leaves() == (star(F),)
+    assert star(F).tree.leaves() == (F,)
+
+
+def test_a_first_ight_of_dft60_inverts_only_the_units_of_its_star(monkeypatch):
+    # star(F) inverts the 60 units of F and the 1/v leaf one more; the walk
+    # of F's tree with its rows negated meets the leaves of orders 4, 3 and 5
+    # themselves, whose 12 units a starred tree inverted again
+    ring = cyclotomic(60)
+    F = dft_matrix(60, ring)
+    transform._inverse_leaf.cache_clear()
+    calls = []
+    inv = CyclotomicContext._inv
+    monkeypatch.setattr(CyclotomicContext, "_inv", lambda ring, a: calls.append(a) or inv(ring, a))
+    x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(60)])
+    assert ight(F, ght(F, x)) == x and len(calls) == 61
 
 
 def test_transforms_walk_a_tree_only_from_walk_min(monkeypatch):

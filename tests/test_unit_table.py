@@ -389,10 +389,12 @@ def _cbt_reference(t, ring):
 
 @pytest.mark.parametrize("t", range(1, 9))
 def test_cbt_matches_per_entry_block_reference(t):
-    ring = cyclotomic(4)
-    C = cbt(t, ring)
-    _same(C, _cbt_reference(t, ring))
-    assert _units_occur(C)
+    # the exponents of i = root_of_unity(4) on rings with that root (GF(9)
+    # as GF(3)[y]/(y^2 + 1)), on C within tol
+    for ring in (cyclotomic(4), cyclotomic(8), prime_field(5), quadratic_field(3, (1, 0, 1)), complex_ring()):
+        C = cbt(t, ring)
+        _same(C, _cbt_reference(t, ring))
+        assert _units_occur(C)
 
 
 # per-entry code took 13.1 s, 4.3 s and 2.0 s for these on a 2-core Xeon,
