@@ -14,8 +14,10 @@ elsewhere. The complex backend searches the powers of all its units at once
 with numpy. dft_matrix takes the powers of its root from
 RingContext.root_powers, a slice of that table on Q(zeta_w).
 
-On an exact backend a factor tree of two or more leaves decides
-M M* = v I from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
+On an exact backend a matrix whose tree is a DftNode, under any row and
+column permutations, is GBH by its generator and needs no product (see
+_by_generator), and a factor tree of two or more leaves decides M M* = v I
+from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
 Otherwise M* is the field inverses of the units on the transposed index
 array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
 batch meets M in _lane_apply, one BLAS product of coefficient planes,
@@ -43,8 +45,9 @@ class GbhReport:
     w is the order of the group generated by the entries, or None when some
     entry is no root of unity (infinite/unknown; on the complex backend,
     when no power up to the search bound is within tol of 1). method names
-    the route that decided M M* = v I: "tree" (the leaves of its factor
-    tree) or "numeric-lane" (the product M M*).
+    the route that decided M M* = v I: "generator" (a DFT by its node: for
+    i != j, sum_k omega^((i-j)k) = 0 as omega has order exactly v), "tree"
+    (the leaves of its factor tree) or "numeric-lane" (the product M M*).
     """
 
     is_gbh: bool
@@ -117,17 +120,33 @@ def _product_failures(M: GMatrix):
     return [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
 
 
+def _by_generator(M: GMatrix):
+    """Whether M is, on an exact backend, a DFT up to row and column
+    permutations by its tree: a DftNode under PermutedNodes alone. Its tree
+    expands to M (see ght.matrix), and a node exists only where omega =
+    root_of_unity(v) has order exactly v, so for i != j row i times row j
+    starred is sum_k omega^((i-j)k) = (omega^((i-j)v) - 1) / (omega^(i-j) - 1)
+    = 0, the diagonal sums to v, and permutations keep M M* = v I. Its units
+    are the v distinct powers of omega, whose orders have lcm v."""
+    tree = M.tree
+    while isinstance(tree, PermutedNode):
+        tree = tree.child
+    return M.ring.is_exact and isinstance(tree, DftNode)
+
+
 def _leaves_pass(M: GMatrix):
     """Whether M's factor tree of two or more leaves proves
     M M* = v I: (A (x) B)(A (x) B)* = A A* (x) B B*, and a permuted matrix
     P M Q has P M Q (P M Q)* = P M M* P^-1, so the products of the leaves
     of orders v_i with v_i I give v I. Each distinct leaf object is checked
-    once; walsh(t) has t leaves and one of them."""
+    once, by its generator where it has one (the prime-power leaves of a
+    Good-Thomas tree do) and by its product otherwise; walsh(t) has t
+    leaves and one of them."""
     if M.tree is None or not M.ring.is_exact:
         return False
     leaves = M.tree.leaves()
     distinct = {id(L): L for L in leaves}.values()
-    return len(leaves) > 1 and all(not _product_failures(L) for L in distinct)
+    return len(leaves) > 1 and all(_by_generator(L) or not _product_failures(L) for L in distinct)
 
 
 def verify_gbh(M: GMatrix) -> GbhReport:
@@ -138,11 +157,15 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     that is no root of unity has order None; on the complex backend, a unit
     none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
 
-    On an exact backend a matrix whose tree has two or more leaves, all of
-    them passing, is decided by its leaves (method "tree"); its tree expands
-    to it (see ght.matrix). No tree, a one-leaf tree, the complex backend,
-    whose tolerance is defined on M M* itself, and a failing leaf, whose
-    failure positions the report lists, take the product M M*.
+    The report's method names one of three routes. On an exact backend a
+    DFT up to permutations by its tree (_by_generator) is decided by its
+    generator, with w = v and no product (method "generator"): for i != j,
+    sum_k omega^((i-j)k) = 0, as omega has order exactly v. Else a matrix
+    whose tree has two or more leaves, all of them passing, is decided by
+    its leaves (method "tree"); its tree expands to it (see ght.matrix).
+    No tree, a one-leaf tree, the complex backend, whose tolerance is
+    defined on M M* itself, and a failing leaf, whose failure positions the
+    report lists, take the product M M* (method "numeric-lane").
     """
     v = M.order
     if v < 2:
@@ -150,6 +173,8 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     ring = M.ring
     ch = ring.characteristic()
     char_check = ch == 0 or v % ch != 0
+    if _by_generator(M):
+        return GbhReport(is_gbh=char_check, v=v, w=v, char_check=char_check, method="generator")
     if ring.is_exact:
         orders = [ring._order(u.payload) for u in M.units]
     else:
@@ -203,7 +228,10 @@ class DftNode(FactorTree):
     those of its Good-Thomas tree, built on first walk, whose flat factors a
     chain of tensor nodes takes in (FactorTree.factors). Its star is itself
     with the rows negated: F* = [omega^(-jk)] is F with row j moved to row
-    -j mod v, so that starring builds no table."""
+    -j mod v, so that starring builds no table. On an exact backend
+    verify_gbh decides its table, permuted or not, by the node alone
+    (method "generator"): omega has order exactly v, so for i != j,
+    sum_k omega^((i-j)k) = 0."""
 
     ring: RingContext
     v: int

@@ -171,12 +171,14 @@ def _apply(factors, x: Signal) -> Signal:
     """The product of the factors (FactorTree.factors) times x as a batch
     of one vector, as a lane-form signal. A signal built from elements
     enters the lane as its coefficient planes over their common denominator
-    (Signal._lane_form); a lane-form signal enters as it is."""
+    (Signal._lane_form); a lane-form signal enters as it is. Each factor's
+    leaves must share the signal's ring: the same object, or an equal spec."""
     if math.prod(f.order for f in factors) != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    if any(M.ring.spec != ring.spec for f in factors for M in f.leaves()):
-        raise MatrixError("ring mismatch")
+    for r in (f.leaf_ring for f in factors):
+        if r is not ring and (r is None or r.spec != ring.spec):
+            raise MatrixError("ring mismatch")
     X, den = x._lane_form()
     y, den, _ = _walk(factors, X, den, _lane_max(X) if ring.is_exact else None)
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))

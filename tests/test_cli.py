@@ -589,16 +589,40 @@ def test_walsh1_over_q_zeta_4093_folds_nothing(tmp_path):
 
 
 def test_an_oversized_fold_exits_two_before_allocating(tmp_path):
-    # the order-9 DFT over Q(zeta_4095) has 882 nonzero planes of d = 1728:
-    # its fold would hold 2.6e9 values, so verify exits 2 with a message,
-    # here in a child whose address space is limited to 1 GiB
-    m = _write(tmp_path / "f.json", {"ring": {"kind": "cyclotomic-rationals", "w": 4095}, "order": 9, "tree": {"kind": "dft", "order": 9}})
+    # the table of the order-9 DFT over Q(zeta_4095), as an entries file
+    # without its generator, has 882 nonzero planes of d = 1728: its fold
+    # would hold 2.6e9 values, so verify exits 2 with a message, here in a
+    # child whose address space is limited to 1 GiB; the generator file of
+    # the same DFT is decided by its node, with no product and no fold
+    F = dft_matrix(9, cyclotomic(4095))
+    entries = _write(tmp_path / "e.json", matrix_to_json(GMatrix._table(F.ring, F.units, F.idx)))
+    generator = _write(tmp_path / "g.json", {"ring": {"kind": "cyclotomic-rationals", "w": 4095}, "order": 9, "tree": {"kind": "dft", "order": 9}})
     src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-    run = subprocess.run([sys.executable, "-m", "ght.cli", "verify", m], env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    verify = lambda m: subprocess.run([sys.executable, "-m", "ght.cli", "verify", m], env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    run = verify(entries)
     assert run.returncode == 2 and "Traceback" not in run.stderr
     assert "above the limit" in run.stderr
+    run = verify(generator)
+    assert run.returncode == 0 and "method: generator\n" in run.stdout, run.stderr
+    assert "entry-group-order: 9\n" in run.stdout
+
+
+@pytest.mark.parametrize("v", [256, 243])
+def test_a_prime_power_dft_generator_file_verifies_without_the_product(tmp_path, v):
+    # dft:v over Q(zeta_v) is one leaf; its product M M* took 19.5 s at 256 MB
+    # (v = 256) and 26.0 s at 328 MB (v = 243), its generator decides it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "f.json")
+    gen = subprocess.run([sys.executable, "-m", "ght.cli", "gen", f"dft:{v}", "--ring", f"cyclotomic:{v}", "-o", m], env=env, capture_output=True, text=True, timeout=120)
+    assert gen.returncode == 0, gen.stderr
+    start = time.perf_counter()
+    run, peak = _verify_peak_kb(m)
+    assert time.perf_counter() - start < 10
+    assert "method: generator\n" in run.stdout and f"entry-group-order: {v}\n" in run.stdout
+    assert peak < 200 * 1024
 
 
 def test_gen_dft4095_takes_seconds(tmp_path):

@@ -154,9 +154,11 @@ def test_the_fold_limit_covers_one_plane_of_every_ring_and_every_plane_of_dft512
 
 
 def test_an_oversized_fold_is_refused_before_it_is_built():
-    # the order-9 leaf of dft(4095) over Q(zeta_4095): 882 nonzero planes and
-    # d = 1728, 2.6e9 fold values
+    # the table of the order-9 leaf of dft(4095) over Q(zeta_4095), without
+    # its generator, so that verify_gbh takes the product: 882 nonzero planes
+    # and d = 1728, 2.6e9 fold values
     F = dft_matrix(9, cyclotomic(4095))
-    assert len(_lane_of(F).nonzero()[0]) * 1728**2 > _FOLD_VALUES
+    T = GMatrix._table(F.ring, F.units, F.idx)
+    assert len(_lane_of(T).nonzero()[0]) * 1728**2 > _FOLD_VALUES
     with pytest.raises(MatrixError, match="above the limit"):
-        verify_gbh(F)
+        verify_gbh(T)

@@ -198,6 +198,19 @@ def test_report_text_stable_keys():
     assert text.splitlines()[-1] == "method: tree"
 
 
+def _method(M):
+    """The route that verify_gbh names for a GBH matrix M: "generator" where
+    its tree is a DftNode under permuted nodes alone on an exact backend,
+    "tree" where an exact tree has two or more leaves, else "numeric-lane"."""
+    tree = M.tree
+    while isinstance(tree, PermutedNode):
+        tree = tree.child
+    if M.ring.is_exact and isinstance(tree, DftNode):
+        return "generator"
+    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
+    return "tree" if by_tree else "numeric-lane"
+
+
 def _family():
     return family(1, 1, 1, 3, 2, cyclotomic(6))[0]
 
@@ -216,12 +229,12 @@ def _family():
     ids=["walsh9", "cbt6", "dft24", "dft32-gf97", "k3k3-gf25", "dft16-complex", "family-11132"],
 )
 def test_catalog_matrices_take_the_numeric_lane(build):
-    # a tree of two or more leaves is decided by its leaves on an
-    # exact backend; the product M M* takes the numeric lane otherwise
+    # a DFT is decided by its generator and a tree of two or more leaves by
+    # its leaves on an exact backend; the product M M* takes the numeric
+    # lane otherwise
     M = build()
     rep = verify_gbh(M)
-    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
-    assert rep.is_gbh and rep.method == ("tree" if by_tree else "numeric-lane")
+    assert rep.is_gbh and rep.method == _method(M)
 
 
 def test_matrix_past_the_float_bound_takes_the_numeric_lane():
@@ -313,9 +326,9 @@ def test_report_matches_the_walk_reference(name, planted):
     rep = verify_gbh(M)
     got = (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures)
     assert got == _reference_report(M)
-    # the planted matrix is rebuilt from its rows, without a tree
-    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
-    assert rep.is_gbh != planted and rep.method == ("tree" if by_tree else "numeric-lane")
+    # the planted matrix is rebuilt from its rows, without a tree; a DFT's
+    # generator report is held to the same walk reference
+    assert rep.is_gbh != planted and rep.method == _method(M)
 
 
 def test_complex_orders_stop_at_the_bound():
@@ -473,7 +486,11 @@ def test_tree_route_matches_the_product_reference(case):
     assert fields(rep) == fields(ref)
     leaves = M.tree.leaves() if M.tree is not None else []
     by_tree = M.ring.is_exact and not stale and len(leaves) > 1 and not rep.failures
-    assert rep.method == "tree" if by_tree else rep.method != "tree"
+    if _method(M) == "generator":
+        # a stale tree is dropped, so only a DFT's own tree gets here
+        assert not stale and rep.method == "generator"
+    else:
+        assert rep.method == "tree" if by_tree else rep.method != "tree"
 
 
 def test_constructor_trees_take_the_tree_route_only_when_they_match():
@@ -518,6 +535,73 @@ def test_walsh12_verifies_through_one_leaf():
     rep = verify_gbh(W)
     assert time.perf_counter() - start < 0.1  # the 4096^2 product took 1.1 s
     assert rep.is_gbh and rep.w == 2 and rep.method == "tree"
+
+
+def _lane_calls(monkeypatch):
+    """The matrices gbh passes to _lane_apply from now on."""
+    calls = []
+    lane_apply = gbh._lane_apply
+    monkeypatch.setattr(gbh, "_lane_apply", lambda A, *a: calls.append(A) or lane_apply(A, *a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [cyclotomic(12), prime_field(13), quadratic_field(5), cyclotomic(60)],
+    ids=["Q12", "GF13", "GF25", "Q60"],
+)
+def test_a_dft_is_decided_by_its_generator(ring, monkeypatch):
+    # the node exists only where omega has order exactly 12, so for i != j
+    # sum_k omega^((i-j)k) = 0: a DFT, permuted or starred, takes no product,
+    # builds no star and reports w = 12, as the walk reference finds
+    F = dft_matrix(12, ring)
+    calls = _lane_calls(monkeypatch)
+    assert verify_gbh(F).method == "generator" and F._star is None
+    rowp, colp = (Permutation(tuple((5 * j + s) % 12 for j in range(12))) for s in (1, 7))
+    for M in (F, permute(F, rowp, colp), star(F), permute(star(F), colp, rowp)):
+        rep = verify_gbh(M)
+        assert rep.method == "generator" and not calls
+        assert rep.to_text().splitlines()[-1] == "method: generator"
+        assert (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures) == _reference_report(M)
+
+
+def test_a_tree_of_dft_leaves_takes_no_product(monkeypatch):
+    # each distinct leaf of a tensor tree of DFTs is decided by its generator
+    ring = cyclotomic(12)
+    M = tensor(dft_matrix(4, ring), dft_matrix(3, ring))
+    calls = _lane_calls(monkeypatch)
+    rep = verify_gbh(M)
+    assert rep.method == "tree" and rep.is_gbh and rep.w == 12 and not calls
+    assert (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures) == _reference_report(M)
+
+
+def test_a_planted_dft_table_takes_the_product_and_fails():
+    # one entry of the DFT changed: a table without a tree takes the product,
+    # and the same table given the DFT's node drops it, as the node does not
+    # expand to it, and fails the same way, so no planted table is decided by
+    # a generator
+    ring = cyclotomic(12)
+    F = dft_matrix(12, ring)
+    idx = F.idx.copy()
+    idx[5, 7] = idx[5, 8]
+    plain = GMatrix._table(ring, F.units, idx)
+    noded = GMatrix.from_rows(ring, plain.rows(), tree=DftNode(ring, 12))
+    assert noded.tree is None
+    reps = [verify_gbh(M) for M in (plain, noded)]
+    for rep in reps:
+        assert not rep.is_gbh and rep.failures and rep.method == "numeric-lane"
+    fields = lambda r: (r.is_gbh, r.v, r.w, r.char_check, r.failures)
+    assert fields(reps[0]) == fields(reps[1]) == _reference_report(plain)
+
+
+def test_a_complex_dft_keeps_the_product():
+    # the complex tolerance is defined on M M*, so its DFT takes the product,
+    # permuted or starred as well
+    F = dft_matrix(16, complex_ring())
+    shift = Permutation(tuple((j + 3) % 16 for j in range(16)))
+    for M in (F, permute(F, shift, shift), star(F)):
+        rep = verify_gbh(M)
+        assert rep.is_gbh and rep.w == 16 and rep.method == "numeric-lane"
 
 
 def _gf_with_roots(v):

@@ -193,6 +193,23 @@ def test_fast_apply_ring_mismatch():
         fast_apply(walsh(2).tree, Signal.from_ints(cyclotomic(4), [1, 2, 3, 4]))
 
 
+@pytest.mark.parametrize("ring", [rationals(), cyclotomic(4)], ids=["Q", "Q4"])
+def test_a_tree_of_leaves_over_two_rings_is_a_ring_mismatch(ring):
+    # a hand-built tree whose leaves lie over Q and over Q(zeta_4) has no one
+    # ring, so a signal over either meets a leaf over the other, also when
+    # the mixed leaves sit under a permuted node, one factor of the walk
+    mixed = TensorNode(Leaf(walsh(1)), Leaf(walsh(1, cyclotomic(4))))
+    swap = Permutation((1, 0, 3, 2))
+    x = Signal.from_ints(ring, [1, 2, 3, 4])
+    for tree in (mixed, PermutedNode(mixed, swap, swap)):
+        assert tree.leaf_ring is None
+        with pytest.raises(MatrixError, match="ring mismatch"):
+            fast_apply(tree, x)
+    # leaves over one ring keep that ring beside them
+    W = walsh(3)
+    assert W.tree.leaf_ring is W.ring
+
+
 def _count_adds(monkeypatch, context):
     added = []
     add = context._add
