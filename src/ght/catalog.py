@@ -15,7 +15,7 @@ import numpy as np
 from . import ring as ringmod
 from .gbh import _power_table, dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
-from .matrix import ORDER_LIMIT, GMatrix, MatrixError, equal, tensor
+from .matrix import ORDER_LIMIT, GMatrix, MatrixError, TensorNode, _balanced, equal
 from .ring import RingContext, RingElement, RingError, _order_exact
 
 @dataclass(frozen=True)
@@ -61,11 +61,17 @@ def walsh(t: int, ring: RingContext | None = None) -> GMatrix:
     if t < 1:
         raise MatrixError("walsh needs t >= 1")
     ring = ring if ring is not None else ringmod.rationals()
-    s1 = GMatrix.from_rows(ring, [[1, 1], [1, -1]])
-    M = s1
-    for _ in range(t - 1):
-        M = tensor(M, s1)
-    return M
+    return _tensor_chain([GMatrix.from_rows(ring, [[1, 1], [1, -1]])] * t)
+
+
+def _tensor_chain(factors):
+    """The Kronecker product of factors, left to right, taken balanced as
+    TensorNode.expand takes it, whose tree is the left-deep chain of their
+    trees, as files write it. One factor is returned as it is."""
+    tree = factors[0].as_tree()
+    for f in factors[1:]:
+        tree = TensorNode(tree, f.as_tree())
+    return _balanced(factors, tree) if len(factors) > 1 else factors[0]
 
 
 def cbt(t: int, ring: RingContext | None = None) -> GMatrix:
@@ -232,9 +238,7 @@ def family(l, eps, delta, n, r, ring: RingContext):
         if n is None or n < 1:
             raise MatrixError("delta = 1 needs an order parameter n >= 1")
         factors.append(jacketize_dft(n, ring)[0])
-    M = factors[0]
-    for f in factors[1:]:
-        M = tensor(M, f)
+    M = _tensor_chain(factors)
     tag = _classify(l, eps, delta, n, r if eps else None, ring)
     return M, FamilyLabel(l=l, eps=eps, delta=delta, n=n if delta else None, tag=tag)
 

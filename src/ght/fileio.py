@@ -10,7 +10,10 @@ A matrix file takes one of two forms:
   that carries a factor tree. Entries appear only in the leaves, so walsh(12)
   takes about 2 KB, and a DFT is the generator {"kind": "dft", "order": v},
   which loads as gbh.dft_matrix(v, ring), the table of gbh.DftNode(ring, v).
-  The loader expands the tree, so nothing can contradict it.
+  The loader expands the tree, so nothing can contradict it, and returns
+  the expansion, whose tree is the file's (TensorNode.expand): the left-deep
+  chain of a walsh:12 file is expanded balanced, by block writes, in about
+  as long as walsh(12) takes to build. Identical leaves load as one.
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries (matrix.tree_matches).
@@ -18,6 +21,7 @@ The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
 before it decodes an entry or builds a tree. Nor may any tree node's order
 exceed the declared one, checked as the tree is read, so a generator is
 checked before it is built. A leaf holds its matrix with entries and no tree.
+Both formats are written by json.dumps, on one line.
 """
 
 from __future__ import annotations
@@ -101,30 +105,42 @@ def _permutation(data, key):
     return Permutation(tuple(image))
 
 
-def _tree_from_json(data, ring, limit):
+def _tree_from_json(data, ring, limit, leaves):
     """The tree that data describes. No node may have an order above limit,
     and a tensor node's right factor gets the limit over its left factor's
     order, so that a few bytes of generators cannot ask for more work than
     one matrix of order limit; a generator is checked before it is built. A
     leaf is a matrix with entries and without a tree of its own, as
     save_matrix writes it, so its work is bounded by the entries in the
-    file."""
+    file. Identical leaves share one node: leaves maps the repr of a leaf's
+    JSON to the node read from it, so that the t leaves of a walsh:t file
+    are one matrix, whose products verify_gbh and the transforms form once;
+    a shared leaf meets the order limit of each place it takes."""
     kind = _field(data, "kind")
     if kind == "leaf":
         matrix = _field(data, "matrix")
         if isinstance(matrix, dict) and matrix.get("tree") is not None:
             raise MatrixError("malformed file: a tree leaf's matrix has a tree of its own")
-        leaf = matrix_from_json(matrix, limit)
-        if leaf.ring.spec != ring.spec:
-            raise MatrixError("a tree leaf is not over the matrix ring")
-        tree = Leaf(leaf)
+        # the leaves' orders multiply, so only a leaf whose order squared is
+        # within ORDER_LIMIT can recur; a larger one is not keyed, as the
+        # repr of an order-1024 leaf costs a fifth of its load
+        rows = matrix.get("entries") if isinstance(matrix, dict) else None
+        key = repr(matrix) if isinstance(rows, list) and len(rows) ** 2 <= ORDER_LIMIT else None
+        tree = leaves.get(key)
+        if tree is None:
+            leaf = matrix_from_json(matrix, limit)
+            if leaf.ring.spec != ring.spec:
+                raise MatrixError("a tree leaf is not over the matrix ring")
+            tree = Leaf(leaf)
+            if key is not None:
+                leaves[key] = tree
     elif kind == "tensor":
-        left = _tree_from_json(_field(data, "left"), ring, limit)
-        right = _tree_from_json(_field(data, "right"), ring, limit // max(left.order, 1))
+        left = _tree_from_json(_field(data, "left"), ring, limit, leaves)
+        right = _tree_from_json(_field(data, "right"), ring, limit // max(left.order, 1), leaves)
         tree = TensorNode(left, right)
     elif kind == "permuted":
         tree = PermutedNode(
-            _tree_from_json(_field(data, "child"), ring, limit),
+            _tree_from_json(_field(data, "child"), ring, limit, leaves),
             _permutation(data, "row"),
             _permutation(data, "col"),
         )
@@ -169,11 +185,12 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     if not isinstance(v, (int, float)) or not 0 <= v <= limit:
         raise MatrixError(f"declared order {v!r} is not a number up to the limit {limit}")
     if "entries" not in data and data.get("tree") is not None:
-        tree = _tree_from_json(data["tree"], ring, v)
+        tree = _tree_from_json(data["tree"], ring, v, {})
         if tree.order != v:
             raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
         E = tree.expand()
         E._validate_units()
+        # every node's expansion carries the node, but a leaf's matrix has no tree
         return E if E.tree is tree else GMatrix._table(ring, E.units, E.idx, tree=tree)
     entries = _field(data, "entries")
     if not isinstance(entries, list) or len(entries) != v:
@@ -182,7 +199,7 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     units, unit_codes = _unit_table(decoded)
     n = len(entries)  # equals v, which JSON may give as 2.0 for 2
     idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
-    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring, v)
+    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring, v, {})
     M = GMatrix._table(ring, units, idx, tree=tree)
     M._validate_units()
     if tree is not None and not tree_matches(tree, M):
@@ -202,9 +219,14 @@ def _decoded(ring, encodings):
 def save_matrix(M: GMatrix, path):
     """Write M tree-only when it carries a factor tree, else with entries."""
     data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=_tree_to_json(M.tree))
+    _write_json(data, path)
+
+
+def _write_json(data, path):
+    """data as one line of JSON: json.dumps takes the C encoder, which
+    json.dump never does, and writes the same bytes."""
     with open(path, "w") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+        fh.write(json.dumps(data) + "\n")
 
 
 def _load(path, what, from_json):
@@ -246,9 +268,7 @@ def signal_from_json(data: dict) -> Signal:
 
 
 def save_signal(x: Signal, path):
-    with open(path, "w") as fh:
-        json.dump(signal_to_json(x), fh)
-        fh.write("\n")
+    _write_json(signal_to_json(x), path)
 
 
 def load_signal(path) -> Signal:

@@ -1,5 +1,6 @@
 """JSON round-trips for matrices and signals across all backends."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -30,7 +31,8 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght import gbh
+from ght import fileio, gbh
+from ght.cli import main
 from ght.fileio import (
     load_matrix,
     load_signal,
@@ -357,3 +359,95 @@ def test_files_with_entries_from_before_generators_load(tmp_path, data, v, ring)
     M = load_matrix(path)
     assert equal(M, dft_matrix(v, ring)) and M.tree is None
     assert verify_gbh(M).is_gbh
+
+
+def test_identical_leaves_of_a_file_are_one_node(tmp_path, monkeypatch):
+    # the 8 leaves of a walsh:8 file are one leaf, whose product verify_gbh
+    # forms once, as for the walsh(8) built in memory
+    path = tmp_path / "w.json"
+    save_matrix(walsh(8), path)
+    M = load_matrix(path)
+    leaves = M.tree.leaves()
+    assert len(leaves) == 8 and all(L is leaves[0] for L in leaves)
+    assert len({id(node) for node in M.tree.operands}) == 1
+    products = []
+    lane_apply = gbh._lane_apply
+    monkeypatch.setattr(gbh, "_lane_apply", lambda *args: products.append(args[0]) or lane_apply(*args))
+    report = verify_gbh(M)
+    assert report.is_gbh and report.method == "tree" and products == [leaves[0]]
+
+
+def test_a_shared_leaf_meets_the_order_limit_of_each_place():
+    # the right factor of a tensor node may not outgrow the declared order
+    # over its left factor's, also where it is a leaf read before
+    leaf = {"kind": "leaf", "matrix": matrix_to_json(k2(2), with_tree=False)}
+    data = {"ring": leaf["matrix"]["ring"], "order": 4, "tree": {"kind": "tensor", "left": leaf, "right": leaf}}
+    with pytest.raises(MatrixError, match="has order 4, above 1"):
+        matrix_from_json(data)
+    M = matrix_from_json(dict(data, order=16))
+    assert equal(M, tensor(k2(2), k2(2))) and M.tree.left is M.tree.right
+
+
+def _json_dump_bytes(data, path):
+    """The bytes that json.dump writes for data, with the line end."""
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ring", [rationals(), cyclotomic(12), prime_field(7), quadratic_field(5), complex_ring()], ids=lambda r: r.spec.kind
+)
+def test_files_are_written_with_the_bytes_of_json_dump(tmp_path, ring):
+    # save_matrix and save_signal write through json.dumps (the C encoder);
+    # the bytes are those of json.dump (the Python one), complex floats too
+    one = ring.one()
+    z = ring.root_of_unity({"rationals": 2, "prime-field": 3}.get(ring.spec.kind, 4))
+    units = [one, z, ring.from_int(3), ring.from_int(3) * z]
+    if ring.spec.kind == "complex-float":
+        units += [ring.element(complex(1 / 3, -1e-300)), ring.element(complex(2.5e17, 0.1))]
+    M = GMatrix.from_rows(ring, [[units[(i * j + i) % len(units)] for j in range(4)] for i in range(4)])
+    x = Signal(ring, tuple(units))
+    for data, save, obj in ((matrix_to_json(M), save_matrix, M), (signal_to_json(x), save_signal, x)):
+        path = tmp_path / "new.json"
+        save(obj, path)
+        assert path.read_bytes() == _json_dump_bytes(data, tmp_path / "old.json")
+
+
+def _walsh_file(t):
+    """The JSON of ght gen walsh:t, by hand: one leaf of entries for t = 1,
+    else the tree-only chain of t leaves, left-deep."""
+    s1 = {"ring": {"kind": "rationals"}, "order": 2, "entries": [["1/1", "1/1"], ["1/1", "-1/1"]], "tree": None}
+    if t == 1:
+        return s1
+    tree = leaf = {"kind": "leaf", "matrix": s1}
+    for _ in range(t - 1):
+        tree = {"kind": "tensor", "left": tree, "right": leaf}
+    return {"ring": s1["ring"], "order": 2**t, "tree": tree}
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_gen_walsh_writes_the_left_deep_chain(tmp_path, t):
+    # the chain is expanded balanced, but the file keeps the left-deep tree
+    # byte for byte
+    path = tmp_path / "w.json"
+    assert main(["gen", f"walsh:{t}", "-o", str(path)]) == 0
+    assert path.read_text() == json.dumps(_walsh_file(t)) + "\n"
+    if t == 12:
+        digest = "a92eaac7925d044a684c3dc0210fb3392167e27a049502487721e167af850500"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_a_leaf_too_large_to_recur_is_not_keyed(tmp_path, monkeypatch):
+    # a leaf of order 65 cannot occur twice in a tree of order up to 4096, so
+    # the loader spends no repr on it; the order-2 leaf beside it is keyed
+    ring = rationals()
+    big = GMatrix._table(ring, [ring.one(), ring.from_int(-1)], np.random.default_rng(7).integers(0, 2, (65, 65)))
+    path = tmp_path / "t.json"
+    save_matrix(tensor(walsh(1), big), path)
+    seen = []
+    monkeypatch.setattr(fileio, "repr", lambda obj: seen.append(obj) or repr(obj), raising=False)
+    M = load_matrix(path)
+    assert equal(M, tensor(walsh(1), big))
+    assert [len(m["entries"]) for m in seen if isinstance(m, dict)] == [2]

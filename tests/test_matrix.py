@@ -1,12 +1,17 @@
 """Matrix layer: star, tensor, permutations, normalisation, file round-trips."""
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import ght
 from ght import (
     GMatrix,
     MatrixError,
@@ -26,6 +31,7 @@ from ght import (
     k3,
     k4,
 )
+from ght.fileio import save_matrix
 
 
 def test_permutation_validation():
@@ -251,3 +257,49 @@ def test_large_tables_are_written_in_bounded_memory():
         tracemalloc.stop()
     assert build < 2 * 2**20
     assert verify < 4 * 2**20
+
+
+# one build of order 4096 in a fresh process: its time, best of three, and the
+# growth of the peak RSS (ru_maxrss, KB) over its first run
+_BUILD_4096 = """
+import gc, json, resource, sys, time
+from ght import tensor, walsh
+from ght.fileio import load_matrix
+w1, w11 = walsh(1), walsh(11)
+build = {
+    "walsh12": lambda: walsh(12),
+    "load": lambda: load_matrix(sys.argv[2]),
+    "w1-w11": lambda: tensor(w1, w11),
+    "w11-w1": lambda: tensor(w11, w1),
+}[sys.argv[1]]
+times = []
+for run in range(3):
+    gc.collect()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    M = build()
+    times.append(time.perf_counter() - start)
+    if run == 0:
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak
+    assert M.order == 4096
+    del M
+print(json.dumps({"s": min(times), "grown_mb": grown / 1024}))
+"""
+
+
+@pytest.mark.parametrize(
+    "build, bound", [("walsh12", 0.12), ("load", 0.12), ("w1-w11", 0.25), ("w11-w1", 0.25)]
+)
+def test_order_4096_builds_are_fast_and_write_little_besides_the_index(tmp_path, build, bound):
+    # walsh(12) took 100 ms, and so did loading its 2 KB tree-only file, while
+    # the index was gathered once per entry of the smaller factor, down a
+    # left-deep chain; block writes down a balanced chain take 10-15 ms. The
+    # peak RSS grows by the 16 MB index and less than 4 MB more
+    path = tmp_path / "w12.json"
+    save_matrix(walsh(12), path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _BUILD_4096, build, str(path)], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["s"] < bound and got["grown_mb"] <= 20, got

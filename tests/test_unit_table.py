@@ -5,18 +5,24 @@ operation is recomputed entry by entry here, from `entry` alone, and the
 results must agree (the complex backend within its tolerance).
 """
 
+import functools
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ght import (
+    DftNode,
     GMatrix,
+    Leaf,
     MatrixError,
     Permutation,
+    PermutedNode,
+    TensorNode,
     cbt,
     complex_ring,
     cyclotomic,
@@ -408,3 +414,92 @@ def test_unit_table_operations_stay_fast(run, bound):
     t0 = time.perf_counter()
     run()
     assert time.perf_counter() - t0 < bound
+
+
+def _distinct_and_narrow(M):
+    """M's units are distinct by payload, and its index has the narrowest type."""
+    return len({u.payload for u in M.units}) == len(M.units) and M.idx.dtype == np.min_scalar_type(len(M.units) - 1)
+
+
+@st.composite
+def tensor_cases(draw):
+    """(ring name, A's order, A's table, B's order, B's table): orders from 1
+    to 6, so that A is smaller than, as large as and larger than B."""
+    ring = draw(st.sampled_from(sorted(RINGS)))
+    va, vb = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return ring, va, draw(tables(va)), vb, draw(tables(vb))
+
+
+@example(case=("rationals", 1, ([0], [0]), 1, ([1], [0])))
+@example(case=("complex", 1, ([3], [0]), 5, ([0, 1, 2], [k % 3 for k in range(25)])))
+@example(case=("prime", 6, ([0, 1], [k % 2 for k in range(36)]), 2, ([0, 5], [0, 1, 1, 0])))
+@example(case=("quadratic", 4, ([1, 2], [k % 3 % 2 for k in range(16)]), 4, ([4], [0] * 16)))
+@given(case=tensor_cases())
+def test_tensor_matches_per_entry_reference(case):
+    # every block of the smaller factor is gathered or copied: entry
+    # (i vb + k, j vb + l) is A[i, j] B[k, l]
+    name, va, ta, vb, tb = case
+    ring = RINGS[name]
+    A, B = _build(ring, va, ta), _build(ring, vb, tb)
+    T = tensor(A, B)
+    _same(T, _kron(_grid(A), _grid(B)))
+    assert _distinct_and_narrow(T) and _units_occur(T)
+
+
+@pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
+def test_tensor_of_a_factor_past_a_row_block_matches_the_unit_pairs(ring):
+    # a 300 x 300 factor (90000 entries) is gathered in two row blocks; the
+    # reference codes each entry by its pair of factor units (their product
+    # by exact payload, as on C equality within tol would merge units), by
+    # broadcasting
+    rng = np.random.default_rng(5)
+    pool = _candidates(ring)
+    small = GMatrix._table(ring, pool[3:5], rng.integers(0, 2, (2, 2)))
+    big = GMatrix._table(ring, pool[:3], rng.integers(0, 3, (300, 300)))
+    for A, B in ((small, big), (big, small)):
+        T = tensor(A, B)
+        payloads = [u.payload for u in T.units]
+        pairs = [[payloads.index((a * b).payload) for b in B.units] for a in A.units]
+        want = np.array(pairs)[A.idx[:, None, :, None], B.idx[None, :, None, :]]
+        assert np.array_equal(T.idx, want.reshape(T.idx.shape))
+        assert _distinct_and_narrow(T) and _units_occur(T)
+
+
+@st.composite
+def chains(draw):
+    """(ring name, operands, tree): two to five Leaf, PermutedNode and DftNode
+    operands of orders up to 3 (a DFT of order 6, one operand with a
+    Good-Thomas tree, too) over one ring, under tensor nodes grouped at
+    random, of order at most 324."""
+    name = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[name]
+    operands = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(("leaf", "permuted", "dft")))
+        if kind == "dft":
+            operands.append(DftNode(ring, draw(st.sampled_from((1, 2) if name == "rationals" else (1, 2, 3, 6)))))
+            continue
+        v = draw(st.integers(1, 3))
+        node = Leaf(_build(ring, v, draw(tables(v))))
+        if kind == "permuted":
+            perm = lambda: Permutation(tuple(draw(st.permutations(range(v)))))
+            node = PermutedNode(node, perm(), perm())
+        operands.append(node)
+    assume(math.prod(node.order for node in operands) <= 324)
+    nodes = list(operands)
+    while len(nodes) > 1:
+        k = draw(st.integers(0, len(nodes) - 2))
+        nodes[k : k + 2] = [TensorNode(nodes[k], nodes[k + 1])]
+    return name, operands, nodes[0]
+
+
+@given(case=chains())
+def test_a_tensor_chain_expands_balanced_to_its_left_deep_product(case):
+    name, operands, tree = case
+    E = tree.expand()
+    assert E.tree is tree and tree.operands == tuple(operands)
+    assert equal(E, functools.reduce(tensor, [node.expand() for node in operands]))
+    assert _distinct_and_narrow(E)
+    for node in operands:
+        if not isinstance(node, Leaf):
+            assert node.expand().tree is node
