@@ -17,16 +17,22 @@ A matrix file takes one of two forms:
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries (matrix.tree_matches).
-The declared order may not exceed ORDER_LIMIT (4096); the loader checks it
-before it decodes an entry or builds a tree. Nor may any tree node's order
-exceed the declared one, checked as the tree is read, so a generator is
-checked before it is built. A leaf holds its matrix with entries and no tree.
-Both formats are written by json.dumps, on one line.
+A tree is written and read node by node, each by the class of its kind
+(FactorTree.to_json and from_json, found by "kind" in NODE_KINDS), and this
+module keeps the rules of the format (_TreeReader). The declared order may
+not exceed ORDER_LIMIT (4096); the loader checks it before it decodes an
+entry or builds a tree. Nor may any tree node's order exceed the declared
+one, checked as the tree is read, so a generator is checked before it is
+built. A leaf holds its matrix with entries and no tree, so its work is
+bounded by the entries in the file. Both formats are written by json.dumps,
+on one line, and replace a file only once written.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -63,27 +69,6 @@ def ring_spec_from_json(data: dict) -> RingSpec:
         raise RingError(f"malformed ring spec: {ex}")
 
 
-def _tree_to_json(tree):
-    if isinstance(tree, DftNode):
-        return {"kind": "dft", "order": tree.order}
-    if isinstance(tree, Leaf):
-        return {"kind": "leaf", "matrix": matrix_to_json(tree.matrix, with_tree=False)}
-    if isinstance(tree, TensorNode):
-        return {
-            "kind": "tensor",
-            "left": _tree_to_json(tree.left),
-            "right": _tree_to_json(tree.right),
-        }
-    if isinstance(tree, PermutedNode):
-        return {
-            "kind": "permuted",
-            "child": _tree_to_json(tree.child),
-            "row": list(tree.rowp.image),
-            "col": list(tree.colp.image),
-        }
-    raise MatrixError(f"unknown tree node {tree!r}")
-
-
 def _field(data, key):
     try:
         return data[key]
@@ -98,26 +83,52 @@ def _listed(items, what, length):
     return items
 
 
-def _permutation(data, key):
-    image = _field(data, key)
-    if not isinstance(image, list) or not all(isinstance(i, int) for i in image):
-        raise MatrixError(f"malformed file: {key!r} is not a list of indices")
-    return Permutation(tuple(image))
+# the node kinds a file may name, each read by its class's from_json
+NODE_KINDS = {cls.kind: cls for cls in (Leaf, TensorNode, PermutedNode, DftNode)}
 
 
-def _tree_from_json(data, ring, limit, leaves):
-    """The tree that data describes. No node may have an order above limit,
-    and a tensor node's right factor gets the limit over its left factor's
-    order, so that a few bytes of generators cannot ask for more work than
-    one matrix of order limit; a generator is checked before it is built. A
-    leaf is a matrix with entries and without a tree of its own, as
-    save_matrix writes it, so its work is bounded by the entries in the
-    file. Identical leaves share one node: leaves maps the repr of a leaf's
-    JSON to the node read from it, so that the t leaves of a walsh:t file
-    are one matrix, whose products verify_gbh and the transforms form once;
-    a shared leaf meets the order limit of each place it takes."""
-    kind = _field(data, "kind")
-    if kind == "leaf":
+class _TreeReader:
+    """The reader of one file's tree over ring, which a node kind's from_json
+    asks for the nodes and fields under it, none above the order limit. A
+    tensor node's right factor gets the limit over its left factor's order,
+    so that a few bytes of generators cannot ask for more work than one
+    matrix of order limit. Identical leaves share one node (leaves, by the
+    repr of their JSON), so that the t leaves of a walsh:t file are one
+    matrix, whose products verify_gbh and the transforms form once; a
+    shared leaf meets the order limit of each place it takes."""
+
+    def __init__(self, ring, limit, leaves):
+        self.ring, self.limit, self.leaves = ring, limit, leaves
+
+    def node(self, data, key, beside=1):
+        """The node data[key], read by the class of its kind, within the
+        limit over beside, the order of the tensor factor left of it."""
+        data, limit = _field(data, key), self.limit // max(beside, 1)
+        kind = _field(data, "kind")
+        cls = NODE_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MatrixError(f"unknown tree node kind {kind!r}")
+        read = self if limit == self.limit else _TreeReader(self.ring, limit, self.leaves)
+        tree = cls.from_json(data, read)
+        if tree.order > limit:
+            raise MatrixError(f"a factor tree node has order {tree.order}, above {limit}")
+        return tree
+
+    def order(self, data):
+        """A generator's order, an int within the limit."""
+        v = _field(data, "order")
+        if type(v) is not int or v > self.limit:
+            raise MatrixError(f"malformed file: {data['kind']} order {v!r} is not an int up to {self.limit}")
+        return v
+
+    def permutation(self, data, key):
+        image = _field(data, key)
+        if not isinstance(image, list) or not all(isinstance(i, int) for i in image):
+            raise MatrixError(f"malformed file: {key!r} is not a list of indices")
+        return Permutation(tuple(image))
+
+    def leaf(self, data):
+        """The leaf node of data's "matrix", one per identical leaf."""
         matrix = _field(data, "matrix")
         if isinstance(matrix, dict) and matrix.get("tree") is not None:
             raise MatrixError("malformed file: a tree leaf's matrix has a tree of its own")
@@ -126,34 +137,15 @@ def _tree_from_json(data, ring, limit, leaves):
         # repr of an order-1024 leaf costs a fifth of its load
         rows = matrix.get("entries") if isinstance(matrix, dict) else None
         key = repr(matrix) if isinstance(rows, list) and len(rows) ** 2 <= ORDER_LIMIT else None
-        tree = leaves.get(key)
+        tree = self.leaves.get(key)
         if tree is None:
-            leaf = matrix_from_json(matrix, limit)
-            if leaf.ring.spec != ring.spec:
+            leaf = matrix_from_json(matrix, self.limit)
+            if leaf.ring.spec != self.ring.spec:
                 raise MatrixError("a tree leaf is not over the matrix ring")
             tree = Leaf(leaf)
             if key is not None:
-                leaves[key] = tree
-    elif kind == "tensor":
-        left = _tree_from_json(_field(data, "left"), ring, limit, leaves)
-        right = _tree_from_json(_field(data, "right"), ring, limit // max(left.order, 1), leaves)
-        tree = TensorNode(left, right)
-    elif kind == "permuted":
-        tree = PermutedNode(
-            _tree_from_json(_field(data, "child"), ring, limit, leaves),
-            _permutation(data, "row"),
-            _permutation(data, "col"),
-        )
-    elif kind == "dft":
-        v = _field(data, "order")
-        if type(v) is not int or v > limit:
-            raise MatrixError(f"malformed file: dft order {v!r} is not an int up to {limit}")
-        tree = DftNode(ring, v)
-    else:
-        raise MatrixError(f"unknown tree node kind {kind!r}")
-    if tree.order > limit:
-        raise MatrixError(f"a factor tree node has order {tree.order}, above {limit}")
-    return tree
+                self.leaves[key] = tree
+        return tree
 
 
 def _header(M: GMatrix) -> dict:
@@ -167,8 +159,12 @@ def matrix_to_json(M: GMatrix, with_tree=True) -> dict:
     return dict(
         _header(M),
         entries=[[encoded[k] for k in row] for row in M.idx.tolist()],
-        tree=_tree_to_json(M.tree) if with_tree and M.tree is not None else None,
+        tree=M.tree.to_json(_leaf_to_json) if with_tree and M.tree is not None else None,
     )
+
+
+def _leaf_to_json(M):
+    return matrix_to_json(M, with_tree=False)
 
 
 def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
@@ -185,7 +181,7 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     if not isinstance(v, (int, float)) or not 0 <= v <= limit:
         raise MatrixError(f"declared order {v!r} is not a number up to the limit {limit}")
     if "entries" not in data and data.get("tree") is not None:
-        tree = _tree_from_json(data["tree"], ring, v, {})
+        tree = _TreeReader(ring, v, {}).node(data, "tree")
         if tree.order != v:
             raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
         E = tree.expand()
@@ -199,7 +195,7 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     units, unit_codes = _unit_table(decoded)
     n = len(entries)  # equals v, which JSON may give as 2.0 for 2
     idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
-    tree = None if data.get("tree") is None else _tree_from_json(data["tree"], ring, v, {})
+    tree = None if data.get("tree") is None else _TreeReader(ring, v, {}).node(data, "tree")
     M = GMatrix._table(ring, units, idx, tree=tree)
     M._validate_units()
     if tree is not None and not tree_matches(tree, M):
@@ -218,15 +214,38 @@ def _decoded(ring, encodings):
 
 def save_matrix(M: GMatrix, path):
     """Write M tree-only when it carries a factor tree, else with entries."""
-    data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=_tree_to_json(M.tree))
+    data = matrix_to_json(M) if M.tree is None else dict(_header(M), tree=M.tree.to_json(_leaf_to_json))
     _write_json(data, path)
 
 
 def _write_json(data, path):
     """data as one line of JSON: json.dumps takes the C encoder, which
-    json.dump never does, and writes the same bytes."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data) + "\n")
+    json.dump never does, and writes the same bytes. The text is encoded
+    first, and a regular file (through symbolic links) is written as a new
+    file beside it that then replaces it, so that a failed encode or write
+    leaves it as it was; the new file has open(path, "w")'s mode, 0o666
+    less the umask, or the mode of the file it replaces."""
+    text = json.dumps(data) + "\n"
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:  # a device or a pipe, as /dev/stdout
+            fh.write(text)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _load(path, what, from_json):

@@ -14,19 +14,19 @@ elsewhere. The complex backend searches the powers of all its units at once
 with numpy. dft_matrix takes the powers of its root from
 RingContext.root_powers, a slice of that table on Q(zeta_w).
 
-On an exact backend a matrix whose tree is a DftNode, under any row and
-column permutations, is GBH by its generator and needs no product (see
-_by_generator), and a factor tree of two or more leaves decides M M* = v I
-from its distinct leaves, since (A (x) B)(A (x) B)* = A A* (x) B B*.
-Otherwise M* is the field inverses of the units on the transposed index
-array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
-batch meets M in _lane_apply, one BLAS product of coefficient planes,
-compared plane by plane with v I.
+On an exact backend a matrix may be decided by its factor tree, each node
+by its kind (FactorTree.gbh_proof): a DftNode by its generator, with no
+product, and tensor and permuted nodes by the nodes under them, since
+(A (x) B)(A (x) B)* = A A* (x) B B*. Otherwise M* is the field inverses
+of the units on the transposed index array, and M M* takes the numeric
+lane of ght.matrix: M* written as a lane batch meets M in _lane_apply,
+one BLAS product of coefficient planes, compared plane by plane with v I.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,9 +45,9 @@ class GbhReport:
     w is the order of the group generated by the entries, or None when some
     entry is no root of unity (infinite/unknown; on the complex backend,
     when no power up to the search bound is within tol of 1). method names
-    the route that decided M M* = v I: "generator" (a DFT by its node: for
-    i != j, sum_k omega^((i-j)k) = 0 as omega has order exactly v), "tree"
-    (the leaves of its factor tree) or "numeric-lane" (the product M M*).
+    the route that decided M M* = v I: "generator" (a DFT by its node),
+    "tree" (the nodes of its factor tree) or "numeric-lane" (the product
+    M M*).
     """
 
     is_gbh: bool
@@ -120,35 +120,6 @@ def _product_failures(M: GMatrix):
     return [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
 
 
-def _by_generator(M: GMatrix):
-    """Whether M is, on an exact backend, a DFT up to row and column
-    permutations by its tree: a DftNode under PermutedNodes alone. Its tree
-    expands to M (see ght.matrix), and a node exists only where omega =
-    root_of_unity(v) has order exactly v, so for i != j row i times row j
-    starred is sum_k omega^((i-j)k) = (omega^((i-j)v) - 1) / (omega^(i-j) - 1)
-    = 0, the diagonal sums to v, and permutations keep M M* = v I. Its units
-    are the v distinct powers of omega, whose orders have lcm v."""
-    tree = M.tree
-    while isinstance(tree, PermutedNode):
-        tree = tree.child
-    return M.ring.is_exact and isinstance(tree, DftNode)
-
-
-def _leaves_pass(M: GMatrix):
-    """Whether M's factor tree of two or more leaves proves
-    M M* = v I: (A (x) B)(A (x) B)* = A A* (x) B B*, and a permuted matrix
-    P M Q has P M Q (P M Q)* = P M M* P^-1, so the products of the leaves
-    of orders v_i with v_i I give v I. Each distinct leaf object is checked
-    once, by its generator where it has one (the prime-power leaves of a
-    Good-Thomas tree do) and by its product otherwise; walsh(t) has t
-    leaves and one of them."""
-    if M.tree is None or not M.ring.is_exact:
-        return False
-    leaves = M.tree.leaves()
-    distinct = {id(L): L for L in leaves}.values()
-    return len(leaves) > 1 and all(_by_generator(L) or not _product_failures(L) for L in distinct)
-
-
 def verify_gbh(M: GMatrix) -> GbhReport:
     """Check M M* = v I and char R does not divide v; M* M = v I follows.
 
@@ -157,12 +128,13 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     that is no root of unity has order None; on the complex backend, a unit
     none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
 
-    The report's method names one of three routes. On an exact backend a
-    DFT up to permutations by its tree (_by_generator) is decided by its
-    generator, with w = v and no product (method "generator"): for i != j,
-    sum_k omega^((i-j)k) = 0, as omega has order exactly v. Else a matrix
-    whose tree has two or more leaves, all of them passing, is decided by
-    its leaves (method "tree"); its tree expands to it (see ght.matrix).
+    The report's method names one of three routes. On an exact backend M's
+    tree, which expands to M (see ght.matrix), may decide it, each node by
+    its kind (FactorTree.gbh_proof): a DFT up to permutations by its
+    generator, with w = v and no product (method "generator", see
+    DftNode.gbh_proof); else a tree of two or more leaves by its nodes,
+    each distinct leaf object passing by its product, checked once (method
+    "tree"): walsh(t) has t leaves and one of them.
     No tree, a one-leaf tree, the complex backend, whose tolerance is
     defined on M M* itself, and a failing leaf, whose failure positions the
     report lists, take the product M M* (method "numeric-lane").
@@ -173,22 +145,30 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     ring = M.ring
     ch = ring.characteristic()
     char_check = ch == 0 or v % ch != 0
-    if _by_generator(M):
-        return GbhReport(is_gbh=char_check, v=v, w=v, char_check=char_check, method="generator")
-    if ring.is_exact:
+    tree = M.tree if ring.is_exact else None
+    passed = {}  # leaf matrix -> whether its product passes
+
+    def leaf_passes(L):
+        if L not in passed:
+            passed[L] = len(tree.leaves()) > 1 and not _product_failures(L)
+        return passed[L]
+
+    proof = tree and tree.gbh_proof(leaf_passes)
+    if proof == "generator":
+        orders = [v]  # the powers of omega, whose orders have lcm v
+    elif ring.is_exact:
         orders = [ring._order(u.payload) for u in M.units]
     else:
         z = np.array([u.payload for u in M.units], dtype=np.complex128)
         orders = _complex_orders(z, 2 * v * ring.unit_order_hint(), ring.spec.tol)
-    by_tree = _leaves_pass(M)
-    failures = [] if by_tree else _product_failures(M)
+    failures = [] if proof else _product_failures(M)
     w = None if None in orders else math.lcm(*orders)
     return GbhReport(
         is_gbh=not failures and char_check,
         v=v,
         w=w,
         char_check=char_check,
-        method="tree" if by_tree else "numeric-lane",
+        method=proof or "numeric-lane",
         failures=failures,
     )
 
@@ -212,29 +192,29 @@ def dft_matrix(v, ring: RingContext) -> GMatrix:
     return DftNode(ring, v).expand()
 
 
-def _power_table(ring, powers, tree=None):
-    """The table [powers[j*k mod v]], v = len(powers)."""
+def _power_table(ring, powers):
+    """The table [powers[j*k mod v]], v = len(powers), without a tree."""
     v = len(powers)
     j = np.arange(v, dtype=np.min_scalar_type(v * v))  # j*k never wraps
-    return GMatrix._table(ring, powers, np.outer(j, j) % v, tree)
+    return GMatrix._table(ring, powers, np.outer(j, j) % v)
 
 
 @dataclass(frozen=True)
 class DftNode(FactorTree):
     """The DFT of order v over ring as its generator, which files write as
-    {"kind": "dft", "order": v}. Its table, built on first use, is the
-    matrix that dft_matrix(v, ring) returns, whose tree is this node; a ring
-    without a root of order v has none (RingError). Its walk and leaves are
-    those of its Good-Thomas tree, built on first walk, whose flat factors a
-    chain of tensor nodes takes in (FactorTree.factors). Its star is itself
+    {"kind": "dft", "order": v}. Its one power table, built on first use,
+    has no tree; expand() gives it this node as its tree, the matrix that
+    dft_matrix(v, ring) returns, held by a weak reference, so that a
+    dropped DFT is no reference cycle and is freed at once. A ring without
+    a root of order v has no table (RingError). Its walk and leaves are
+    those of its Good-Thomas tree, built on first walk. Its star is itself
     with the rows negated: F* = [omega^(-jk)] is F with row j moved to row
-    -j mod v, so that starring builds no table. On an exact backend
-    verify_gbh decides its table, permuted or not, by the node alone
-    (method "generator"): omega has order exactly v, so for i != j,
-    sum_k omega^((i-j)k) = 0."""
+    -j mod v, so that starring builds no table. On an exact backend it
+    proves its table GBH, permuted or not, by the node alone."""
 
     ring: RingContext
     v: int
+    kind = "dft"
 
     @property
     def order(self):
@@ -242,12 +222,19 @@ class DftNode(FactorTree):
 
     @cached_property
     def table(self):
-        F = _power_table(self.ring, self.ring.root_powers(self.v), self)
-        F._validate_units()
-        return F
+        T = _power_table(self.ring, self.ring.root_powers(self.v))
+        T._validate_units()
+        return T
 
     def expand(self):
-        return self.table
+        """The table with this node as its tree, one matrix while it lives."""
+        ref = self.__dict__.get("_expansion")
+        F = ref and ref()
+        if F is None:
+            T = self.table
+            F = GMatrix._table(self.ring, T.units, T.idx, self)
+            object.__setattr__(self, "_expansion", weakref.ref(F))
+        return F
 
     def star(self):
         return PermutedNode(self, *self._negated_rows)
@@ -257,6 +244,21 @@ class DftNode(FactorTree):
         """(j -> -j mod v, identity), which hold no reference to the node."""
         v = self.v
         return Permutation(tuple(-j % v for j in range(v))), Permutation.identity(v)
+
+    def gbh_proof(self, leaf_passes):
+        """A node exists only where omega = root_of_unity(v) has order
+        exactly v, so for i != j row i times row j starred is
+        sum_k omega^((i-j)k) = (omega^((i-j)v) - 1) / (omega^(i-j) - 1) = 0,
+        and the diagonal sums to v; its units are the v distinct powers of
+        omega, whose orders have lcm v."""
+        return "generator" if self.ring.is_exact else None
+
+    def to_json(self, write_leaf):
+        return {"kind": self.kind, "order": self.v}
+
+    @classmethod
+    def from_json(cls, data, read):
+        return cls(read.ring, read.order(data))
 
     @cached_property
     def factors(self):
@@ -304,5 +306,4 @@ class DftNode(FactorTree):
 def b3(ring: RingContext) -> GMatrix:
     """The normalised GBH(3, 3) built on a primitive cube root of unity: the
     table of dft_matrix(3), without a tree."""
-    F = dft_matrix(3, ring)
-    return GMatrix._table(ring, F.units, F.idx)
+    return DftNode(ring, 3).table

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbh import dft_matrix
+from .gbh import DftNode
 from .matrix import GMatrix, MatrixError, Permutation, equal, permute, tensor
 from .ring import RingContext
 
@@ -155,10 +155,10 @@ def rjt_permutation(n: int) -> Permutation:
 def jacketize_dft(n: int, ring: RingContext):
     """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
     columns, the complex reverse-jacket matrix, and that permutation."""
-    # the table of dft_matrix(2n) without its tree: RJT_n is one leaf of
-    # order 2n, so that the family trees keep their factor orders (2, 4, 2n)
-    F, p = dft_matrix(2 * n, ring), rjt_permutation(n)
-    return permute(GMatrix._table(ring, F.units, F.idx), p, p), p
+    # the DFT's power table, which has no tree: RJT_n is one leaf of order
+    # 2n, so that the family trees keep their factor orders (2, 4, 2n)
+    p = rjt_permutation(n)
+    return permute(DftNode(ring, 2 * n).table, p, p), p
 
 
 def dagger(B: GMatrix, K: GMatrix) -> GMatrix:

@@ -30,9 +30,10 @@ index array, transposed. A transform that applies the same matrix again
 writes no plane of it again.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
-products and index permutations; the transform module exploits the tree for
-fast application, and gbh.verify_gbh decides a matrix from its tree's leaves.
-A matrix's tree is None or expands to the matrix. tensor, permute, star,
+products and index permutations, which the transforms walk, gbh.verify_gbh
+decides a matrix by and ght.fileio writes; each node kind is one class that
+walks, proves and writes itself, so none of them asks a node its type. A
+matrix's tree is None or expands to the matrix. tensor, permute, star,
 gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
 tree_matches finds that. A node's expand() returns a matrix whose tree is
@@ -115,52 +116,59 @@ class Permutation:
 
 class FactorTree:
     """Construction record: leaf matrices combined by tensor products and
-    row/column permutations, or a generator's own node (see gbh)."""
-
-    @property
-    def order(self):
-        raise NotImplementedError
-
-    def expand(self) -> "GMatrix":
-        raise NotImplementedError
-
-    def star(self) -> "FactorTree":
-        """A tree of the starred matrix: (A (x) B)* = A* (x) B*, and starring
-        a permuted matrix swaps its row and column permutations."""
-        raise NotImplementedError
-
-    def leaves(self) -> tuple["GMatrix", ...]:
-        """The leaf matrices, left to right, one per leaf node: the factors'
-        matrices, a PermutedNode's read from its child; kept on the node on
-        first use (a cached_property's lock costs a transform's fresh node
-        about 2 us on Python 3.11). Beside them the node keeps their one
-        ring (leaf_ring)."""
-        if "_leaves" not in self.__dict__:
-            leaves = []
-            for f in self.factors:
-                leaves += f.child.leaves() if isinstance(f, PermutedNode) else (f.matrix,)
-            rings = {L.ring.spec: L.ring for L in leaves}
-            object.__setattr__(self, "_leaf_ring", rings.popitem()[1] if len(rings) == 1 else None)
-            object.__setattr__(self, "_leaves", tuple(leaves))
-        return self._leaves
-
-    @property
-    def leaf_ring(self) -> RingContext | None:
-        """The ring of the leaves, one of them, or None when their ring
-        specs differ."""
-        self.leaves()
-        return self._leaf_ring
+    row/column permutations, or a generator's own node (see gbh). A node
+    kind is one class that carries all the library does with it: order,
+    expand() and star(), a tree of the starred matrix; factors, walk and
+    leaves() for the transforms, of which it overrides walk or factors;
+    gbh_proof(leaf_passes), how it proves M M* = v I on an exact backend,
+    "generator", "tree" or None, given whether a leaf matrix L has
+    L L* = order * I (gbh); and for files its kind, to_json(write_leaf),
+    with each leaf matrix as write_leaf writes it, and the class method
+    from_json(data, read), with read the file's reader (ght.fileio)."""
 
     @property
     def factors(self) -> tuple["FactorTree", ...]:
-        """The Leaf and PermutedNode factors whose Kronecker product this node
-        is, left to right; a TensorNode keeps its flattened chain."""
+        """The factors of its Kronecker product, each walked as one."""
         return (self,)
+
+    @property
+    def operands(self) -> tuple["FactorTree", ...]:
+        """The nodes of its Kronecker product; a generator is one operand."""
+        return (self,)
+
+    def walk(self, X, den, big):
+        """Its matrix times the (order, n) lane batch X / den, as _walk."""
+        return _walk(self.factors, X, den, big)
+
+    def leaves(self) -> tuple["GMatrix", ...]:
+        """The leaf matrices, left to right, that a walk meets in reverse."""
+        return tuple(L for f in self.factors for L in f.leaves())
+
+    @property
+    def leaf_ring(self) -> RingContext | None:
+        """The one ring of the leaves, or None when their specs differ."""
+        rings = {L.ring.spec: L.ring for L in self.leaves()}
+        return rings.popitem()[1] if len(rings) == 1 else None
+
+
+def _walk(factors, X, den, big):
+    """(Y, den', big'): the product of the factors times each vector of the
+    batch X / den is Y / den', and big' >= max|Y| on the exact backends,
+    given big >= max|X|. Right to left, one transpose brings the axis of
+    each factor, of order a, to the front of the rows, and the factor walks
+    the batch as an (a, -1) array."""
+    c = X.shape[1]
+    for f in reversed(factors):
+        a = f.order
+        X = X.reshape(-1, a, c).transpose(1, 0, 2).reshape(a, -1)
+        X, den, big = f.walk(X, den, big)
+    return X.reshape(-1, c), den, big
 
 
 @dataclass(frozen=True)
 class Leaf(FactorTree):
     matrix: "GMatrix"
+    kind = "leaf"
 
     @property
     def order(self):
@@ -172,11 +180,28 @@ class Leaf(FactorTree):
     def star(self):
         return Leaf(star(self.matrix))
 
+    def walk(self, X, den, big):
+        return _lane_apply(self.matrix, X, den, big)
+
+    def leaves(self):
+        return (self.matrix,)
+
+    def gbh_proof(self, leaf_passes):
+        return "tree" if leaf_passes(self.matrix) else None
+
+    def to_json(self, write_leaf):
+        return {"kind": self.kind, "matrix": write_leaf(self.matrix)}
+
+    @classmethod
+    def from_json(cls, data, read):
+        return read.leaf(data)
+
 
 @dataclass(frozen=True)
 class TensorNode(FactorTree):
     left: FactorTree
     right: FactorTree
+    kind = "tensor"
 
     @property
     def order(self):
@@ -192,14 +217,23 @@ class TensorNode(FactorTree):
 
     @cached_property
     def operands(self):
-        """The nodes under this chain of tensor nodes, left to right; unlike
-        factors, a generator's node is one operand."""
-        sides = (self.left, self.right)
-        return tuple(n for s in sides for n in (s.operands if isinstance(s, TensorNode) else (s,)))
+        return self.left.operands + self.right.operands
 
     @cached_property
     def factors(self):
         return self.left.factors + self.right.factors
+
+    def gbh_proof(self, leaf_passes):
+        """(A (x) B)(A (x) B)* = A A* (x) B B*: by its operands."""
+        return "tree" if all(node.gbh_proof(leaf_passes) for node in self.operands) else None
+
+    def to_json(self, write_leaf):
+        return {"kind": self.kind, "left": self.left.to_json(write_leaf), "right": self.right.to_json(write_leaf)}
+
+    @classmethod
+    def from_json(cls, data, read):
+        left = read.node(data, "left")
+        return cls(left, read.node(data, "right", beside=left.order))
 
 
 @dataclass(frozen=True)
@@ -207,6 +241,7 @@ class PermutedNode(FactorTree):
     child: FactorTree
     rowp: Permutation
     colp: Permutation
+    kind = "permuted"
 
     @property
     def order(self):
@@ -223,6 +258,26 @@ class PermutedNode(FactorTree):
     def gathers(self):
         """(cols, rows): intp arrays, kept, with (P M Q) x = (M x[cols])[rows]."""
         return np.array(self.colp.image, dtype=np.intp), np.argsort(self.rowp.image)
+
+    def walk(self, X, den, big):
+        cols, rows = self.gathers
+        Y, den, big = self.child.walk(X[cols], den, big)
+        return Y[rows], den, big
+
+    def leaves(self):
+        return self.child.leaves()
+
+    def gbh_proof(self, leaf_passes):
+        """P M Q (P M Q)* = P M M* P^-1: by its child."""
+        return self.child.gbh_proof(leaf_passes)
+
+    def to_json(self, write_leaf):
+        child = self.child.to_json(write_leaf)
+        return {"kind": self.kind, "child": child, "row": list(self.rowp.image), "col": list(self.colp.image)}
+
+    @classmethod
+    def from_json(cls, data, read):
+        return cls(read.node(data, "child"), read.permutation(data, "row"), read.permutation(data, "col"))
 
 
 def _unit_table(entries):

@@ -13,9 +13,11 @@ A walk takes the shuffle form of the Kronecker product (Davio, "Kronecker
 products and shuffle algebra", 1981; Van Loan, "The ubiquitous Kronecker
 product", 2000). A chain of tensor nodes is one flat tuple of factors,
 leaves and permuted subtrees, kept on its node (FactorTree.factors), and a
-transform walks such a tuple right to left, so that the leaves meet the
-batch in the order reversed(tree.leaves()); before each factor one
-transpose brings that factor's axis to the front of the rows.
+transform walks such a tuple right to left (matrix._walk), so that the
+leaves meet the batch in the order reversed(tree.leaves()); before each
+factor one transpose brings that factor's axis to the front of the rows,
+and the factor walks itself (FactorTree.walk), as a node kind is one
+class: a permuted subtree is its child's walk between two gathers of rows.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
@@ -52,11 +54,10 @@ from .matrix import (
     GMatrix,
     Leaf,
     MatrixError,
-    PermutedNode,
     _decode_planes,
     _UnitLane,
-    _lane_apply,
     _lane_max,
+    _walk,
     star,
 )
 from .ring import RingContext
@@ -133,27 +134,6 @@ class Signal:
 class OpCount:
     mul: int = 0
     add: int = 0
-
-
-def _walk(factors, X, den, big):
-    """The product of the factors times each vector of the batch X / den, as
-    (Y, den', big') with the product equal to Y / den' and big' >= max|Y|
-    on the exact backends, given big >= max|X|. A factor of order a meets
-    the batch as an (a, -1) array: a leaf in matrix._lane_apply, a permuted
-    subtree as its child's walk between two gathers of rows."""
-    c = X.shape[1]
-    for f in reversed(factors):
-        a = f.order
-        X = X.reshape(-1, a, c).transpose(1, 0, 2).reshape(a, -1)
-        if isinstance(f, Leaf):
-            X, den, big = _lane_apply(f.matrix, X, den, big)
-        elif isinstance(f, PermutedNode):
-            cols, rows = f.gathers
-            X, den, big = _walk(f.child.factors, X[cols], den, big)
-            X = X[rows]
-        else:
-            raise MatrixError(f"unknown tree node {f!r}")
-    return X.reshape(-1, c), den, big
 
 
 def _lowest_terms(ring, y, den):

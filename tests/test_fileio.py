@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -312,7 +314,7 @@ def test_trees_are_read_against_the_declared_order(monkeypatch):
     # in either file form
     built = []
     power_table = gbh._power_table
-    monkeypatch.setattr(gbh, "_power_table", lambda ring, powers, tree=None: built.append(len(powers)) or power_table(ring, powers, tree))
+    monkeypatch.setattr(gbh, "_power_table", lambda ring, powers: built.append(len(powers)) or power_table(ring, powers))
     C = complex_ring()
     one = matrix_to_json(GMatrix.from_rows(C, [[C.one()]]))
     big = {"kind": "dft", "order": 4096}
@@ -451,3 +453,83 @@ def test_a_leaf_too_large_to_recur_is_not_keyed(tmp_path, monkeypatch):
     M = load_matrix(path)
     assert equal(M, tensor(walsh(1), big))
     assert [len(m["entries"]) for m in seen if isinstance(m, dict)] == [2]
+
+
+# sha256 of files as gen (or save_matrix) writes them, pinned before each node
+# kind wrote its own JSON: the file bytes do not depend on where that code lives
+GOLDEN = {
+    "walsh:3": ("e0a92e90e1d672184a510cb6aae380d5284ade2edcd0cac3fab0318f898dedba", 525),
+    "walsh:12": ("a92eaac7925d044a684c3dc0210fb3392167e27a049502487721e167af850500", 2058),
+    "dft:12 --ring cyclotomic:12": ("5071a3397979d615098dd7cfccaf79571e21c041ae9e0463cb12848d76e74cad", 103),
+    "family:1,1,1,3,2": ("28fe4e21700d7f90af4a0bc3d2043c415bc5f05e8b6d2090a46ac100e080e18f", 1534),
+    "k3 --ring cyclotomic:6": ("b19e590b591df4cb421c7df676e2ac60399c4242f8366934628f821168028643", 697),
+    "cbt:4": ("d3d2259ccda9e0bbeae6db2771e92e5c2f9fd9a94746d8f06f659588e7e0cdf1", 4339),
+    "star(dft_matrix(12, cyclotomic(12)))": ("ee5efa85f5b305d7d3d7880009e4d3a2cb01a7d98a345ed10e884d40d8009b26", 228),
+}
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN))
+def test_files_keep_their_golden_bytes(tmp_path, job):
+    path = tmp_path / "m.json"
+    if job.startswith("star("):
+        save_matrix(star(dft_matrix(12, cyclotomic(12))), path)
+    else:
+        assert main(["gen", *job.split(), "-o", str(path)]) == 0
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN[job]
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize("module, name, error", [(json, "dumps", MemoryError), (os, "replace", OSError)])
+def test_a_failed_save_keeps_the_file_it_would_replace(tmp_path, monkeypatch, module, name, error):
+    # the text is encoded before any file is opened, and a new file that
+    # fails to replace the old one is removed again
+    path = tmp_path / "m.json"
+    save_matrix(walsh(2), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(module, name, _raising(error))
+    with pytest.raises(error):
+        save_matrix(walsh(3), path)
+    with pytest.raises(error):
+        save_signal(Signal.from_ints(rationals(), [1, 2]), tmp_path / "x.json")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_written_files_keep_the_modes_that_open_gives(tmp_path):
+    # a new file is 0o666 less the umask, as open(path, "w") makes it; a
+    # replaced file keeps its mode, and a link is written through
+    umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.json"
+        save_matrix(walsh(2), new)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    finally:
+        os.umask(umask)
+    old = tmp_path / "old.json"
+    old.write_text("{}")
+    old.chmod(0o604)
+    link = tmp_path / "link.json"
+    link.symlink_to(old)
+    save_matrix(walsh(2), link)
+    assert link.is_symlink() and stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert equal(load_matrix(old), walsh(2))
+
+
+def test_a_file_that_is_no_regular_file_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        save_matrix(walsh(1), fifo)
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert equal(matrix_from_json(json.loads(data)), walsh(1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]

@@ -628,9 +628,9 @@ def test_good_thomas_trees_expand_to_the_dft(v):
             assert [u.payload for u in L.units] == [u.payload for u in D.units]
             assert np.array_equal(L.idx, D.idx)
         # the node is its generator: it expands to F itself, and at a prime
-        # power F is its one leaf
-        assert F.tree.expand() is F
-        assert F.tree.leaves() == (F,) or not _prime_power(v)
+        # power its one leaf is its power table, which shares F's index
+        assert F.tree.expand() is F and F.tree.table.idx is F.idx
+        assert F.tree.leaves() == (F.tree.table,) or not _prime_power(v)
 
 
 @pytest.mark.parametrize("v", [8, 9, 12, 60, 1024])
@@ -638,7 +638,7 @@ def test_star_keeps_a_dft_and_its_star_on_each_other(v, monkeypatch):
     # star(star(M)) is M itself; F* = [omega^(-jk)] is F with row j moved to
     # row -j mod v, so the starred tree is F's node with its rows negated, it
     # builds no table and no Good-Thomas tree, and at a prime power its one
-    # leaf is F
+    # leaf is F's power table
     neg = Permutation(tuple(-j % v for j in range(v)))
     tables = []
     power_table = gbh._power_table
@@ -650,7 +650,7 @@ def test_star_keeps_a_dft_and_its_star_on_each_other(v, monkeypatch):
         assert star(S) is F and star(F) is S and tree_matches(S.tree, S)
         assert S.tree == PermutedNode(F.tree, neg, Permutation.identity(v))
         assert "good_thomas" not in vars(F.tree)
-        assert S.tree.leaves() == (F,) or not _prime_power(v)
+        assert S.tree.leaves() == (F.tree.table,) or not _prime_power(v)
     assert tables == []
     W = walsh(3)
     assert star(star(W)) is W

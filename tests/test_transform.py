@@ -37,7 +37,7 @@ from ght import (
     tensor,
     walsh,
 )
-from ght import transform
+from ght import matrix, transform
 from ght.matrix import tree_matches
 from ght.ring import ComplexContext, CyclotomicContext, RationalsContext, RingError
 from ght.transform import OpCount, tree_cost
@@ -476,8 +476,8 @@ def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     ring = cyclotomic(v)
     F = dft_matrix(v, ring)
     orders = []
-    lane_apply = transform._lane_apply
-    monkeypatch.setattr(transform, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
+    lane_apply = matrix._lane_apply
+    monkeypatch.setattr(matrix, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
     x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
     assert ight(F, ght(F, x)) == x
     assert orders == leaf_orders + leaf_orders + [1]
@@ -505,7 +505,8 @@ def test_star_keeps_a_tree_that_both_transforms_walk(case):
 
 def test_a_first_ight_of_a_prime_power_dft_inverts_its_units_once(monkeypatch):
     # star(F) inverts the 1024 units of F, and F's tree stars to F with its
-    # rows negated, whose one leaf is F, instead of inverting a second table;
+    # rows negated, whose one leaf is F's power table, instead of inverting a
+    # second table;
     # the 1/v leaf inverts one more unit, and a second ight inverts none
     C = complex_ring()
     F = dft_matrix(1024, C)
@@ -516,7 +517,7 @@ def test_a_first_ight_of_a_prime_power_dft_inverts_its_units_once(monkeypatch):
     x = Signal.from_ints(C, [(7 * k) % 19 - 9 for k in range(1024)])
     y = ight(F, x)
     assert len(calls) == 1025 and ight(F, x) == y and len(calls) == 1025
-    assert star(F).tree.leaves() == (F,)
+    assert star(F).tree.leaves() == (F.tree.table,)
 
 
 def test_a_first_ight_of_dft60_inverts_only_the_units_of_its_star(monkeypatch):
@@ -537,8 +538,8 @@ def test_transforms_walk_a_tree_only_from_walk_min(monkeypatch):
     # walsh(12), 4096 lane values per column, walks its 12 leaves both ways;
     # walsh(7), 128, takes one table each way; ight adds its 1/v leaf
     orders, stars = [], []
-    lane_apply = transform._lane_apply
-    monkeypatch.setattr(transform, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
+    lane_apply = matrix._lane_apply
+    monkeypatch.setattr(matrix, "_lane_apply", lambda M, *a: orders.append(M.order) or lane_apply(M, *a))
     for node in (Leaf, TensorNode, PermutedNode):
         monkeypatch.setattr(node, "star", lambda t, f=node.star: stars.append(t) or f(t))
     for t, leaves in ((12, [2] * 12), (7, [128])):

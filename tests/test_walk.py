@@ -78,9 +78,9 @@ def test_a_walk_calls_the_kernel_once_per_leaf_in_reverse_order(case):
     tree, x = case
     ring, M = x.ring, tree.expand()
     calls = []
-    lane_apply = transform._lane_apply
+    lane_apply = matrix._lane_apply
     kernel = lambda A, *a: calls.append(A) or lane_apply(A, *a)
-    with mock.patch.object(transform, "WALK_MIN", 1), mock.patch.object(transform, "_lane_apply", kernel):
+    with mock.patch.object(transform, "WALK_MIN", 1), mock.patch.object(matrix, "_lane_apply", kernel):
         fast_apply(tree, x)
         leaves = list(reversed(tree.leaves()))
         assert [A.order for A in calls] == [L.order for L in leaves]
@@ -115,7 +115,7 @@ def _checked_kernel(dtypes):
 
 def _patched_kernel(stack, dtypes):
     kernel = _checked_kernel(dtypes)
-    for module in (transform, gbh, matrix):
+    for module in (gbh, matrix):
         stack.enter_context(mock.patch.object(module, "_lane_apply", kernel))
 
 
