@@ -279,16 +279,10 @@ def _perfect_rows(phases):
     return phases
 
 
-def _is_q4(ring):
-    return ring is None or (ring.spec.kind, ring.spec.w) == ("cyclotomic-rationals", 4)
-
-
 def is_perfect(s: QuadriphaseSequence, ring: RingContext | None = None) -> bool:
-    """All nonzero cyclic shifts have vanishing autocorrelation: over
-    Q(zeta_4) (the default) by _perfect_rows, over other rings by the sums of
-    the elements."""
-    if _is_q4(ring):
-        return len(_perfect_rows(np.array([s.phases], dtype=np.int8))) == 1
+    """All nonzero cyclic shifts have vanishing autocorrelation over ring,
+    Q(zeta_4) by default."""
+    ring = ring if ring is not None else ringmod.cyclotomic(4)
     zero = ring.zero()
     return all(autocorrelation(s, tau, ring) == zero for tau in range(1, s.length))
 

@@ -132,10 +132,11 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     tree, which expands to M (see ght.matrix), may decide it, each node by
     its kind (FactorTree.gbh_proof): a DFT up to permutations by its
     generator, with w = v and no product (method "generator", see
-    DftNode.gbh_proof); else a tree of two or more leaves by its nodes,
-    each distinct leaf object passing by its product, checked once (method
-    "tree"): walsh(t) has t leaves and one of them.
-    No tree, a one-leaf tree, the complex backend, whose tolerance is
+    DftNode.gbh_proof); else a tree by its nodes, each distinct leaf object
+    passing by its product, checked once (method "tree"): walsh(t) has t
+    leaves and one of them. A leaf passes only when it is smaller than M,
+    as a leaf of M's order costs M's own product.
+    No tree, a leaf of M's order, the complex backend, whose tolerance is
     defined on M M* itself, and a failing leaf, whose failure positions the
     report lists, take the product M M* (method "numeric-lane").
     """
@@ -150,7 +151,7 @@ def verify_gbh(M: GMatrix) -> GbhReport:
 
     def leaf_passes(L):
         if L not in passed:
-            passed[L] = len(tree.leaves()) > 1 and not _product_failures(L)
+            passed[L] = L.order < v and not _product_failures(L)
         return passed[L]
 
     proof = tree and tree.gbh_proof(leaf_passes)

@@ -5,7 +5,10 @@ A jacket matrix is a normalised GBH of even order whose last row and column
 consist of +1/-1; its width m is the largest number of +1/-1 border rows and
 columns that can be arranged symmetrically (m at the top, m at the bottom, the
 all-1s row first). Width 1 certifies primality: such a matrix cannot split as
-a tensor product of smaller jacket matrices.
+a tensor product of smaller jacket matrices. perm_equivalent decides row and
+column permutation equivalence by a depth-first search over column
+assignments in ascending order, one node per candidate column, pruned by the
+row multisets of the assigned columns, with the rows matched in order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbh import DftNode
-from .matrix import GMatrix, MatrixError, Permutation, equal, permute, tensor
+from .matrix import GMatrix, MatrixError, Permutation, _check_same_ring, equal, permute, tensor
 from .ring import RingContext
 
 PRIMARY_BY_WIDTH = "primary-by-width"
@@ -178,86 +181,54 @@ def dagger(B: GMatrix, K: GMatrix) -> GMatrix:
 def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     """Search for permutations (sigma, tau) with permute(A, sigma, tau) == B.
 
-    Backtracks over the column assignment with row-multiset pruning; branches
-    lexicographically, so the witness is deterministic. Returns the pair, or
-    None when no equivalence exists. Raises SearchBudgetExceeded when the node
-    cap is hit before the search is decided.
+    With both index arrays coded by one unit table, B's columns are assigned
+    in turn, each to an untaken column of A with the same sorted codes, tried
+    in ascending order. Each such candidate is one node, kept while the rows
+    of A and of B on the columns assigned so far are one multiset. Once all
+    are assigned, each row of B in order takes the first untaken row of A
+    with its entries (by stable sorts of the rows), and the pair is returned
+    if permute(A, sigma, tau) == B, so the witness is the first in that
+    order. None when no equivalence exists; SearchBudgetExceeded when more
+    than node_budget nodes leave it undecided.
     """
     if A.order != B.order:
         raise MatrixError("order mismatch")
-    if A.ring.spec != B.ring.spec:
-        raise MatrixError("ring mismatch")
+    _check_same_ring(A, B)
     v = A.order
     # a unit's code: the first unit of A, else of B, that it ==; complex units
     # are unhashable, because == within a tolerance is not transitive
     units = A.units + B.units
     codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
-    akeys = codes[: len(A.units)][A.idx].tolist()
-    bkeys = codes[len(A.units) :][B.idx].tolist()
-    acol_sig = [tuple(sorted(akeys[i][j] for i in range(v))) for j in range(v)]
-    bcol_sig = [tuple(sorted(bkeys[i][j] for i in range(v))) for j in range(v)]
-    if Counter(acol_sig) != Counter(bcol_sig):
+    a, b = codes[: len(A.units)][A.idx], codes[len(A.units) :][B.idx]
+    asig, bsig = (np.sort(x, axis=0).T.tolist() for x in (a, b))
+    if sorted(asig) != sorted(bsig):
         return None
-
-    assign = [-1] * v  # assign[bcol] = acol
-    used = [False] * v
+    acols, bcols = a.T.tolist(), b.T.tolist()
+    assign = []  # assign[bcol] = acol
     nodes = 0
 
-    def prefix_ok(depth):
-        ap = Counter(
-            tuple(akeys[i][assign[d]] for d in range(depth)) for i in range(v)
-        )
-        bp = Counter(tuple(bkeys[i][d] for d in range(depth)) for i in range(v))
-        return ap == bp
-
-    def match_rows():
-        groups = {}
-        for i in range(v):
-            key = tuple(akeys[i][assign[d]] for d in range(v))
-            groups.setdefault(key, []).append(i)
-        rimg = [-1] * v
-        for brow in range(v):
-            key = tuple(bkeys[brow])
-            bucket = groups.get(key)
-            if not bucket:
-                return None
-            rimg[bucket.pop(0)] = brow
-        return Permutation(tuple(rimg))
-
-    def backtrack(depth):
+    def search():
         nonlocal nodes
+        depth = len(assign)
         if depth == v:
-            rowp = match_rows()
-            if rowp is None:
-                return None
-            colp = Permutation(
-                tuple(
-                    bcol
-                    for _, bcol in sorted(
-                        (assign[b], b) for b in range(v)
-                    )
-                )
-            )
-            if equal(permute(A, rowp, colp), B):
-                return rowp, colp
-            return None
+            rimg = np.empty(v, dtype=np.intp)
+            rimg[np.lexsort(a[:, assign].T)] = np.lexsort(b.T)
+            rowp, colp = Permutation(tuple(rimg.tolist())), Permutation(tuple(assign)).inverse()
+            return (rowp, colp) if equal(permute(A, rowp, colp), B) else None
         for acol in range(v):
-            if used[acol] or acol_sig[acol] != bcol_sig[depth]:
+            if acol in assign or asig[acol] != bsig[depth]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(f"node budget {node_budget} exceeded")
-            assign[depth] = acol
-            used[acol] = True
-            if prefix_ok(depth + 1):
-                found = backtrack(depth + 1)
-                if found is not None:
-                    return found
-            used[acol] = False
-            assign[depth] = -1
+            assign.append(acol)
+            found = Counter(zip(*(acols[c] for c in assign))) == Counter(zip(*bcols[: depth + 1])) and search()
+            if found:
+                return found
+            assign.pop()
         return None
 
-    return backtrack(0)
+    return search()
 
 
 def brute_width(M: GMatrix) -> int:

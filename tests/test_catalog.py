@@ -3,6 +3,7 @@ quadriphase perfect-sequence machinery."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ght import (
@@ -32,7 +33,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
-from ght.catalog import _shift_counts, complex_rjt, from_token
+from ght.catalog import _perfect_rows, _shift_counts, complex_rjt, from_token
 from ght.jacket import jacketize_dft
 from ght.matrix import MatrixError
 from ght.ring import RingError
@@ -324,12 +325,13 @@ def test_from_token():
 
 
 def test_is_perfect_count_path_matches_the_element_path():
-    # over Q(zeta_4) is_perfect runs the search's count test; Q(zeta_8) and C
-    # hold i as well and take the element path, as does autocorrelation itself
+    # the search's count test (_perfect_rows) decides what the sums of the
+    # elements decide, over Q(zeta_4) and over Q(zeta_8) and C, which hold i
     q4, q8, c = cyclotomic(4), cyclotomic(8), complex_ring()
     for L in range(1, 7):
         for tail in itertools.product(range(4), repeat=L - 1):
             s = QuadriphaseSequence((0,) + tail)
             want = all(autocorrelation(s, tau, q4) == q4.zero() for tau in range(1, L))
+            assert (len(_perfect_rows(np.array([s.phases], dtype=np.int8))) == 1) == want, s
             assert is_perfect(s) == is_perfect(s, q4) == want, s
             assert is_perfect(s, q8) == is_perfect(s, c) == want, s

@@ -575,6 +575,21 @@ def test_a_tree_of_dft_leaves_takes_no_product(monkeypatch):
     assert (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures) == _reference_report(M)
 
 
+def test_a_dft_beside_a_leaf_is_proved_without_its_good_thomas_tree():
+    # a leaf passes by its own product only when it is smaller than M, which
+    # the proof reads from the leaf's order: it counts no leaves, so the DFT
+    # node beside it builds no Good-Thomas tree, as built and under a row
+    # reversal
+    ring = cyclotomic(1020)
+    M = tensor(dft_matrix(1020, ring), walsh(1, ring))
+    node = M.tree.operands[0]
+    reverse = Permutation(tuple(range(M.order - 1, -1, -1)))
+    for P in (M, permute(M, reverse, Permutation.identity(M.order))):
+        rep = verify_gbh(P)
+        assert (rep.method, rep.is_gbh, rep.w, rep.failures) == ("tree", True, 1020, [])
+    assert isinstance(node, DftNode) and "good_thomas" not in vars(node)
+
+
 def test_a_planted_dft_table_takes_the_product_and_fails():
     # one entry of the DFT changed: a table without a tree takes the product,
     # and the same table given the DFT's node drops it, as the node does not

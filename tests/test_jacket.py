@@ -1,14 +1,19 @@
 """Jacket form, width, jacketizations, the dagger construction, and the
 permutation-equivalence search."""
 
+import itertools
+import random
+
 import pytest
 
 from ght import (
     GMatrix,
     MatrixError,
     Permutation,
+    QuadriphaseSequence,
     SearchBudgetExceeded,
     b3,
+    back_circulant,
     brute_width,
     cbt,
     complex_ring,
@@ -27,6 +32,7 @@ from ght import (
     k3,
     k4,
     k6,
+    normalize,
     perm_equivalent,
     permute,
     rationals,
@@ -35,6 +41,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
+from ght.catalog import from_token
 
 
 def test_jacket_form_examples():
@@ -257,12 +264,14 @@ def test_perm_equivalent_reflexive():
     assert rowp.is_identity() and colp.is_identity()
 
 
-def test_perm_equivalent_compares_by_ring_equality():
+def _ring_pair():
     ring = complex_ring()
     z = 0.1234565  # z and z + 4e-10 are equal within tol but key() rounds them apart
-    A, B = (
-        GMatrix.from_rows(ring, [[1, 1], [1, ring.element(complex(w))]]) for w in (z, z + 4e-10)
-    )
+    return tuple(GMatrix.from_rows(ring, [[1, 1], [1, ring.element(complex(w))]]) for w in (z, z + 4e-10))
+
+
+def test_perm_equivalent_compares_by_ring_equality():
+    A, B = _ring_pair()
     assert equal(A, B)
     rowp, colp = perm_equivalent(A, B)
     assert equal(permute(A, rowp, colp), B)
@@ -324,3 +333,124 @@ def test_perm_equivalent_budget():
 def test_perm_equivalent_order_mismatch():
     with pytest.raises(MatrixError):
         perm_equivalent(walsh(1), walsh(2))
+
+
+# --- the search held to fixed witnesses and node counts, and to a reference ---
+
+
+def _affine(v, m, s):
+    """i -> m i + s mod v, a permutation for m prime to v."""
+    return Permutation(tuple((m * i + s) % v for i in range(v)))
+
+
+def _shuffled(token, rows, cols):
+    A = from_token(token)
+    return A, permute(A, _affine(A.order, *rows), _affine(A.order, *cols))
+
+
+_FAMILY_ROWS = [3, 41, 31, 7, 17, 27, 39, 29, 19, 43, 5, 15, 45, 35, 25, 1, 11, 21, 33, 23, 13, 37, 47, 9]
+_FAMILY_ROWS += [20, 30, 40, 16, 6, 44, 32, 42, 4, 28, 18, 8, 26, 36, 46, 22, 12, 2, 38, 0, 10, 34, 24, 14]
+_FAMILY_COLS = [5, 3, 1, 25, 27, 29, 0, 2, 4, 28, 26, 24, 30, 32, 34, 10, 8, 6, 11, 9, 7, 31, 33, 35]
+_FAMILY_COLS += [12, 14, 16, 40, 38, 36, 41, 39, 37, 13, 15, 17, 23, 21, 19, 43, 45, 47, 18, 20, 22, 46, 44, 42]
+
+# (pair, witness images or None, the smallest node budget that decides it)
+_GOLDEN = {
+    "k4-permuted": (
+        lambda: (k4(), permute(k4(), Permutation((4, 2, 0, 6, 1, 3, 7, 5)), Permutation((3, 1, 5, 0, 7, 2, 4, 6)))),
+        ([4, 6, 3, 2, 7, 0, 1, 5], [3, 0, 2, 1, 4, 5, 7, 6]),
+        9,
+    ),
+    "back-circulant-k4": (
+        lambda: (normalize(back_circulant(QuadriphaseSequence((0, 0, 0, 1, 2, 0, 2, 1))))[0], k4()),
+        ([0, 3, 5, 1, 7, 4, 2, 6], [0, 1, 2, 3, 7, 6, 5, 4]),
+        11,
+    ),
+    "3x3-exhausted": (
+        lambda: tuple(
+            GMatrix.from_rows(rationals(), rows)
+            for rows in ([[1, 1, -1], [1, -1, 1], [-1, 1, 1]], [[1, 1, 1], [1, -1, -1], [-1, 1, 1]])
+        ),
+        None,
+        15,
+    ),
+    "k4-walsh3-signatures": (lambda: (k4(), walsh(3, cyclotomic(4))), None, 0),
+    "k6:2": (
+        lambda: _shuffled("k6:2", (5, 1), (7, 2)),
+        ([1, 11, 6, 0, 10, 5, 3, 4, 2, 9, 7, 8], [2, 4, 9, 3, 5, 10, 0, 11, 1, 6, 8, 7]),
+        15,
+    ),
+    "family:1,1,1,3,2": (lambda: _shuffled("family:1,1,1,3,2", (7, 3), (11, 5)), (_FAMILY_ROWS, _FAMILY_COLS), 119),
+    "cbt:3": (
+        lambda: _shuffled("cbt:3", (3, 1), (5, 2)),
+        ([1, 4, 7, 2, 6, 3, 0, 5], [2, 3, 0, 1, 6, 7, 4, 5]),
+        8,
+    ),
+    "complex": (_ring_pair, ([0, 1], [0, 1]), 2),
+}
+
+
+@pytest.mark.parametrize("name", _GOLDEN)
+def test_perm_equivalent_keeps_its_witnesses_and_node_counts(name):
+    # each pair's witness (or None) and the fewest nodes that decide it,
+    # which `ght equiv` prints and `--budget` counts: a change to the branch
+    # order, the pruning or the row matching moves them
+    build, want, budget = _GOLDEN[name]
+    A, B = build()
+    found = perm_equivalent(A, B, node_budget=budget)
+    assert (found and tuple(list(p.image) for p in found)) == want
+    if budget:
+        with pytest.raises(SearchBudgetExceeded, match=f"^node budget {budget - 1} exceeded$"):
+            perm_equivalent(A, B, node_budget=budget - 1)
+
+
+def _reference_equivalent(A, B):
+    """The first column assignment, in itertools.permutations order, under
+    which A's rows and B's rows are one multiset of unit codes and the rows,
+    matched in order, give permute(A, sigma, tau) == B; brute force."""
+    v, units = A.order, []
+
+    def code(u):
+        for k, w in enumerate(units):
+            if w == u:
+                return k
+        units.append(u)
+        return len(units) - 1
+
+    a = [[code(A.entry(i, j)) for j in range(v)] for i in range(v)]
+    b = [tuple(code(B.entry(i, j)) for j in range(v)) for i in range(v)]
+    for assign in itertools.permutations(range(v)):
+        arows = [tuple(row[c] for c in assign) for row in a]
+        if sorted(arows) != sorted(b):
+            continue
+        rimg, free = [0] * v, list(range(v))
+        for brow, key in enumerate(b):
+            i = next(i for i in free if arows[i] == key)
+            free.remove(i)
+            rimg[i] = brow
+        cimg = [0] * v
+        for bcol, acol in enumerate(assign):
+            cimg[acol] = bcol
+        rowp, colp = Permutation(tuple(rimg)), Permutation(tuple(cimg))
+        if equal(permute(A, rowp, colp), B):
+            return rowp, colp
+    return None
+
+
+@pytest.mark.parametrize("ring", [cyclotomic(4), complex_ring()], ids=["Q4", "C"])
+def test_perm_equivalent_matches_a_brute_force_reference(ring):
+    # seeded pairs of order <= 6 over i's powers: three in five a permuted
+    # copy, the rest drawn at random from two units, often equivalent
+    rng = random.Random(33)
+    powers = ring.root_powers(4)
+    for _ in range(150):
+        v = rng.randint(1, 6)
+        alphabet = powers if rng.random() < 0.6 else rng.sample(powers, 2)
+        draw = lambda: GMatrix.from_rows(ring, [[rng.choice(alphabet) for _ in range(v)] for _ in range(v)])
+        A = draw()
+        if alphabet is powers:
+            rowp, colp = (Permutation(tuple(rng.sample(range(v), v))) for _ in range(2))
+            B = permute(A, rowp, colp)
+        else:
+            B = draw()
+        found, want = perm_equivalent(A, B), _reference_equivalent(A, B)
+        assert found == want, (A.rows(), B.rows())

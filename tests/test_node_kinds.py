@@ -107,7 +107,12 @@ def test_a_node_kind_defined_outside_the_library_walks_stars_and_verifies(M):
     S = star(M)
     assert tree_matches(S.tree, S) and equal(S, star(plain))
     report, reference = verify_gbh(M), verify_gbh(plain)
-    assert report.method == ("tree" if len(tree.leaves()) > 1 else "numeric-lane")
+    # the node proves by its child: "tree" when each leaf that the proof
+    # passes by its own product is smaller than M (a DFT passes none), else
+    # M's own product, as a leaf of M's order would cost as much
+    proved = []
+    tree.gbh_proof(lambda L: proved.append(L.order) or True)
+    assert report.method == ("tree" if max(proved, default=0) < M.order else "numeric-lane")
     assert (report.is_gbh, report.v, report.w, report.failures) == (True, M.order, reference.w, [])
 
 
