@@ -12,8 +12,9 @@ A matrix file takes one of two forms:
   which loads as gbh.dft_matrix(v, ring), the table of gbh.DftNode(ring, v).
   The loader expands the tree, so nothing can contradict it, and returns
   the expansion, whose tree is the file's (TensorNode.expand): the left-deep
-  chain of a walsh:12 file is expanded balanced, by block writes, in about
-  as long as walsh(12) takes to build. Identical leaves load as one.
+  chain of a walsh:12 file is expanded balanced, its units checked at once
+  and its index left pending (ght.matrix), written by blocks on first read.
+  Identical leaves load as one.
 - with entries, {"ring", "order", "entries", "tree"}: save_matrix writes this
   for a matrix without a tree, and matrix_to_json always does. A tree given
   here must expand to exactly the entries (matrix.tree_matches).
@@ -173,9 +174,10 @@ def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
     may exceed the declared order.
 
     A tree-only file (a tree and no "entries") is the expansion of its tree,
-    whose order must be the declared one. Otherwise the factor tree, if any,
-    must expand to exactly the entries, and the decoded elements of the
-    entries (see _decoded) make the units."""
+    whose order must be the declared one; its units are checked, and its
+    index, pending, is read only to name the place of a bad unit. Otherwise
+    the factor tree, if any, must expand to exactly the entries, and the
+    decoded elements of the entries (see _decoded) make the units."""
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
     v = _field(data, "order")
     if not isinstance(v, (int, float)) or not 0 <= v <= limit:

@@ -195,10 +195,15 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
         raise MatrixError("order mismatch")
     _check_same_ring(A, B)
     v = A.order
-    # a unit's code: the first unit of A, else of B, that it ==; complex units
-    # are unhashable, because == within a tolerance is not transitive
+    # a unit's code: the first unit of A, else of B, that it equals, by its
+    # canonical payload on an exact backend, as equal codes units; complex
+    # units are compared pairwise, as == within a tolerance is not transitive
     units = A.units + B.units
-    codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
+    if A.ring.is_exact:
+        first = {}
+        codes = np.array([first.setdefault(u.payload, len(first)) for u in units])
+    else:
+        codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
     a, b = codes[: len(A.units)][A.idx], codes[len(A.units) :][B.idx]
     asig, bsig = (np.sort(x, axis=0).T.tolist() for x in (a, b))
     if sorted(asig) != sorted(bsig):

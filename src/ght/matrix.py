@@ -19,15 +19,25 @@ _lane_batch lays it out, or signals) in one BLAS product per block of rows,
 reduced by one product with the ring's reduced powers of x (_fold) and
 modulo p: in floats while that is exact, in Python integers past that.
 
-A matrix is immutable, so what is derived from it is derived once: the first
-star(M), with M's tree starred, is kept and returned again, and the first use
-of M in the lane keeps the lane form of its units (planes, denominator,
+A matrix is immutable, so what is derived from it is derived once: the
+index array of a matrix built from factors (tensor, the expansion of a tree,
+and star of such a matrix), written on its first read; the first
+star(M), with M's tree starred, kept and returned again; and, on the first
+use of M in the lane, the lane form of its units (planes, denominator,
 nonzero planes, their largest value, the stacked planes per dtype, and the
 kept operand per dtype, the stacked planes at idx, where that has at most
 _BLOCK_VALUES values). The memos hold O(#units * d) values besides the
 kept operands, never O(v^2) for a matrix past that cap: star(M) shares M's
-index array, transposed. A transform that applies the same matrix again
-writes no plane of it again.
+index array, transposed, or, while that is pending, waits to read it. A
+transform that applies the same matrix again writes no plane of it again.
+
+Such a matrix forms its units at once, O(#units^2) products over its
+operands, and its O(v^2) index only when something reads idx: a table
+operation (permute, normalize, equal, mat_mul, scalar_mul, rows, the form
+with entries of ght.fileio) or a product in the lane. A walk of its
+tree, its proof by the tree or by its generator (gbh.verify_gbh reads its
+units only) and the tree-only save never do, so walsh(12) and the load of a
+walsh:12 file hold about 20 KB (tracemalloc), not the 16 MB of its index.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
 products and index permutations, which the transforms walk, gbh.verify_gbh
@@ -248,8 +258,9 @@ class PermutedNode(FactorTree):
         return self.child.order
 
     def expand(self):
-        M = permute(self.child.expand(), self.rowp, self.colp)
-        return GMatrix._table(M.ring, M.units, M.idx, self)
+        """The child's expansion permuted, whose index is pending while the
+        child's is."""
+        return _permute(self.child.expand(), self)
 
     def star(self):
         return PermutedNode(self.child.star(), self.colp, self.rowp)
@@ -291,6 +302,20 @@ def _unit_table(entries):
     return [e for _, e in first.values()], np.array(codes, dtype=np.intp)
 
 
+@dataclass(frozen=True)
+class _Pending:
+    """An index array not yet written: write() returns it, order x order."""
+
+    order: int
+    write: object
+
+
+def _derived(M, write):
+    """write(), an index array read from M's, now when M's index is written,
+    else pending until it is read."""
+    return write() if M._pending is None else _Pending(M.order, write)
+
+
 class GMatrix:
     """Immutable square matrix of ring units: entry(i, j) == units[idx[i, j]].
 
@@ -298,9 +323,15 @@ class GMatrix:
     whose values are embedded through the ring (a +1/-1 Sylvester array over
     the rationals, say). Each distinct unit is validated once. A tree given
     here is kept when tree_matches(tree, M), and dropped otherwise.
+
+    The units are always at hand. The index array of a matrix built from
+    factors (tensor, a tree's expansion, and star of such a matrix) is
+    pending: it is written the first time idx is read, kept read-only, and
+    never written again, so that a transform or a proof that reads only the
+    factors never writes it.
     """
 
-    __slots__ = ("ring", "order", "tree", "units", "idx", "_star", "_lane", "__weakref__")
+    __slots__ = ("ring", "order", "tree", "units", "_pending", "_star", "_lane", "_idx", "__weakref__")
 
     def __init__(self, ring: RingContext, array, tree=None):
         a = np.asarray(array)
@@ -331,18 +362,32 @@ class GMatrix:
 
     @classmethod
     def _table(cls, ring, units, idx, tree=None):
-        """Unchecked matrix from a unit list and an index array; the caller
-        vouches for the units and for the tree."""
+        """Unchecked matrix from a unit list and an index array or a pending
+        one (_Pending); the caller vouches for the units and for the tree."""
         M = object.__new__(cls)
         M._fill(ring, units, idx, tree)
         return M
 
     def _fill(self, ring, units, idx, tree):
-        idx = idx.astype(np.min_scalar_type(len(units) - 1), copy=False)
-        idx.flags.writeable = False
-        values = (ring, len(idx), tree, tuple(units), idx, None, None)
+        pending = idx if isinstance(idx, _Pending) else None
+        values = (ring, len(idx) if pending is None else pending.order, tree, tuple(units), pending, None, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        if pending is None:
+            self._keep(idx)
+
+    def _keep(self, idx):
+        """Keep idx as the index array, read-only, in the narrowest type."""
+        idx = idx.astype(np.min_scalar_type(len(self.units) - 1), copy=False)
+        idx.flags.writeable = False
+        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_pending", None)
+        return idx
+
+    @property
+    def idx(self):
+        """The index array; the first read of a pending one writes it."""
+        return self._idx if self._pending is None else self._keep(self._pending.write())
 
     def __setattr__(self, name, value):
         raise AttributeError("GMatrix is immutable")
@@ -420,36 +465,52 @@ def star(M: GMatrix) -> GMatrix:
     """M* : transpose of the entrywise inverses; an involution. The first
     call keeps M* on M and M, by a weak reference, on M*, so star(star(M))
     is M and the pair is freed without the cyclic collector. M* carries
-    M.tree.star(), which expands to M* as M.tree expands to M."""
+    M.tree.star(), which expands to M* as M.tree expands to M.
+
+    M* shares M's index array, transposed. Where M's is pending, so is
+    M*'s: its first read takes M.idx.T through the weak reference while M
+    lives, else writes M's pending index itself, so that its codes are
+    those of M's units, and holds no reference to M."""
     S = M._star() if isinstance(M._star, weakref.ref) else M._star
     if S is None:
         tree = None if M.tree is None else M.tree.star()
-        S = GMatrix._table(M.ring, [u.inverse() for u in M.units], M.idx.T, tree)
+        ref, pending = weakref.ref(M), M._pending
+        idx = _derived(M, lambda: (pending.write() if (N := ref()) is None else N.idx).T)
+        S = GMatrix._table(M.ring, [u.inverse() for u in M.units], idx, tree)
         object.__setattr__(M, "_star", S)
-        object.__setattr__(S, "_star", weakref.ref(M))
+        object.__setattr__(S, "_star", ref)
     return S
 
 
 def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
     """Kronecker product; the result records both factors in its tree. Each
-    unit product is formed once, and the index is written as blocks, one per
-    entry of the smaller factor: the block of each distinct unit of that
-    factor (table[a][B.idx] for a unit a of A, table[:, b][A.idx] for a unit
-    b of B) is gathered once, into the output _BLOCK_VALUES indices at a
-    time, and copied to the other entries that hold that unit. No temporary
-    outgrows a row block, and each output entry is written once:
-    tensor(walsh(6), walsh(6)) took 152 ms with a gather per entry of the
-    smaller factor, and takes about 10 ms so."""
+    unit product is formed once, at once, and the index is pending: its
+    first read writes it (_kron_index) from A.idx and B.idx, so that a
+    product that is only walked or proved by its tree never writes it."""
     _check_same_ring(A, B)
     every_pair = np.ones((len(A.units), len(B.units)), dtype=bool)
     products, table = _unit_products(A.units, B.units, every_pair)
-    va, vb = A.order, B.order
+    idx = _Pending(A.order * B.order, lambda: _kron_index(A.idx, B.idx, table))
+    return GMatrix._table(A.ring, products, idx, TensorNode(A.as_tree(), B.as_tree()))
+
+
+def _kron_index(a, b, table):
+    """The index of A (x) B from the index arrays a and b and table[i, j],
+    the code of the product of unit i of A and unit j of B, written as
+    blocks, one per entry of the smaller factor: the block of each distinct
+    unit of that factor (table[i][b] for a unit i of A, table[:, j][a] for
+    a unit j of B) is gathered once, into the output _BLOCK_VALUES indices
+    at a time, and copied to the other entries that hold that unit. No
+    temporary outgrows a row block, and each output entry is written once:
+    tensor(walsh(6), walsh(6)) took 152 ms with a gather per entry of the
+    smaller factor, and takes about 10 ms so."""
+    va, vb = len(a), len(b)
     # entry (i*vb + k, j*vb + l), here [i, k, j, l], is A[i, j] * B[k, l]
     idx = np.empty((va, vb, va, vb), dtype=table.dtype)
     if va <= vb:
-        small, big, lookup, block = A.idx, B.idx, table, lambda i, j: idx[i, :, j, :]
+        small, big, lookup, block = a, b, table, lambda i, j: idx[i, :, j, :]
     else:
-        small, big, lookup, block = B.idx, A.idx, table.T, lambda k, l: idx[:, k, :, l]
+        small, big, lookup, block = b, a, table.T, lambda k, l: idx[:, k, :, l]
     first = {}  # a unit of the smaller factor -> its block, written
     cells = itertools.product(range(len(small)), repeat=2)
     slices = _row_blocks(*big.shape)
@@ -460,21 +521,22 @@ def tensor(A: GMatrix, B: GMatrix) -> GMatrix:
         for rows in slices:
             out[rows] = lookup[u][big[rows]] if written is None else written[rows]
         first.setdefault(u, out)
-    tree = TensorNode(A.as_tree(), B.as_tree())
-    return GMatrix._table(A.ring, products, idx.reshape(va * vb, va * vb), tree)
+    return idx.reshape(va * vb, va * vb)
 
 
 def _balanced(matrices, tree):
     """The Kronecker product of matrices, left to right, as a matrix whose
     tree is tree (the caller vouches that it expands to the product). The
     product is split where the two sides' orders come nearest each other (it
-    is associative), and so is each side. A chain of t factors of order 2 so
-    ends in one product of two factors of order about 2^(t/2), and the
-    products before it write a few per cent of its output; the left-deep
-    chain ends in 2^(t-1) (x) 2, which gathers the whole index twice and
-    writes it again by strided copies, after writing a third of it in the
-    steps before: with tensor's block writes, walsh(12) takes 55 ms
-    left-deep and 9 ms balanced."""
+    is associative), and so is each side. The split is made once, here: its
+    tensors form the units at once, and their pending indices, which the
+    first read of the product's writes, follow the same split, so the codes
+    agree. A chain of t factors of order 2 so ends in one product of two
+    factors of order about 2^(t/2), and the products before it write a few
+    per cent of its output; the left-deep chain ends in 2^(t-1) (x) 2, which
+    gathers the whole index twice and writes it again by strided copies,
+    after writing a third of it in the steps before: by _kron_index's block
+    writes, walsh(12)'s index takes 55 ms left-deep and 9 ms balanced."""
 
     def product(ms):
         if len(ms) == 1:
@@ -484,17 +546,25 @@ def _balanced(matrices, tree):
         return tensor(product(ms[:k]), product(ms[k:]))
 
     M = product(matrices)
-    return GMatrix._table(M.ring, M.units, M.idx, tree)
+    return GMatrix._table(M.ring, M.units, M._pending or M.idx, tree)
 
 
 def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:
-    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]."""
+    """Entry (i, j) of the result is M[rowp^-1(i), colp^-1(j)]: a table,
+    gathered now from M's index, which this writes if it is pending."""
+    M.idx  # written here, so that _permute gathers now
+    return _permute(M, PermutedNode(M.as_tree(), rowp, colp))
+
+
+def _permute(M: GMatrix, node: PermutedNode) -> GMatrix:
+    """M permuted by node's permutations, with node as its tree; its index is
+    pending while M's is."""
+    rowp, colp = node.rowp, node.colp
     if rowp.order != M.order or colp.order != M.order:
         raise MatrixError("permutation size mismatch")
     rinv = rowp.inverse().image
     cinv = colp.inverse().image
-    tree = PermutedNode(M.as_tree(), rowp, colp)
-    return GMatrix._table(M.ring, M.units, M.idx[np.ix_(rinv, cinv)], tree)
+    return GMatrix._table(M.ring, M.units, _derived(M, lambda: M.idx[np.ix_(rinv, cinv)]), node)
 
 
 def normalize(M: GMatrix):
@@ -713,10 +783,10 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
     gather = _BLOCK_VALUES * X.shape[1] // (len(ma) * v)
     rows = max(1, min(gather, _PRODUCT_VALUES // (len(ma) * X.shape[1])))
     kept = rows >= v and len(ma) * v * v <= _BLOCK_VALUES
-    out = None
+    out, a = None, A.idx
     for r in range(0, v, rows):
-        idx = A.idx[r : r + rows]
-        prod = planes = (lane.stack(dtype, A.idx) if kept else lane.stack(dtype)[:, idx].reshape(-1, v)).dot(X)
+        idx = a[r : r + rows]
+        prod = planes = (lane.stack(dtype, a) if kept else lane.stack(dtype)[:, idx].reshape(-1, v)).dot(X)
         if fold is not None:
             # prod, the BLAS output, is kept until the fold has written planes:
             # M M* of dft(60) over Q(zeta_60) was slower when it was not

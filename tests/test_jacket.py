@@ -330,6 +330,21 @@ def test_perm_equivalent_budget():
         perm_equivalent(A, B, node_budget=2)
 
 
+def test_perm_equivalent_codes_exact_units_by_payload(monkeypatch):
+    # on an exact ring the units are coded by their payloads, with no unit
+    # compared to another, so that a budget of 0 nodes bounds all the work:
+    # the pairwise scan took 70 ms on dft(256) before its first node
+    from ght.ring import RingElement
+
+    F = dft_matrix(256, cyclotomic(256))
+    calls = []
+    eq = RingElement.__eq__
+    monkeypatch.setattr(RingElement, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    with pytest.raises(SearchBudgetExceeded):
+        perm_equivalent(F, F, node_budget=0)
+    assert calls == []
+
+
 def test_perm_equivalent_order_mismatch():
     with pytest.raises(MatrixError):
         perm_equivalent(walsh(1), walsh(2))

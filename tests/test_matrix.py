@@ -68,21 +68,30 @@ def test_star_is_kept_on_the_matrix():
 def test_a_matrix_and_its_star_are_freed_without_the_collector():
     # M keeps M* and M* keeps M by a weak reference: star(star(M)) is M, and
     # reference counting alone frees M; a star whose matrix is gone stars to
-    # an equal matrix again, and frees the new pair the same way
+    # an equal matrix again, and frees the new pair the same way; a tabled
+    # matrix, and a tensor product whose index, and its star's, is pending
+    # until read, the star's read after its matrix is gone
     gc.disable()
     try:
-        M = walsh(2)
-        S, alive = star(M), weakref.ref(M)
-        assert star(S) is M
-        del M
-        assert alive() is None
-        N = star(S)
-        assert equal(N, walsh(2)) and star(N) is S and star(S) is N
-        alive = weakref.ref(S)
-        del S, N
-        assert alive() is None
+        for build, pending in ((k4, False), (lambda: walsh(2), True)):
+            M = build()
+            S, alive = star(M), weakref.ref(M)
+            assert star(S) is M and _pending(M) == _pending(S) == pending
+            del M
+            assert alive() is None
+            assert equal(S, star(build())) and not _pending(S)
+            N = star(S)
+            assert equal(N, build()) and star(N) is S and star(S) is N
+            alive = weakref.ref(S)
+            del S, N
+            assert alive() is None
     finally:
         gc.enable()
+
+
+def _pending(M):
+    """Whether M's index array is still to be written."""
+    return M._pending is not None
 
 
 def test_star_s1_fixed():
@@ -259,13 +268,15 @@ def test_large_tables_are_written_in_bounded_memory():
     assert verify < 4 * 2**20
 
 
-# one build of order 4096 in a fresh process: its time, best of three, and the
-# growth of the peak RSS (ru_maxrss, KB) over its first run
+# one build of order 4096 in a fresh process, with its index, which is
+# pending until read: its time, best of three, and the growth of the peak RSS
+# (ru_maxrss, KB) over its first run
 _BUILD_4096 = """
 import gc, json, resource, sys, time
 from ght import tensor, walsh
 from ght.fileio import load_matrix
 w1, w11 = walsh(1), walsh(11)
+w11.idx
 build = {
     "walsh12": lambda: walsh(12),
     "load": lambda: load_matrix(sys.argv[2]),
@@ -278,6 +289,7 @@ for run in range(3):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     M = build()
+    M.idx
     times.append(time.perf_counter() - start)
     if run == 0:
         grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak
