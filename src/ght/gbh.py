@@ -207,11 +207,12 @@ class DftNode(FactorTree):
     has no tree; expand() gives it this node as its tree, the matrix that
     dft_matrix(v, ring) returns, held by a weak reference, so that a
     dropped DFT is no reference cycle and is freed at once. A ring without
-    a root of order v has no table (RingError). Its walk and leaves are
-    those of its Good-Thomas tree, built on first walk. Its star is itself
-    with the rows negated: F* = [omega^(-jk)] is F with row j moved to row
-    -j mod v, so that starring builds no table. On an exact backend it
-    proves its table GBH, permuted or not, by the node alone."""
+    a root of order v has no table (RingError). It is one factor of every
+    tensor chain, which expands and proves it as one; its walk and leaves()
+    are those of its Good-Thomas tree, which only they build. Its star is
+    itself with the rows negated: F* = [omega^(-jk)] is F with row j moved
+    to row -j mod v, so that starring builds no table. On an exact backend
+    it proves its table GBH, permuted or not, by the node alone."""
 
     ring: RingContext
     v: int
@@ -261,9 +262,11 @@ class DftNode(FactorTree):
     def from_json(cls, data, read):
         return cls(read.ring, read.order(data))
 
-    @cached_property
-    def factors(self):
-        return self.good_thomas.factors
+    def walk(self, X, den, big):
+        return self.good_thomas.walk(X, den, big)
+
+    def leaves(self):
+        return self.good_thomas.leaves()
 
     @cached_property
     def good_thomas(self) -> FactorTree:

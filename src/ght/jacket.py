@@ -55,12 +55,24 @@ class JacketReport:
         )
 
 
-def _line_kinds(M: GMatrix, axis):
-    """Per row (axis 0) or column (axis 1): 2 if the line is all 1s, 1 if it
-    is all +1/-1, else 0. Each distinct unit is compared once."""
+def _line_kinds(M: GMatrix):
+    """(rows, cols): per row and per column, 2 if the line is all 1s, 1 if
+    it is all +1/-1, else 0, from one uint8 gather of M's index. Each
+    distinct unit is compared once."""
     one, minus = M.ring.one(), M.ring.from_int(-1)
-    kind = np.array([2 if u == one else 1 if u == minus else 0 for u in M.units])
-    return kind[M.idx].min(axis=1 - axis).tolist()
+    kind = np.array([2 if u == one else 1 if u == minus else 0 for u in M.units], dtype=np.uint8)
+    table = kind[M.idx]
+    return table.min(axis=1).tolist(), table.min(axis=0).tolist()
+
+
+def _jacket_order(M: GMatrix):
+    if M.order % 2 != 0 or M.order < 2:
+        raise MatrixError("jacket matrices have even order >= 2")
+    return M.order
+
+
+def _is_form(rows, cols):
+    return rows[0] == 2 and cols[0] == 2 and rows[-1] >= 1 and cols[-1] >= 1
 
 
 def is_jacket_form(M: GMatrix) -> bool:
@@ -68,11 +80,8 @@ def is_jacket_form(M: GMatrix) -> bool:
 
     The GBH product property is checked separately by verify_gbh.
     """
-    v = M.order
-    if v % 2 != 0 or v < 2:
-        raise MatrixError("jacket matrices have even order >= 2")
-    rows, cols = _line_kinds(M, 0), _line_kinds(M, 1)
-    return rows[0] == 2 and cols[0] == 2 and rows[-1] >= 1 and cols[-1] >= 1
+    _jacket_order(M)
+    return _is_form(*_line_kinds(M))
 
 
 def _border_witness(v, pm1, ones, m):
@@ -82,7 +91,8 @@ def _border_witness(v, pm1, ones, m):
     rest = [i for i in pm1 if i != first]
     top = [first] + rest[: m - 1]
     bottom = rest[m - 1 : 2 * m - 1]
-    middle = [i for i in range(v) if i not in top and i not in bottom]
+    border = set(top + bottom)
+    middle = [i for i in range(v) if i not in border]
     return Permutation(tuple(top + middle + bottom)).inverse()
 
 
@@ -99,11 +109,8 @@ def jacket_width(M: GMatrix) -> JacketReport:
     arrangement consumes 2m such rows and 2m such columns. Witness
     permutations realise one such arrangement.
     """
-    v = M.order
-    if v % 2 != 0 or v < 2:
-        raise MatrixError("jacket matrices have even order >= 2")
-    row_kinds = _line_kinds(M, 0)
-    col_kinds = _line_kinds(M, 1)
+    v = _jacket_order(M)
+    row_kinds, col_kinds = _line_kinds(M)
     pm1_rows = [i for i, k in enumerate(row_kinds) if k >= 1]
     pm1_cols = [j for j, k in enumerate(col_kinds) if k >= 1]
     one_rows = [i for i, k in enumerate(row_kinds) if k == 2]
@@ -114,7 +121,7 @@ def jacket_width(M: GMatrix) -> JacketReport:
     if r < 2 or c < 2:
         raise MatrixError("not jacketizable: fewer than two +1/-1 lines")
     m = min(r // 2, c // 2, v // 2)
-    form = is_jacket_form(M)
+    form = _is_form(row_kinds, col_kinds)
     return JacketReport(
         is_jacket_form=form,
         width=m,
@@ -131,7 +138,7 @@ def is_primary_by_width(M: GMatrix) -> str:
     report = jacket_width(M)
     if not report.is_jacket_form:
         raise MatrixError("matrix is not in jacket form")
-    return PRIMARY_BY_WIDTH if report.width == 1 else UNKNOWN
+    return report.certificate
 
 
 def jacketize_cbt(t: int, ring: RingContext | None = None):
@@ -167,8 +174,7 @@ def jacketize_dft(n: int, ring: RingContext):
 def dagger(B: GMatrix, K: GMatrix) -> GMatrix:
     """(B tensor K) followed by the cyclic shift of row/column 2n to the
     bottom/right; B a normalised GBH, K a jacket matrix."""
-    if B.ring.spec != K.ring.spec:
-        raise MatrixError("ring mismatch")
+    _check_same_ring(B, K)
     if not B.is_normalised():
         raise MatrixError("left factor must be normalised")
     if not is_jacket_form(K):
@@ -239,15 +245,13 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
 def brute_width(M: GMatrix) -> int:
     """Exhaustive width oracle for orders <= 8: tries border arrangements and
     checks the permuted entries directly against the jacket pattern."""
-    v = M.order
-    if v > 8:
+    if M.order > 8:
         raise MatrixError("brute_width is limited to order <= 8")
-    if v % 2 != 0 or v < 2:
-        raise MatrixError("jacket matrices have even order >= 2")
+    v = _jacket_order(M)
     n = v // 2
 
     def check(P: GMatrix, m, axis):
-        kinds = _line_kinds(P, axis)
+        kinds = _line_kinds(P)[axis]
         border = list(range(1, m)) + list(range(v - m, v))
         return kinds[0] == 2 and all(kinds[i] >= 1 for i in border)
 

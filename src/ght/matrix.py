@@ -32,7 +32,7 @@ index array, transposed, or, while that is pending, waits to read it. A
 transform that applies the same matrix again writes no plane of it again.
 
 Such a matrix forms its units at once, O(#units^2) products over its
-operands, and its O(v^2) index only when something reads idx: a table
+factors, and its O(v^2) index only when something reads idx: a table
 operation (permute, normalize, equal, mat_mul, scalar_mul, rows, the form
 with entries of ght.fileio) or a product in the lane. A walk of its
 tree, its proof by the tree or by its generator (gbh.verify_gbh reads its
@@ -48,7 +48,8 @@ gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
 tree_matches finds that. A node's expand() returns a matrix whose tree is
 the node itself (a Leaf's, its matrix); a chain of tensor nodes expands
-balanced, whatever its shape (_balanced), as the product is associative.
+balanced, whatever its shape (_balanced), as the product is associative,
+over the one flat tuple of its factors that the transforms walk.
 """
 
 from __future__ import annotations
@@ -128,22 +129,21 @@ class FactorTree:
     """Construction record: leaf matrices combined by tensor products and
     row/column permutations, or a generator's own node (see gbh). A node
     kind is one class that carries all the library does with it: order,
-    expand() and star(), a tree of the starred matrix; factors, walk and
-    leaves() for the transforms, of which it overrides walk or factors;
-    gbh_proof(leaf_passes), how it proves M M* = v I on an exact backend,
-    "generator", "tree" or None, given whether a leaf matrix L has
-    L L* = order * I (gbh); and for files its kind, to_json(write_leaf),
-    with each leaf matrix as write_leaf writes it, and the class method
-    from_json(data, read), with read the file's reader (ght.fileio)."""
+    expand() and star(), a tree of the starred matrix; factors, the one
+    flattening of a tensor chain, which the walk, the expansion and the
+    proof of a TensorNode all read; walk and leaves() for the transforms,
+    which a kind either takes from its factors or, being one factor
+    itself, overrides; gbh_proof(leaf_passes), how it proves M M* = v I on
+    an exact backend, "generator", "tree" or None, given whether a leaf
+    matrix L has L L* = order * I (gbh); and for files its kind,
+    to_json(write_leaf), with each leaf matrix as write_leaf writes it, and
+    the class method from_json(data, read), with read the file's reader
+    (ght.fileio)."""
 
     @property
     def factors(self) -> tuple["FactorTree", ...]:
-        """The factors of its Kronecker product, each walked as one."""
-        return (self,)
-
-    @property
-    def operands(self) -> tuple["FactorTree", ...]:
-        """The nodes of its Kronecker product; a generator is one operand."""
+        """The factors of its Kronecker product, each walked, expanded and
+        proved as one; a generator is one factor."""
         return (self,)
 
     def walk(self, X, den, big):
@@ -153,12 +153,6 @@ class FactorTree:
     def leaves(self) -> tuple["GMatrix", ...]:
         """The leaf matrices, left to right, that a walk meets in reverse."""
         return tuple(L for f in self.factors for L in f.leaves())
-
-    @property
-    def leaf_ring(self) -> RingContext | None:
-        """The one ring of the leaves, or None when their specs differ."""
-        rings = {L.ring.spec: L.ring for L in self.leaves()}
-        return rings.popitem()[1] if len(rings) == 1 else None
 
 
 def _walk(factors, X, den, big):
@@ -218,24 +212,20 @@ class TensorNode(FactorTree):
         return self.left.order * self.right.order
 
     def expand(self):
-        """The Kronecker product of the operands of this chain of tensor
+        """The Kronecker product of the factors of this chain of tensor
         nodes, taken balanced (_balanced), whose tree is this node."""
-        return _balanced([node.expand() for node in self.operands], self)
+        return _balanced([node.expand() for node in self.factors], self)
 
     def star(self):
         return TensorNode(self.left.star(), self.right.star())
-
-    @cached_property
-    def operands(self):
-        return self.left.operands + self.right.operands
 
     @cached_property
     def factors(self):
         return self.left.factors + self.right.factors
 
     def gbh_proof(self, leaf_passes):
-        """(A (x) B)(A (x) B)* = A A* (x) B B*: by its operands."""
-        return "tree" if all(node.gbh_proof(leaf_passes) for node in self.operands) else None
+        """(A (x) B)(A (x) B)* = A A* (x) B B*: by its factors."""
+        return "tree" if all(node.gbh_proof(leaf_passes) for node in self.factors) else None
 
     def to_json(self, write_leaf):
         return {"kind": self.kind, "left": self.left.to_json(write_leaf), "right": self.right.to_json(write_leaf)}

@@ -12,12 +12,14 @@ instead of v^2, as tree_cost counts.
 A walk takes the shuffle form of the Kronecker product (Davio, "Kronecker
 products and shuffle algebra", 1981; Van Loan, "The ubiquitous Kronecker
 product", 2000). A chain of tensor nodes is one flat tuple of factors,
-leaves and permuted subtrees, kept on its node (FactorTree.factors), and a
-transform walks such a tuple right to left (matrix._walk), so that the
-leaves meet the batch in the order reversed(tree.leaves()); before each
-factor one transpose brings that factor's axis to the front of the rows,
-and the factor walks itself (FactorTree.walk), as a node kind is one
-class: a permuted subtree is its child's walk between two gathers of rows.
+leaves, permuted subtrees and DFT nodes, kept on its node
+(FactorTree.factors), and a transform walks such a tuple right to left
+(matrix._walk), so that the leaves meet the batch in the order
+reversed(tree.leaves()); before each factor one transpose brings that
+factor's axis to the front of the rows, and the factor walks itself
+(FactorTree.walk), as a node kind is one class: a permuted subtree is its
+child's walk between two gathers of rows, and a DFT node the walk of its
+Good-Thomas tree.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
@@ -156,9 +158,8 @@ def _apply(factors, x: Signal) -> Signal:
     if math.prod(f.order for f in factors) != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    for r in (f.leaf_ring for f in factors):
-        if r is not ring and (r is None or r.spec != ring.spec):
-            raise MatrixError("ring mismatch")
+    if any(L.ring is not ring and L.ring.spec != ring.spec for f in factors for L in f.leaves()):
+        raise MatrixError("ring mismatch")
     X, den = x._lane_form()
     y, den, _ = _walk(factors, X, den, _lane_max(X) if ring.is_exact else None)
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))

@@ -371,7 +371,7 @@ def test_identical_leaves_of_a_file_are_one_node(tmp_path, monkeypatch):
     M = load_matrix(path)
     leaves = M.tree.leaves()
     assert len(leaves) == 8 and all(L is leaves[0] for L in leaves)
-    assert len({id(node) for node in M.tree.operands}) == 1
+    assert len({id(node) for node in M.tree.factors}) == 1
     products = []
     lane_apply = gbh._lane_apply
     monkeypatch.setattr(gbh, "_lane_apply", lambda *args: products.append(args[0]) or lane_apply(*args))

@@ -582,12 +582,33 @@ def test_a_dft_beside_a_leaf_is_proved_without_its_good_thomas_tree():
     # reversal
     ring = cyclotomic(1020)
     M = tensor(dft_matrix(1020, ring), walsh(1, ring))
-    node = M.tree.operands[0]
+    node = M.tree.factors[0]
     reverse = Permutation(tuple(range(M.order - 1, -1, -1)))
     for P in (M, permute(M, reverse, Permutation.identity(M.order))):
         rep = verify_gbh(P)
         assert (rep.method, rep.is_gbh, rep.w, rep.failures) == ("tree", True, 1020, [])
     assert isinstance(node, DftNode) and "good_thomas" not in vars(node)
+
+
+def test_a_chain_expands_and_proves_a_dft_as_one_factor_and_walks_it_by_its_good_thomas_tree():
+    # a DFT node is one factor of a tensor chain: the chain's expansion reads
+    # its table and the chain's proof its generator, so neither builds its
+    # Good-Thomas tree; a walk of the chain goes through that tree, which it
+    # builds, and equals ght of the expansion, which below WALK_MIN takes
+    # the table
+    ring = cyclotomic(12)
+    tree = tensor(walsh(1, ring), tensor(dft_matrix(12, ring), walsh(1, ring))).tree
+    node = tree.factors[1]
+    assert isinstance(node, DftNode) and len(tree.factors) == 3
+    E = tree.expand()
+    rep = verify_gbh(E)
+    assert E.tree is tree and (rep.method, rep.is_gbh, rep.w) == ("tree", True, 12)
+    assert "good_thomas" not in vars(node)
+    x = Signal.from_ints(ring, [(5 * k) % 11 - 5 for k in range(E.order)])
+    y, count = fast_apply(tree, x)
+    assert "good_thomas" in vars(node)
+    assert y == ght(E, x) and count == tree_cost(tree)
+    assert tree.leaves()[1:-1] == node.good_thomas.leaves() and len(tree.leaves()) == 4
 
 
 def test_a_planted_dft_table_takes_the_product_and_fails():

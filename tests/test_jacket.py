@@ -3,8 +3,11 @@ permutation-equivalence search."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ght import (
     GMatrix,
@@ -98,6 +101,59 @@ def test_width_witness_realises_border():
         for i in border:
             assert all(P.entry(i, j) in (one, minus) for j in range(v))
             assert all(P.entry(j, i) in (one, minus) for j in range(v))
+
+
+def test_the_width_of_walsh12_gathers_its_line_kinds_once():
+    # one uint8 gather of the 16 MiB index gives the kinds of both axes
+    # (128 MiB traced when each axis gathered int64 kinds, twice)
+    W = walsh(12)
+    W.idx
+    tracemalloc.start()
+    try:
+        rep = jacket_width(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.is_jacket_form, rep.width, rep.pm1_rows, rep.pm1_cols) == (True, 2048, 4096, 4096)
+    assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+JACKETS = {
+    "k1": k1,
+    "k3": lambda: k3(cyclotomic(6)),
+    "k4": k4,
+    **{f"walsh({t})": lambda t=t: walsh(t) for t in (2, 3)},
+    **{f"jacketize_cbt({t})": lambda t=t: jacketize_cbt(t)[0] for t in (2, 3)},
+    **{f"jacketize_dft({n})": lambda n=n: jacketize_dft(n, cyclotomic(2 * n))[0] for n in (2, 3, 4)},
+}
+
+
+@st.composite
+def permuted_jackets(draw):
+    """(M, P): a jacket matrix of order at most 8, k2(r) for a drawn r or
+    one of JACKETS, and M under random row and column permutations."""
+    name = draw(st.sampled_from(["k2"] + sorted(JACKETS)))
+    if name == "k2":
+        M = k2(draw(st.sampled_from([-3, -2, 2, 3, 5])))
+    else:
+        M = JACKETS[name]()
+    perm = lambda: Permutation(tuple(draw(st.permutations(range(M.order)))))
+    return M, permute(M, perm(), perm())
+
+
+@settings(max_examples=60)
+@given(case=permuted_jackets())
+def test_a_permuted_jacket_keeps_its_width_and_its_witnesses_realise_the_border(case):
+    M, P = case
+    rep, base = jacket_width(P), jacket_width(M)
+    assert rep.width == brute_width(P)
+    assert (rep.width, rep.pm1_rows, rep.pm1_cols) == (base.width, base.pm1_rows, base.pm1_cols)
+    J = permute(P, rep.row_witness, rep.col_witness)
+    m, v = rep.width, P.order
+    one, minus = P.ring.one(), P.ring.from_int(-1)
+    assert all(J.entry(0, j) == one and J.entry(j, 0) == one for j in range(v))
+    for i in list(range(1, m)) + list(range(v - m, v)):
+        assert all(J.entry(i, j) in (one, minus) and J.entry(j, i) in (one, minus) for j in range(v))
 
 
 @pytest.mark.parametrize(

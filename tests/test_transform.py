@@ -202,12 +202,8 @@ def test_a_tree_of_leaves_over_two_rings_is_a_ring_mismatch(ring):
     swap = Permutation((1, 0, 3, 2))
     x = Signal.from_ints(ring, [1, 2, 3, 4])
     for tree in (mixed, PermutedNode(mixed, swap, swap)):
-        assert tree.leaf_ring is None
         with pytest.raises(MatrixError, match="ring mismatch"):
             fast_apply(tree, x)
-    # leaves over one ring keep that ring beside them
-    W = walsh(3)
-    assert W.tree.leaf_ring is W.ring
 
 
 def _count_adds(monkeypatch, context):

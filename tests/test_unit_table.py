@@ -497,7 +497,7 @@ def chains(draw):
 def test_a_tensor_chain_expands_balanced_to_its_left_deep_product(case):
     name, operands, tree = case
     E = tree.expand()
-    assert E.tree is tree and tree.operands == tuple(operands)
+    assert E.tree is tree and tree.factors == tuple(operands)
     assert equal(E, functools.reduce(tensor, [node.expand() for node in operands]))
     assert _distinct_and_narrow(E)
     for node in operands:
