@@ -124,7 +124,7 @@ class _TreeReader:
 
     def permutation(self, data, key):
         image = _field(data, key)
-        if not isinstance(image, list) or not all(isinstance(i, int) for i in image):
+        if not isinstance(image, list) or not all(type(i) is int for i in image):
             raise MatrixError(f"malformed file: {key!r} is not a list of indices")
         return Permutation(tuple(image))
 

@@ -8,13 +8,15 @@ all-1s row first). Width 1 certifies primality: such a matrix cannot split as
 a tensor product of smaller jacket matrices. perm_equivalent decides row and
 column permutation equivalence by a depth-first search over column
 assignments in ascending order, one node per candidate column, pruned by the
-row multisets of the assigned columns, with the rows matched in order.
+row multisets of the assigned columns, with the rows matched in order. Its
+node budget bounds all of it but an index-sized set-up: both index arrays
+coded in the narrowest dtype and one signature per column. A node costs O(v),
+one running code per row.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,54 +194,66 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     in ascending order. Each such candidate is one node, kept while the rows
     of A and of B on the columns assigned so far are one multiset. Once all
     are assigned, each row of B in order takes the first untaken row of A
-    with its entries (by stable sorts of the rows), and the pair is returned
-    if permute(A, sigma, tau) == B, so the witness is the first in that
-    order. None when no equivalence exists; SearchBudgetExceeded when more
-    than node_budget nodes leave it undecided.
+    with its entries, and the pair is returned if permute(A, sigma, tau) ==
+    B, so the witness is the first in that order. None when no equivalence
+    exists; SearchBudgetExceeded when more than node_budget nodes leave it
+    undecided.
+
+    Before the first node only an index-sized set-up runs, outside the
+    budget: the codes of each index in the narrowest dtype that holds them,
+    with the columns as rows of a C-contiguous array, and one signature per
+    column (the bytes of its sorted codes). A node costs O(v): each row
+    carries one code for its entries on the assigned columns, which the
+    candidate column refines through a dict of the (row code, entry) pairs of
+    B's column at that depth; the rows are one multiset while the sorted
+    codes of A's rows equal those of B's.
     """
     if A.order != B.order:
         raise MatrixError("order mismatch")
     _check_same_ring(A, B)
     v = A.order
     # a unit's code: the first unit of A, else of B, that it equals, by its
-    # canonical payload on an exact backend, as equal codes units; complex
-    # units are compared pairwise, as == within a tolerance is not transitive
+    # canonical payload on an exact backend, as equal codes units; on C by
+    # one numpy comparison of each unit with all, as equality within a
+    # tolerance is not transitive
     units = A.units + B.units
     if A.ring.is_exact:
         first = {}
-        codes = np.array([first.setdefault(u.payload, len(first)) for u in units])
+        codes = [first.setdefault(u.payload, len(first)) for u in units]
     else:
-        codes = np.array([next(k for k, u in enumerate(units) if u == e) for e in units])
-    a, b = codes[: len(A.units)][A.idx], codes[len(A.units) :][B.idx]
-    asig, bsig = (np.sort(x, axis=0).T.tolist() for x in (a, b))
+        z = np.array([u.payload for u in units], dtype=complex)
+        codes = [np.argmax(np.abs(z - e) <= A.ring.tol) for e in z]
+    codes = np.array(codes, dtype=np.min_scalar_type(len(units)))
+    # the columns as rows: at[j] is column j of A's codes, bt[j] of B's
+    at, bt = (np.ascontiguousarray(c[M.idx].T) for c, M in ((codes[: len(A.units)], A), (codes[len(A.units) :], B)))
+    sig = {}
+    asig, bsig = ([sig.setdefault(s.tobytes(), len(sig)) for s in np.sort(x, axis=1, kind="stable")] for x in (at, bt))
     if sorted(asig) != sorted(bsig):
         return None
-    acols, bcols = a.T.tolist(), b.T.tolist()
-    assign = []  # assign[bcol] = acol
-    nodes = 0
+    assign, nodes = [], itertools.count(1)  # assign[bcol] = acol
 
-    def search():
-        nonlocal nodes
+    def search(arow, brow):
         depth = len(assign)
         if depth == v:
             rimg = np.empty(v, dtype=np.intp)
-            rimg[np.lexsort(a[:, assign].T)] = np.lexsort(b.T)
+            rimg[np.argsort(arow, kind="stable")] = np.argsort(brow, kind="stable")
             rowp, colp = Permutation(tuple(rimg.tolist())), Permutation(tuple(assign)).inverse()
             return (rowp, colp) if equal(permute(A, rowp, colp), B) else None
+        pair = {}
+        brow = [pair.setdefault(p, len(pair)) for p in zip(brow, bt[depth].tolist())]
+        want = sorted(brow)
         for acol in range(v):
             if acol in assign or asig[acol] != bsig[depth]:
                 continue
-            nodes += 1
-            if nodes > node_budget:
+            if next(nodes) > node_budget:
                 raise SearchBudgetExceeded(f"node budget {node_budget} exceeded")
             assign.append(acol)
-            found = Counter(zip(*(acols[c] for c in assign))) == Counter(zip(*bcols[: depth + 1])) and search()
-            if found:
+            refined = [pair.get(p, -1) for p in zip(arow, at[acol].tolist())]
+            if sorted(refined) == want and (found := search(refined, brow)):
                 return found
             assign.pop()
-        return None
 
-    return search()
+    return search([0] * v, [0] * v)
 
 
 def brute_width(M: GMatrix) -> int:

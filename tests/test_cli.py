@@ -260,7 +260,8 @@ def test_malformed_files_exit_two(tmp_path):
     bad_matrices += [_drop(W3, "tree", k) for k in ("left", "right")]
     P = matrix_to_json(permute(walsh(2), Permutation((1, 0, 3, 2)), Permutation((0, 1, 2, 3))))
     bad_matrices += [_drop(P, "tree", k) for k in ("child", "row", "col")]
-    for perm in ("1032", {"0": 1}, [1, 0, "3", 2]):
+    # JSON true and false are not indices, though a Python bool is an int
+    for perm in ("1032", {"0": 1}, [1, 0, "3", 2], [True, False, 3, 2]):
         data = copy.deepcopy(P)
         data["tree"]["row"] = perm
         bad_matrices.append(data)

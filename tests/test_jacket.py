@@ -387,18 +387,40 @@ def test_perm_equivalent_budget():
 
 
 def test_perm_equivalent_codes_exact_units_by_payload(monkeypatch):
-    # on an exact ring the units are coded by their payloads, with no unit
+    # on an exact ring the units are coded by their payloads, and on C by
+    # one numpy comparison of each unit against all, with no RingElement
     # compared to another, so that a budget of 0 nodes bounds all the work:
-    # the pairwise scan took 70 ms on dft(256) before its first node
+    # the pairwise scan took 70 ms on dft(256) over Q(zeta_256), and about
+    # 0.4 s on dft(512) over C, before the first node
     from ght.ring import RingElement
 
-    F = dft_matrix(256, cyclotomic(256))
+    matrices = [dft_matrix(256, cyclotomic(256)), dft_matrix(512, complex_ring())]
     calls = []
     eq = RingElement.__eq__
     monkeypatch.setattr(RingElement, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
-    with pytest.raises(SearchBudgetExceeded):
-        perm_equivalent(F, F, node_budget=0)
+    for F in matrices:
+        with pytest.raises(SearchBudgetExceeded):
+            perm_equivalent(F, F, node_budget=0)
     assert calls == []
+
+
+def test_perm_equivalent_bounds_its_set_up_by_the_index():
+    # before the first node the search codes each index once, in uint8 for
+    # a +-1 matrix, and keeps one signature per distinct column: walsh(11)
+    # against a permuted copy traced 192.5 MiB when the columns and their
+    # signatures were lists of Python ints
+    rng = random.Random(11)
+    A = walsh(11)
+    B = permute(A, *(Permutation(tuple(rng.sample(range(A.order), A.order))) for _ in range(2)))
+    A.idx, B.idx
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            perm_equivalent(A, B, node_budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_perm_equivalent_order_mismatch():
@@ -414,8 +436,8 @@ def _affine(v, m, s):
     return Permutation(tuple((m * i + s) % v for i in range(v)))
 
 
-def _shuffled(token, rows, cols):
-    A = from_token(token)
+def _shuffled(token, rows, cols, ring=None):
+    A = from_token(token, ring)
     return A, permute(A, _affine(A.order, *rows), _affine(A.order, *cols))
 
 
@@ -423,6 +445,10 @@ _FAMILY_ROWS = [3, 41, 31, 7, 17, 27, 39, 29, 19, 43, 5, 15, 45, 35, 25, 1, 11, 
 _FAMILY_ROWS += [20, 30, 40, 16, 6, 44, 32, 42, 4, 28, 18, 8, 26, 36, 46, 22, 12, 2, 38, 0, 10, 34, 24, 14]
 _FAMILY_COLS = [5, 3, 1, 25, 27, 29, 0, 2, 4, 28, 26, 24, 30, 32, 34, 10, 8, 6, 11, 9, 7, 31, 33, 35]
 _FAMILY_COLS += [12, 14, 16, 40, 38, 36, 41, 39, 37, 13, 15, 17, 23, 21, 19, 43, 45, 47, 18, 20, 22, 46, 44, 42]
+_WALSH5_ROWS = [3, 4, 9, 18, 24, 15, 30, 29, 27, 12, 17, 10, 16, 23, 6, 21]
+_WALSH5_ROWS += [20, 19, 2, 25, 31, 8, 13, 14, 28, 11, 26, 1, 7, 0, 5, 22]
+_WALSH5_COLS = [7, 0, 1, 26, 2, 25, 8, 31, 3, 4, 29, 30, 22, 5, 28, 11]
+_WALSH5_COLS += [6, 21, 12, 27, 19, 20, 13, 14, 18, 9, 24, 15, 23, 16, 17, 10]
 
 # (pair, witness images or None, the smallest node budget that decides it)
 _GOLDEN = {
@@ -457,6 +483,12 @@ _GOLDEN = {
         8,
     ),
     "complex": (_ring_pair, ([0, 1], [0, 1]), 2),
+    "walsh:5": (lambda: _shuffled("walsh:5", (5, 3), (13, 7)), (_WALSH5_ROWS, _WALSH5_COLS), 240),
+    "dft:8-over-C": (
+        lambda: _shuffled("dft:8", (3, 1), (5, 2), complex_ring()),
+        ([1, 2, 3, 4, 5, 6, 7, 0], [2, 1, 0, 7, 6, 5, 4, 3]),
+        11,
+    ),
 }
 
 

@@ -489,6 +489,7 @@ def _check_axioms(a, b, c):
     if ring.is_exact:
         assert hash((a + b) + c) == hash(a + (b + c))
     assert a + b == b + a
+    assert 3 - a == -(a - 3)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     if not a.is_zero():

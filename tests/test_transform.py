@@ -27,6 +27,7 @@ from ght import (
     ght,
     ight,
     jacketize_cbt,
+    k2,
     k3,
     k4,
     mat_mul,
@@ -35,6 +36,7 @@ from ght import (
     rationals,
     star,
     tensor,
+    verify_gbh,
     walsh,
 )
 from ght import matrix, transform
@@ -264,6 +266,22 @@ def test_big_zeta4_signal_stays_on_the_lane(monkeypatch):
     monkeypatch.setattr(type(ring), "dot", lambda *args: dots.append(1))
     y, _ = fast_apply(M.tree, x)
     assert y == want and dots == []
+
+
+def test_units_past_int64_take_the_object_lane():
+    # 2^70 passes int64, so the lane table of k2(2^70) holds Python integers
+    q = rationals()
+    M = k2(2**70)
+    x = Signal.from_ints(q, [3, -1, 4, 1])
+    y = ght(M, x)
+    assert matrix._lane_of(M).table.dtype == object
+    assert y == Signal(q, tuple(q.dot(zip(M.row(i), x.elements)) for i in range(4)))
+    assert ight(M, y) == x
+    assert verify_gbh(M).is_gbh
+    T = tensor(k2(2**70), walsh(6))
+    X = Signal.from_ints(q, [(7 * k) % 23 - 11 for k in range(T.order)])
+    Y, _ = fast_apply(T.tree, X)
+    assert ight(T, Y) == X
 
 
 def test_fraction_signal_makes_no_ring_additions(monkeypatch):
