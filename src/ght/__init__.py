@@ -32,6 +32,7 @@ from .matrix import (
     star,
     tensor,
 )
+from .butterfly import DoubleNode
 from .gbh import DftNode, GbhReport, b3, dft_matrix, row_sums, verify_gbh
 from .jacket import (
     JacketReport,

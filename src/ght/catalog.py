@@ -15,7 +15,8 @@ import numpy as np
 from . import ring as ringmod
 from .gbh import _power_table, dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
-from .matrix import ORDER_LIMIT, GMatrix, MatrixError, TensorNode, _balanced, equal
+from .butterfly import DoubleNode
+from .matrix import ORDER_LIMIT, GMatrix, Leaf, MatrixError, TensorNode, _balanced, equal
 from .ring import RingContext, RingElement, RingError, _order_exact
 
 @dataclass(frozen=True)
@@ -75,27 +76,26 @@ def _tensor_chain(factors):
 
 
 def cbt(t: int, ring: RingContext | None = None) -> GMatrix:
-    """Complex BIFORE matrix C_t of order 2^t by the block recursion
-    C_2 = [[S_1, S_1], [C_1, -C_1]] and C_m = [[C_{m-1}, C_{m-1}], [W, -W]]
-    with W = C_1 (x) S_{m-2}, run on the exponents of i = root_of_unity(4):
-    C_1 = [[0, 3], [0, 1]] and S_1 = [[0, 0], [0, 2]], -X is X + 2 and (x)
-    adds exponents. C_1 is built from its rows, since a matrix lists only
-    the units that occur in it and -1 does not."""
+    """Complex BIFORE matrix C_t of order 2^t by the block recursion of
+    Ahmed, Rao and Schultz (1971), C_2 = D(S_1, C_1) and
+    C_m = D(C_{m-1}, C_1 (x) S_{m-2}), with D(A, B) = [[A, A], [B, -B]] the
+    doubling node, C_1 = [[1, -i], [1, i]] for i = root_of_unity(4) and S_j
+    the Sylvester matrix walsh(j). The matrix is the expansion of that tree,
+    whose leaves are the one C_1 and the one S_1, and whose index is written
+    when it is first read."""
     if t < 1:
         raise MatrixError("cbt needs t >= 1")
     ring = ring if ring is not None else ringmod.cyclotomic(4)
     i, one = ring.root_of_unity(4), ring.one()
+    c1 = GMatrix.from_rows(ring, [[one, -i], [one, i]])
     if t == 1:
-        return GMatrix.from_rows(ring, [[one, -i], [one, i]])
-    # uint8, the index type of four units, so that the table takes e as it
-    # is; s is S_{m-2}, from S_0 = [[0]], and C_1 (x) s and S_1 (x) s are
-    # 2 x 2 grids of s
-    s, e = np.zeros((1, 1), dtype=np.uint8), np.array([[0, 0], [0, 2]], dtype=np.uint8)
-    for _ in range(t - 1):
-        wing = np.block([[s, s + 3], [s, s + 1]])
-        e = np.block([[e, e], [wing, wing + 2]])
-        s = np.block([[s, s], [s, s + 2]])
-    return GMatrix._table(ring, [one, i, ring.from_int(-1), -i], e & 3)
+        return c1
+    c1, s1 = Leaf(c1), Leaf(GMatrix.from_rows(ring, [[1, 1], [1, -1]]))
+    tree, s = DoubleNode(s1, c1), None  # s: the tree of S_{m-2}, none for S_0
+    for _ in range(t - 2):
+        s = s1 if s is None else TensorNode(s, s1)
+        tree = DoubleNode(tree, TensorNode(c1, s))
+    return tree.expand()
 
 
 def k1(ring: RingContext | None = None) -> GMatrix:

@@ -8,8 +8,11 @@ as [re, im] float pairs. Exact backends round-trip bit-exactly.
 A matrix file takes one of two forms:
 - tree-only, {"ring", "order", "tree"}: save_matrix writes this for a matrix
   that carries a factor tree. Entries appear only in the leaves, so walsh(12)
-  takes about 2 KB, and a DFT is the generator {"kind": "dft", "order": v},
-  which loads as gbh.dft_matrix(v, ring), the table of gbh.DftNode(ring, v).
+  takes about 2 KB and cbt(12), a tree of doubling nodes
+  {"kind": "double", "top", "bottom"} (with "columns": true for the column
+  form of a starred one), about 15 KB; a DFT is the generator
+  {"kind": "dft", "order": v}, which loads as gbh.dft_matrix(v, ring), the
+  table of gbh.DftNode(ring, v).
   The loader expands the tree, so nothing can contradict it, and returns
   the expansion, whose tree is the file's (TensorNode.expand): the left-deep
   chain of a walsh:12 file is expanded balanced, its units checked at once
@@ -24,9 +27,10 @@ module keeps the rules of the format (_TreeReader). The declared order may
 not exceed ORDER_LIMIT (4096); the loader checks it before it decodes an
 entry or builds a tree. Nor may any tree node's order exceed the declared
 one, checked as the tree is read, so a generator is checked before it is
-built. A leaf holds its matrix with entries and no tree, so its work is
-bounded by the entries in the file. Both formats are written by json.dumps,
-on one line, and replace a file only once written.
+built; each half of a double node is within half the limit of its node,
+and the halves have one order. A leaf holds its matrix with entries and no
+tree, so its work is bounded by the entries in the file. Both formats are
+written by json.dumps, on one line, and replace a file only once written.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import stat
 
 import numpy as np
 
+from .butterfly import DoubleNode
 from .gbh import DftNode
 from .matrix import GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
 from .matrix import ORDER_LIMIT, _unit_table, tree_matches, within_limit
@@ -85,25 +90,27 @@ def _listed(items, what, length):
 
 
 # the node kinds a file may name, each read by its class's from_json
-NODE_KINDS = {cls.kind: cls for cls in (Leaf, TensorNode, PermutedNode, DftNode)}
+NODE_KINDS = {cls.kind: cls for cls in (Leaf, TensorNode, PermutedNode, DoubleNode, DftNode)}
 
 
 class _TreeReader:
     """The reader of one file's tree over ring, which a node kind's from_json
     asks for the nodes and fields under it, none above the order limit. A
     tensor node's right factor gets the limit over its left factor's order,
-    so that a few bytes of generators cannot ask for more work than one
-    matrix of order limit. Identical leaves share one node (leaves, by the
-    repr of their JSON), so that the t leaves of a walsh:t file are one
-    matrix, whose products verify_gbh and the transforms form once; a
-    shared leaf meets the order limit of each place it takes."""
+    and each half of a double node half the limit, so that a few bytes of
+    generators cannot ask for more work than one matrix of order limit.
+    Identical leaves share one node (leaves, by the repr of their JSON), so
+    that the t leaves of a walsh:t file are one matrix, whose products
+    verify_gbh and the transforms form once; a shared leaf meets the order
+    limit of each place it takes."""
 
     def __init__(self, ring, limit, leaves):
         self.ring, self.limit, self.leaves = ring, limit, leaves
 
     def node(self, data, key, beside=1):
         """The node data[key], read by the class of its kind, within the
-        limit over beside, the order of the tensor factor left of it."""
+        limit over beside: the order of the tensor factor left of it, or 2
+        for a half of a double node."""
         data, limit = _field(data, key), self.limit // max(beside, 1)
         kind = _field(data, "kind")
         cls = NODE_KINDS.get(kind) if isinstance(kind, str) else None
@@ -121,6 +128,13 @@ class _TreeReader:
         if type(v) is not int or v > self.limit:
             raise MatrixError(f"malformed file: {data['kind']} order {v!r} is not an int up to {self.limit}")
         return v
+
+    def flag(self, data, key):
+        """data[key], a JSON boolean, or false where it is absent."""
+        value = data.get(key, False)
+        if type(value) is not bool:
+            raise MatrixError(f"malformed file: {key!r} is not a boolean")
+        return value
 
     def permutation(self, data, key):
         image = _field(data, key)

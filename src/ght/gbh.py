@@ -14,13 +14,17 @@ elsewhere. The complex backend searches the powers of all its units at once
 with numpy. dft_matrix takes the powers of its root from
 RingContext.root_powers, a slice of that table on Q(zeta_w).
 
-On an exact backend a matrix may be decided by its factor tree, each node
-by its kind (FactorTree.gbh_proof): a DftNode by its generator, with no
-product, and tensor and permuted nodes by the nodes under them, since
-(A (x) B)(A (x) B)* = A A* (x) B B*. Otherwise M* is the field inverses
-of the units on the transposed index array, and M M* takes the numeric
-lane of ght.matrix: M* written as a lane batch meets M in _lane_apply,
-one BLAS product of coefficient planes, compared plane by plane with v I.
+A matrix may be decided by its factor tree, each node by its kind
+(FactorTree.gbh_proof): a DftNode by its generator, with no product;
+tensor, permuted and double nodes by the nodes under them, since
+(A (x) B)(A (x) B)* = A A* (x) B B* and D(A, B) D(A, B)* =
+diag(2 A A*, 2 B B*); and a leaf, on an exact backend, by its own product.
+On the complex backend a tree of DFT nodes decides a matrix through a
+rounding bound on its units' distance from the exact roots of unity.
+Otherwise M* is the field inverses of the units on the transposed index
+array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
+batch meets M in _lane_apply, one BLAS product of coefficient planes,
+compared plane by plane with v I.
 """
 
 from __future__ import annotations
@@ -120,6 +124,29 @@ def _product_failures(M: GMatrix):
     return [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
 
 
+def _rounds_to_roots(M: GMatrix):
+    """Whether a complex M is near enough to the exact matrix of roots of
+    unity that its tree describes for that matrix's proof to give
+    M M* = v I within tol.
+
+    Let delta be the largest distance from a unit of M to its nearest exact
+    v-th root. An entry of M* then lies within delta / (1 - delta) <= 2 delta
+    of its root's inverse, a term of (M M*)_ij within
+    delta (1 + 2 delta) + 2 delta <= 2 (2 delta + delta^2) of its exact value,
+    and |(M M*)_ij - v [i = j]| <= 2 v (2 delta + delta^2). The check is
+    4 v (2 delta + delta^2) <= tol, which leaves a factor 2 for the float
+    product, with delta taken 4 eps above its computed value for the
+    rounding of the roots and distances. A unit rounds to the root that the
+    exact expansion holds there while tol <= sin(pi / v), the distance from a
+    root to the bisector with its neighbour, as a complex matrix keeps a tree
+    whose expansion is within tol of its entries (matrix.tree_matches)."""
+    v, tol = M.order, M.ring.spec.tol
+    z = np.array([u.payload for u in M.units], dtype=np.complex128)
+    roots = np.exp(2j * np.pi * np.rint(np.angle(z) * v / (2 * np.pi)) / v)
+    delta = float(np.abs(z - roots).max()) + 4 * np.finfo(float).eps
+    return tol <= math.sin(math.pi / v) and 4 * v * (2 * delta + delta * delta) <= tol
+
+
 def verify_gbh(M: GMatrix) -> GbhReport:
     """Check M M* = v I and char R does not divide v; M* M = v I follows.
 
@@ -128,17 +155,21 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     that is no root of unity has order None; on the complex backend, a unit
     none of whose first 2 * v * unit_order_hint() powers is within tol of 1.
 
-    The report's method names one of three routes. On an exact backend M's
-    tree, which expands to M (see ght.matrix), may decide it, each node by
-    its kind (FactorTree.gbh_proof): a DFT up to permutations by its
-    generator, with w = v and no product (method "generator", see
-    DftNode.gbh_proof); else a tree by its nodes, each distinct leaf object
-    passing by its product, checked once (method "tree"): walsh(t) has t
-    leaves and one of them. A leaf passes only when it is smaller than M,
-    as a leaf of M's order costs M's own product.
-    No tree, a leaf of M's order, the complex backend, whose tolerance is
-    defined on M M* itself, and a failing leaf, whose failure positions the
-    report lists, take the product M M* (method "numeric-lane").
+    The report's method names one of three routes. M's tree, which expands
+    to M (see ght.matrix), may decide it, each node by its kind
+    (FactorTree.gbh_proof): a DFT up to permutations by its generator, with
+    w = v and no product (method "generator", see DftNode.gbh_proof); else
+    a tree by its nodes, each distinct leaf object passing by its product,
+    checked once (method "tree"): walsh(t) has t leaves and one of them,
+    cbt(t) two. A leaf passes only when it is smaller than M, as a leaf of
+    M's order costs M's own product. On the complex backend, whose
+    tolerance is defined on M M* itself, no leaf passes: a tree decides M
+    only where its proof reaches DFT nodes alone, and then only through the
+    rounding bound 4 v (2 delta + delta^2) <= tol, delta the largest
+    distance from a unit of M to its nearest exact v-th root
+    (_rounds_to_roots). No tree, a leaf of M's order, a complex matrix past
+    that bound, and a failing leaf, whose failure positions the report
+    lists, take the product M M* (method "numeric-lane").
     """
     v = M.order
     if v < 2:
@@ -146,15 +177,16 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     ring = M.ring
     ch = ring.characteristic()
     char_check = ch == 0 or v % ch != 0
-    tree = M.tree if ring.is_exact else None
     passed = {}  # leaf matrix -> whether its product passes
 
     def leaf_passes(L):
         if L not in passed:
-            passed[L] = L.order < v and not _product_failures(L)
+            passed[L] = ring.is_exact and L.order < v and not _product_failures(L)
         return passed[L]
 
-    proof = tree and tree.gbh_proof(leaf_passes)
+    proof = M.tree and M.tree.gbh_proof(leaf_passes)
+    if proof and not ring.is_exact and not _rounds_to_roots(M):
+        proof = None
     if proof == "generator":
         orders = [v]  # the powers of omega, whose orders have lcm v
     elif ring.is_exact:
@@ -252,8 +284,9 @@ class DftNode(FactorTree):
         exactly v, so for i != j row i times row j starred is
         sum_k omega^((i-j)k) = (omega^((i-j)v) - 1) / (omega^(i-j) - 1) = 0,
         and the diagonal sums to v; its units are the v distinct powers of
-        omega, whose orders have lcm v."""
-        return "generator" if self.ring.is_exact else None
+        omega, whose orders have lcm v. On C this holds for the exact
+        roots, which verify_gbh holds the table to (_rounds_to_roots)."""
+        return "generator"
 
     def to_json(self, write_leaf):
         return {"kind": self.kind, "order": self.v}
@@ -267,6 +300,9 @@ class DftNode(FactorTree):
 
     def leaves(self):
         return self.good_thomas.leaves()
+
+    def cost(self):
+        return self.good_thomas.cost()
 
     @cached_property
     def good_thomas(self) -> FactorTree:

@@ -8,10 +8,12 @@ all-1s row first). Width 1 certifies primality: such a matrix cannot split as
 a tensor product of smaller jacket matrices. perm_equivalent decides row and
 column permutation equivalence by a depth-first search over column
 assignments in ascending order, one node per candidate column, pruned by the
-row multisets of the assigned columns, with the rows matched in order. Its
-node budget bounds all of it but an index-sized set-up: both index arrays
-coded in the narrowest dtype and one signature per column. A node costs O(v),
-one running code per row.
+row multisets of the assigned columns, with the rows matched in order; the
+search keeps one frame per assigned column on an explicit stack, so that
+its depth is not bounded by the interpreter's recursion limit. Its node
+budget bounds all of it but an index-sized set-up: both index arrays coded
+in the narrowest dtype and one signature per column. A node costs O(v), one
+running code per row.
 """
 
 from __future__ import annotations
@@ -206,7 +208,9 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     carries one code for its entries on the assigned columns, which the
     candidate column refines through a dict of the (row code, entry) pairs of
     B's column at that depth; the rows are one multiset while the sorted
-    codes of A's rows equal those of B's.
+    codes of A's rows equal those of B's. The search runs on an explicit
+    stack, one frame per assigned column, so that walsh(10) against itself
+    reaches depth 1024.
     """
     if A.order != B.order:
         raise MatrixError("order mismatch")
@@ -230,30 +234,49 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     asig, bsig = ([sig.setdefault(s.tobytes(), len(sig)) for s in np.sort(x, axis=1, kind="stable")] for x in (at, bt))
     if sorted(asig) != sorted(bsig):
         return None
-    assign, nodes = [], itertools.count(1)  # assign[bcol] = acol
+    assign, taken, nodes = [], [False] * v, 0  # assign[bcol] = acol
 
-    def search(arow, brow):
-        depth = len(assign)
-        if depth == v:
-            rimg = np.empty(v, dtype=np.intp)
-            rimg[np.argsort(arow, kind="stable")] = np.argsort(brow, kind="stable")
-            rowp, colp = Permutation(tuple(rimg.tolist())), Permutation(tuple(assign)).inverse()
-            return (rowp, colp) if equal(permute(A, rowp, colp), B) else None
+    def level(arow, brow):
+        """The frame of the next column of B: the row codes of A, those of
+        B refined by that column through the dict of (row code, entry)
+        pairs, their sorted codes, and the next candidate column of A."""
         pair = {}
-        brow = [pair.setdefault(p, len(pair)) for p in zip(brow, bt[depth].tolist())]
-        want = sorted(brow)
-        for acol in range(v):
-            if acol in assign or asig[acol] != bsig[depth]:
-                continue
-            if next(nodes) > node_budget:
-                raise SearchBudgetExceeded(f"node budget {node_budget} exceeded")
-            assign.append(acol)
-            refined = [pair.get(p, -1) for p in zip(arow, at[acol].tolist())]
-            if sorted(refined) == want and (found := search(refined, brow)):
-                return found
-            assign.pop()
+        brow = [pair.setdefault(p, len(pair)) for p in zip(brow, bt[len(assign)].tolist())]
+        return [arow, brow, pair, sorted(brow), 0]
 
-    return search([0] * v, [0] * v)
+    def witness(arow, brow, cols):
+        rimg = np.empty(v, dtype=np.intp)
+        rimg[np.argsort(arow, kind="stable")] = np.argsort(brow, kind="stable")
+        rowp, colp = Permutation(tuple(rimg.tolist())), Permutation(tuple(cols)).inverse()
+        return (rowp, colp) if equal(permute(A, rowp, colp), B) else None
+
+    stack = [level([0] * v, [0] * v)]
+    while stack:
+        frame, depth = stack[-1], len(stack) - 1
+        arow, brow, pair, want, start = frame
+        for acol in range(start, v):
+            if taken[acol] or asig[acol] != bsig[depth]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(f"node budget {node_budget} exceeded")
+            refined = [pair.get(p, -1) for p in zip(arow, at[acol].tolist())]
+            if sorted(refined) != want:
+                continue
+            if depth + 1 == v:
+                if found := witness(refined, brow, assign + [acol]):
+                    return found
+                continue
+            frame[4] = acol + 1
+            assign.append(acol)
+            taken[acol] = True
+            stack.append(level(refined, brow))
+            break
+        else:
+            stack.pop()
+            if assign:
+                taken[assign.pop()] = False
+    return None
 
 
 def brute_width(M: GMatrix) -> int:

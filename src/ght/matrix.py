@@ -40,9 +40,10 @@ units only) and the tree-only save never do, so walsh(12) and the load of a
 walsh:12 file hold about 20 KB (tracemalloc), not the 16 MB of its index.
 
 A matrix may carry a FactorTree recording how it was assembled from tensor
-products and index permutations, which the transforms walk, gbh.verify_gbh
-decides a matrix by and ght.fileio writes; each node kind is one class that
-walks, proves and writes itself, so none of them asks a node its type. A
+products, index permutations and the doubling steps [[A, A], [B, -B]] of
+ght.butterfly, which the transforms walk, gbh.verify_gbh decides a matrix
+by and ght.fileio writes; each node kind is one class that walks, proves
+and writes itself, so none of them asks a node its type. A
 matrix's tree is None or expands to the matrix. tensor, permute, star,
 gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
@@ -126,16 +127,17 @@ class Permutation:
 
 
 class FactorTree:
-    """Construction record: leaf matrices combined by tensor products and
-    row/column permutations, or a generator's own node (see gbh). A node
-    kind is one class that carries all the library does with it: order,
-    expand() and star(), a tree of the starred matrix; factors, the one
-    flattening of a tensor chain, which the walk, the expansion and the
-    proof of a TensorNode all read; walk and leaves() for the transforms,
-    which a kind either takes from its factors or, being one factor
-    itself, overrides; gbh_proof(leaf_passes), how it proves M M* = v I on
-    an exact backend, "generator", "tree" or None, given whether a leaf
-    matrix L has L L* = order * I (gbh); and for files its kind,
+    """Construction record: leaf matrices combined by tensor products,
+    row/column permutations and doubling steps (see butterfly), or a
+    generator's own node (see gbh). A node kind is one class that carries
+    all the library does with it: order, expand() and star(), a tree of
+    the starred matrix; factors, the one flattening of a tensor chain,
+    which the walk, the expansion and the proof of a TensorNode all read;
+    walk, leaves() and cost() for the transforms, which a kind either takes
+    from its factors or, being one factor itself, overrides;
+    gbh_proof(leaf_passes), how it proves M M* = v I, "generator", "tree"
+    or None, given whether a leaf matrix L has L L* = order * I (gbh); and
+    for files its kind,
     to_json(write_leaf), with each leaf matrix as write_leaf writes it, and
     the class method from_json(data, read), with read the file's reader
     (ght.fileio)."""
@@ -153,6 +155,15 @@ class FactorTree:
     def leaves(self) -> tuple["GMatrix", ...]:
         """The leaf matrices, left to right, that a walk meets in reverse."""
         return tuple(L for f in self.factors for L in f.leaves())
+
+    def cost(self):
+        """(mul, add): the ring multiplications and additions of one walk of
+        one vector. A factor of order a is applied order / a times."""
+        v, mul, add = self.order, 0, 0
+        for f in self.factors:
+            (m, a), n = f.cost(), v // f.order
+            mul, add = mul + n * m, add + n * a
+        return mul, add
 
 
 def _walk(factors, X, den, big):
@@ -189,6 +200,10 @@ class Leaf(FactorTree):
 
     def leaves(self):
         return (self.matrix,)
+
+    def cost(self):
+        a = self.order
+        return a * a, a * (a - 1)
 
     def gbh_proof(self, leaf_passes):
         return "tree" if leaf_passes(self.matrix) else None
@@ -267,6 +282,9 @@ class PermutedNode(FactorTree):
 
     def leaves(self):
         return self.child.leaves()
+
+    def cost(self):
+        return self.child.cost()
 
     def gbh_proof(self, leaf_passes):
         """P M Q (P M Q)* = P M M* P^-1: by its child."""

@@ -481,6 +481,10 @@ class RationalsContext(RingContext):
     def root_of_unity(self, w):
         return _root_by_descent(self, w, (Fraction(1), Fraction(-1)))
 
+    def _order(self, a):
+        # 1 and -1 are Q's only roots of unity: no powers of Fractions
+        return 1 if a == 1 else 2 if a == -1 else None
+
     def _lane_planes(self, units):
         # one as_integer_ratio() per Fraction costs half of its numerator and
         # denominator properties; each pair is unpacked at once, as a list of

@@ -18,8 +18,9 @@ leaves, permuted subtrees and DFT nodes, kept on its node
 reversed(tree.leaves()); before each factor one transpose brings that
 factor's axis to the front of the rows, and the factor walks itself
 (FactorTree.walk), as a node kind is one class: a permuted subtree is its
-child's walk between two gathers of rows, and a DFT node the walk of its
-Good-Thomas tree.
+child's walk between two gathers of rows, a DFT node the walk of its
+Good-Thomas tree, and a double node its halves' walks beside one butterfly
+of sums and differences.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements
@@ -200,12 +201,12 @@ def ight(B: GMatrix, xhat: Signal) -> Signal:
 
 def tree_cost(tree: FactorTree) -> OpCount:
     """Ring multiplications and additions that fast_apply spends on one
-    signal: over leaves of orders v_1..v_k, v * (v_1 + ... + v_k) and
-    v * ((v_1 - 1) + ... + (v_k - 1)), as each leaf of order a is applied
-    v / a times at a^2 and a(a-1)."""
-    orders = [L.order for L in tree.leaves()]
-    v, total = math.prod(orders), sum(orders)
-    return OpCount(v * total, v * (total - len(orders)))
+    signal, summed node by node (FactorTree.cost): a leaf of order a costs
+    a^2 and a(a-1), a chain applies each factor of order a v / a times, so
+    leaves of orders v_1..v_k cost v * (v_1 + ... + v_k) and
+    v * ((v_1 - 1) + ... + (v_k - 1)), and a double node adds v additions
+    to its halves' costs."""
+    return OpCount(*tree.cost())
 
 
 def fast_apply(tree: FactorTree, x: Signal):

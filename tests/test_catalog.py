@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ght import (
+    GMatrix,
     QuadriphaseSequence,
     autocorrelation,
     b3,
@@ -84,6 +85,35 @@ def test_cbt_gbh(t):
 def test_cbt_needs_fourth_root():
     with pytest.raises(RingError):
         cbt(2, rationals())
+
+
+def _cbt_by_exponents(t):
+    """The reference C_t: the block recursion C_2 = [[S_1, S_1], [C_1, -C_1]],
+    C_m = [[C_{m-1}, C_{m-1}], [W, -W]] with W = C_1 (x) S_{m-2}, run on
+    exponents of i: C_1 = [[0, 3], [0, 1]] and S_1 = [[0, 0], [0, 2]], -X is
+    X + 2 and (x) adds exponents; returned as an int array of exponents."""
+    s, e = np.zeros((1, 1), dtype=np.int64), np.array([[0, 0], [0, 2]])
+    for _ in range(t - 1):
+        wing = np.block([[s, s + 3], [s, s + 1]])
+        e = np.block([[e, e], [wing, wing + 2]])
+        s = np.block([[s, s], [s, s + 2]])
+    return e % 4
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_cbt_equals_the_exponent_recursion(t):
+    # cbt builds the doubling tree D(C_{m-1}, C_1 (x) S_{m-2}); its expansion
+    # is the matrix of the exponent recursion, entry by entry up to t = 8
+    ring = cyclotomic(4)
+    powers = ring.root_powers(4)
+    e = _cbt_by_exponents(t)
+    C = cbt(t)
+    assert C.tree is not None and C.tree.kind == "double" and C.order == 2**t
+    ref = GMatrix._table(ring, powers, e)
+    assert equal(C, ref)
+    if t <= 8:
+        rows = C.rows()
+        assert all(rows[j][k] == powers[e[j, k]] for j in range(2**t) for k in range(2**t))
 
 
 def test_k2_of_one_would_be_s2():

@@ -30,6 +30,7 @@ from ght import (
     quadratic_field,
     rationals,
     search_perfect_quadriphase,
+    star,
     walsh,
 )
 from ght.catalog import from_token
@@ -131,6 +132,17 @@ def test_equiv_budget_exhaustion(tmp_path):
     assert main(["equiv", str(a), str(b), "--budget", "2"]) == 2
 
 
+def test_equiv_of_a_walsh10_file_against_itself(tmp_path, capsys):
+    # the search assigns 1024 columns, one stack frame each: past the
+    # interpreter's recursion limit, where a recursive search raised
+    m = str(tmp_path / "w.json")
+    assert main(["gen", "walsh:10", "-o", m]) == 0
+    capsys.readouterr()
+    assert main(["equiv", m, m]) == 0
+    out = capsys.readouterr().out
+    assert "equivalent: true" in out and f"row-witness: {list(range(1024))}" in out
+
+
 def test_apply_invert_roundtrip(tmp_path):
     m = tmp_path / "m.json"
     x = tmp_path / "x.json"
@@ -172,7 +184,7 @@ def test_apply_fast_prints_counts(tmp_path, capsys):
 
 def test_apply_fast_without_tree_runs_a_leaf(tmp_path, capsys):
     m, x, y, z = (str(tmp_path / f"{n}.json") for n in "mxyz")
-    assert main(["gen", "cbt:3", "-o", m]) == 0
+    assert main(["gen", "k4", "-o", m]) == 0
     M = load_matrix(m)
     assert M.tree is None
     save_signal(Signal.from_ints(M.ring, [3, -1, 4, 1, -5, 9, 2, -6]), x)
@@ -191,13 +203,14 @@ def test_apply_fast_without_tree_runs_a_leaf(tmp_path, capsys):
         ("walsh:8", ["apply", "invert"], "tree-walk"),
         ("walsh:5", ["apply", "invert"], "table"),
         ("dft:60", ["apply", "invert"], "tree-walk"),
-        ("cbt:3", ["apply --fast"], "table"),
+        ("cbt:3", ["apply --fast"], "tree-walk"),
         ("walsh:5", ["apply --fast"], "tree-walk"),
     ],
 )
 def test_transform_reports_name_their_route(tmp_path, capsys, token, verbs, method):
     # ght and ight walk a tree from v * d = 256 on, and take one table below
-    # that; apply --fast walks the file's tree, or its one table without one
+    # that; apply --fast walks the file's tree (cbt's doubling tree too), or
+    # its one table without one
     m, x, y = (str(tmp_path / f"{n}.json") for n in "mxy")
     assert main(["gen", token, "-o", m]) == 0
     M = load_matrix(m)
@@ -321,6 +334,64 @@ def test_malformed_files_exit_two(tmp_path):
             data["elements"][0] = e
             bad_x = _write(tmp_path / f"s{n}-{k}.json", data)
             assert main(["apply", m, bad_x, "-o", str(tmp_path / "y.json")]) == 2, (n, k)
+
+
+def test_double_node_files(tmp_path, capsys):
+    # cbt:t is a tree-only file of double nodes, read back as the same
+    # matrix; halves of different orders, a non-boolean "columns" and a half
+    # above half the order limit exit 2
+    m = str(tmp_path / "c.json")
+    assert main(["gen", "cbt:5", "-o", m]) == 0
+    with open(m) as fh:
+        data = json.load(fh)
+    assert "entries" not in data and data["tree"]["kind"] == "double"
+    assert equal(load_matrix(m), cbt(5))
+    assert main(["verify", m]) == 0 and "method: tree\n" in capsys.readouterr().out
+    bad = copy.deepcopy(data)
+    bad["tree"]["bottom"] = data["tree"]["top"]["top"]
+    f4096 = {"kind": "dft", "order": 4096}
+    wide = {"ring": {"kind": "complex-float"}, "order": 4096, "tree": {"kind": "double", "top": f4096, "bottom": f4096}}
+    for n, case in enumerate([bad, dict(data, tree=dict(data["tree"], columns=1)), wide]):
+        path = _write(tmp_path / f"bad{n}.json", case)
+        assert main(["verify", path]) == 2, n
+    err = capsys.readouterr().err
+    assert "halves have orders 16 and 8" in err and "'columns' is not a boolean" in err
+    assert "dft order 4096 is not an int up to 2048" in err
+    # a starred tree holds the column form, which round-trips too
+    S = star(cbt(4))
+    save_matrix(S, tmp_path / "s.json")
+    assert '"columns": true' in (tmp_path / "s.json").read_text()
+    assert equal(load_matrix(tmp_path / "s.json"), S)
+
+
+def test_gen_cbt12_verifies_by_its_tree_in_a_process(tmp_path):
+    # the doubling tree of cbt:12 is a file of a few KB, decided by its two
+    # leaves; without a tree, verify_gbh(cbt(10)) took 1.18 s by the product
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "c.json")
+    start = time.perf_counter()
+    gen = subprocess.run([sys.executable, "-m", "ght.cli", "gen", "cbt:12", "-o", m], env=env, capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-m", "ght.cli", "verify", m], env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert gen.returncode == 0 and run.returncode == 0, gen.stderr + run.stderr
+    assert "is-gbh: true\n" in run.stdout and "method: tree\n" in run.stdout
+    assert os.path.getsize(m) < 20_000
+
+
+def test_complex_dft4095_verifies_by_its_generator_in_a_process(tmp_path):
+    # its units lie within 1e-15 of the exact roots, so the rounding bound
+    # decides it without the 4095^2 complex product (6.1-6.8 s before)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "f.json")
+    gen = subprocess.run([sys.executable, "-m", "ght.cli", "gen", "dft:4095", "--ring", "complex", "-o", m], env=env, capture_output=True, text=True, timeout=120)
+    assert gen.returncode == 0, gen.stderr
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "ght.cli", "verify", m], env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 0 and "method: generator\n" in run.stdout, run.stderr
+    assert "entry-group-order: 4095\n" in run.stdout
 
 
 def test_tampered_tree_exits_two(tmp_path):

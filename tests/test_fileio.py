@@ -463,7 +463,7 @@ GOLDEN = {
     "dft:12 --ring cyclotomic:12": ("5071a3397979d615098dd7cfccaf79571e21c041ae9e0463cb12848d76e74cad", 103),
     "family:1,1,1,3,2": ("28fe4e21700d7f90af4a0bc3d2043c415bc5f05e8b6d2090a46ac100e080e18f", 1534),
     "k3 --ring cyclotomic:6": ("b19e590b591df4cb421c7df676e2ac60399c4242f8366934628f821168028643", 697),
-    "cbt:4": ("d3d2259ccda9e0bbeae6db2771e92e5c2f9fd9a94746d8f06f659588e7e0cdf1", 4339),
+    "cbt:4": ("0c0ad6eb85ce2d94fec4ee8b1d00b12c3ac976c784d29b701cf9187857bbb0fa", 1610),
     "star(dft_matrix(12, cyclotomic(12)))": ("ee5efa85f5b305d7d3d7880009e4d3a2cb01a7d98a345ed10e884d40d8009b26", 228),
 }
 

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_transform import RINGS, trees, walks
+from test_transform import RINGS, doubling_walks, trees, walks
 
 from ght import (
     DftNode,
+    DoubleNode,
     GMatrix,
     Leaf,
     Permutation,
     PermutedNode,
+    TensorNode,
     b3,
     cbt,
     complex_ring,
@@ -198,16 +200,31 @@ def test_report_text_stable_keys():
     assert text.splitlines()[-1] == "method: tree"
 
 
+def _proves(tree, v, exact):
+    """Whether verify_gbh's tree route decides a matrix of order v with this
+    tree: a DFT node by its generator, a leaf on an exact backend where it
+    is smaller than v and GBH by the walk reference (on C no leaf passes),
+    and any other node by the nodes under it."""
+    if isinstance(tree, DftNode):
+        return True
+    if isinstance(tree, Leaf):
+        return exact and tree.order < v and _reference_report(tree.matrix)[0]
+    kids = [getattr(tree, name) for name in ("child", "left", "right", "top", "bottom") if hasattr(tree, name)]
+    return bool(kids) and all(_proves(kid, v, exact) for kid in kids)
+
+
 def _method(M):
     """The route that verify_gbh names for a GBH matrix M: "generator" where
-    its tree is a DftNode under permuted nodes alone on an exact backend,
-    "tree" where an exact tree has two or more leaves, else "numeric-lane"."""
+    its tree is a DftNode under permuted nodes alone, "tree" where its tree
+    proves it (_proves), else "numeric-lane". On C this holds where the
+    units meet the rounding bound, as every complex DFT here does at the
+    default tol."""
     tree = M.tree
     while isinstance(tree, PermutedNode):
         tree = tree.child
-    if M.ring.is_exact and isinstance(tree, DftNode):
+    if isinstance(tree, DftNode):
         return "generator"
-    by_tree = M.ring.is_exact and M.tree is not None and len(M.tree.leaves()) > 1
+    by_tree = M.tree is not None and _proves(M.tree, M.order, M.ring.is_exact)
     return "tree" if by_tree else "numeric-lane"
 
 
@@ -458,12 +475,16 @@ def gbh_trees(draw, ring, depth, cap):
 @st.composite
 def verify_cases(draw):
     """(M, stale): the expansion of a tree of test_transform.walks (leaves
-    rarely GBH) or of gbh_trees, and whether an entry was then multiplied by
-    -1 under the kept tree, which GMatrix(..., tree=) then drops."""
-    if draw(st.booleans()):
+    rarely GBH), of gbh_trees or of test_transform.doubling_walks, and
+    whether an entry was then multiplied by -1 under the kept tree, which
+    GMatrix(..., tree=) then drops."""
+    source = draw(st.sampled_from(("walk", "gbh", "double")))
+    if source == "walk":
         M = draw(walks())[0].expand()
-    else:
+    elif source == "gbh":
         M = draw(gbh_trees(draw(st.sampled_from(RINGS)), 3, 64))
+    else:
+        M = draw(doubling_walks())[0].expand()
     assume(M.order >= 2)
     stale = M.tree is not None and draw(st.booleans())
     if stale:
@@ -484,8 +505,7 @@ def test_tree_route_matches_the_product_reference(case):
     assert ref.method != "tree"
     fields = lambda r: (r.is_gbh, r.v, r.w, r.char_check, r.failures)
     assert fields(rep) == fields(ref)
-    leaves = M.tree.leaves() if M.tree is not None else []
-    by_tree = M.ring.is_exact and not stale and len(leaves) > 1 and not rep.failures
+    by_tree = not stale and M.tree is not None and _proves(M.tree, M.order, M.ring.is_exact)
     if _method(M) == "generator":
         # a stale tree is dropped, so only a DFT's own tree gets here
         assert not stale and rep.method == "generator"
@@ -630,14 +650,111 @@ def test_a_planted_dft_table_takes_the_product_and_fails():
     assert fields(reps[0]) == fields(reps[1]) == _reference_report(plain)
 
 
-def test_a_complex_dft_keeps_the_product():
-    # the complex tolerance is defined on M M*, so its DFT takes the product,
-    # permuted or starred as well
+def _fields(rep):
+    return rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures
+
+
+def test_a_complex_dft_is_decided_by_its_rounding_bound():
+    # a complex DFT, permuted or starred as well, is decided by its
+    # generator: its units lie within about 1e-16 of the exact roots, so
+    # 4 v (2 delta + delta^2) is far below tol; at tol 1e-13 the bound fails
+    # and the product decides, with the same report
     F = dft_matrix(16, complex_ring())
     shift = Permutation(tuple((j + 3) % 16 for j in range(16)))
     for M in (F, permute(F, shift, shift), star(F)):
         rep = verify_gbh(M)
-        assert rep.is_gbh and rep.w == 16 and rep.method == "numeric-lane"
+        ref = verify_gbh(GMatrix._table(M.ring, M.units, M.idx))
+        assert (rep.is_gbh, rep.w, rep.method) == (True, 16, "generator")
+        assert _fields(rep) == _fields(ref) and ref.method == "numeric-lane"
+    tight = verify_gbh(dft_matrix(16, complex_ring(1e-13)))
+    assert (tight.is_gbh, tight.w, tight.method) == (True, 16, "numeric-lane")
+    # tol 0 is below any bound; a tolerance past sin(pi / v) lets a unit
+    # round to another root than its tree's, so the product decides
+    assert verify_gbh(dft_matrix(16, complex_ring(0))).method == "numeric-lane"
+    assert verify_gbh(dft_matrix(16, complex_ring(0.5))).method == "numeric-lane"
+
+
+def test_a_planted_complex_dft_table_fails_by_the_product():
+    # one entry of the complex DFT negated: its node no longer expands to the
+    # table, which takes the product and fails in row 5 and column 5, where
+    # M M* meets the changed entry (5, 7)
+    ring = complex_ring()
+    F = dft_matrix(16, ring)
+    rows = F.rows()
+    rows[5][7] = -rows[5][7]
+    planted = GMatrix.from_rows(ring, rows, tree=F.tree)
+    assert planted.tree is None
+    rep = verify_gbh(planted)
+    assert not rep.is_gbh and rep.method == "numeric-lane" and rep.w == 16
+    assert rep.failures == sorted(({(5, j) for j in range(16)} | {(j, 5) for j in range(16)}) - {(5, 5)})
+    assert _fields(rep) == _fields(verify_gbh(GMatrix._table(ring, planted.units, planted.idx)))
+
+
+COMPLEX = complex_ring()
+
+
+@st.composite
+def complex_trees(draw, cap, depth=3):
+    """A tree over C of order at most cap: DFT nodes and Walsh leaves under
+    tensor, permuted and double nodes, whose bottom half is its top half,
+    that half starred, or a DFT node of its order."""
+    node = draw(st.sampled_from(("leaf", "tensor", "permuted", "double"))) if depth and cap >= 4 else "leaf"
+    if node == "leaf":
+        if draw(st.integers(0, 4)) == 0:
+            return Leaf(walsh(1, COMPLEX))
+        return DftNode(COMPLEX, draw(st.integers(2, min(cap, 24))))
+    if node == "permuted":
+        child = draw(complex_trees(cap, depth - 1))
+        rowp, colp = (Permutation(tuple(draw(st.permutations(range(child.order))))) for _ in range(2))
+        return PermutedNode(child, rowp, colp)
+    if node == "double":
+        top = draw(complex_trees(cap // 2, depth - 1))
+        bottom = draw(st.sampled_from((top, top.star(), DftNode(COMPLEX, top.order))))
+        return DoubleNode(top, bottom, draw(st.booleans()))
+    left = draw(complex_trees(cap // 2, depth - 1))
+    return TensorNode(left, draw(complex_trees(cap // left.order, depth - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_trees(1024), st.sampled_from((0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 3e-10)), st.data())
+def test_complex_route_matches_the_product(tree, theta, data):
+    # one unit of the expansion turned by theta keeps the tree while it
+    # stays within tol of it; the route's report equals the product's, and
+    # a tree of DFT nodes alone is decided without the product at theta = 0
+    E = tree.expand()
+    k = data.draw(st.integers(0, len(E.units) - 1))
+    units = list(E.units)
+    units[k] = units[k] * COMPLEX.element(cmath.exp(1j * theta))
+    M = GMatrix(COMPLEX, np.array(units, dtype=object)[E.idx], tree=tree)
+    rep = verify_gbh(M)
+    ref = verify_gbh(GMatrix._table(COMPLEX, M.units, M.idx))
+    assert ref.method == "numeric-lane" and _fields(rep) == _fields(ref)
+    if theta == 0 and _proves(tree, tree.order, False):
+        assert M.tree is tree and rep.method != "numeric-lane"
+
+
+def test_a_double_node_is_proved_by_both_halves():
+    # D(A, B) D(A, B)* = diag(2 A A*, 2 B B*), in either form: a half that
+    # is no GBH sends the matrix to the product, which reports its failures
+    ring = cyclotomic(4)
+    S, C, bad = walsh(1, ring), cbt(1), GMatrix.from_rows(ring, [[1, 1], [1, 1]])
+    for top, bottom, columns in itertools.product((S, bad), (C, bad), (False, True)):
+        M = DoubleNode(Leaf(top), Leaf(bottom), columns).expand()
+        rep = verify_gbh(M)
+        assert _fields(rep) == _fields(verify_gbh(GMatrix._table(ring, M.units, M.idx)))
+        good = top is S and bottom is C
+        assert (rep.is_gbh, rep.method) == ((True, "tree") if good else (False, "numeric-lane"))
+
+
+def test_cbt12_verifies_by_its_tree():
+    # two distinct leaves, S_1 and C_1, and no index: cbt(10) took 1.18 s by
+    # the product before cbt had a tree
+    C = cbt(12)
+    start = time.perf_counter()
+    rep = verify_gbh(C)
+    assert time.perf_counter() - start < 0.5
+    assert (rep.is_gbh, rep.w, rep.method) == (True, 4, "tree")
+    assert C._pending is not None
 
 
 def _gf_with_roots(v):

@@ -506,6 +506,14 @@ def test_perm_equivalent_keeps_its_witnesses_and_node_counts(name):
             perm_equivalent(A, B, node_budget=budget - 1)
 
 
+def test_perm_equivalent_searches_past_the_recursion_limit():
+    # walsh(10) against itself assigns 1024 columns, one stack frame each,
+    # and finds the identity; a recursive search raised RecursionError
+    W = walsh(10)
+    rowp, colp = perm_equivalent(W, walsh(10))
+    assert rowp.is_identity() and colp.is_identity()
+
+
 def _reference_equivalent(A, B):
     """The first column assignment, in itertools.permutations order, under
     which A's rows and B's rows are one multiset of unit codes and the rows,

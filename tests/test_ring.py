@@ -239,6 +239,17 @@ def test_cyclotomic_rational_units_build_no_root_table(monkeypatch):
     assert half.inverse() == ring.from_int(2) and ring._order(half.payload) is None
 
 
+def test_rational_orders_need_no_powers(monkeypatch):
+    # 1 and -1 are Q's only roots of unity: the order of a rational is read
+    # off, and equals the generic descent through powers of Fractions
+    q = rationals()
+    cases = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2)]
+    descent = [ring_module.RingContext._order(q, a) for a in cases]
+    assert descent == [1, 2, None, None, None]
+    monkeypatch.setattr(ring_module.RingContext, "_pow", lambda *args: pytest.fail("raised a Fraction to a power"))
+    assert [q._order(a) for a in cases] == descent
+
+
 def test_cyclotomic_tables_are_shared_by_w():
     a, b = cyclotomic(24), cyclotomic(24)
     assert a is not b

@@ -1,5 +1,6 @@
 """Forward/inverse transform pair and the tensor-factored fast apply."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ght import (
+    DftNode,
+    DoubleNode,
     GMatrix,
     Leaf,
     MatrixError,
@@ -31,6 +34,7 @@ from ght import (
     k3,
     k4,
     mat_mul,
+    permute,
     prime_field,
     quadratic_field,
     rationals,
@@ -161,7 +165,7 @@ def test_fast_apply_matches_naive(mk):
 
 
 def test_fast_apply_leaf_tree_is_naive():
-    M = cbt(3)
+    M = k4()
     x = Signal.from_ints(M.ring, list(range(1, 9)))
     y, count = fast_apply(M.as_tree(), x)
     assert y == ght(M, x)
@@ -331,8 +335,13 @@ def test_chained_round_trips_keep_the_denominator():
 
 
 def test_tree_cost_counts_nodes():
-    J, _ = jacketize_cbt(3)
+    K = k4()
+    J = permute(K, Permutation.identity(8), Permutation((1, 0, 2, 3, 4, 5, 6, 7)))
     assert tree_cost(J.tree) == OpCount(64, 56)  # a leaf under a permuted node
+    # C_3 = D(C_2, C_1 (x) S_1): C_2 = D(S_1, C_1) costs 4 + 4 mul and
+    # 2 + 2 + 4 add, C_1 (x) S_1 costs 2 * 4 + 2 * 4 mul and 2 * 2 + 2 * 2
+    # add, and the outer butterfly 8 add
+    assert tree_cost(cbt(3).tree) == OpCount(24, 24)
     assert tree_cost(walsh(3).tree) == OpCount(48, 24)
     T = tensor(k3(quadratic_field(5)), walsh(1, quadratic_field(5)))
     assert tree_cost(T.tree) == OpCount(6 * 4 + 2 * 36, 6 * 2 + 2 * 30)
@@ -411,9 +420,10 @@ def _zeta4_signal(pairs):
 
 
 def _cost_by_recurrence(node):
-    """tree_cost's reference: a leaf of order a costs a^2 and a(a-1), and a
+    """tree_cost's reference: a leaf of order a costs a^2 and a(a-1), a
     tensor node of orders (a, b) applies its right factor a times and its
-    left factor b times."""
+    left factor b times, and a double node of order v applies each half once
+    and adds v additions."""
     if isinstance(node, Leaf):
         a = node.order
         return OpCount(a * a, a * (a - 1))
@@ -421,6 +431,9 @@ def _cost_by_recurrence(node):
         a, b = node.left.order, node.right.order
         left, right = _cost_by_recurrence(node.left), _cost_by_recurrence(node.right)
         return OpCount(a * right.mul + b * left.mul, a * right.add + b * left.add)
+    if isinstance(node, DoubleNode):
+        top, bottom = _cost_by_recurrence(node.top), _cost_by_recurrence(node.bottom)
+        return OpCount(top.mul + bottom.mul, top.add + bottom.add + node.order)
     return _cost_by_recurrence(node.child)
 
 
@@ -467,6 +480,101 @@ def test_ight_matches_reference_on_random_trees(case):
     v_inv = ring.int_inverse(M.order)
     want = [v_inv * ring.dot(zip(row, y.elements)) for row in star(M).rows()]
     assert ight(M, y) == Signal(ring, tuple(want))
+
+
+# --- trees with double nodes, on every backend that has i ---
+
+RINGS_WITH_I = [cyclotomic(4), prime_field(13), quadratic_field(5), complex_ring()]
+
+
+@st.composite
+def doubling_trees(draw, ring, depth, cap, gbh=False):
+    """A factor tree of order at most cap whose nodes may be double nodes,
+    in either form, besides tensor and permuted nodes. A double node's
+    bottom half is its top half, that half starred or permuted, or a leaf of
+    its order. Leaves are those of trees(), or with gbh set S_1 and F_4
+    (no other leaf), so that every node is GBH."""
+    node = draw(st.sampled_from(("leaf", "tensor", "permuted", "double", "double"))) if depth and cap >= 2 else "leaf"
+    if node == "leaf":
+        if gbh:
+            return draw(st.sampled_from([Leaf(walsh(1, ring))] + ([DftNode(ring, 4)] if cap >= 4 else [])))
+        return draw(trees(ring, 0, cap))
+    if node == "tensor":
+        left = draw(doubling_trees(ring, depth - 1, cap, gbh))
+        return TensorNode(left, draw(doubling_trees(ring, depth - 1, cap // left.order, gbh)))
+    top = draw(doubling_trees(ring, depth - 1, cap if node == "permuted" else cap // 2, gbh))
+    a = top.order
+    rowp, colp = (Permutation(tuple(draw(st.permutations(range(a))))) for _ in range(2))
+    if node == "permuted":
+        return PermutedNode(top, rowp, colp)
+    bottoms = [top, top.star(), PermutedNode(top, rowp, colp)]
+    if not gbh and a <= 4:
+        entries = draw(st.lists(st.sampled_from(_units(ring)), min_size=a * a, max_size=a * a))
+        bottoms.append(Leaf(GMatrix.from_rows(ring, [entries[i * a : (i + 1) * a] for i in range(a)])))
+    return DoubleNode(top, draw(st.sampled_from(bottoms)), draw(st.booleans()))
+
+
+@st.composite
+def doubling_walks(draw, gbh=False):
+    """A doubling tree and a signal; without gbh over Q as well, whose
+    halves may hold leaves over different denominators."""
+    ring = draw(st.sampled_from(RINGS_WITH_I if gbh else RINGS_WITH_I + [rationals()]))
+    tree = draw(doubling_trees(ring, 3, 128 if gbh else 64, gbh))
+    kind = draw(st.sampled_from(("small", "big", "fraction")))
+    return tree, Signal(ring, tuple(_element(ring, kind, draw) for _ in range(tree.order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doubling_walks())
+# entries near 2^52: the first butterfly's sums pass 2^53 and go on in int64
+@example((cbt(3).tree, Signal.from_ints(cyclotomic(4), [2**52 + 1] + [-(2**52)] * 7)))
+# GF(2^60 + 33), which has i: the units are past the float64 bound, so the
+# leaves multiply Python integers and the butterflies add them
+@example((cbt(2, prime_field(2**60 + 33)).tree, Signal.from_ints(prime_field(2**60 + 33), [5, 3, 2**59, 7])))
+def test_fast_apply_matches_ght_over_double_nodes(case):
+    # the walk of a double node sums and subtracts halves, widened to a
+    # dtype that holds the sums, over one denominator; ght, ight and one
+    # ring.dot per entry of the expansion agree with it
+    tree, x = case
+    ring, M = x.ring, tree.expand()
+    y, count = fast_apply(tree, x)
+    assert y == ght(M, x) == Signal(ring, tuple(ring.dot(zip(row, x.elements)) for row in M.rows()))
+    assert count == tree_cost(tree) == _cost_by_recurrence(tree)
+    p = ring.characteristic()
+    if p == 0 or M.order % p:
+        v_inv = ring.int_inverse(M.order)
+        want = [v_inv * ring.dot(zip(row, y.elements)) for row in star(M).rows()]
+        assert ight(M, y) == Signal(ring, tuple(want))
+    # over GF(p) and GF(p^2) the lane form holds reduced coefficients, after
+    # a column-form butterfly as after a leaf
+    assert not p or all(0 <= c < p for c in y._lane_form()[0].ravel().tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(doubling_walks(gbh=True))
+def test_round_trips_over_gbh_double_nodes(case):
+    # exact on the exact backends, within tol on C
+    tree, x = case
+    M = tree.expand()
+    y, _ = fast_apply(tree, x)
+    assert ight(M, y) == x and ight(M, ght(M, x)) == x
+    assert verify_gbh(M).is_gbh
+
+
+def test_cbt12_walks_in_milliseconds():
+    # ght of cbt(12) walks its doubling tree, 67 leaf products of order 2,
+    # and never writes the 16 MB index; as one table it took 0.34 s
+    C = cbt(12)
+    x = Signal.from_ints(C.ring, [(7 * k) % 23 - 11 for k in range(C.order)])
+    y = ght(C, x)  # lane form, as the transforms return it
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        z = ght(C, y)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.005
+    assert ight(C, y) == x and ight(C, z) == y
+    assert C._pending is not None and star(C)._pending is not None
 
 
 def test_ight_does_not_walk_an_unchecked_tree():
