@@ -4,10 +4,10 @@ which catalog.cbt builds its matrices from.
 
 A double node is one node kind of ght.matrix's protocol (FactorTree): it
 walks, stars, expands, proves and writes itself. Its walk takes the
-halves' walks and one butterfly of sums and differences in the numeric
-lane (matrix._lane_apply's batches), where the halves are brought to one
-denominator and to one dtype that holds their sums exactly (_exact,
-_one_den).
+halves' walks and one butterfly of sums and differences, F_2 (x) I, which
+the lane kernel (matrix._lane_apply) applies as it applies a leaf, with
+the dtype, bound and reduction modulo p it picks for any leaf; the halves'
+outputs are brought to one denominator (_one_den).
 """
 
 from __future__ import annotations
@@ -15,11 +15,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrix import FactorTree, GMatrix, MatrixError, _Pending, _check_same_ring, _row_blocks, _unit_table
+from .matrix import (
+    FactorTree,
+    GMatrix,
+    MatrixError,
+    _check_same_ring,
+    _lane_apply,
+    _lane_cast,
+    _lane_dtype,
+    _Pending,
+    _row_blocks,
+    _unit_table,
+)
 
 
 @dataclass(frozen=True)
@@ -74,29 +85,24 @@ class DoubleNode(FactorTree):
         return DoubleNode(self.top.star(), self.bottom.star(), not self.columns)
 
     @cached_property
-    def _characteristic(self):
-        return self.leaves()[0].ring.characteristic()
+    def _butterfly(self):
+        return _f2(self.leaves()[0].ring)
 
     def walk(self, X, den, big):
         """(A(x1 + x2), B(x1 - x2)), or in column form (A x1 + B x2,
-        A x1 - B x2) reduced modulo the characteristic, as a leaf's output
-        is; the halves meet over one denominator, in one dtype that holds
-        their values exactly (_one_den, _exact)."""
-        h, twice = self.top.order, big and 2 * big
-        if self.columns:
-            halves = self.top.walk(X[:h], den, big), self.bottom.walk(X[h:], den, big)
-        else:
-            x1, x2 = _exact(twice, X[:h], X[h:])
-            halves = self.top.walk(x1 + x2, den, twice), self.bottom.walk(x1 - x2, den, twice)
-        (a, b), den, big = _one_den(halves)
+        A x1 - B x2): the butterfly F_2 (x) I, the leaf F_2 walking X as a
+        (2, -1) batch, before the halves or after them, which meet over one
+        denominator (_one_den)."""
+        h, c = self.top.order, X.shape[1]
         if not self.columns:
-            return np.concatenate([a, b]), den, big
-        big, p = big and 2 * big, self._characteristic
-        a, b = _exact(big, a, b)
-        Y = np.concatenate([a + b, a - b])
-        if p:
-            np.remainder(Y, p, out=Y)
-        return Y, den, p - 1 if p else big
+            X, den, big = _lane_apply(self._butterfly, X.reshape(2, -1), den, big)
+            X = X.reshape(2 * h, c)
+        ring = self._butterfly.ring
+        halves, den, big = _one_den(ring, (self.top.walk(X[:h], den, big), self.bottom.walk(X[h:], den, big)))
+        if not self.columns:
+            return np.concatenate(halves), den, big
+        Y, den, big = _lane_apply(self._butterfly, np.concatenate(halves).reshape(2, -1), den, big)
+        return Y.reshape(2 * h, c), den, big
 
     def leaves(self):
         return self.top.leaves() + self.bottom.leaves()
@@ -121,32 +127,22 @@ class DoubleNode(FactorTree):
         return cls(read.node(data, "top", beside=2), read.node(data, "bottom", beside=2), read.flag(data, "columns"))
 
 
-def _exact(big, *arrays):
-    """The arrays of lane values in one dtype that holds each integer up to
-    big in size exactly: as they are while all are float32 and big < 2^24,
-    or float32 and float64 (which numpy mixes into float64) and big < 2^53;
-    else int64 while big < 2^63 (float lane values are integers); else
-    Python integers in object arrays. Complex arrays (big None) stay."""
-    if big is None:
-        return arrays
-    dtypes = {a.dtype for a in arrays}
-    if dtypes <= {np.dtype(np.float32)} and big < 2**24 or dtypes <= {np.dtype(np.float32), np.dtype(np.float64)} and big < 2**53:
-        return arrays
-    if np.dtype(object) not in dtypes and big < 2**63:
-        return tuple(a.astype(np.int64, copy=False) for a in arrays)
-    return tuple(a if a.dtype == object else a.astype(np.int64).astype(object) for a in arrays)
+@lru_cache(maxsize=64)
+def _f2(ring):
+    """F_2 = [[1, 1], [1, -1]] over ring, kept with its lane form for every
+    double node over that ring (equal specs hash alike)."""
+    return GMatrix.from_rows(ring, [[1, 1], [1, -1]])
 
 
-def _one_den(walked):
+def _one_den(ring, walked):
     """((Y, ...), den, big): the walks' outputs (Y, den, big), each as an
-    (order, -1) array over den, the lcm of their denominators, in one dtype
-    exact to big, the largest of their bounds (None on C)."""
+    (order, -1) array over den, the lcm of their denominators, with big the
+    largest of their bounds once scaled (None on C), in the one dtype that
+    _lane_dtype picks for big, so that they concatenate exactly."""
     den = math.lcm(*(d for _, d, _ in walked))
-    ys, bigs = [], []
-    for Y, d, big in walked:
-        if d != den:
-            Y, big = _exact(big * (den // d), Y)[0] * (den // d), big * (den // d)
-        ys.append(Y.reshape(len(Y), -1))
-        bigs.append(big)
-    big = None if None in bigs else max(bigs)
-    return _exact(big, *ys), den, big
+    if not ring.is_exact:
+        return tuple(Y.reshape(len(Y), -1) for Y, _, _ in walked), den, None
+    big = max(b * (den // d) for _, d, b in walked)
+    dtype = _lane_dtype(ring, 0, big)[0]
+    ys = (_lane_cast(Y.reshape(len(Y), -1), dtype) for Y, _, _ in walked)
+    return tuple(Y if d == den else Y * (den // d) for Y, (_, d, _) in zip(ys, walked)), den, big

@@ -742,6 +742,14 @@ def _lane_dtype(ring, G, t):
     return dtype, p - 1 if p else bound
 
 
+def _lane_cast(X, dtype):
+    """X as dtype, which the caller took from _lane_dtype; float lane values
+    are integers, so they become Python integers by way of int64."""
+    if dtype == object and X.dtype.kind == "f":
+        X = X.astype(np.int64)
+    return X.astype(dtype, copy=False)
+
+
 def _lane_apply(A: GMatrix, X, den_x, big_x):
     """(planes, den, big): A times the lane batch X / den_x of n vectors
     (see _lane_batch), as a (v, n, d) array of reduced coefficients over
@@ -783,9 +791,7 @@ def _lane_apply(A: GMatrix, X, den_x, big_x):
         if dtype is object or d == 1 and dtype is np.float64:
             dtype, big = _lane_dtype(ring, G, v * big_a * min(big_x, _lane_max(X)))
     fold = fold_rows(dtype) if fold_rows else None
-    if dtype == object and X.dtype.kind == "f":
-        X = X.astype(np.int64)  # float lane values are integers, kept as ints
-    X = X.astype(dtype, copy=False)
+    X = _lane_cast(X, dtype)
     n = X.shape[1] // d
     den = den_x * lane.den
     gather = _BLOCK_VALUES * X.shape[1] // (len(ma) * v)

@@ -20,7 +20,7 @@ factor's axis to the front of the rows, and the factor walks itself
 (FactorTree.walk), as a node kind is one class: a permuted subtree is its
 child's walk between two gathers of rows, a DFT node the walk of its
 Good-Thomas tree, and a double node its halves' walks beside one butterfly
-of sums and differences.
+of sums and differences, the leaf F_2 walking the batch as two rows.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
 backend. A signal is written once, as the lane table of its elements

@@ -13,7 +13,9 @@ import pytest
 
 import ght
 from ght import (
+    DoubleNode,
     GMatrix,
+    Leaf,
     MatrixError,
     Permutation,
     Signal,
@@ -362,6 +364,18 @@ def test_double_node_files(tmp_path, capsys):
     save_matrix(S, tmp_path / "s.json")
     assert '"columns": true' in (tmp_path / "s.json").read_text()
     assert equal(load_matrix(tmp_path / "s.json"), S)
+
+
+def test_apply_fast_of_a_double_node_file_is_exact_past_float32(tmp_path, capsys):
+    # S_1 and S_1 in column form over Q, on entries near 2^23: the leaves
+    # return float32, and the butterfly's odd sum 2^25 - 7 is past 2^24
+    M = DoubleNode(Leaf(walsh(1)), Leaf(walsh(1)), True).expand()
+    m, x, y = (str(tmp_path / f"{s}.json") for s in "mxy")
+    save_matrix(M, m)
+    save_signal(Signal.from_ints(rationals(), [2**23 - 1] + [2**23 - 2] * 3), x)
+    assert main(["apply", "--fast", m, x, "-o", y]) == 0
+    assert "method: tree-walk\n" in capsys.readouterr().out
+    assert [e.payload for e in load_signal(y).elements] == [2**25 - 7, 1, 1, 1]
 
 
 def test_gen_cbt12_verifies_by_its_tree_in_a_process(tmp_path):

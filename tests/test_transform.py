@@ -386,12 +386,13 @@ def trees(draw, ring, depth, cap):
 
 
 def _element(ring, kind, draw):
-    """A signal entry: a small integer, an integer near 2^52 (exact
-    backends), or a non-integer element."""
+    """A signal entry: a small integer, an integer near 2^e for
+    22 <= e <= 52 (exact backends), whose sums and products pass float32's
+    or float64's integers, or a non-integer element."""
     if kind == "small" or (kind == "big" and not ring.is_exact):
         return ring.from_int(draw(st.integers(-9, 9)))
     if kind == "big":
-        big = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(46, 52))
+        big = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(22, 52))
         return ring.from_int(big + draw(st.integers(-9, 9)))
     a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
     d = draw(st.sampled_from((2, 4)))
@@ -526,15 +527,23 @@ def doubling_walks(draw, gbh=False):
 
 @settings(max_examples=200, deadline=None)
 @given(doubling_walks())
-# entries near 2^52: the first butterfly's sums pass 2^53 and go on in int64
+# entries near 2^52: the first butterfly's sums pass 2^53 and go on as
+# Python integers
 @example((cbt(3).tree, Signal.from_ints(cyclotomic(4), [2**52 + 1] + [-(2**52)] * 7)))
+# Q entries near 2^23, in float32 while below 2^24: an odd sum past 2^24,
+# after a leaf's or a butterfly's float32 output, in both forms and alone or
+# behind a leaf in a tensor chain
+@example((DoubleNode(Leaf(walsh(1)), Leaf(walsh(1))), _q_signal([2**23 - 1] + [2**23 - 2] * 3)))
+@example((DoubleNode(Leaf(walsh(1)), Leaf(walsh(1)), True), _q_signal([2**23 - 1] + [2**23 - 2] * 3)))
+@example((TensorNode(DoubleNode(Leaf(walsh(1)), Leaf(walsh(1))), Leaf(walsh(1))), _q_signal([2**23 - 1] + [2**23 - 2] * 7)))
+@example((TensorNode(DoubleNode(Leaf(walsh(1)), Leaf(walsh(1)), True), Leaf(walsh(1))), _q_signal([2**23 - 1] + [2**23 - 2] * 7)))
 # GF(2^60 + 33), which has i: the units are past the float64 bound, so the
 # leaves multiply Python integers and the butterflies add them
 @example((cbt(2, prime_field(2**60 + 33)).tree, Signal.from_ints(prime_field(2**60 + 33), [5, 3, 2**59, 7])))
 def test_fast_apply_matches_ght_over_double_nodes(case):
-    # the walk of a double node sums and subtracts halves, widened to a
-    # dtype that holds the sums, over one denominator; ght, ight and one
-    # ring.dot per entry of the expansion agree with it
+    # the walk of a double node sums and subtracts halves by the lane
+    # kernel, over one denominator; ght, ight and one ring.dot per entry of
+    # the expansion agree with it
     tree, x = case
     ring, M = x.ring, tree.expand()
     y, count = fast_apply(tree, x)
