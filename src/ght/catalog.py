@@ -8,6 +8,7 @@ producing K2/K3) act as genuine cross-checks instead of tautologies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import ring as ringmod
 from .gbh import _power_table, dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
 from .butterfly import DoubleNode
-from .matrix import ORDER_LIMIT, GMatrix, Leaf, MatrixError, TensorNode, _balanced, equal
+from .matrix import ORDER_LIMIT, GMatrix, Leaf, MatrixError, TensorNode, equal
 from .ring import RingContext, RingElement, RingError, _order_exact
 
 @dataclass(frozen=True)
@@ -58,21 +59,13 @@ def _require_not_pm1(ring, r):
 
 
 def walsh(t: int, ring: RingContext | None = None) -> GMatrix:
-    """Sylvester matrix of order 2^t, the t-fold tensor power of [[1,1],[1,-1]]."""
+    """Sylvester matrix of order 2^t, the t-fold tensor power of [[1,1],[1,-1]]:
+    the expansion of the left-deep chain of tensor nodes over that one leaf,
+    as files write it. One factor is the leaf's matrix."""
     if t < 1:
         raise MatrixError("walsh needs t >= 1")
     ring = ring if ring is not None else ringmod.rationals()
-    return _tensor_chain([GMatrix.from_rows(ring, [[1, 1], [1, -1]])] * t)
-
-
-def _tensor_chain(factors):
-    """The Kronecker product of factors, left to right, taken balanced as
-    TensorNode.expand takes it, whose tree is the left-deep chain of their
-    trees, as files write it. One factor is returned as it is."""
-    tree = factors[0].as_tree()
-    for f in factors[1:]:
-        tree = TensorNode(tree, f.as_tree())
-    return _balanced(factors, tree) if len(factors) > 1 else factors[0]
+    return functools.reduce(TensorNode, [Leaf(GMatrix.from_rows(ring, [[1, 1], [1, -1]]))] * t).expand()
 
 
 def cbt(t: int, ring: RingContext | None = None) -> GMatrix:
@@ -226,7 +219,9 @@ def _classify(l, eps, delta, n, r, ring) -> str:
 
 
 def family(l, eps, delta, n, r, ring: RingContext):
-    """(tensor^l K1) x K2(r)^eps x RJT_n^delta, with its classification tag."""
+    """(tensor^l K1) x K2(r)^eps x RJT_n^delta, the expansion of the
+    left-deep chain of tensor nodes over its factors' trees, with its
+    classification tag."""
     if eps not in (0, 1) or delta not in (0, 1) or l < 0:
         raise MatrixError("need l >= 0 and eps, delta in {0, 1}")
     if l == 0 and eps == 0 and delta == 0:
@@ -238,7 +233,7 @@ def family(l, eps, delta, n, r, ring: RingContext):
         if n is None or n < 1:
             raise MatrixError("delta = 1 needs an order parameter n >= 1")
         factors.append(jacketize_dft(n, ring)[0])
-    M = _tensor_chain(factors)
+    M = functools.reduce(TensorNode, [f.as_tree() for f in factors]).expand()
     tag = _classify(l, eps, delta, n, r if eps else None, ring)
     return M, FamilyLabel(l=l, eps=eps, delta=delta, n=n if delta else None, tag=tag)
 

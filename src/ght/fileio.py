@@ -23,7 +23,10 @@ A matrix file takes one of two forms:
   here must expand to exactly the entries (matrix.tree_matches).
 A tree is written and read node by node, each by the class of its kind
 (FactorTree.to_json and from_json, found by "kind" in NODE_KINDS), and this
-module keeps the rules of the format (_TreeReader). The declared order may
+module keeps the rules of the format in one reader per file (_TreeReader),
+which decodes the top matrix and every leaf over the one ring of the
+header, so a loaded matrix holds each unit once; a leaf whose "ring" names
+another ring is refused. The declared order may
 not exceed ORDER_LIMIT (4096); the loader checks it before it decodes an
 entry or builds a tree. Nor may any tree node's order exceed the declared
 one, checked as the tree is read, so a generator is checked before it is
@@ -94,18 +97,55 @@ NODE_KINDS = {cls.kind: cls for cls in (Leaf, TensorNode, PermutedNode, DoubleNo
 
 
 class _TreeReader:
-    """The reader of one file's tree over ring, which a node kind's from_json
-    asks for the nodes and fields under it, none above the order limit. A
-    tensor node's right factor gets the limit over its left factor's order,
-    and each half of a double node half the limit, so that a few bytes of
-    generators cannot ask for more work than one matrix of order limit.
-    Identical leaves share one node (leaves, by the repr of their JSON), so
-    that the t leaves of a walsh:t file are one matrix, whose products
-    verify_gbh and the transforms form once; a shared leaf meets the order
-    limit of each place it takes."""
+    """The one decoder of a matrix file, over its one ring: matrix decodes
+    the top matrix and every leaf of its tree, and a node kind's from_json
+    asks the reader for the nodes and fields under it, none above the order
+    limit. A tensor node's right factor gets the limit over its left
+    factor's order, and each half of a double node half the limit, so that
+    a few bytes of generators cannot ask for more work than one matrix of
+    order limit. Identical leaves share one node (leaves, by the repr of
+    their JSON), so that the t leaves of a walsh:t file are one matrix,
+    whose products verify_gbh and the transforms form once; a shared leaf
+    meets the order limit of each place it takes. As every leaf, generator
+    and expansion holds the reader's ring object, a loaded matrix holds
+    each of its units once."""
 
     def __init__(self, ring, limit, leaves):
         self.ring, self.limit, self.leaves = ring, limit, leaves
+
+    def matrix(self, data):
+        """Decode a matrix from either file form over the reader's ring; a
+        declared order that is not a number from 0 to the limit is rejected
+        first, and no node of the factor tree may exceed the declared order.
+
+        A tree-only file (a tree and no "entries") is the expansion of its
+        tree, whose order must be the declared one; its units are checked,
+        and its index, pending, is read only to name the place of a bad
+        unit. Otherwise the factor tree, if any, must expand to exactly the
+        entries, and the decoded elements of the entries (see _decoded)
+        make the units."""
+        v = _field(data, "order")
+        if not isinstance(v, (int, float)) or not 0 <= v <= self.limit:
+            raise MatrixError(f"declared order {v!r} is not a number up to the limit {self.limit}")
+        tree = None if data.get("tree") is None else _TreeReader(self.ring, v, self.leaves).node(data, "tree")
+        if "entries" not in data and tree is not None:
+            if tree.order != v:
+                raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
+            E = tree.expand()
+            E._validate_units()
+            # every node's expansion carries the node, but a leaf's matrix has no tree
+            return E if E.tree is tree else GMatrix._table(self.ring, E.units, E.idx, tree=tree)
+        entries = _field(data, "entries")
+        if not isinstance(entries, list) or len(entries) != v:
+            raise MatrixError("entry grid does not match the declared order")
+        decoded, codes = _decoded(self.ring, (e for row in entries for e in _listed(row, "an entry row", v)))
+        units, unit_codes = _unit_table(decoded)
+        n = len(entries)  # equals v, which JSON may give as 2.0 for 2
+        M = GMatrix._table(self.ring, units, unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n), tree=tree)
+        M._validate_units()
+        if tree is not None and not tree_matches(tree, M):
+            raise MatrixError("the factor tree does not expand to the matrix entries")
+        return M
 
     def node(self, data, key, beside=1):
         """The node data[key], read by the class of its kind, within the
@@ -143,7 +183,8 @@ class _TreeReader:
         return Permutation(tuple(image))
 
     def leaf(self, data):
-        """The leaf node of data's "matrix", one per identical leaf."""
+        """The leaf node of data's "matrix", one per identical leaf: a
+        matrix with entries and no tree, over the file's ring."""
         matrix = _field(data, "matrix")
         if isinstance(matrix, dict) and matrix.get("tree") is not None:
             raise MatrixError("malformed file: a tree leaf's matrix has a tree of its own")
@@ -154,10 +195,12 @@ class _TreeReader:
         key = repr(matrix) if isinstance(rows, list) and len(rows) ** 2 <= ORDER_LIMIT else None
         tree = self.leaves.get(key)
         if tree is None:
-            leaf = matrix_from_json(matrix, self.limit)
-            if leaf.ring.spec != self.ring.spec:
+            # save_matrix writes the ring's own spec; a ring is built only for
+            # another spec that may name it, such as a complex one without tol
+            spec = ring_spec_from_json(_field(matrix, "ring"))
+            if spec != self.ring.spec and make_ring(spec).spec != self.ring.spec:
                 raise MatrixError("a tree leaf is not over the matrix ring")
-            tree = Leaf(leaf)
+            tree = Leaf(self.matrix(matrix))
             if key is not None:
                 self.leaves[key] = tree
         return tree
@@ -182,41 +225,10 @@ def _leaf_to_json(M):
     return matrix_to_json(M, with_tree=False)
 
 
-def matrix_from_json(data: dict, limit=ORDER_LIMIT) -> GMatrix:
-    """Decode a matrix from either file form; a declared order that is not a
-    number from 0 to limit is rejected first, and no node of the factor tree
-    may exceed the declared order.
-
-    A tree-only file (a tree and no "entries") is the expansion of its tree,
-    whose order must be the declared one; its units are checked, and its
-    index, pending, is read only to name the place of a bad unit. Otherwise
-    the factor tree, if any, must expand to exactly the entries, and the
-    decoded elements of the entries (see _decoded) make the units."""
-    ring = make_ring(ring_spec_from_json(_field(data, "ring")))
-    v = _field(data, "order")
-    if not isinstance(v, (int, float)) or not 0 <= v <= limit:
-        raise MatrixError(f"declared order {v!r} is not a number up to the limit {limit}")
-    if "entries" not in data and data.get("tree") is not None:
-        tree = _TreeReader(ring, v, {}).node(data, "tree")
-        if tree.order != v:
-            raise MatrixError(f"the factor tree has order {tree.order}, not the declared {v}")
-        E = tree.expand()
-        E._validate_units()
-        # every node's expansion carries the node, but a leaf's matrix has no tree
-        return E if E.tree is tree else GMatrix._table(ring, E.units, E.idx, tree=tree)
-    entries = _field(data, "entries")
-    if not isinstance(entries, list) or len(entries) != v:
-        raise MatrixError("entry grid does not match the declared order")
-    decoded, codes = _decoded(ring, (e for row in entries for e in _listed(row, "an entry row", v)))
-    units, unit_codes = _unit_table(decoded)
-    n = len(entries)  # equals v, which JSON may give as 2.0 for 2
-    idx = unit_codes[np.array(codes, dtype=np.intp)].reshape(n, n)
-    tree = None if data.get("tree") is None else _TreeReader(ring, v, {}).node(data, "tree")
-    M = GMatrix._table(ring, units, idx, tree=tree)
-    M._validate_units()
-    if tree is not None and not tree_matches(tree, M):
-        raise MatrixError("the factor tree does not expand to the matrix entries")
-    return M
+def matrix_from_json(data: dict) -> GMatrix:
+    """Decode a matrix from either file form (_TreeReader.matrix) over the
+    ring of its header, its declared order up to ORDER_LIMIT."""
+    return _TreeReader(make_ring(ring_spec_from_json(_field(data, "ring"))), ORDER_LIMIT, {}).matrix(data)
 
 
 def _decoded(ring, encodings):

@@ -3,8 +3,9 @@
 Entries are ring units (every exact backend here is a field, so unit ==
 nonzero). The matrices of interest are Butson-type: their entries come from
 a small set of units. A GMatrix therefore stores the tuple `units` of its
-distinct entries, deduplicated by exact payload, and a read-only index array
-`idx` with entry(i, j) == units[idx[i, j]]. Each operation works on that
+distinct entries, deduplicated by ring spec and exact payload (two ring
+objects of one spec hold one unit), and a read-only index array `idx` with
+entry(i, j) == units[idx[i, j]]. Each operation works on that
 table, never on rows of entries: star inverts the units and transposes idx,
 permute indexes idx, tensor and normalize form each unit product that occurs
 once and gather idx through a table of products (tensor once per distinct
@@ -49,8 +50,8 @@ gbh.dft_matrix and the loads of ght.fileio build their trees so; a tree
 passed to GMatrix(..., tree=) or from_rows(..., tree=) is kept only when
 tree_matches finds that. A node's expand() returns a matrix whose tree is
 the node itself (a Leaf's, its matrix); a chain of tensor nodes expands
-balanced, whatever its shape (_balanced), as the product is associative,
-over the one flat tuple of its factors that the transforms walk.
+balanced, whatever its shape (TensorNode.expand), as the product is
+associative, over the one flat tuple of its factors that the transforms walk.
 """
 
 from __future__ import annotations
@@ -228,8 +229,28 @@ class TensorNode(FactorTree):
 
     def expand(self):
         """The Kronecker product of the factors of this chain of tensor
-        nodes, taken balanced (_balanced), whose tree is this node."""
-        return _balanced([node.expand() for node in self.factors], self)
+        nodes, left to right, whose tree is this node. The product is split
+        where the two sides' orders come nearest each other (it is
+        associative), and so is each side. The split is made once, here: its
+        tensors form the units at once, and their pending indices, which the
+        first read of the product's writes, follow the same split, so the
+        codes agree. A chain of t factors of order 2 so ends in one product
+        of two factors of order about 2^(t/2), and the products before it
+        write a few per cent of its output; the left-deep chain ends in
+        2^(t-1) (x) 2, which gathers the whole index twice and writes it
+        again by strided copies, after writing a third of it in the steps
+        before: by _kron_index's block writes, walsh(12)'s index takes 55 ms
+        left-deep and 9 ms balanced."""
+
+        def product(ms):
+            if len(ms) == 1:
+                return ms[0]
+            orders = [M.order for M in ms]
+            k = min(range(1, len(ms)), key=lambda k: max(math.prod(orders[:k]), math.prod(orders[k:])))
+            return tensor(product(ms[:k]), product(ms[k:]))
+
+        M = product([node.expand() for node in self.factors])
+        return GMatrix._table(M.ring, M.units, M._pending or M.idx, self)
 
     def star(self):
         return TensorNode(self.left.star(), self.right.star())
@@ -300,14 +321,22 @@ class PermutedNode(FactorTree):
 
 
 def _unit_table(entries):
-    """(units, codes): the distinct entries by exact payload and ring object,
-    in order of first occurrence, and each entry's position in `units`."""
+    """(units, codes): the distinct entries by ring spec and exact payload,
+    as == compares exact units, in order of first occurrence, and each
+    entry's position in `units`. Entries are keyed by ring object first, and
+    merged by spec only where the distinct ones hold more than one ring
+    object, so that a table over one ring object pays for no spec."""
     first = {}
     try:
         codes = [first.setdefault((id(e.ring), e.payload), (len(first), e))[0] for e in entries]
     except AttributeError:
         raise MatrixError("matrix entries must be ring elements") from None
-    return [e for _, e in first.values()], np.array(codes, dtype=np.intp)
+    units, codes = [e for _, e in first.values()], np.array(codes, dtype=np.intp)
+    if len({id(u.ring) for u in units}) > 1:
+        merged = {}
+        remap = [merged.setdefault((u.ring.spec, u.payload), (len(merged), u))[0] for u in units]
+        units, codes = [u for _, u in merged.values()], np.array(remap, dtype=np.intp)[codes]
+    return units, codes
 
 
 @dataclass(frozen=True)
@@ -530,31 +559,6 @@ def _kron_index(a, b, table):
             out[rows] = lookup[u][big[rows]] if written is None else written[rows]
         first.setdefault(u, out)
     return idx.reshape(va * vb, va * vb)
-
-
-def _balanced(matrices, tree):
-    """The Kronecker product of matrices, left to right, as a matrix whose
-    tree is tree (the caller vouches that it expands to the product). The
-    product is split where the two sides' orders come nearest each other (it
-    is associative), and so is each side. The split is made once, here: its
-    tensors form the units at once, and their pending indices, which the
-    first read of the product's writes, follow the same split, so the codes
-    agree. A chain of t factors of order 2 so ends in one product of two
-    factors of order about 2^(t/2), and the products before it write a few
-    per cent of its output; the left-deep chain ends in 2^(t-1) (x) 2, which
-    gathers the whole index twice and writes it again by strided copies,
-    after writing a third of it in the steps before: by _kron_index's block
-    writes, walsh(12)'s index takes 55 ms left-deep and 9 ms balanced."""
-
-    def product(ms):
-        if len(ms) == 1:
-            return ms[0]
-        orders = [M.order for M in ms]
-        k = min(range(1, len(ms)), key=lambda k: max(math.prod(orders[:k]), math.prod(orders[k:])))
-        return tensor(product(ms[:k]), product(ms[k:]))
-
-    M = product(matrices)
-    return GMatrix._table(M.ring, M.units, M._pending or M.idx, tree)
 
 
 def permute(M: GMatrix, rowp: Permutation, colp: Permutation) -> GMatrix:

@@ -34,7 +34,8 @@ from ght import (
     walsh,
 )
 from ght import fileio, gbh
-from ght.cli import main
+from ght.catalog import from_token
+from ght.cli import main, parse_ring_spec
 from ght.fileio import (
     load_matrix,
     load_signal,
@@ -388,6 +389,36 @@ def test_a_shared_leaf_meets_the_order_limit_of_each_place():
         matrix_from_json(data)
     M = matrix_from_json(dict(data, order=16))
     assert equal(M, tensor(k2(2), k2(2))) and M.tree.left is M.tree.right
+
+
+@pytest.mark.parametrize(
+    "job",
+    ["walsh:3", "walsh:12", "cbt:3", "cbt:4", "cbt:5", "cbt:6", "cbt:12", "dft:12", "family:1,1,1,3,2",
+     "k3 --ring gf:5:1,1,1", "k4", "k6:2"],
+)
+def test_a_loaded_file_keeps_the_units_of_its_matrix_over_one_ring(tmp_path, job):
+    # the reader decodes every leaf over the file's one ring, so the load
+    # holds each unit once, as the matrix that wrote it does
+    token, _, ring = job.partition(" --ring ")
+    M = from_token(token, parse_ring_spec(ring) if ring else None)
+    save_matrix(M, tmp_path / "m.json")
+    L = load_matrix(tmp_path / "m.json")
+    assert equal(L, M) and len(L.units) == len(M.units)
+    assert len({id(x.ring) for x in (L, *L.units, *L.as_tree().leaves())}) == 1
+
+
+def test_a_leaf_ring_is_the_ring_its_spec_names():
+    # a complex spec without tol names the ring of tol 1e-9, in the header
+    # and in a leaf alike; a leaf over another ring is refused
+    data = matrix_to_json(tensor(walsh(1, complex_ring()), walsh(1, complex_ring())))
+    data = dict(json.loads(json.dumps(data)), ring={"kind": "complex-float"})
+    del data["entries"]
+    data["tree"]["left"]["matrix"]["ring"] = {"kind": "complex-float"}
+    M = matrix_from_json(data)
+    assert equal(M, walsh(2, complex_ring())) and len(M.units) == 2
+    data["tree"]["right"]["matrix"]["ring"] = {"kind": "complex-float", "tol": 0.5}
+    with pytest.raises(MatrixError, match="a tree leaf is not over the matrix ring"):
+        matrix_from_json(data)
 
 
 def _json_dump_bytes(data, path):

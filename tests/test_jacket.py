@@ -39,6 +39,7 @@ from ght import (
     perm_equivalent,
     permute,
     rationals,
+    scalar_mul,
     star,
     tensor,
     verify_gbh,
@@ -179,6 +180,17 @@ def test_brute_width_agrees(mk):
 def test_brute_width_order_cap():
     with pytest.raises(MatrixError):
         brute_width(walsh(4))
+
+
+@pytest.mark.parametrize(
+    "mk",
+    [lambda: scalar_mul(-1, k4()), lambda: GMatrix.from_rows(rationals(), [[1, -1], [-1, -1]])],
+)
+def test_brute_width_without_a_border_arrangement(mk):
+    # no row (or column) of either is all 1s, so no arrangement puts one
+    # first and max_border ends with 0
+    with pytest.raises(MatrixError, match="matrix has no jacket border arrangement"):
+        brute_width(mk())
 
 
 @pytest.mark.parametrize("t", range(2, 7))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ght import (
     DftNode,
+    DoubleNode,
     GMatrix,
     Leaf,
     MatrixError,
@@ -28,6 +29,7 @@ from ght import (
     cyclotomic,
     dft_matrix,
     equal,
+    k1,
     make_ring,
     mat_mul,
     normalize,
@@ -308,6 +310,21 @@ def test_units_are_deduplicated_by_exact_payload():
     M = GMatrix.from_rows(c, [[c.one(), near], [near, c.one()]])
     assert len(M.units) == 2
     assert M.entry(0, 1).payload == 1 + 1e-12j
+
+
+def test_units_over_two_ring_objects_of_one_spec_are_one():
+    # a unit is keyed by ring spec and exact payload, as == compares exact
+    # units: equal units of two Q(zeta_4) objects are one, where a double
+    # node joins halves over both or one matrix's entries come from both
+    a, b = cyclotomic(4), cyclotomic(4)
+    D = DoubleNode(Leaf(k1(a)), Leaf(k1(b))).expand()
+    assert len(D.units) == 2 and equal(D, DoubleNode(Leaf(k1(a)), Leaf(k1(a))).expand())
+    M = GMatrix.from_rows(a, [[a.one(), b.one()], [a.one(), -b.one()]])
+    assert len(M.units) == 2 and equal(M, k1(a))
+    # a Q(zeta_3) unit keeps apart from them, and fails with its place
+    c = cyclotomic(3)
+    with pytest.raises(MatrixError, match=r"entry \(0,1\) is not in the matrix ring"):
+        GMatrix.from_rows(a, [[a.one(), c.one()], [a.one(), -a.one()]])
 
 
 def _kron(a, b):
