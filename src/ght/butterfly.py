@@ -130,7 +130,7 @@ class DoubleNode(FactorTree):
 @lru_cache(maxsize=64)
 def _f2(ring):
     """F_2 = [[1, 1], [1, -1]] over ring, kept with its lane form for every
-    double node over that ring (equal specs hash alike)."""
+    double node over that ring, one object per spec."""
     return GMatrix.from_rows(ring, [[1, 1], [1, -1]])
 
 

@@ -47,7 +47,7 @@ class QuadriphaseSequence:
 def _coerce_unit(ring, r):
     if isinstance(r, int):
         r = ring.from_int(r)
-    if not isinstance(r, RingElement) or r.ring.spec != ring.spec:
+    if not isinstance(r, RingElement) or r.ring is not ring:
         raise RingError("parameter must be an element of the given ring")
     r.inverse()  # raises if not a unit
     return r

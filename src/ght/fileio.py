@@ -24,13 +24,13 @@ A matrix file takes one of two forms:
 A tree is written and read node by node, each by the class of its kind
 (FactorTree.to_json and from_json, found by "kind" in NODE_KINDS), and this
 module keeps the rules of the format in one reader per file (_TreeReader),
-which decodes the top matrix and every leaf over the one ring of the
-header, so a loaded matrix holds each unit once; a leaf whose "ring" names
-another ring is refused. The declared order may
-not exceed ORDER_LIMIT (4096); the loader checks it before it decodes an
-entry or builds a tree. Nor may any tree node's order exceed the declared
-one, checked as the tree is read, so a generator is checked before it is
-built; each half of a double node is within half the limit of its node,
+which decodes the top matrix and every leaf over the ring of the header, the
+one object of its spec (ght.ring.make_ring), so a loaded matrix holds each
+unit once; a leaf whose "ring" names another ring is refused. The declared
+order may not exceed ORDER_LIMIT (4096); the loader checks it before it
+decodes an entry or builds a tree. Nor may any tree node's order exceed the
+declared one, checked as the tree is read, so a generator is checked before
+it is built; each half of a double node is within half the limit of its node,
 and the halves have one order. A leaf holds its matrix with entries and no
 tree, so its work is bounded by the entries in the file. Both formats are
 written by json.dumps, on one line, and replace a file only once written.
@@ -106,17 +106,17 @@ class _TreeReader:
     order limit. Identical leaves share one node (leaves, by the repr of
     their JSON), so that the t leaves of a walsh:t file are one matrix,
     whose products verify_gbh and the transforms form once; a shared leaf
-    meets the order limit of each place it takes. As every leaf, generator
-    and expansion holds the reader's ring object, a loaded matrix holds
-    each of its units once."""
+    meets the order limit of each place it takes. Every leaf, generator
+    and expansion is over the header's ring, the one object of its spec, so
+    a loaded matrix holds each of its units once."""
 
     def __init__(self, ring, limit, leaves):
         self.ring, self.limit, self.leaves = ring, limit, leaves
 
     def matrix(self, data):
         """Decode a matrix from either file form over the reader's ring; a
-        declared order that is not a number from 0 to the limit is rejected
-        first, and no node of the factor tree may exceed the declared order.
+        declared order that is not a number (true is not) from 0 to the
+        limit is rejected first, and no tree node may exceed that order.
 
         A tree-only file (a tree and no "entries") is the expansion of its
         tree, whose order must be the declared one; its units are checked,
@@ -125,7 +125,7 @@ class _TreeReader:
         entries, and the decoded elements of the entries (see _decoded)
         make the units."""
         v = _field(data, "order")
-        if not isinstance(v, (int, float)) or not 0 <= v <= self.limit:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= self.limit:
             raise MatrixError(f"declared order {v!r} is not a number up to the limit {self.limit}")
         tree = None if data.get("tree") is None else _TreeReader(self.ring, v, self.leaves).node(data, "tree")
         if "entries" not in data and tree is not None:
@@ -195,10 +195,7 @@ class _TreeReader:
         key = repr(matrix) if isinstance(rows, list) and len(rows) ** 2 <= ORDER_LIMIT else None
         tree = self.leaves.get(key)
         if tree is None:
-            # save_matrix writes the ring's own spec; a ring is built only for
-            # another spec that may name it, such as a complex one without tol
-            spec = ring_spec_from_json(_field(matrix, "ring"))
-            if spec != self.ring.spec and make_ring(spec).spec != self.ring.spec:
+            if make_ring(ring_spec_from_json(_field(matrix, "ring"))) is not self.ring:
                 raise MatrixError("a tree leaf is not over the matrix ring")
             tree = Leaf(self.matrix(matrix))
             if key is not None:

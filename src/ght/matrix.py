@@ -3,8 +3,8 @@
 Entries are ring units (every exact backend here is a field, so unit ==
 nonzero). The matrices of interest are Butson-type: their entries come from
 a small set of units. A GMatrix therefore stores the tuple `units` of its
-distinct entries, deduplicated by ring spec and exact payload (two ring
-objects of one spec hold one unit), and a read-only index array `idx` with
+distinct entries, deduplicated by exact payload over the one ring object
+of their spec (ght.ring.make_ring), and a read-only index array `idx` with
 entry(i, j) == units[idx[i, j]]. Each operation works on that
 table, never on rows of entries: star inverts the units and transposes idx,
 permute indexes idx, tensor and normalize form each unit product that occurs
@@ -321,22 +321,16 @@ class PermutedNode(FactorTree):
 
 
 def _unit_table(entries):
-    """(units, codes): the distinct entries by ring spec and exact payload,
-    as == compares exact units, in order of first occurrence, and each
-    entry's position in `units`. Entries are keyed by ring object first, and
-    merged by spec only where the distinct ones hold more than one ring
-    object, so that a table over one ring object pays for no spec."""
+    """(units, codes): the distinct entries by ring and exact payload, as ==
+    compares exact units, in order of first occurrence, and each entry's
+    position in `units`. A spec names one ring object (ght.ring.make_ring),
+    so equal units of one ring are one."""
     first = {}
     try:
         codes = [first.setdefault((id(e.ring), e.payload), (len(first), e))[0] for e in entries]
     except AttributeError:
         raise MatrixError("matrix entries must be ring elements") from None
-    units, codes = [e for _, e in first.values()], np.array(codes, dtype=np.intp)
-    if len({id(u.ring) for u in units}) > 1:
-        merged = {}
-        remap = [merged.setdefault((u.ring.spec, u.payload), (len(merged), u))[0] for u in units]
-        units, codes = [u for _, u in merged.values()], np.array(remap, dtype=np.intp)[codes]
-    return units, codes
+    return [e for _, e in first.values()], np.array(codes, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -432,7 +426,7 @@ class GMatrix:
     def _validate_units(self):
         zero = self.ring.zero()
         for k, u in enumerate(self.units):
-            if not isinstance(u, RingElement) or u.ring.spec != self.ring.spec:
+            if not isinstance(u, RingElement) or u.ring is not self.ring:
                 problem = "is not in the matrix ring"
             elif u == zero:
                 problem = "is not a unit"
@@ -476,7 +470,7 @@ class GMatrix:
 
 
 def _check_same_ring(A: GMatrix, B: GMatrix):
-    if A.ring.spec != B.ring.spec:
+    if A.ring is not B.ring:
         raise MatrixError("ring mismatch")
 
 
@@ -640,7 +634,7 @@ def _fold(ring, ma):
     reduced in row i * d + j, the integers of ring._lane_fold() cast to dtype
     (float64 is exact whenever _lane_dtype picks it, as G >= max|rows|), and
     G, the largest column sum of |rows|, is counted without building them.
-    Keyed by ring (equal specs hash alike): a matrix keeps O(#units * d)."""
+    Keyed by ring, one object per spec: a matrix keeps O(#units * d)."""
     d = ring._lane_dim
     if len(ma) * d * d > _FOLD_VALUES:
         raise MatrixError(f"a lane fold of {len(ma)} planes of {ring!r} is above the limit of {_FOLD_VALUES} values")
@@ -869,7 +863,7 @@ def equal(A: GMatrix, B: GMatrix) -> bool:
     absent from B has a code that B lacks, and the coded index arrays are
     compared; on the complex backend each pair of entries is compared within
     tol, since that equality is not transitive."""
-    if A.ring.spec != B.ring.spec or A.order != B.order:
+    if A.ring is not B.ring or A.order != B.order:
         return False
     if A.ring.is_exact:
         first = {}

@@ -17,6 +17,7 @@ import itertools
 import math
 import re
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +68,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring.spec != self.ring.spec:
+            if other.ring is not self.ring:
                 raise RingError("ring mismatch")
             return other
         if isinstance(other, int):
@@ -283,11 +284,12 @@ def _prime_factors(*parts):
 
 
 class RingContext:
-    """Arithmetic backend behind RingElement; contexts compare equal when
-    their specs do. The payload hooks _add, _mul, _neg and _eq default to
-    Python's operators: the arithmetic of the Fraction and complex payloads of
-    Q and C, and the equality of every exact payload. Q(zeta_w) reduces modulo
-    Phi_w, GF(p) and GF(p^2) modulo p, and C compares within its tolerance."""
+    """Arithmetic backend behind RingElement, one live context per spec
+    (make_ring), so contexts compare, hash and copy by identity. The payload
+    hooks _add, _mul, _neg and _eq default to Python's operators: the
+    arithmetic of the Fraction and complex payloads of Q and C, and the
+    equality of every exact payload. Q(zeta_w) reduces modulo Phi_w, GF(p)
+    and GF(p^2) modulo p, and C compares within its tolerance."""
 
     spec: RingSpec
     is_exact = True
@@ -422,11 +424,8 @@ class RingContext:
     def decode(self, data) -> RingElement:
         raise NotImplementedError
 
-    def __eq__(self, other):
-        return isinstance(other, RingContext) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
+    def __reduce__(self):
+        return make_ring, (self.spec,)
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -524,7 +523,7 @@ class CyclotomicContext(RingContext):
     """
 
     def __init__(self, w):
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise RingError("w must be an integer >= 1")
         self.w = w
         self.phi = cyclotomic_polynomial(w)
@@ -717,8 +716,8 @@ def _x_powers(w):
         yield row
 
 
-# Q(zeta_w) tables are keyed by w, not by ring object, as every loaded file
-# builds its own ring; a few tables of large w are already megabytes
+# Q(zeta_w) tables are keyed by w, not by ring object, so that a ring freed
+# and built again finds them; a few tables of large w are already megabytes
 @lru_cache(maxsize=32)
 def _fold_table(w):
     """Row m holds the int64 coefficients of x^m mod Phi_w, for m < 2 deg - 1,
@@ -832,7 +831,7 @@ class QuadraticFieldContext(RingContext):
         if not is_prime(p):
             raise RingError(f"{p!r} is not prime")
         c0, c1, c2 = ext_poly
-        if not all(isinstance(c, int) for c in ext_poly):
+        if not all(type(c) is int for c in ext_poly):
             raise RingError("extension polynomial coefficients must be integers")
         if c2 != 1:
             raise RingError("extension polynomial must be monic")
@@ -927,10 +926,10 @@ class ComplexContext(RingContext):
     is_exact = False
 
     def __init__(self, tol=1e-9):
-        if not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
             raise RingError("tol must be a finite non-negative number")
-        self.tol = tol
-        self.spec = RingSpec(kind="complex-float", tol=tol)
+        self.tol = float(tol)
+        self.spec = RingSpec(kind="complex-float", tol=self.tol)
 
     def _inv(self, a):
         if abs(a) <= self.tol:
@@ -971,39 +970,48 @@ class ComplexContext(RingContext):
         return "C(float)"
 
 
+# the live context of each canonical spec, the one its context holds: a
+# factory builds and validates a context, then returns the live one
+_RINGS = weakref.WeakValueDictionary()
+
+
+def _live(ring):
+    return _RINGS.setdefault(ring.spec, ring)
+
+
 def make_ring(spec: RingSpec) -> RingContext:
-    """Build the arithmetic context described by a RingSpec."""
+    """The live context of the ring that a RingSpec describes."""
     if spec.kind == "rationals":
-        return RationalsContext()
+        return rationals()
     if spec.kind == "cyclotomic-rationals":
-        return CyclotomicContext(spec.w)
+        return cyclotomic(spec.w)
     if spec.kind == "prime-field":
-        return PrimeFieldContext(spec.p)
+        return prime_field(spec.p)
     if spec.kind == "quadratic-extension-field":
         if spec.ext_poly is None:
             raise RingError("quadratic extension needs ext_poly")
-        return QuadraticFieldContext(spec.p, spec.ext_poly)
+        return quadratic_field(spec.p, spec.ext_poly)
     if spec.kind == "complex-float":
-        return ComplexContext(spec.tol if spec.tol is not None else 1e-9)
+        return complex_ring(spec.tol if spec.tol is not None else 1e-9)
     raise RingError(f"unknown backend kind {spec.kind!r}")
 
 
 def rationals() -> RationalsContext:
-    return RationalsContext()
+    return _live(RationalsContext())
 
 
 def cyclotomic(w) -> CyclotomicContext:
-    return CyclotomicContext(w)
+    return _live(CyclotomicContext(w))
 
 
 def prime_field(p) -> PrimeFieldContext:
-    return PrimeFieldContext(p)
+    return _live(PrimeFieldContext(p))
 
 
 def quadratic_field(p, ext_poly=(1, 1, 1)) -> QuadraticFieldContext:
     """GF(p^2); the default modulus y^2 + y + 1 is irreducible mod 5."""
-    return QuadraticFieldContext(p, ext_poly)
+    return _live(QuadraticFieldContext(p, ext_poly))
 
 
 def complex_ring(tol=1e-9) -> ComplexContext:
-    return ComplexContext(tol)
+    return _live(ComplexContext(tol))

@@ -121,7 +121,7 @@ class Signal:
         if not isinstance(other, Signal):
             return NotImplemented
         return (
-            self.ring == other.ring
+            self.ring is other.ring
             and self.length == other.length
             and self.elements == other.elements
         )
@@ -155,11 +155,11 @@ def _apply(factors, x: Signal) -> Signal:
     of one vector, as a lane-form signal. A signal built from elements
     enters the lane as its coefficient planes over their common denominator
     (Signal._lane_form); a lane-form signal enters as it is. Each factor's
-    leaves must share the signal's ring: the same object, or an equal spec."""
+    leaves must be over the signal's ring, the one object of its spec."""
     if math.prod(f.order for f in factors) != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
-    if any(L.ring is not ring and L.ring.spec != ring.spec for f in factors for L in f.leaves()):
+    if any(L.ring is not ring for f in factors for L in f.leaves()):
         raise MatrixError("ring mismatch")
     X, den = x._lane_form()
     y, den, _ = _walk(factors, X, den, _lane_max(X) if ring.is_exact else None)

@@ -533,6 +533,22 @@ def test_cyclotomic_w_above_the_limit_exits_two(tmp_path, capsys):
         assert "is above the limit 4096" in capsys.readouterr().err, args
 
 
+def test_boolean_ring_w_and_declared_order_exit_two(tmp_path, capsys):
+    # JSON true is no w and no order: Q(zeta_True) verified and saved
+    # "w": true, and "order": true read an order-1 matrix that applied
+    x = _write(tmp_path / "x.json", signal_to_json(Signal.from_ints(rationals(), [3])))
+    w = {"ring": {"kind": "cyclotomic-rationals", "w": True}, "order": 2, "entries": [[["1/1"], ["1/1"]], [["1/1"], ["-1/1"]]]}
+    order = {"ring": {"kind": "rationals"}, "order": True, "entries": [["1/1"]]}
+    capsys.readouterr()
+    for args in (["verify", _write(tmp_path / "w.json", w)], ["apply", _write(tmp_path / "o.json", order), x, "-o", str(tmp_path / "y.json")]):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, args
+    # 2.0 is still the order 2
+    data = json.loads(json.dumps(matrix_to_json(walsh(1), with_tree=False)))
+    assert main(["verify", _write(tmp_path / "float.json", dict(data, order=2.0))]) == 0
+
+
 def test_gen_and_verify_over_a_large_prime_field(tmp_path, capsys):
     # -1 is payload p - 1, which a scan for the first element of order 2
     # reached only after p - 2 candidates

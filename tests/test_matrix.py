@@ -153,6 +153,15 @@ def test_permute_semantics():
     assert P.entry(1, 3) == M.entry(0, 3)
 
 
+def test_a_permutation_called_on_i_is_its_image_of_i():
+    # permute places entry (i, j) of M at (p(i), q(j))
+    M = k4()
+    p, q = Permutation((3, 0, 6, 1, 7, 2, 5, 4)), Permutation.from_cycle(8, [0, 5, 2])
+    assert [p(i) for i in range(8)] == list(p.image) and [q(i) for i in range(8)] == list(q.image)
+    P = permute(M, p, q)
+    assert all(P.entry(p(i), q(j)) == M.entry(i, j) for i in range(8) for j in range(8))
+
+
 def test_normalize_identity_on_normalised():
     M = k4()
     N, rs, cs = normalize(M)

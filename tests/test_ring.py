@@ -1,7 +1,13 @@
 """Ring backend tests: construction, canonical roots, axioms, encodings."""
 
 import cmath
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -98,12 +104,18 @@ def test_make_ring_errors():
         cyclotomic(0)
     with pytest.raises(RingError):
         quadratic_field(5, (1, 1, 2))  # not monic
+    # w and the coefficients are ints, not bools or floats, so that one
+    # spec names one ring
+    for make in (lambda: cyclotomic(True), lambda: cyclotomic(4.0), lambda: quadratic_field(5, (True, True, True))):
+        with pytest.raises(RingError):
+            make()
     # specs without the numbers their kind needs
     for spec in (
         RingSpec(kind="cyclotomic-rationals"),
         RingSpec(kind="prime-field"),
         RingSpec(kind="quadratic-extension-field", ext_poly=(1, 1, 1)),
         RingSpec(kind="quadratic-extension-field", p=5),
+        RingSpec(kind="cyclotomic-rationals", w=True),
     ):
         with pytest.raises(RingError):
             make_ring(spec)
@@ -250,12 +262,76 @@ def test_rational_orders_need_no_powers(monkeypatch):
     assert [q._order(a) for a in cases] == descent
 
 
+def _run_in_child(code):
+    """Run code in a child interpreter, where no test holds a ring."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ring_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_cyclotomic_tables_are_shared_by_w():
-    a, b = cyclotomic(24), cyclotomic(24)
-    assert a is not b
-    assert a.root_powers(24)[5].payload is b.root_powers(24)[5].payload
-    assert ring_module._fold_table(24) is ring_module._fold_table(24)
-    assert ring_module._root_table(24) is ring_module._root_table(24)
+    # the tables are keyed by w, so a Q(zeta_24) that is freed and built
+    # again finds them
+    _run_in_child("""
+        import gc, weakref
+        from ght import ring as R
+        ring = R.cyclotomic(24)
+        fold, roots, root = ring._lane_fold(), R._root_table(24), ring.root_powers(24)[5].payload
+        gone = weakref.ref(ring)
+        del ring
+        gc.collect()
+        assert gone() is None
+        again = R.cyclotomic(24)
+        assert R._fold_table(24) is fold and again._lane_fold() is fold
+        assert R._root_table(24) is roots and again.root_powers(24)[5].payload is root
+    """)
+
+
+# per backend, a factory call and a spec that name one ring
+LIVE = {
+    "rationals": (rationals, RingSpec(kind="rationals")),
+    "cyclotomic": (lambda: cyclotomic(24), RingSpec(kind="cyclotomic-rationals", w=24)),
+    "prime": (lambda: prime_field(7), RingSpec(kind="prime-field", p=7)),
+    "quadratic": (lambda: quadratic_field(5), RingSpec(kind="quadratic-extension-field", p=5, ext_poly=(6, 1, 1))),
+    "complex": (lambda: complex_ring(1e-9), RingSpec(kind="complex-float")),
+}
+
+
+@pytest.mark.parametrize("name", list(LIVE))
+def test_a_spec_names_one_live_context(name):
+    factory, spec = LIVE[name]
+    ring = make_ring(spec)
+    assert make_ring(spec) is ring and factory() is ring and make_ring(ring.spec) is ring
+    assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
+    assert hash(ring) == object.__hash__(ring)
+    assert ring.one() + copy.deepcopy(ring).one() == ring.from_int(2)
+
+
+def test_equivalent_specs_name_one_context():
+    assert complex_ring() is make_ring(RingSpec(kind="complex-float", tol=1e-9))
+    assert quadratic_field(5, (6, 1, 1)) is quadratic_field(5) is quadratic_field(5, (1, -4, 1))
+    assert complex_ring(0) is complex_ring(0.0) and complex_ring(0).spec.tol == 0.0
+    assert type(complex_ring(0).spec.tol) is float and complex_ring(1e-6) is not complex_ring()
+    assert cyclotomic(4) is not cyclotomic(8) and prime_field(5) is not quadratic_field(5)
+
+
+def test_an_unreferenced_context_is_freed():
+    # each backend's context, once dropped, is freed, so the intern table
+    # keeps none alive; and complex_ring(0), built first, holds tol 0.0
+    _run_in_child("""
+        import gc, weakref
+        from ght.ring import complex_ring, cyclotomic, prime_field, quadratic_field, rationals
+        for make in (rationals, lambda: cyclotomic(24), lambda: prime_field(7), lambda: quadratic_field(5), complex_ring):
+            ring = make()
+            assert make() is ring and ring.one() * ring.one() == ring.one()
+            gone = weakref.ref(ring)
+            del ring
+            gc.collect()
+            assert gone() is None, make()
+        assert repr(complex_ring(0).spec.tol) == repr(complex_ring(0.0).spec.tol) == "0.0"
+    """)
 
 
 def _fold_by_reduction(w):
@@ -542,7 +618,7 @@ def test_complex_tolerance_eq():
     assert c.element(1 + 1e-3j) != c.one()
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, "1e-9"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, "1e-9", True])
 def test_complex_tolerance_must_be_finite_and_non_negative(tol):
     with pytest.raises(RingError):
         complex_ring(tol)

@@ -313,10 +313,11 @@ def test_units_are_deduplicated_by_exact_payload():
 
 
 def test_units_over_two_ring_objects_of_one_spec_are_one():
-    # a unit is keyed by ring spec and exact payload, as == compares exact
-    # units: equal units of two Q(zeta_4) objects are one, where a double
-    # node joins halves over both or one matrix's entries come from both
+    # a spec names one ring object, so the two Q(zeta_4) built here are one,
+    # and so are their equal units, where a double node joins halves over
+    # both or one matrix's entries come from both
     a, b = cyclotomic(4), cyclotomic(4)
+    assert a is b
     D = DoubleNode(Leaf(k1(a)), Leaf(k1(b))).expand()
     assert len(D.units) == 2 and equal(D, DoubleNode(Leaf(k1(a)), Leaf(k1(a))).expand())
     M = GMatrix.from_rows(a, [[a.one(), b.one()], [a.one(), -b.one()]])
@@ -357,8 +358,8 @@ def test_normalize_tensor_row_sums_equal_match_per_entry_reference(case, data):
     assert sums == [sum(r, ring.zero()) for r in a]
     assert inv_sums == [sum(r, ring.zero()) for r in _grid(star(A))]
 
-    # the same entries over a second ring object of the same spec, one of
-    # them perhaps changed
+    # the same entries rebuilt from their payloads over make_ring of the
+    # ring's spec, which is the ring itself, one of them perhaps changed
     other = make_ring(ring.spec)
     moved = [[other.element(e.payload) for e in r] for r in b]
     i, j = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
@@ -371,8 +372,9 @@ def test_normalize_tensor_row_sums_equal_match_per_entry_reference(case, data):
 
 @pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
 def test_equal_of_products_with_more_unit_pairs_than_entries(ring):
-    # two mat_mul results of order 3 over ring objects of one spec: their
-    # unit lists make more pairs than the 9 entries
+    # two mat_mul results of order 3, one over entries rebuilt over
+    # make_ring of the ring's spec: their unit lists make more pairs than
+    # the 9 entries
     rng = np.random.default_rng(3)
     pool = _candidates(ring)
     x, y = ([[pool[k] for k in row] for row in rng.integers(0, 6, (3, 3))] for _ in range(2))
