@@ -23,8 +23,9 @@ On the complex backend a tree of DFT nodes decides a matrix through a
 rounding bound on its units' distance from the exact roots of unity.
 Otherwise M* is the field inverses of the units on the transposed index
 array, and M M* takes the numeric lane of ght.matrix: M* written as a lane
-batch meets M in _lane_apply, one BLAS product of coefficient planes,
-compared plane by plane with v I.
+batch, which M*'s lane keeps for a small table, meets M in _lane_apply, one
+BLAS product of coefficient planes, from whose diagonal v is subtracted in
+place; on an exact backend one any() then decides a pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
-from .matrix import _lane_apply, _lane_batch, _lane_of, star
+from .matrix import _lane_apply, _lane_of, star
 from .ring import RingContext, _prime_factors
 from .transform import Signal, ght
 
@@ -106,20 +107,24 @@ def _complex_orders(z, bound, tol):
 
 def _product_failures(M: GMatrix):
     """The positions of M M* that differ from v I, in row-major order
-    (within tol on the complex backend)."""
+    (within tol on the complex backend). M* meets M as the lane batch that
+    star(M)'s lane keeps (_UnitLane.batch); v den is subtracted in place
+    on the diagonal of the product's (v * v, d) view, rows 0, v + 1, ...,
+    so that on an exact backend one any() decides a pass, and only a
+    failing product or a complex one is scanned entry by entry."""
     ring, v, S = M.ring, M.order, star(M)
-    planes, den, _ = _lane_apply(M, *_lane_batch(_lane_of(S), S.idx))
-    # v I over den: the planes of the integer v times den on the diagonal,
-    # 0 elsewhere
+    planes, den, _ = _lane_apply(M, *_lane_of(S).batch(S.idx))
+    flat = planes.reshape(v * v, -1)
     v_planes, _ = ring._lane_planes([ring.from_int(v)])
-    diag = np.arange(v)
-    planes[diag, diag] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)
+    flat[:: v + 1] -= np.array([c * den for (c,) in v_planes], dtype=planes.dtype)
+    if ring.is_exact and not flat.any():
+        return []
     # an entry is bad when the sum of its |coefficients| exceeds tol (0 on
     # exact backends), summed plane by plane: numpy reduces along a short
     # last axis up to 40 times slower
-    sizes = np.abs(planes[:, :, 0])
-    for m in range(1, planes.shape[2]):
-        sizes += np.abs(planes[:, :, m])
+    sizes = np.abs(flat[:, 0])
+    for m in range(1, flat.shape[1]):
+        sizes += np.abs(flat[:, m])
     bad = sizes > (0 if ring.is_exact else ring.spec.tol)
     return [divmod(k, v) for k in np.flatnonzero(bad).tolist()]
 
@@ -160,16 +165,19 @@ def verify_gbh(M: GMatrix) -> GbhReport:
     (FactorTree.gbh_proof): a DFT up to permutations by its generator, with
     w = v and no product (method "generator", see DftNode.gbh_proof); else
     a tree by its nodes, each distinct leaf object passing by its product,
-    checked once (method "tree"): walsh(t) has t leaves and one of them,
-    cbt(t) two. A leaf passes only when it is smaller than M, as a leaf of
-    M's order costs M's own product. On the complex backend, whose
-    tolerance is defined on M M* itself, no leaf passes: a tree decides M
-    only where its proof reaches DFT nodes alone, and then only through the
-    rounding bound 4 v (2 delta + delta^2) <= tol, delta the largest
-    distance from a unit of M to its nearest exact v-th root
-    (_rounds_to_roots). No tree, a leaf of M's order, a complex matrix past
-    that bound, and a failing leaf, whose failure positions the report
-    lists, take the product M M* (method "numeric-lane").
+    checked once per call (method "tree"): walsh(t) has t leaves and one of
+    them, cbt(t) two. No verdict outlives the call, so each call runs each
+    distinct leaf's product, whose right operand, the leaf's star as a lane
+    batch, the star keeps from the first call on. A leaf passes only when
+    it is smaller than M, as a leaf of M's order costs M's own product.
+    On the complex backend, whose tolerance is defined on M M* itself, no
+    leaf passes: a tree decides M only where its proof reaches DFT nodes
+    alone, and then only through the rounding bound
+    4 v (2 delta + delta^2) <= tol, delta the largest distance from a unit
+    of M to its nearest exact v-th root (_rounds_to_roots). No tree, a
+    leaf of M's order, a complex matrix past that bound, and a failing
+    leaf, whose failure positions the report lists, take the product M M*
+    (method "numeric-lane").
     """
     v = M.order
     if v < 2:

@@ -266,6 +266,7 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
             if depth + 1 == v:
                 if found := witness(refined, brow, assign + [acol]):
                     return found
+                # on C alone: two units of one code may lie more than tol apart
                 continue
             frame[4] = acol + 1
             assign.append(acol)

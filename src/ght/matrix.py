@@ -25,10 +25,11 @@ index array of a matrix built from factors (tensor, the expansion of a tree,
 and star of such a matrix), written on its first read; the first
 star(M), with M's tree starred, kept and returned again; and, on the first
 use of M in the lane, the lane form of its units (planes, denominator,
-nonzero planes, their largest value, the stacked planes per dtype, and the
-kept operand per dtype, the stacked planes at idx, where that has at most
-_BLOCK_VALUES values). The memos hold O(#units * d) values besides the
-kept operands, never O(v^2) for a matrix past that cap: star(M) shares M's
+nonzero planes, their largest value, the stacked planes per dtype, the
+kept operand per dtype, the stacked planes at idx, and the kept batch, its
+table as _lane_batch lays it out, each where it has at most _BLOCK_VALUES
+values). The memos hold O(#units * d) values besides the kept operands and
+batch, never O(v^2) for a matrix past that cap: star(M) shares M's
 index array, transposed, or, while that is pending, waits to read it. A
 transform that applies the same matrix again writes no plane of it again.
 
@@ -653,10 +654,11 @@ class _UnitLane:
     A matrix keeps its units' lane (_lane_of), and with it what _lane_apply
     derives from the planes on first use: the indices of the nonzero planes,
     the largest |coefficient| in them, and per dtype one read-only stack of
-    those planes and, for a small matrix, its kept operand. They are read
-    from the lists, as a few numpy calls on a small table cost more."""
+    those planes and, for a small matrix, its kept operand; and, for a
+    small matrix, its table laid out once as a lane batch (batch). They are
+    read from the lists, as a few numpy calls on a small table cost more."""
 
-    __slots__ = ("planes", "den", "table", "_nonzero", "_stacks")
+    __slots__ = ("planes", "den", "table", "_nonzero", "_stacks", "_batch")
 
     def __init__(self, ring, units):
         self.planes, self.den = ring._lane_planes(units)
@@ -665,7 +667,7 @@ class _UnitLane:
         except OverflowError:
             table = np.array(self.planes, dtype=object)
         table.flags.writeable = False
-        self.table, self._nonzero, self._stacks = table, None, {}
+        self.table, self._nonzero, self._stacks, self._batch = table, None, {}, None
 
     def nonzero(self):
         """(ma, big): the indices of the nonzero planes ((0,) when all are
@@ -690,6 +692,16 @@ class _UnitLane:
             ua.flags.writeable = False
             self._stacks[key] = ua
         return ua
+
+    def batch(self, idx):
+        """_lane_batch(self, idx), given the index array idx of the matrix
+        that keeps this lane: gathered once and kept, read-only, where it has
+        at most _BLOCK_VALUES values, as the right operand of M M* is star(M)'s
+        table on every proof; gathered on each call past that."""
+        if self._batch is None and idx.size * len(self.table) <= _BLOCK_VALUES:
+            self._batch = _lane_batch(self, idx)
+            self._batch[0].flags.writeable = False
+        return self._batch or _lane_batch(self, idx)
 
 
 def _lane_of(M: GMatrix) -> _UnitLane:
@@ -836,16 +848,16 @@ def mat_mul(A: GMatrix, B: GMatrix) -> GMatrix:
     """Plain matrix product. The result is not unit-checked (products of GBH
     matrices legitimately contain zeros).
 
-    The product takes the numeric lane: B's unit table, from the lane form
-    kept on B, is laid out as a lane batch (_lane_batch) that A meets in
-    _lane_apply, exact on the exact backends, and the distinct coefficient
-    vectors of the product become the result's units.
+    The product takes the numeric lane: B's unit table, laid out as a lane
+    batch from the lane form kept on B (_UnitLane.batch, which keeps a small
+    one), meets A in _lane_apply, exact on the exact backends, and the
+    distinct coefficient vectors of the product become the result's units.
     """
     _check_same_ring(A, B)
     if A.order != B.order:
         raise MatrixError("dimension mismatch")
     ring, v = A.ring, A.order
-    planes, den, _ = _lane_apply(A, *_lane_batch(_lane_of(B), B.idx))
+    planes, den, _ = _lane_apply(A, *_lane_of(B).batch(B.idx))
     units, codes = _decode_planes(ring, planes.reshape(v * v, -1), den)
     return GMatrix._table(ring, units, codes.reshape(v, v))
 

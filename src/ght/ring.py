@@ -66,6 +66,11 @@ class RingElement:
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
 
+    def __reduce__(self):
+        """copy, deepcopy and pickle rebuild it over the live context of its
+        ring's spec (RingContext.__reduce__)."""
+        return RingElement, (self.ring, self.payload)
+
     def _coerce(self, other):
         if isinstance(other, RingElement):
             if other.ring is not self.ring:

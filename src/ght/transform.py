@@ -98,6 +98,13 @@ class Signal:
     def __setattr__(self, name, value):
         raise AttributeError("Signal is immutable")
 
+    def __reduce__(self):
+        """copy, deepcopy and pickle rebuild the form it holds: the lane
+        form from a copy of its planes, else its elements."""
+        if self._planes is not None:
+            return Signal._from_lane, (self.ring, self._planes.copy(), self._den)
+        return Signal, (self.ring, self._elements)
+
     @classmethod
     def from_ints(cls, ring, values):
         return cls(ring, tuple(ring.from_int(n) for n in values))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_transform import RINGS, doubling_walks, trees, walks
+from test_transform import RINGS, _units, doubling_walks, trees, walks
 
 from ght import (
     DftNode,
@@ -42,8 +42,8 @@ from ght import (
     permute,
     star,
 )
-from ght import gbh
-from ght.matrix import tree_matches
+from ght import gbh, matrix
+from ght.matrix import _lane_of, tree_matches
 from ght.transform import Signal, fast_apply, ght, tree_cost
 from ght.ring import RingError, is_prime
 
@@ -547,6 +547,85 @@ def test_a_failing_leaf_lists_the_product_failures():
     rep = verify_gbh(M)
     assert not rep.is_gbh and rep.method == "numeric-lane"
     assert (rep.is_gbh, rep.v, rep.w, rep.char_check, rep.failures) == _reference_report(M)
+
+
+def _dot_failures(M):
+    """The positions of M M* that differ from v I, in row-major order, entry
+    by entry: row i of M against the inverses of row j by RingContext.dot,
+    compared with v or 0 by the ring's == (within tol on C)."""
+    ring, v, rows = M.ring, M.order, M.rows()
+    target = lambda i, j: ring.from_int(v) if i == j else ring.zero()
+    pairs = lambda i, j: zip(rows[i], (u.inverse() for u in rows[j]))
+    return [(i, j) for i in range(v) for j in range(v) if ring.dot(pairs(i, j)) != target(i, j)]
+
+
+@st.composite
+def planted(draw):
+    """(M, tree-less): a GBH table of order <= 12 over one of the five
+    backends with one entry times a unit other than 1, alone (tree-less)
+    or as the one failing leaf of a tensor tree with a walsh factor."""
+    ring = draw(st.sampled_from(RINGS))
+    build, n = draw(st.sampled_from([(walsh, t) for t in (1, 2, 3)] + [(dft_matrix, a) for a in (3, 4, 6)]))
+    try:
+        rows = build(n, ring).rows()
+    except RingError:  # no root of that order in the ring
+        assume(False)
+    a = len(rows)
+    i, j = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+    rows[i][j] = rows[i][j] * draw(st.sampled_from(_units(ring)[1:]))
+    P = GMatrix.from_rows(ring, rows)
+    s = draw(st.integers(0, 2 if a <= 3 else 1 if a <= 6 else 0))
+    if not s:
+        return P, True
+    G = walsh(s, ring)
+    return (tensor(G, P) if draw(st.booleans()) else tensor(P, G)), False
+
+
+@settings(max_examples=120)
+@given(planted())
+def test_failure_positions_match_the_entrywise_product(case):
+    # the product's in-place v I check reports the failing entries, in
+    # row-major order, that an entry-by-entry product finds, from a table
+    # and from a tree whose one failing leaf sends it to the product
+    M, tree_less = case
+    rep = verify_gbh(M)
+    assert (M.tree is None) == tree_less and rep.method == "numeric-lane"
+    assert rep.failures == _dot_failures(M) and rep.failures and not rep.is_gbh
+    # the diagonal is subtracted on a view of the product's planes
+    S, v = star(M), M.order
+    planes = gbh._lane_apply(M, *_lane_of(S).batch(S.idx))[0]
+    assert np.shares_memory(planes.reshape(v * v, -1), planes)
+
+
+def test_each_verify_proves_its_leaf_once_from_a_kept_batch(monkeypatch):
+    # two permutations of a walsh(8) tree over one fresh 2 x 2 leaf: each
+    # verify runs the leaf's product once, as no verdict outlives a call,
+    # and only the first gathers star(L)'s table as a lane batch, which
+    # star(L)'s lane then keeps, read-only
+    L = GMatrix.from_rows(rationals(), [[1, 1], [1, -1]])
+    W = L
+    for _ in range(7):
+        W = tensor(L, W)
+    batches = []
+    lane_batch = matrix._lane_batch
+    monkeypatch.setattr(matrix, "_lane_batch", lambda *a: batches.append(a) or lane_batch(*a))
+    calls = _lane_calls(monkeypatch)
+    rng = np.random.default_rng(8)
+    for k in (1, 2):
+        rowp, colp = (Permutation(tuple(rng.permutation(256).tolist())) for _ in range(2))
+        rep = verify_gbh(permute(W, rowp, colp))
+        assert rep.method == "tree" and rep.is_gbh
+        assert len(calls) == k and calls[-1] is L and len(batches) == 1
+    X, den, big = _lane_of(star(L))._batch
+    assert not X.flags.writeable and np.array_equal(X, lane_batch(_lane_of(star(L)), star(L).idx)[0])
+
+
+def test_a_tree_less_product_past_the_cap_keeps_no_batch():
+    # a 512 x 512 table's batch, 2^18 values, is gathered by blocks on each
+    # product and not kept
+    W = GMatrix(rationals(), walsh(9).idx.astype(int) * -2 + 1)
+    assert verify_gbh(W).method == "numeric-lane"
+    assert star(W)._lane is not None and star(W)._lane._batch is None
 
 
 def test_walsh12_verifies_through_one_leaf():

@@ -45,6 +45,7 @@ from ght import (
     verify_gbh,
     walsh,
 )
+from ght import jacket
 from ght.catalog import from_token
 
 
@@ -577,3 +578,20 @@ def test_perm_equivalent_matches_a_brute_force_reference(ring):
             B = draw()
         found, want = perm_equivalent(A, B), _reference_equivalent(A, B)
         assert found == want, (A.rows(), B.rows())
+
+
+def test_a_failed_witness_lets_the_search_go_on_over_c(monkeypatch):
+    # on C a unit codes as the first unit within tol of it, so 1 + 0.8 tol
+    # and 1 - 0.8 tol both code as 1 though they lie 1.6 tol apart: the
+    # first full assignment matches the rows by code, its witness fails
+    # entry by entry, and the search goes on to the column swap, whose
+    # witness holds within tol. On an exact backend codes are payloads and
+    # no witness fails.
+    ring = complex_ring()
+    one, up, down = (ring.element(1 + d * ring.tol) for d in (0, 0.8, -0.8))
+    witnesses, same = [], jacket.equal
+    monkeypatch.setattr(jacket, "equal", lambda A, B: witnesses.append(same(A, B)) or witnesses[-1])
+    A = GMatrix.from_rows(ring, [[one, up], [one, one]])
+    B = GMatrix.from_rows(ring, [[one, down], [one, one]])
+    rowp, colp = perm_equivalent(A, B)
+    assert witnesses == [False, True] and rowp.is_identity() and colp.image == (1, 0)

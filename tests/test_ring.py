@@ -309,6 +309,18 @@ def test_a_spec_names_one_live_context(name):
     assert ring.one() + copy.deepcopy(ring).one() == ring.from_int(2)
 
 
+@pytest.mark.parametrize("name", list(LIVE))
+def test_an_element_copies_and_pickles_over_the_live_ring(name):
+    # copy, deepcopy and pickle rebuild an element over the live context of
+    # its ring's spec; they raised "RingElement is immutable", as the copy
+    # set its slots through __setattr__
+    ring = LIVE[name][0]()
+    for x in (ring.one(), ring.from_int(-3), ring.from_int(2).inverse()):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is RingElement and y.ring is ring and y == x
+            assert not ring.is_exact or hash(y) == hash(x)
+
+
 def test_equivalent_specs_name_one_context():
     assert complex_ring() is make_ring(RingSpec(kind="complex-float", tol=1e-9))
     assert quadratic_field(5, (6, 1, 1)) is quadratic_field(5) is quadratic_field(5, (1, -4, 1))

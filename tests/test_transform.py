@@ -1,6 +1,8 @@
 """Forward/inverse transform pair and the tensor-factored fast apply."""
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -710,6 +712,20 @@ def test_lane_form_signals_act_as_their_elements(case):
         planes, _ = y._lane_form()
         with pytest.raises(ValueError):
             planes[0, 0] = 0
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.spec.kind)
+def test_signals_copy_and_pickle_in_the_form_they_hold(ring):
+    # copy, deepcopy and pickle of a signal raised "Signal is immutable":
+    # each rebuilds its elements, or its lane form from a copy of its
+    # planes, over the live ring
+    x = Signal.from_ints(ring, [3, -1, 4, 1])
+    y = ght(walsh(2, ring), x)
+    for s in (x, y):
+        for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert c.ring is ring and c == s and (c._planes is None) == (s._planes is None)
+            assert c._planes is None or c._planes is not s._planes and not c._planes.flags.writeable
+            assert not ring.is_exact or hash(c) == hash(s)
 
 
 def test_lane_form_inputs_are_read_as_they_are(monkeypatch):
