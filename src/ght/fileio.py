@@ -306,7 +306,10 @@ def signal_to_json(x: Signal) -> dict:
 
 def signal_from_json(data: dict) -> Signal:
     ring = make_ring(ring_spec_from_json(_field(data, "ring")))
-    elems = _listed(_field(data, "elements"), "the element list", _field(data, "length"))
+    n = _field(data, "length")
+    if isinstance(n, bool):
+        raise MatrixError(f"malformed file: length {n!r} is not a number")
+    elems = _listed(_field(data, "elements"), "the element list", n)
     decoded, codes = _decoded(ring, elems)
     return Signal(ring, tuple(decoded[k] for k in codes))
 

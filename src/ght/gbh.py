@@ -278,6 +278,11 @@ class DftNode(FactorTree):
             object.__setattr__(self, "_expansion", weakref.ref(F))
         return F
 
+    def __reduce__(self):
+        """The node of its ring and order, without the table or the weak
+        reference to its expansion, which copy and pickle cannot carry."""
+        return DftNode, (self.ring, self.v)
+
     def star(self):
         return PermutedNode(self, *self._negated_rows)
 

@@ -424,6 +424,12 @@ class GMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GMatrix is immutable")
 
+    def __reduce__(self):
+        """copy, deepcopy and pickle rebuild the unit table and the tree over
+        the live ring, and nothing kept on it; they read idx, so a pending
+        index is written first."""
+        return GMatrix._table, (self.ring, self.units, self.idx, self.tree)
+
     def _validate_units(self):
         zero = self.ring.zero()
         for k, u in enumerate(self.units):

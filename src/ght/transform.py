@@ -23,25 +23,26 @@ Good-Thomas tree, and a double node its halves' walks beside one butterfly
 of sums and differences, the leaf F_2 walking the batch as two rows.
 
 That kernel is matrix._lane_apply, the numeric lane's one kernel, on every
-backend. A signal is written once, as the lane table of its elements
-(matrix._UnitLane), the backend's d coefficient planes over one carried
-denominator (integers on the exact backends, one complex128 plane on C),
-carried as d columns per vector. Each leaf is one call of _lane_apply: one
-BLAS product of its unit planes and one reduction by the backend; the
-denominators of the leaf units (and ight's 1/v) join the carried one. Each
-leaf picks its own dtype from a bound on the batch it meets: the walk
-measures the signal once, and each leaf returns the bound of its output to
-the next, so a batch whose coefficients grow past float64's exact range
-goes on in Python integers. A leaf matrix keeps the lane form of its units
-and its starred matrix (see ght.matrix), and ight's 1/v leaf is built once
-per ring and order, so a transform applied again writes the planes of its
-signal and of nothing else.
+backend. A signal is its lane form, written once when it is built from
+elements, as their lane table (matrix._UnitLane): the backend's d
+coefficient planes over one carried denominator (integers on the exact
+backends, one complex128 plane on C), carried as d columns per vector.
+Each leaf is one call of _lane_apply: one BLAS product of its unit planes
+and one reduction by the backend; the denominators of the leaf units (and
+ight's 1/v) join the carried one. Each leaf picks its own dtype from a
+bound on the batch it meets: the walk measures the signal once, and each
+leaf returns the bound of its output to the next, so a batch whose
+coefficients grow past float64's exact range goes on in Python integers. A
+leaf matrix keeps the lane form of its units and its starred matrix (see
+ght.matrix), and ight's 1/v leaf is built once per ring and order, so a
+transform applied again writes no planes at all.
 
-A transform returns its output in that lane form, in lowest terms on the
-exact backends (planes and denominator divided by their gcd), and reads a
-lane-form input as it is. A chain of transforms thus writes elements as
-planes only for the signal that starts it; a Signal decodes its elements,
-once per distinct coefficient vector, the first time they are read.
+A transform reads its input's planes as they are and returns its output
+in lane form, in lowest terms on the exact backends (planes and
+denominator divided by their gcd). No transform writes elements as planes:
+a signal transformed k times was written once, when it was built, and a
+transform's output decodes its elements, once per distinct coefficient
+vector, the first time they are read.
 """
 
 from __future__ import annotations
@@ -63,25 +64,30 @@ from .matrix import (
     _walk,
     star,
 )
-from .ring import RingContext
+from .ring import RingContext, RingElement
 
 
 class Signal:
     """Length-v sequence of ring elements; immutable.
 
-    A signal holds its elements, or its lane form: a read-only (v, d) array
-    of coefficient planes over one carried denominator, as the transforms
-    return it. A lane-form signal decodes its elements the first time they
-    are read and keeps them; ring and length need no decode. Equality is
-    element-wise (within the tolerance on the complex backend), and exact
-    signals hash by their elements, whichever form holds them.
+    A signal is its lane form: a read-only (v, d) array of coefficient
+    planes over one carried denominator, which the transforms read and
+    return. A signal built from elements writes it once, here, and keeps
+    the elements it was given; a transform's output decodes its elements
+    the first time they are read and keeps them; ring and length need no
+    decode. Equality is element-wise (within the tolerance on the complex
+    backend), and exact signals hash by their elements.
     """
 
     __slots__ = ("ring", "length", "_elements", "_planes", "_den")
 
     def __init__(self, ring: RingContext, elements):
         elements = tuple(elements)
-        self._fill(ring, len(elements), elements, None, None)
+        for k, e in enumerate(elements):
+            if not isinstance(e, RingElement) or e.ring is not ring:
+                raise MatrixError(f"signal entry {k} is not an element of {ring!r}")
+        lane = _UnitLane(ring, elements)
+        self._fill(ring, len(elements), elements, lane.table.T.reshape(len(elements), ring._lane_dim), lane.den)
 
     @classmethod
     def _from_lane(cls, ring, planes, den):
@@ -99,11 +105,10 @@ class Signal:
         raise AttributeError("Signal is immutable")
 
     def __reduce__(self):
-        """copy, deepcopy and pickle rebuild the form it holds: the lane
-        form from a copy of its planes, else its elements."""
-        if self._planes is not None:
-            return Signal._from_lane, (self.ring, self._planes.copy(), self._den)
-        return Signal, (self.ring, self._elements)
+        """copy, deepcopy and pickle rebuild the lane form from a copy of
+        its planes, over the live ring; the copy decodes its elements when
+        they are read."""
+        return Signal._from_lane, (self.ring, self._planes.copy(), self._den)
 
     @classmethod
     def from_ints(cls, ring, values):
@@ -115,14 +120,6 @@ class Signal:
             units, codes = _decode_planes(self.ring, self._planes, self._den)
             object.__setattr__(self, "_elements", tuple(units[k] for k in codes.tolist()))
         return self._elements
-
-    def _lane_form(self):
-        """(planes, den): the lane form; a signal built from its elements
-        writes them as the (v, d) transpose of their lane table."""
-        if self._planes is not None:
-            return self._planes, self._den
-        lane = _UnitLane(self.ring, self.elements)
-        return lane.table.T, lane.den
 
     def __eq__(self, other):
         if not isinstance(other, Signal):
@@ -159,17 +156,16 @@ def _lowest_terms(ring, y, den):
 
 def _apply(factors, x: Signal) -> Signal:
     """The product of the factors (FactorTree.factors) times x as a batch
-    of one vector, as a lane-form signal. A signal built from elements
-    enters the lane as its coefficient planes over their common denominator
-    (Signal._lane_form); a lane-form signal enters as it is. Each factor's
-    leaves must be over the signal's ring, the one object of its spec."""
+    of one vector, x's planes over its denominator, as a lane-form signal.
+    Each factor's leaves must be over the signal's ring, the one object of
+    its spec."""
     if math.prod(f.order for f in factors) != x.length:
         raise MatrixError("signal length does not match the matrix order")
     ring = x.ring
     if any(L.ring is not ring for f in factors for L in f.leaves()):
         raise MatrixError("ring mismatch")
-    X, den = x._lane_form()
-    y, den, _ = _walk(factors, X, den, _lane_max(X) if ring.is_exact else None)
+    X = x._planes
+    y, den, _ = _walk(factors, X, x._den, _lane_max(X) if ring.is_exact else None)
     return Signal._from_lane(ring, *_lowest_terms(ring, y, den))
 
 

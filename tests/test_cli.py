@@ -549,6 +549,20 @@ def test_boolean_ring_w_and_declared_order_exit_two(tmp_path, capsys):
     assert main(["verify", _write(tmp_path / "float.json", dict(data, order=2.0))]) == 0
 
 
+def test_boolean_signal_length_exits_two(tmp_path, capsys):
+    # JSON true is no length: "length": true read a one-element signal,
+    # which applied; 2.0 is still the length 2, as it is an order
+    m = _write(tmp_path / "m.json", matrix_to_json(walsh(1)))
+    one = signal_to_json(Signal.from_ints(rationals(), [3]))
+    capsys.readouterr()
+    assert main(["apply", m, _write(tmp_path / "b.json", dict(one, length=True)), "-o", str(tmp_path / "y.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "length True is not a number" in err and "Traceback" not in err
+    two = signal_to_json(Signal.from_ints(rationals(), [3, 1]))
+    assert main(["apply", m, _write(tmp_path / "f.json", dict(two, length=2.0)), "-o", str(tmp_path / "y.json")]) == 0
+    assert load_signal(str(tmp_path / "y.json")) == Signal.from_ints(rationals(), [4, 2])
+
+
 def test_gen_and_verify_over_a_large_prime_field(tmp_path, capsys):
     # -1 is payload p - 1, which a scan for the first element of order 2
     # reached only after p - 2 candidates

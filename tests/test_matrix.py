@@ -1,8 +1,10 @@
 """Matrix layer: star, tensor, permutations, normalisation, file round-trips."""
 
+import copy
 import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -16,11 +18,16 @@ from ght import (
     GMatrix,
     MatrixError,
     Permutation,
+    cbt,
+    complex_ring,
     cyclotomic,
+    dft_matrix,
     equal,
     mat_mul,
     normalize,
     permute,
+    prime_field,
+    quadratic_field,
     rationals,
     scalar_mul,
     star,
@@ -324,3 +331,34 @@ def test_order_4096_builds_are_fast_and_write_little_besides_the_index(tmp_path,
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got["s"] < bound and got["grown_mb"] <= 20, got
+
+
+def _copyable_matrices():
+    gf25 = quadratic_field(5)
+    p = Permutation((3, 0, 6, 1, 7, 2, 5, 4))
+    return {
+        "walsh2": walsh(2),
+        "cbt3": cbt(3),
+        "k4": k4(),
+        "permuted-walsh3": permute(walsh(3), p, p.inverse()),
+        "k3k3-gf25": tensor(k3(gf25), k3(gf25)),
+        "dft6-q6": dft_matrix(6, cyclotomic(6)),
+        "dft6-gf7": dft_matrix(6, prime_field(7)),
+        "dft8-complex": dft_matrix(8, complex_ring()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_copyable_matrices()))
+def test_matrices_copy_and_pickle_over_the_live_ring(name):
+    # copy and deepcopy raised "GMatrix is immutable", and pickle failed on
+    # a pending index's closure and on a DFT node's weak reference to its
+    # expansion: each rebuilds the unit table and the tree over the live
+    # ring, and the tree still expands to the matrix; each copy starts
+    # from a fresh matrix, whose index may be pending
+    for copier in (copy.copy, copy.deepcopy, lambda M: pickle.loads(pickle.dumps(M))):
+        M = _copyable_matrices()[name]
+        c = copier(M)
+        assert c is not M and c.ring is M.ring and equal(c, M)
+        assert all(u.ring is M.ring for u in c.units)
+        assert (c.tree is None) == (M.tree is None)
+        assert c.tree is None or equal(c.tree.expand(), c)

@@ -84,7 +84,9 @@ def test_signal_equality():
     y = Signal(c, (c.one(), c.element(2j)))
     assert y == Signal(complex_ring(1e-9), (c.element(1 + 1e-12j), c.element(2j - 1e-12)))
     assert y != Signal(c, (c.one(), c.element(2j + 1e-6)))
-    assert y != Signal(complex_ring(1e-6), y.elements)
+    # the same values over another ring are another signal
+    c6 = complex_ring(1e-6)
+    assert y != Signal(c6, tuple(c6.element(e.payload) for e in y.elements))
 
 
 def test_length_and_ring_mismatch():
@@ -330,8 +332,7 @@ def test_chained_round_trips_keep_the_denominator():
             best = min(best, time.perf_counter() - t0)
         y = z
         times.append(best)
-        planes, den = y._lane_form()
-        assert den == x._lane_form()[1] and planes.dtype != object
+        assert y._den == x._den and y._planes.dtype != object
     assert y == x
     assert times[-1] < 3 * times[0]
 
@@ -558,7 +559,7 @@ def test_fast_apply_matches_ght_over_double_nodes(case):
         assert ight(M, y) == Signal(ring, tuple(want))
     # over GF(p) and GF(p^2) the lane form holds reduced coefficients, after
     # a column-form butterfly as after a leaf
-    assert not p or all(0 <= c < p for c in y._lane_form()[0].ravel().tolist())
+    assert not p or all(0 <= c < p for c in y._planes.ravel().tolist())
 
 
 @settings(max_examples=100, deadline=None)
@@ -709,23 +710,64 @@ def test_lane_form_signals_act_as_their_elements(case):
         for name in ("ring", "length", "elements", "_planes", "_den", "new"):
             with pytest.raises(AttributeError):
                 setattr(y, name, None)
-        planes, _ = y._lane_form()
         with pytest.raises(ValueError):
-            planes[0, 0] = 0
+            y._planes[0, 0] = 0
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.spec.kind)
 def test_signals_copy_and_pickle_in_the_form_they_hold(ring):
     # copy, deepcopy and pickle of a signal raised "Signal is immutable":
-    # each rebuilds its elements, or its lane form from a copy of its
-    # planes, over the live ring
+    # each rebuilds its lane form from a copy of its planes, over the live
+    # ring, whether the signal was built from elements or by a transform
     x = Signal.from_ints(ring, [3, -1, 4, 1])
     y = ght(walsh(2, ring), x)
     for s in (x, y):
         for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-            assert c.ring is ring and c == s and (c._planes is None) == (s._planes is None)
-            assert c._planes is None or c._planes is not s._planes and not c._planes.flags.writeable
+            assert c.ring is ring and c == s and c._den == s._den and (c._planes == s._planes).all()
+            assert c._planes is not s._planes and not c._planes.flags.writeable
             assert not ring.is_exact or hash(c) == hash(s)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.spec.kind)
+def test_a_signal_is_written_once_however_often_it_is_transformed(monkeypatch, ring):
+    # a signal built from elements writes its planes when it is built, and
+    # ght, fast_apply and ight, each run twice on it, read them as they are
+    M = walsh(2, ring)
+    warm = Signal.from_ints(ring, [1, 2, 3, 4])
+    ght(M, warm), fast_apply(M.tree, warm), ight(M, warm)
+    written = []
+    lane_planes = type(ring)._lane_planes
+    monkeypatch.setattr(type(ring), "_lane_planes", lambda r, u: written.append(len(u)) or lane_planes(r, u))
+    x = Signal.from_ints(ring, [3, -1, 4, 1])
+    outputs = [f() for f in (lambda: ght(M, x), lambda: fast_apply(M.tree, x)[0], lambda: ight(M, x)) for _ in range(2)]
+    assert written == [M.order]
+    monkeypatch.undo()
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3] and outputs[4] == outputs[5]
+    assert ght(M, outputs[4]) == x
+
+
+def _foreign(ring):
+    """An element of another ring than ring: over C, of another tolerance."""
+    other = {
+        "rationals": prime_field(7),
+        "cyclotomic-rationals": rationals(),
+        "prime-field": prime_field(11),
+        "quadratic-extension-field": prime_field(5),
+        "complex-float": complex_ring(1e-6),
+    }[ring.spec.kind]
+    return other.from_int(3)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.spec.kind)
+def test_signal_entries_must_be_elements_of_its_ring(ring):
+    # the constructor took anything: GF(7) payloads transformed as rationals,
+    # and an int raised an AttributeError in the transform
+    good = [ring.one(), ring.from_int(2), ring.from_int(3)]
+    for bad in (3, None, _foreign(ring)):
+        for k in range(3):
+            with pytest.raises(MatrixError, match=f"signal entry {k} is not an element of"):
+                Signal(ring, good[:k] + [bad] + good[k + 1 :])
+    assert Signal(ring, good) == Signal.from_ints(ring, [1, 2, 3])
 
 
 def test_lane_form_inputs_are_read_as_they_are(monkeypatch):
@@ -748,13 +790,15 @@ def test_lane_form_inputs_are_read_as_they_are(monkeypatch):
 
 def test_warm_round_trip_writes_planes_once(monkeypatch):
     # each leaf keeps its starred matrix and the lane form of its units, and
-    # ight keeps its v^-1 leaf: a warm round trip writes only the signal
+    # ight keeps its v^-1 leaf: a warm round trip writes only the signal,
+    # once, when it is built
     W = walsh(12)
-    x0, x = (Signal.from_ints(W.ring, [(7 * k + s) % 19 - 9 for k in range(4096)]) for s in (0, 1))
+    x0 = Signal.from_ints(W.ring, [(7 * k) % 19 - 9 for k in range(4096)])
     assert ight(W, fast_apply(W.tree, x0)[0]) == x0
     written = []
     lane_planes = RationalsContext._lane_planes
     monkeypatch.setattr(RationalsContext, "_lane_planes", lambda r, u: written.append(len(u)) or lane_planes(r, u))
+    x = Signal.from_ints(W.ring, [(7 * k + 1) % 19 - 9 for k in range(4096)])
     back = ight(W, fast_apply(W.tree, x)[0])
     assert written == [4096]
     monkeypatch.undo()
