@@ -9,16 +9,17 @@ producing K2/K3) act as genuine cross-checks instead of tautologies.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ring as ringmod
-from .gbh import _power_table, dft_matrix, verify_gbh
+from .gbh import dft_matrix, verify_gbh
 from .jacket import is_jacket_form, jacketize_dft, rjt_permutation
 from .butterfly import DoubleNode
-from .matrix import ORDER_LIMIT, GMatrix, Leaf, MatrixError, TensorNode, equal
-from .ring import RingContext, RingElement, RingError, _order_exact
+from .matrix import ORDER_LIMIT, GMatrix, Leaf, MatrixError, Permutation, TensorNode, equal, permute
+from .ring import RingContext, RingElement, RingError
 
 @dataclass(frozen=True)
 class FamilyLabel:
@@ -182,18 +183,19 @@ def k6(ring: RingContext, r) -> GMatrix:
 
 
 def complex_rjt(n: int, omega: RingElement) -> GMatrix:
-    """The order-2n reverse-jacket matrix on a given primitive 2n-th root,
-    without a tree: the table [omega^(jk)] with rows and columns permuted by
-    the involution jacket.rjt_permutation(n), as in jacketize_dft."""
-    ring = omega.ring
-    w = 2 * n
-    if not _order_exact(omega, w, ring.one()):
+    """The order-2n reverse-jacket matrix on a given primitive 2n-th root:
+    [omega^(jk)] with rows and columns permuted by the involution
+    jacket.rjt_permutation(n), as in jacketize_dft. With omega = omega0^m,
+    omega0 the ring's canonical root and m prime to 2n, row j of
+    [omega^(jk)] is row m j mod 2n of dft_matrix(2n), so this is that DFT
+    permuted, whose tree PermutedNode(DftNode(ring, 2n), q, p) verify_gbh
+    decides by its generator; an omega that is no such power, of an order
+    other than 2n, is refused (RingError)."""
+    w, p = 2 * n, rjt_permutation(n)
+    m = next((m for m, u in enumerate(omega.ring.root_powers(w)) if u == omega and math.gcd(m, w) == 1), None)
+    if m is None:
         raise RingError(f"omega must have multiplicative order exactly {w}")
-    powers = [ring.one()]
-    for _ in range(w - 1):
-        powers.append(powers[-1] * omega)
-    p = list(rjt_permutation(n).image)
-    return GMatrix._table(ring, powers, _power_table(ring, powers).idx[np.ix_(p, p)])
+    return permute(dft_matrix(w, omega.ring), Permutation(tuple(m * j % w for j in p.image)).inverse(), p)
 
 
 def _classify(l, eps, delta, n, r, ring) -> str:

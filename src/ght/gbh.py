@@ -40,7 +40,7 @@ import numpy as np
 from .matrix import FactorTree, GMatrix, Leaf, MatrixError, Permutation, PermutedNode, TensorNode
 from .matrix import _lane_apply, _lane_of, star
 from .ring import RingContext, _prime_factors
-from .transform import Signal, ght
+from . import transform
 
 
 @dataclass
@@ -222,8 +222,8 @@ def row_sums(M: GMatrix):
 
     For a normalised GBH all sums except the first are zero.
     """
-    ones = Signal.from_ints(M.ring, [1] * M.order)
-    return list(ght(M, ones).elements), list(ght(star(M), ones).elements)
+    ones = transform.Signal.from_ints(M.ring, [1] * M.order)
+    return list(transform.ght(M, ones).elements), list(transform.ght(star(M), ones).elements)
 
 
 def dft_matrix(v, ring: RingContext) -> GMatrix:
@@ -248,8 +248,9 @@ class DftNode(FactorTree):
     dft_matrix(v, ring) returns, held by a weak reference, so that a
     dropped DFT is no reference cycle and is freed at once. A ring without
     a root of order v has no table (RingError). It is one factor of every
-    tensor chain, which expands and proves it as one; its walk and leaves()
-    are those of its Good-Thomas tree, which only they build. Its star is
+    tensor chain, which expands and proves it as one; its walk, leaves()
+    and cost() are those of its Good-Thomas tree, which only they build,
+    and which is its table below transform.WALK_MIN. Its star is
     itself with the rows negated: F* = [omega^(-jk)] is F with row j moved
     to row -j mod v, so that starring builds no table. On an exact backend
     it proves its table GBH, permuted or not, by the node alone."""
@@ -320,7 +321,12 @@ class DftNode(FactorTree):
     @cached_property
     def good_thomas(self) -> FactorTree:
         """The tree of the DFT down to prime-power DftNodes (Good, 1958;
-        Burrus, 1977), each with its table as its one leaf.
+        Burrus, 1977), each with its table as its one leaf. A node whose
+        v * d lane values per column fall below transform.WALK_MIN, read
+        when the tree is built, is its table as well: the rule of
+        transform._route, by which one product of a table beats a walk
+        there, so that dft(60) over Q(zeta_60) walks dft(4) and the table
+        of dft(15), and RJT_3 in a family tree is one leaf of order 6.
 
         For v = q r with q the part of v in its least prime, F = P (F_q (x) F_r) Q,
         where F_q and F_r are the DftNodes of orders q and r, on the canonical
@@ -331,7 +337,7 @@ class DftNode(FactorTree):
         factor entries."""
         ring, v = self.ring, self.v
         primes = _prime_factors(v)
-        if len(primes) < 2:
+        if len(primes) < 2 or v * ring._lane_dim < transform.WALK_MIN:
             return Leaf(self.table)
         q = math.gcd(v, primes[0] ** v.bit_length())
         r = v // q

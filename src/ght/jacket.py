@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbh import DftNode
+from .gbh import dft_matrix
 from .matrix import GMatrix, MatrixError, Permutation, _check_same_ring, equal, permute, tensor
 from .ring import RingContext
 
@@ -168,11 +168,11 @@ def rjt_permutation(n: int) -> Permutation:
 
 def jacketize_dft(n: int, ring: RingContext):
     """The order-2n DFT matrix permuted by rjt_permutation(n) on rows and
-    columns, the complex reverse-jacket matrix, and that permutation."""
-    # the DFT's power table, which has no tree: RJT_n is one leaf of order
-    # 2n, so that the family trees keep their factor orders (2, 4, 2n)
+    columns, the complex reverse-jacket matrix, and that permutation. Its
+    tree is PermutedNode(DftNode(ring, 2n), p, p), one factor of a tensor
+    chain, which files write as its generator and verify_gbh decides by it."""
     p = rjt_permutation(n)
-    return permute(DftNode(ring, 2 * n).table, p, p), p
+    return permute(dft_matrix(2 * n, ring), p, p), p
 
 
 def dagger(B: GMatrix, K: GMatrix) -> GMatrix:
@@ -199,7 +199,10 @@ def perm_equivalent(A: GMatrix, B: GMatrix, node_budget: int = 10_000_000):
     with its entries, and the pair is returned if permute(A, sigma, tau) ==
     B, so the witness is the first in that order. None when no equivalence
     exists; SearchBudgetExceeded when more than node_budget nodes leave it
-    undecided.
+    undecided. On C, None only says that the search found none: a unit's
+    code is the first unit within tol of it, which is not transitive, so
+    A = [[1, 1], [1, 1 + 0.8 tol]] against B = [[1, 1], [1 - 0.8 tol,
+    1 - 0.8 tol]] gives None, though a row swap makes them equal within tol.
 
     Before the first node only an index-sized set-up runs, outside the
     budget: the codes of each index in the narrowest dtype that holds them,

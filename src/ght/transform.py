@@ -5,9 +5,11 @@ be invertible in the ring (char R must not divide v). All three transforms
 run one kernel, a matrix times a batch of columns, axis-wise over a factor
 tree: fast_apply over the tree it is given; ght and ight over the tree of B
 and of star(B), which star keeps as (A (x) B)* = A* (x) B*, where v * d
-reaches WALK_MIN, and over one table below it (_route, the one rule).
-Tensor factors of orders v_1..v_k cost v*(v_1+...+v_k) multiplications
-instead of v^2, as tree_cost counts.
+reaches WALK_MIN, and over one table below it (_route, the one rule). A
+DFT node inside a tree keeps the same rule: below WALK_MIN its Good-Thomas
+tree is its table (gbh.DftNode.good_thomas), so RJT_3 in a family tree is
+one factor of order 6. Tensor factors of orders v_1..v_k cost
+v*(v_1+...+v_k) multiplications instead of v^2, as tree_cost counts.
 
 A walk takes the shuffle form of the Kronecker product (Davio, "Kronecker
 products and shuffle algebra", 1981; Van Loan, "The ubiquitous Kronecker
@@ -174,7 +176,8 @@ WALK_MIN = 256
 
 
 def _route(B: GMatrix) -> FactorTree:
-    """B's tree where it has one and v * d reaches WALK_MIN, else Leaf(B)."""
+    """B's tree where it has one and v * d reaches WALK_MIN, else Leaf(B):
+    the one rule, which a DFT node's Good-Thomas tree also reads."""
     return B.tree if B.tree is not None and B.order * B.ring._lane_dim >= WALK_MIN else Leaf(B)
 
 
@@ -207,8 +210,9 @@ def tree_cost(tree: FactorTree) -> OpCount:
     signal, summed node by node (FactorTree.cost): a leaf of order a costs
     a^2 and a(a-1), a chain applies each factor of order a v / a times, so
     leaves of orders v_1..v_k cost v * (v_1 + ... + v_k) and
-    v * ((v_1 - 1) + ... + (v_k - 1)), and a double node adds v additions
-    to its halves' costs."""
+    v * ((v_1 - 1) + ... + (v_k - 1)), a double node adds v additions
+    to its halves' costs, and a DFT node costs its Good-Thomas tree, which
+    below WALK_MIN is its table: dft(24) over Q(zeta_24) costs 24^2."""
     return OpCount(*tree.cost())
 
 

@@ -2,6 +2,7 @@
 quadriphase perfect-sequence machinery."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ght import (
     complex_ring,
     cyclotomic,
     dagger,
+    DftNode,
     enumerate_jackets_2x2,
     equal,
     family,
@@ -27,6 +29,8 @@ from ght import (
     k6,
     normalize,
     perm_equivalent,
+    PermutedNode,
+    prime_field,
     quadratic_field,
     rationals,
     search_perfect_quadriphase,
@@ -36,8 +40,8 @@ from ght import (
 )
 from ght.catalog import _perfect_rows, _shift_counts, complex_rjt, from_token
 from ght.jacket import jacketize_dft
-from ght.matrix import MatrixError
-from ght.ring import RingError
+from ght.matrix import MatrixError, tree_matches
+from ght.ring import RingError, is_prime
 
 
 def test_walsh_display():
@@ -229,7 +233,7 @@ def test_complex_rjt_is_the_permuted_power_table(n):
         omega = ring.root_of_unity(2 * n)
         for root in (omega, omega.inverse()):
             M = complex_rjt(n, root)
-            assert M.tree is None and M.order == 2 * n
+            assert tree_matches(M.tree, M) and M.order == 2 * n
             assert all(
                 a == b for ra, rb in zip(M.rows(), _rjt_by_exponents(n, root)) for a, b in zip(ra, rb)
             )
@@ -237,6 +241,27 @@ def test_complex_rjt_is_the_permuted_power_table(n):
     if n > 1:
         with pytest.raises(RingError):
             complex_rjt(n, cyclotomic(2 * n).root_of_unity(n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_complex_rjt_is_its_permuted_dft_node_for_each_primitive_root(n):
+    # omega = omega0^m for m prime to 2n is dft_matrix(2n) with row m j moved
+    # to row j, then permuted by the RJT involution: a tree of the DFT node
+    # that expands to the matrix and decides it by its generator
+    w = 2 * n
+    gf = prime_field(next(p for p in range(w + 1, 10**4, w) if is_prime(p)))
+    for ring in (cyclotomic(w), complex_ring(), gf):
+        omega0 = ring.root_of_unity(w)
+        for m in [m for m in range(w) if math.gcd(m, w) == 1][-3:]:
+            M = complex_rjt(n, omega0**m)
+            assert isinstance(M.tree, PermutedNode) and M.tree.child == DftNode(ring, w)
+            assert tree_matches(M.tree, M)
+            assert all(a == b for ra, rb in zip(M.rows(), _rjt_by_exponents(n, omega0**m)) for a, b in zip(ra, rb))
+            rep = verify_gbh(M)
+            assert (rep.method, rep.is_gbh, rep.w) == ("generator", True, w)
+        for bad in (omega0**2, ring.zero()):
+            with pytest.raises(RingError):
+                complex_rjt(n, bad)
 
 
 def test_family_extended():

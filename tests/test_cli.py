@@ -741,6 +741,24 @@ def test_a_prime_power_dft_generator_file_verifies_without_the_product(tmp_path,
     assert peak < 200 * 1024
 
 
+@pytest.mark.parametrize("n", [128, 512])
+def test_a_reverse_jacket_file_verifies_by_its_generator(tmp_path, n):
+    # RJT_n is the order-2n DFT permuted, written as its generator: at the
+    # parent RJT_128 was a 59 MB table that took 18.9 s at 669 MB by the
+    # product, and RJT_512 a 3.76 GB one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ght.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    m = str(tmp_path / "rjt.json")
+    gen = subprocess.run([sys.executable, "-m", "ght.cli", "gen", f"family:0,0,1,{n},2", "-o", m], env=env, capture_output=True, text=True, timeout=120)
+    assert gen.returncode == 0, gen.stderr
+    assert os.path.getsize(m) < 20_000
+    start = time.perf_counter()
+    run, peak = _verify_peak_kb(m)
+    assert time.perf_counter() - start < 1
+    assert "method: generator\n" in run.stdout and f"entry-group-order: {2 * n}\n" in run.stdout
+    assert peak < 200 * 1024
+
+
 def test_gen_dft4095_takes_seconds(tmp_path):
     # the powers of omega are a slice of the table of roots of Q(zeta_4095),
     # which is built row from row, x times the last; multiplying dense

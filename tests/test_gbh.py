@@ -42,7 +42,7 @@ from ght import (
     permute,
     star,
 )
-from ght import gbh, matrix
+from ght import gbh, matrix, transform
 from ght.matrix import _lane_of, tree_matches
 from ght.transform import Signal, fast_apply, ght, tree_cost
 from ght.ring import RingError, is_prime
@@ -689,12 +689,12 @@ def test_a_dft_beside_a_leaf_is_proved_without_its_good_thomas_tree():
     assert isinstance(node, DftNode) and "good_thomas" not in vars(node)
 
 
-def test_a_chain_expands_and_proves_a_dft_as_one_factor_and_walks_it_by_its_good_thomas_tree():
+def test_a_chain_expands_and_proves_a_dft_as_one_factor_and_walks_it_by_its_good_thomas_tree(monkeypatch):
     # a DFT node is one factor of a tensor chain: the chain's expansion reads
     # its table and the chain's proof its generator, so neither builds its
-    # Good-Thomas tree; a walk of the chain goes through that tree, which it
-    # builds, and equals ght of the expansion, which below WALK_MIN takes
-    # the table
+    # Good-Thomas tree; a walk of the chain at WALK_MIN 1 goes through that
+    # tree, which it builds, and equals ght of the expansion, which below
+    # WALK_MIN takes the table
     ring = cyclotomic(12)
     tree = tensor(walsh(1, ring), tensor(dft_matrix(12, ring), walsh(1, ring))).tree
     node = tree.factors[1]
@@ -704,9 +704,12 @@ def test_a_chain_expands_and_proves_a_dft_as_one_factor_and_walks_it_by_its_good
     assert E.tree is tree and (rep.method, rep.is_gbh, rep.w) == ("tree", True, 12)
     assert "good_thomas" not in vars(node)
     x = Signal.from_ints(ring, [(5 * k) % 11 - 5 for k in range(E.order)])
+    by_table = ght(E, x)
+    assert "good_thomas" not in vars(node)
+    monkeypatch.setattr(transform, "WALK_MIN", 1)
     y, count = fast_apply(tree, x)
     assert "good_thomas" in vars(node)
-    assert y == ght(E, x) and count == tree_cost(tree)
+    assert y == by_table and count == tree_cost(tree)
     assert tree.leaves()[1:-1] == node.good_thomas.leaves() and len(tree.leaves()) == 4
 
 
@@ -846,11 +849,17 @@ def _prime_power(n):
 
 
 @pytest.mark.parametrize("v", range(1, 61))
-def test_good_thomas_trees_expand_to_the_dft(v):
+def test_good_thomas_trees_expand_to_the_dft(v, monkeypatch):
     for ring in (cyclotomic(v), complex_ring(), _gf_with_roots(v)):
+        # below WALK_MIN a node walks its table, as _route takes a matrix's
+        # table there; at WALK_MIN 1 each node builds its Good-Thomas tree
+        F = dft_matrix(v, ring)
+        assert F.tree.leaves() == (F.tree.table,) or v * ring._lane_dim >= transform.WALK_MIN
+        monkeypatch.setattr(transform, "WALK_MIN", 1)
         F = dft_matrix(v, ring)
         assert isinstance(F.tree, DftNode) and tree_matches(F.tree, F)
         leaves = F.tree.leaves()
+        monkeypatch.undo()
         assert math.prod(L.order for L in leaves) == v
         assert all(_prime_power(L.order) for L in leaves)
         # coprime leaf orders, each the table of dft_matrix, to the last bit on C
@@ -917,7 +926,9 @@ def test_complex_dft_table_is_written_entry_by_entry():
 
 
 def test_rjt_stays_one_leaf_in_family_trees():
+    # RJT_3 is its permuted DFT node, which below WALK_MIN walks its table:
+    # the family keeps its factor orders and its cost
     M = family(1, 1, 1, 3, 2, cyclotomic(6))[0]
     assert [L.order for L in M.tree.leaves()] == [2, 4, 6]
     assert tree_cost(M.tree).mul == 48 * (2 + 4 + 6)
-    assert isinstance(M.tree.right, PermutedNode) and isinstance(M.tree.right.child, Leaf)
+    assert isinstance(M.tree.right, PermutedNode) and isinstance(M.tree.right.child, DftNode)

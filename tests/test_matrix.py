@@ -41,6 +41,14 @@ from ght import (
 from ght.fileio import save_matrix
 
 
+def test_equal_is_false_across_rings_and_orders():
+    # entrywise equality holds only between matrices of one ring and order
+    W = walsh(2)
+    assert equal(W, walsh(2))
+    assert not equal(W, walsh(3)) and not equal(walsh(3), W)
+    assert not equal(W, walsh(2, cyclotomic(4))) and not equal(walsh(2, prime_field(5)), W)
+
+
 def test_permutation_validation():
     with pytest.raises(MatrixError):
         Permutation((0, 0, 1))

@@ -171,6 +171,31 @@ def test_root_of_unity_cyclotomic():
         r.root_of_unity(5)
 
 
+def test_order_exact_refuses_each_other_order():
+    # _order_exact has no caller in the library, whose roots come from the
+    # group structure; it stays the tests' reference for an exact order:
+    # el^w != 1 (a non-root, or a root whose order does not divide w), and
+    # el^(w/q) = 1 for a prime q of w
+    r = cyclotomic(8)
+    z = r.root_of_unity(8)
+    assert _order_exact(z, 8, r.one())
+    assert not _order_exact(r.from_int(2), 8, r.one())
+    assert not _order_exact(z, 4, r.one())
+    assert not _order_exact(z**2, 8, r.one())
+
+
+def test_element_reprs_show_each_coefficient():
+    r = cyclotomic(8)
+    z = r.root_of_unity(8)
+    x = r.from_int(3) + r.from_int(2) * z - r.from_int(5) * z**3
+    assert repr(x) == "3 + 2*z - 5*z^3"
+    assert repr(x * r.int_inverse(2)) == "(3 + 2*z - 5*z^3)/2"
+    assert repr(z - z**2) == "z - z^2" and repr(-z + z**3) == "-z + z^3"
+    assert repr(r.zero()) == "0"
+    q = quadratic_field(5)
+    assert repr(q.element((1, 2))) == "(1 + 2y)" and repr(q.one()) == "(1 + 0y)"
+
+
 def test_root_of_unity_odd_cyclotomic_has_minus_one():
     r = cyclotomic(3)
     assert r.root_of_unity(2) == r.from_int(-1)

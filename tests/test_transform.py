@@ -601,12 +601,13 @@ def test_ight_does_not_walk_an_unchecked_tree():
     assert ight(M, x) == Signal(W.ring, tuple(want)) != ight(W, x)
 
 
-@pytest.mark.parametrize("v, leaf_orders", [(24, [24]), (60, [5, 3, 4])])
+@pytest.mark.parametrize("v, leaf_orders", [(24, [24]), (60, [15, 4])])
 def test_ight_walks_a_dft_tree_only_where_it_pays(monkeypatch, v, leaf_orders):
     # Q(zeta_24) has 8 coefficient planes, so dft(24) has 24 * 8 lane values
     # per column, below WALK_MIN, and ght and ight take one table each;
-    # dft(60), 60 * 16, walks its Good-Thomas tree both ways, and ight ends
-    # with its 1/v leaf
+    # dft(60), 60 * 16, walks its Good-Thomas tree both ways, whose factor
+    # dft(15), 15 * 16, walks its table by the same rule, and ight ends with
+    # its 1/v leaf
     ring = cyclotomic(v)
     F = dft_matrix(v, ring)
     orders = []

@@ -15,13 +15,16 @@ from ght import (
     GMatrix,
     Permutation,
     Signal,
+    complex_ring,
     cyclotomic,
     dft_matrix,
+    family,
     fast_apply,
     ght,
     ight,
     mat_mul,
     permute,
+    prime_field,
     rationals,
     star,
     tensor,
@@ -94,6 +97,31 @@ def test_a_walk_calls_the_kernel_once_per_leaf_in_reverse_order(case):
                 assert calls[:-1] == [star(L) for L in reversed(M.as_tree().leaves())]
 
 
+def test_a_dft_node_below_walk_min_walks_its_table_in_one_kernel_call():
+    # a DFT node whose v * d lane values per column fall below WALK_MIN walks
+    # its table, by the rule of transform._route: one kernel call per walk,
+    # where its Good-Thomas tree made one per prime-power leaf; RJT_3, the
+    # permuted dft(6) of family(1,1,1,3,2), is one factor of order 6
+    calls = []
+    lane_apply = matrix._lane_apply
+    kernel = lambda A, *a: calls.append(A) or lane_apply(A, *a)
+    for ring, v in ((cyclotomic(12), 12), (complex_ring(), 60), (prime_field(61), 60)):
+        F = dft_matrix(v, ring)
+        assert v * ring._lane_dim < transform.WALK_MIN
+        x = Signal.from_ints(ring, [(7 * k) % 19 - 9 for k in range(v)])
+        calls.clear()
+        with mock.patch.object(matrix, "_lane_apply", kernel):
+            for _ in range(2):
+                y, count = fast_apply(F.tree, x)
+        assert len(calls) == 2 and all(A is F.tree.table for A in calls)
+        assert y == ght(F, x) and count.mul == v * v
+    M = family(1, 1, 1, 3, 2, cyclotomic(6))[0]
+    calls.clear()
+    with mock.patch.object(matrix, "_lane_apply", kernel):
+        fast_apply(M.tree, Signal.from_ints(M.ring, range(M.order)))
+    assert [A.order for A in calls] == [6, 4, 2]
+
+
 def _checked_kernel(dtypes):
     """matrix._lane_apply, asserting on every exact call that the bound it is
     given holds, that it picks the dtype the measured batch would, and that
@@ -122,14 +150,15 @@ def _patched_kernel(stack, dtypes):
 @settings(max_examples=100)
 @given(st.one_of(walks(), dft_walks()))
 def test_the_carried_bound_is_sound_and_never_widens_a_dtype(case):
-    # on all five backends: walks (every tree at WALK_MIN 1), one table each
+    # on all five backends: walks (every tree at WALK_MIN 1, first, as a DFT
+    # node keeps the Good-Thomas tree of its first walk), one table each
     # way, and the table batches of verify_gbh and mat_mul
     tree, x = case
     ring, M = x.ring, tree.expand()
     dtypes = []
     with ExitStack() as stack:
         _patched_kernel(stack, dtypes)
-        for walk_min in (transform.WALK_MIN, 1):
+        for walk_min in (1, transform.WALK_MIN):
             with mock.patch.object(transform, "WALK_MIN", walk_min):
                 ght(M, x)
                 fast_apply(tree, x)
